@@ -1,7 +1,8 @@
 """Day-ahead EV charging/discharging schedulers and an experiment harness.
 
 Two scheduler models over the same scenario data:
-- evba: one LP over the whole fleet, horizon and all charging points;
+- evba: the whole-day plan of every vehicle over all charging points, solved
+  as one LP per vehicle because no constraint couples two vehicles;
 - evca: chronological per-session LPs, each blind to prices outside its own
   plug-in window, chained through realized state of energy.
 

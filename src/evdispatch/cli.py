@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Thin adapter over the library: every behavior here is reachable through the
-module functions. Exit codes: 0 success, 1 infeasibility or validation
-diagnostics, 2 usage errors.
+module functions. Exit codes: 0 success, 1 infeasibility, validation
+diagnostics or a solver failure, 2 usage errors.
 """
 
 from __future__ import annotations
@@ -10,6 +10,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+import numpy as np
 
 from .analysis import (
     OrderingError,
@@ -20,8 +22,9 @@ from .analysis import (
     write_report,
 )
 from .domain import ScenarioError, load_price_series, load_scenario, validate_scenario
-from .evba import PowerMode, cost_toggles_for, solve_evba
+from .evba import AssemblyError, PowerMode, cost_toggles_for, solve_evba
 from .evca import ItineraryError, SessionInfeasibleError, SoePolicy, solve_evca
+from .lp import LpError
 
 _POWER_FLAGS = {
     "fixed": PowerMode.FIXED_4KW,
@@ -185,7 +188,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "ablate-costs":
             return _cmd_ablate_costs(args)
         return _cmd_validate(args)
-    except (ScenarioError, SessionInfeasibleError, ItineraryError, OrderingError, OSError) as exc:
+    except (ScenarioError, SessionInfeasibleError, ItineraryError, OrderingError, OSError,
+            LpError, AssemblyError, ArithmeticError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,16 +18,19 @@ Pure functions throughout; freely concurrent.
 
 from __future__ import annotations
 
+import numpy as np
+
 from .domain import Vehicle
 from .lp import LpProblem
 
 
 def plane_values(v: Vehicle, e_dch_kwh: float, soe_kwh: float) -> tuple[float, float]:
-    """Evaluate both wear planes (EUR) for one vehicle-step."""
+    """Evaluate both wear planes (EUR) for one vehicle-step, or elementwise
+    for equal-length arrays of steps."""
     cap = v.capacity_kwh
-    if e_dch_kwh < -1e-12:
+    if np.any(e_dch_kwh < -1e-12):
         raise ValueError(f"vehicle {v.id!r}: discharge must be >= 0, got {e_dch_kwh}")
-    if not -1e-9 <= soe_kwh <= cap + 1e-9:
+    if not np.all((-1e-9 <= soe_kwh) & (soe_kwh <= cap + 1e-9)):
         raise ValueError(
             f"vehicle {v.id!r}: state of energy {soe_kwh} kWh outside [0, {cap}]"
         )
@@ -43,10 +46,11 @@ def degradation_cost(v: Vehicle, e_dch_kwh: float, soe_kwh: float) -> float:
     """Wear cost (EUR) for one step: the larger of the two planes.
 
     Nonnegative whenever the discharge is nonnegative and d4 >= 0, because
-    plane2 passes through zero at zero discharge.
+    plane2 passes through zero at zero discharge. Elementwise for arrays.
     """
     p1, p2 = plane_values(v, e_dch_kwh, soe_kwh)
-    return max(p1, p2)
+    # same pick as max(p1, p2); [()] unwraps the 0-d result of scalar inputs
+    return np.where(p2 > p1, p2, p1)[()]
 
 
 def emit_degradation_rows(

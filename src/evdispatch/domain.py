@@ -169,10 +169,15 @@ class TripPlan:
 
 
 class PriceSeries:
-    """Energy prices per step, EUR/kWh. Prices may be negative."""
+    """Energy prices per step, EUR/kWh. Prices may be negative, not non-finite."""
 
     def __init__(self, label: str, values: np.ndarray):
         arr = np.array(values, dtype=float).reshape(-1)
+        bad = np.flatnonzero(~np.isfinite(arr))
+        if bad.size:
+            raise ScenarioError(
+                f"price series {label!r}: non-finite price {arr[bad[0]]} at step {bad[0]}"
+            )
         arr.flags.writeable = False
         self.label = label
         self.values = arr
@@ -648,6 +653,8 @@ def load_price_series(path: str | Path, step_count: int | None = None) -> PriceS
             price = float(parts[1])
         except ValueError as exc:
             raise ScenarioError(f"{path}:{lineno}: non-numeric entry: {line!r}") from exc
+        if not np.isfinite(price):
+            raise ScenarioError(f"{path}:{lineno}: non-finite price: {line!r}")
         if idx != len(values):
             raise ScenarioError(f"{path}:{lineno}: step index {idx} out of order (expected {len(values)})")
         values.append(price)

@@ -1,4 +1,14 @@
-"""Fleet-level day-ahead scheduler: one LP over all vehicles, plugs and steps.
+"""Fleet-level day-ahead scheduler: every vehicle's whole-day plan.
+
+The fleet LP separates per vehicle. Every row (charge taper, energy balance,
+wear epigraph) and every cap involves one vehicle only, so no row couples two
+vehicles and the fleet optimum is the sum of the per-vehicle optima: the
+block-separable case of Dantzig & Wolfe (Oper. Res. 8(1), 1960) with no
+master problem. build_evba therefore returns one LP per vehicle, solve_evba
+solves them in turn and extract_schedule stitches the fleet schedule. A
+shared site or feeder limit would add rows coupling vehicles and need
+Dantzig-Wolfe or Lagrangian coordination of these LPs; that is out of scope.
+The station model (evca) solves the same per-vehicle LP over each session.
 
 Decision variables per vehicle and step: slow charge, grid discharge, fast
 charge (all kWh, grid side) and state of energy (kWh). When the wear term is
@@ -42,7 +52,6 @@ class PowerMode(str, Enum):
 class CostToggles:
     """Objective term switches. Energy purchase/revenue is always priced."""
 
-    include_energy: bool = True
     include_degradation: bool = True
     include_grid_tariff: bool = True
     include_cp_tariff: bool = True
@@ -50,11 +59,11 @@ class CostToggles:
 
 #: Objective variants used by the cost ablation, cheapest-first naming.
 OBJECTIVE_VARIANTS: dict[str, CostToggles] = {
-    "of1": CostToggles(True, False, False, False),
-    "of2": CostToggles(True, True, False, False),
-    "of3": CostToggles(True, False, True, False),
-    "of4": CostToggles(True, False, False, True),
-    "of5": CostToggles(True, True, True, True),
+    "of1": CostToggles(False, False, False),
+    "of2": CostToggles(True, False, False),
+    "of3": CostToggles(False, True, False),
+    "of4": CostToggles(False, False, True),
+    "of5": CostToggles(True, True, True),
 }
 
 
@@ -71,18 +80,6 @@ class AssemblyError(RuntimeError):
 
 class _FloorUnreachable(Exception):
     """Requested terminal stock exceeds the battery's upper SOE bound."""
-
-
-@dataclass
-class VarMap:
-    """LP variable ids per (vehicle, step); -1 where no variable exists."""
-
-    sch: np.ndarray
-    dch: np.ndarray
-    fch: np.ndarray
-    soe: np.ndarray
-    cdeg: np.ndarray | None
-    windows: list[np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -189,116 +186,136 @@ def _slow_cap(s: Scenario, v: Vehicle, v_idx: int, t: int, power: PowerMode) -> 
     return min(cp.power_limit_kwh_per_step, v.obc_max_kwh_per_step)
 
 
-def _build_fleet_lp(
+def _build_window_lp(
     s: Scenario,
+    v_idx: int,
+    steps: np.ndarray,
+    init_soe: float,
+    floor: float,
     ct: CostToggles,
     power: PowerMode,
-    windows: list[np.ndarray],
-    init_soe: list[float],
-    final_floor: list[float],
-    name: str = "fleet",
-) -> tuple[lp.LpProblem, VarMap]:
-    """Emit variables and rows for each vehicle over its step window.
+    *,
+    maximize_departure: bool = False,
+) -> lp.LpProblem:
+    """One vehicle's LP over a contiguous, non-empty window of steps.
 
-    ``init_soe[v]`` is the stock entering the first window step;
-    ``final_floor[v]`` the minimum stock at the last window step.
+    ``init_soe`` is the stock entering the first window step; ``floor`` the
+    minimum stock at the last one. Variables run per step in the order
+    sch, dch, fch, soe and, when wear is priced, cdeg, so a solution vector
+    reshapes to one row per step (see _window_schedule). With
+    ``maximize_departure`` the feasible set is the same and the objective is
+    the negated stock at the last step.
     """
-    if s.prices is None:
-        raise ScenarioError("scenario has no price series attached; use Scenario.with_prices")
-    if not ct.include_energy:
-        raise ValueError("the energy term cannot be toggled off")
+    v = s.vehicles[v_idx]
+    cap = v.capacity_kwh
+    soe_lb = v.soe_min_kwh
+    soe_ub = v.soe_max_kwh
+    last = int(steps[-1])
+    p = lp.LpProblem(f"window[{v.id},{int(steps[0])}..{last}]")
+    taper_k = None
+    if v.soe_cv_frac < 1.0 - 1e-12:
+        taper_k = v.obc_max_kwh_per_step / (cap * (1.0 - v.soe_cv_frac))
 
-    V, T = len(s.vehicles), s.horizon.step_count
-    p = lp.LpProblem(name)
-    shape = (V, T)
-    m_sch = np.full(shape, -1, dtype=int)
-    m_dch = np.full(shape, -1, dtype=int)
-    m_fch = np.full(shape, -1, dtype=int)
-    m_soe = np.full(shape, -1, dtype=int)
-    m_deg = np.full(shape, -1, dtype=int) if ct.include_degradation else None
-
-    for v_idx, v in enumerate(s.vehicles):
-        steps = windows[v_idx]
-        if steps.size == 0:
-            continue
-        cap = v.capacity_kwh
-        soe_lb = v.soe_min_kwh
-        soe_ub = v.soe_max_kwh
-        last = int(steps[-1])
-        taper_k = None
-        if v.soe_cv_frac < 1.0 - 1e-12:
-            taper_k = v.obc_max_kwh_per_step / (cap * (1.0 - v.soe_cv_frac))
-
-        for t in map(int, steps):
+    prev_id = None
+    for t in map(int, steps):
+        if maximize_departure:
+            c_sch = c_dch = c_fch = 0.0
+        else:
             c_sch, c_dch, c_fch = _flow_costs(s, ct, v_idx, t)
-            slow_cap = _slow_cap(s, v, v_idx, t, power)
-            cp = s.cp_at(v_idx, t)
-            fast_cap = (
-                cp.power_limit_kwh_per_step if cp is not None and cp.kind == FAST else 0.0
-            )
-            m_sch[v_idx, t] = p.add_variable(0.0, slow_cap, c_sch, f"sch[{v.id},{t}]")
-            m_dch[v_idx, t] = p.add_variable(0.0, slow_cap, c_dch, f"dch[{v.id},{t}]")
-            m_fch[v_idx, t] = p.add_variable(0.0, fast_cap, c_fch, f"fch[{v.id},{t}]")
-            lb_t = soe_lb
-            if t == last:
-                lb_t = max(lb_t, final_floor[v_idx])
-                if lb_t > soe_ub + 1e-9:
-                    raise _FloorUnreachable(
-                        f"vehicle {v.id!r}: required stock {lb_t:.3f} kWh at step {t} "
-                        f"exceeds the SOE ceiling {soe_ub:.3f} kWh"
-                    )
-                lb_t = min(lb_t, soe_ub)
-            m_soe[v_idx, t] = p.add_variable(lb_t, soe_ub, 0.0, f"soe[{v.id},{t}]")
-            if m_deg is not None:
-                m_deg[v_idx, t] = p.add_variable(0.0, lp.INF, 1.0, f"cdeg[{v.id},{t}]")
-
-        prev_id = -1
-        for t in map(int, steps):
-            v_ids = (m_sch[v_idx, t], m_dch[v_idx, t], m_fch[v_idx, t], m_soe[v_idx, t])
-            sch_id, dch_id, fch_id, soe_id = v_ids
-            # charge taper above the CC/CV breakpoint; slow charging only
-            if taper_k is not None and _slow_cap(s, v, v_idx, t, power) > 0.0 and power is not PowerMode.CP_ONLY:
-                p.add_constraint(
-                    [(sch_id, 1.0), (soe_id, taper_k)],
-                    "<=",
-                    taper_k * cap,
-                    name=f"cv[{v.id},{t}]",
+        slow_cap = _slow_cap(s, v, v_idx, t, power)
+        cp = s.cp_at(v_idx, t)
+        fast_cap = cp.power_limit_kwh_per_step if cp is not None and cp.kind == FAST else 0.0
+        sch_id = p.add_variable(0.0, slow_cap, c_sch, f"sch[{v.id},{t}]")
+        dch_id = p.add_variable(0.0, slow_cap, c_dch, f"dch[{v.id},{t}]")
+        fch_id = p.add_variable(0.0, fast_cap, c_fch, f"fch[{v.id},{t}]")
+        lb_t = soe_lb
+        if t == last:
+            lb_t = max(lb_t, floor)
+            if lb_t > soe_ub + 1e-9:
+                raise _FloorUnreachable(
+                    f"vehicle {v.id!r}: required stock {lb_t:.3f} kWh at step {t} "
+                    f"exceeds the SOE ceiling {soe_ub:.3f} kWh"
                 )
-            terms = [
-                (soe_id, 1.0),
-                (sch_id, -v.eta_sch),
-                (fch_id, -v.eta_fch),
-                (dch_id, 1.0 / v.eta_dch),
-            ]
-            rhs = -float(s.trips.energy_kwh[v_idx, t]) / v.eta_run
-            if prev_id >= 0:
-                terms.append((prev_id, -1.0))
-            else:
-                rhs += init_soe[v_idx]
-            p.add_constraint(terms, "=", rhs, name=f"bal[{v.id},{t}]")
-            if m_deg is not None:
-                emit_degradation_rows(p, m_deg[v_idx, t], dch_id, soe_id, v, t)
-            prev_id = soe_id
+            lb_t = min(lb_t, soe_ub)
+        soe_cost = -1.0 if maximize_departure and t == last else 0.0
+        soe_id = p.add_variable(lb_t, soe_ub, soe_cost, f"soe[{v.id},{t}]")
+        deg_id = None
+        if ct.include_degradation:
+            deg_cost = 0.0 if maximize_departure else 1.0
+            deg_id = p.add_variable(0.0, lp.INF, deg_cost, f"cdeg[{v.id},{t}]")
 
-    return p, VarMap(m_sch, m_dch, m_fch, m_soe, m_deg, windows)
+        # charge taper above the CC/CV breakpoint; slow charging only
+        if taper_k is not None and slow_cap > 0.0 and power is not PowerMode.CP_ONLY:
+            p.add_constraint(
+                [(sch_id, 1.0), (soe_id, taper_k)],
+                "<=",
+                taper_k * cap,
+                name=f"cv[{v.id},{t}]",
+            )
+        terms = [
+            (soe_id, 1.0),
+            (sch_id, -v.eta_sch),
+            (fch_id, -v.eta_fch),
+            (dch_id, 1.0 / v.eta_dch),
+        ]
+        rhs = -float(s.trips.energy_kwh[v_idx, t]) / v.eta_run
+        if prev_id is not None:
+            terms.append((prev_id, -1.0))
+        else:
+            rhs += init_soe
+        p.add_constraint(terms, "=", rhs, name=f"bal[{v.id},{t}]")
+        if deg_id is not None:
+            emit_degradation_rows(p, deg_id, dch_id, soe_id, v, t)
+        prev_id = soe_id
+    return p
 
 
 def build_evba(
     s: Scenario, ct: CostToggles = CostToggles(), power: PowerMode = PowerMode.BOTH
-) -> tuple[lp.LpProblem, VarMap]:
-    """Assemble the whole-horizon fleet LP for a validated scenario."""
+) -> list[lp.LpProblem]:
+    """Assemble the whole-horizon LP of each vehicle of a validated scenario.
+
+    Returns one problem per vehicle, in scenario order; the fleet optimum is
+    the sum of their optima.
+    """
     diags = validate_scenario(s)
     if diags:
         raise ScenarioError("invalid scenario:\n  " + "\n  ".join(diags))
-    T = s.horizon.step_count
-    windows = [np.arange(T) for _ in s.vehicles]
-    init = [v.soe_initial_kwh for v in s.vehicles]
-    floor = [v.soe_initial_kwh for v in s.vehicles]  # end-of-day stock floor
-    return _build_fleet_lp(s, ct, power, windows, init, floor, name="evba")
+    if s.prices is None:
+        raise ScenarioError("scenario has no price series attached; use Scenario.with_prices")
+    steps = np.arange(s.horizon.step_count)
+    # the end-of-day stock floor is the initial stock
+    return [
+        _build_window_lp(s, v_idx, steps, v.soe_initial_kwh, v.soe_initial_kwh, ct, power)
+        for v_idx, v in enumerate(s.vehicles)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Extraction
+
+def _nonneg(x: np.ndarray) -> np.ndarray:
+    """Elementwise ``max(x, 0.0)``; unlike np.maximum it keeps -0.0 as is."""
+    return np.where(x < 0.0, 0.0, x)
+
+
+def _implied_wear(v: Vehicle, e_dch: np.ndarray, soe: np.ndarray) -> np.ndarray:
+    """Wear cost per step that a trajectory implies, priced or not."""
+    return _nonneg(degradation_cost(v, e_dch, np.clip(soe, 0.0, v.capacity_kwh)))
+
+
+def _window_schedule(v: Vehicle, sol: lp.LpSolution, ct: CostToggles) -> tuple[np.ndarray, ...]:
+    """Per-step (e_sch, e_dch, e_fch, soe, c_deg) of a window LP's solution.
+
+    ``c_deg`` is the LP's wear variable when the wear term is priced, and
+    otherwise the wear the trajectory implies.
+    """
+    cols = sol.x.reshape(-1, 5 if ct.include_degradation else 4)
+    e_sch, e_dch, e_fch = (_nonneg(cols[:, j]) for j in range(3))
+    soe = cols[:, 3]
+    c_deg = cols[:, 4] if ct.include_degradation else _implied_wear(v, e_dch, soe)
+    return e_sch, e_dch, e_fch, soe, c_deg
+
 
 def _cost_breakdown(
     s: Scenario,
@@ -353,53 +370,33 @@ def _cost_breakdown(
     return out
 
 
-def extract_schedule(
-    varmap: VarMap, sol: lp.LpSolution, s: Scenario, ct: CostToggles
-) -> FleetSchedule:
-    """Turn an optimal LP solution into a FleetSchedule.
+def extract_schedule(sols: list[lp.LpSolution], s: Scenario, ct: CostToggles) -> FleetSchedule:
+    """Stitch the optimal solutions of build_evba's problems into a FleetSchedule.
 
-    The cost breakdown is recomputed independently from prices and fees and
-    reconciled with the LP objective; a mismatch means the model assembly is
-    wrong and raises AssemblyError.
+    Each vehicle's cost breakdown is recomputed independently from prices and
+    fees and reconciled with its own LP objective; a mismatch means the model
+    assembly is wrong and raises AssemblyError.
     """
-    if sol.status != lp.OPTIMAL:
-        raise ValueError(f"cannot extract from a non-optimal solution (status={sol.status})")
-    V, T = varmap.sch.shape
-    e_sch = np.zeros((V, T))
-    e_dch = np.zeros((V, T))
-    e_fch = np.zeros((V, T))
-    soe = np.zeros((V, T))
-    c_deg = np.zeros((V, T))
-
-    for v_idx in range(V):
-        for t in map(int, varmap.windows[v_idx]):
-            e_sch[v_idx, t] = max(sol.value(varmap.sch[v_idx, t]), 0.0)
-            e_dch[v_idx, t] = max(sol.value(varmap.dch[v_idx, t]), 0.0)
-            e_fch[v_idx, t] = max(sol.value(varmap.fch[v_idx, t]), 0.0)
-            soe[v_idx, t] = sol.value(varmap.soe[v_idx, t])
-            if varmap.cdeg is not None:
-                c_deg[v_idx, t] = sol.value(varmap.cdeg[v_idx, t])
+    if len(sols) != len(s.vehicles):
+        raise ValueError(f"expected one solution per vehicle ({len(s.vehicles)}), got {len(sols)}")
+    for sol in sols:
+        if sol.status != lp.OPTIMAL:
+            raise ValueError(f"cannot extract from a non-optimal solution (status={sol.status})")
+    V, T = len(s.vehicles), s.horizon.step_count
+    e_sch, e_dch, e_fch, soe, c_deg = np.zeros((5, V, T))
+    for v_idx, (v, sol) in enumerate(zip(s.vehicles, sols)):
+        e_sch[v_idx], e_dch[v_idx], e_fch[v_idx], soe[v_idx], c_deg[v_idx] = _window_schedule(
+            v, sol, ct
+        )
 
     deg_priced = c_deg if ct.include_degradation else np.zeros((V, T))
-    if not ct.include_degradation:
-        # report the wear the trajectory implies even when it is not priced
-        for v_idx, v in enumerate(s.vehicles):
-            for t in map(int, varmap.windows[v_idx]):
-                c_deg[v_idx, t] = max(
-                    degradation_cost(
-                        v,
-                        e_dch[v_idx, t],
-                        min(max(soe[v_idx, t], 0.0), v.capacity_kwh),
-                    ),
-                    0.0,
-                )
-
     per_vehicle = _cost_breakdown(s, ct, e_sch, e_dch, e_fch, deg_priced)
-    total = sum(c.total_eur for c in per_vehicle)
-    if abs(total - sol.objective) > 1e-6 * (1.0 + abs(sol.objective)):
-        raise AssemblyError(
-            f"cost breakdown {total:.9f} does not reconcile with LP objective {sol.objective:.9f}"
-        )
+    for c, sol in zip(per_vehicle, sols):
+        if not (abs(c.total_eur - sol.objective) <= 1e-6 * (1.0 + abs(sol.objective))):
+            raise AssemblyError(
+                f"vehicle {c.vehicle!r}: cost breakdown {c.total_eur:.9f} does not reconcile "
+                f"with LP objective {sol.objective:.9f}"
+            )
     return FleetSchedule(
         status="optimal",
         e_sch=e_sch,
@@ -408,34 +405,40 @@ def extract_schedule(
         soe=soe,
         c_deg=c_deg,
         per_vehicle=per_vehicle,
-        total_cost_eur=total,
+        total_cost_eur=sum(c.total_eur for c in per_vehicle),
     )
 
 
-def _infeasibility_hint(s: Scenario, power: PowerMode) -> str:
-    """Name the first step where even maximal charging cannot keep a vehicle
-    above its SOE floor (ignoring the charge taper, so the bound is generous)."""
-    T = s.horizon.step_count
-    for v_idx, v in enumerate(s.vehicles):
-        stock = v.soe_initial_kwh
-        for t in range(T):
-            slow = _slow_cap(s, v, v_idx, t, power)
-            cp = s.cp_at(v_idx, t)
-            fast = cp.power_limit_kwh_per_step if cp is not None and cp.kind == FAST else 0.0
-            stock = min(stock + slow * v.eta_sch + fast * v.eta_fch, v.soe_max_kwh)
-            stock -= float(s.trips.energy_kwh[v_idx, t]) / v.eta_run
-            if stock < v.soe_min_kwh - 1e-9:
-                return (
-                    f"vehicle {v.id!r}: cumulative energy bound violated at step {t} "
-                    f"(best reachable stock {stock:.3f} kWh is below the "
-                    f"floor {v.soe_min_kwh:.3f} kWh)"
-                )
-        if stock < v.soe_initial_kwh - 1e-9:
+def _infeasibility_hint(s: Scenario, v_idx: int, power: PowerMode) -> str:
+    """Why vehicle ``v_idx``'s LP is infeasible.
+
+    Names the first step where even maximal charging cannot keep the vehicle
+    above its SOE floor, or its unreachable end-of-day floor. The bound
+    ignores the charge taper, so it is generous.
+    """
+    v = s.vehicles[v_idx]
+    stock = v.soe_initial_kwh
+    for t in range(s.horizon.step_count):
+        slow = _slow_cap(s, v, v_idx, t, power)
+        cp = s.cp_at(v_idx, t)
+        fast = cp.power_limit_kwh_per_step if cp is not None and cp.kind == FAST else 0.0
+        stock = min(stock + slow * v.eta_sch + fast * v.eta_fch, v.soe_max_kwh)
+        stock -= float(s.trips.energy_kwh[v_idx, t]) / v.eta_run
+        if stock < v.soe_min_kwh - 1e-9:
             return (
-                f"vehicle {v.id!r}: end-of-day stock floor {v.soe_initial_kwh:.3f} kWh "
-                f"unreachable (best {stock:.3f} kWh)"
+                f"vehicle {v.id!r}: cumulative energy bound violated at step {t} "
+                f"(best reachable stock {stock:.3f} kWh is below the "
+                f"floor {v.soe_min_kwh:.3f} kWh)"
             )
-    return "no single-vehicle cumulative-energy bound identified; interaction infeasibility"
+    if stock < v.soe_initial_kwh - 1e-9:
+        return (
+            f"vehicle {v.id!r}: end-of-day stock floor {v.soe_initial_kwh:.3f} kWh "
+            f"unreachable (best {stock:.3f} kWh)"
+        )
+    return (
+        f"vehicle {v.id!r}: no feasible schedule, although the cumulative energy "
+        f"bound, which ignores the charge taper, holds"
+    )
 
 
 def solve_evba(
@@ -445,15 +448,19 @@ def solve_evba(
     *,
     feas_tol: float = 1e-6,
 ) -> FleetSchedule:
-    """Build and solve the fleet LP; returns the schedule or an infeasible status."""
-    problem, varmap = build_evba(s, ct, power)
-    sol = lp.solve(problem, feas_tol=feas_tol)
-    if sol.status == lp.OPTIMAL:
-        return extract_schedule(varmap, sol, s, ct)
-    message = ""
-    if sol.status == lp.INFEASIBLE:
-        message = _infeasibility_hint(s, power)
-    return FleetSchedule.empty(s, sol.status, message)
+    """Solve each vehicle's LP and stitch the fleet schedule.
+
+    The first vehicle whose LP is not optimal makes the fleet status; an
+    infeasible one is named in the message.
+    """
+    sols = []
+    for v_idx, problem in enumerate(build_evba(s, ct, power)):
+        sol = lp.solve(problem, feas_tol=feas_tol)
+        if sol.status != lp.OPTIMAL:
+            message = _infeasibility_hint(s, v_idx, power) if sol.status == lp.INFEASIBLE else ""
+            return FleetSchedule.empty(s, sol.status, message)
+        sols.append(sol)
+    return extract_schedule(sols, s, ct)
 
 
 # ---------------------------------------------------------------------------

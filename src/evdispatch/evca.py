@@ -18,17 +18,18 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import lp
-from .degradation import degradation_cost
+from .degradation import degradation_cost  # noqa: F401 - bench/tracing.py wraps this binding
 from .domain import Scenario, ScenarioError, Vehicle, validate_scenario
 from .evba import (
     CostToggles,
     FleetSchedule,
     PowerMode,
     SessionResult,
-    VarMap,
-    _build_fleet_lp,
+    _build_window_lp,
     _cost_breakdown,
     _FloorUnreachable,
+    _implied_wear,
+    _window_schedule,
     AssemblyError,
 )
 
@@ -43,17 +44,12 @@ class ItineraryError(RuntimeError):
 
 @dataclass(frozen=True)
 class Session:
-    """One plug visit: vehicle, charging point and an inclusive step range.
-
-    SOE fields stay None until the chronological solve assigns them.
-    """
+    """One plug visit: vehicle, charging point and an inclusive step range."""
 
     vehicle: str
     cp: str
     arrive_step: int
     depart_step: int
-    soe_arrival_kwh: float | None = None
-    soe_depart_min_kwh: float | None = None
 
     @property
     def steps(self) -> np.ndarray:
@@ -132,30 +128,17 @@ def _solve_session_lp(
     power: PowerMode,
     feas_tol: float,
     maximize_departure: bool = False,
-) -> tuple[lp.LpSolution, VarMap] | None:
-    """One session LP; None when infeasible. Other vehicles get empty windows."""
-    V = len(s.vehicles)
-    windows = [np.zeros(0, dtype=int) for _ in range(V)]
-    windows[v_idx] = session.steps
-    init = [0.0] * V
-    init[v_idx] = arrival
-    floors = [0.0] * V
-    floors[v_idx] = floor
+) -> lp.LpSolution | None:
+    """One session LP; None when infeasible."""
     try:
-        problem, varmap = _build_fleet_lp(
-            s, ct, power, windows, init, floors, name=f"session[{session.vehicle},{session.cp},{session.arrive_step}]"
+        problem = _build_window_lp(
+            s, v_idx, session.steps, arrival, floor, ct, power,
+            maximize_departure=maximize_departure,
         )
     except _FloorUnreachable:
         return None
-    if maximize_departure:
-        # same feasible set, objective swapped for -1 * departure stock
-        last_soe = varmap.soe[v_idx, session.depart_step]
-        for i in range(problem.num_variables):
-            problem.set_cost(i, -1.0 if i == last_soe else 0.0)
     sol = lp.solve(problem, feas_tol=feas_tol)
-    if sol.status != lp.OPTIMAL:
-        return None
-    return sol, varmap
+    return sol if sol.status == lp.OPTIMAL else None
 
 
 def solve_evca(
@@ -194,7 +177,7 @@ def solve_evca(
     e_dch = np.zeros((V, T))
     e_fch = np.zeros((V, T))
     soe = np.zeros((V, T))
-    c_deg_lp = np.zeros((V, T))
+    c_deg = np.zeros((V, T))
     in_window = np.zeros((V, T), dtype=bool)
     traces: list[SessionResult] = []
     warnings: list[str] = []
@@ -229,39 +212,34 @@ def solve_evca(
                 floor = policy.floor_kwh(v)
                 note = ""
 
-            solved = _solve_session_lp(s, v_idx, session, arrival, floor, ct, power, feas_tol)
-            if solved is None and best_effort:
+            sol = _solve_session_lp(s, v_idx, session, arrival, floor, ct, power, feas_tol)
+            if sol is None and best_effort:
                 relaxed = _solve_session_lp(
                     s, v_idx, session, arrival, v.soe_min_kwh, ct, power, feas_tol,
                     maximize_departure=True,
                 )
                 if relaxed is not None:
-                    max_sol, max_map = relaxed
-                    reachable = max_sol.value(max_map.soe[v_idx, session.depart_step])
-                    reachable = min(reachable, v.soe_max_kwh)
+                    # the relaxed objective is minus the departure stock
+                    reachable = min(-relaxed.objective, v.soe_max_kwh)
                     warnings.append(
                         f"{session.describe()}: floor {floor:.3f} kWh unreachable, "
                         f"lowered to {reachable:.3f} kWh"
                     )
                     note = (note + "; " if note else "") + "best-effort floor"
                     floor = reachable - 1e-9
-                    solved = _solve_session_lp(
+                    sol = _solve_session_lp(
                         s, v_idx, session, arrival, floor, ct, power, feas_tol
                     )
-            if solved is None:
+            if sol is None:
                 raise SessionInfeasibleError(
                     f"{session.describe()}: no feasible schedule reaches the departure "
                     f"floor {floor:.3f} kWh from arrival stock {arrival:.3f} kWh"
                 )
-            sol, varmap = solved
-            for t in map(int, session.steps):
-                e_sch[v_idx, t] = max(sol.value(varmap.sch[v_idx, t]), 0.0)
-                e_dch[v_idx, t] = max(sol.value(varmap.dch[v_idx, t]), 0.0)
-                e_fch[v_idx, t] = max(sol.value(varmap.fch[v_idx, t]), 0.0)
-                soe[v_idx, t] = sol.value(varmap.soe[v_idx, t])
-                if varmap.cdeg is not None:
-                    c_deg_lp[v_idx, t] = sol.value(varmap.cdeg[v_idx, t])
-                in_window[v_idx, t] = True
+            w = slice(session.arrive_step, session.depart_step + 1)
+            e_sch[v_idx, w], e_dch[v_idx, w], e_fch[v_idx, w], soe[v_idx, w], c_deg[v_idx, w] = (
+                _window_schedule(v, sol, ct)
+            )
+            in_window[v_idx, w] = True
             depart_soe = soe[v_idx, session.depart_step]
             session_cost_sum += sol.objective
             traces.append(
@@ -282,7 +260,6 @@ def solve_evca(
 
     # stitch stock and wear across unplugged steps
     off_deg_sum = 0.0
-    c_deg = c_deg_lp.copy()
     for v_idx, v in enumerate(s.vehicles):
         prev = v.soe_initial_kwh
         for t in range(T):
@@ -291,27 +268,16 @@ def solve_evca(
                 continue
             prev = prev - float(s.trips.energy_kwh[v_idx, t]) / v.eta_run
             soe[v_idx, t] = prev
-            wear = max(degradation_cost(v, 0.0, min(max(prev, 0.0), v.capacity_kwh)), 0.0)
-            c_deg[v_idx, t] = wear
-            if ct.include_degradation:
-                off_deg_sum += wear
-
-    if not ct.include_degradation:
-        for v_idx, v in enumerate(s.vehicles):
-            for t in range(T):
-                if in_window[v_idx, t]:
-                    c_deg[v_idx, t] = max(
-                        degradation_cost(
-                            v, e_dch[v_idx, t], min(max(soe[v_idx, t], 0.0), v.capacity_kwh)
-                        ),
-                        0.0,
-                    )
+        off = ~in_window[v_idx]
+        c_deg[v_idx, off] = _implied_wear(v, e_dch[v_idx, off], soe[v_idx, off])
+        if ct.include_degradation:
+            off_deg_sum += float(c_deg[v_idx, off].sum())
 
     deg_priced = c_deg if ct.include_degradation else np.zeros((V, T))
     per_vehicle = _cost_breakdown(s, ct, e_sch, e_dch, e_fch, deg_priced)
     total = sum(c.total_eur for c in per_vehicle)
     expected = session_cost_sum + off_deg_sum
-    if abs(total - expected) > 1e-6 * (1.0 + abs(expected)):
+    if not (abs(total - expected) <= 1e-6 * (1.0 + abs(expected))):
         raise AssemblyError(
             f"stitched cost {total:.9f} does not reconcile with session objectives "
             f"plus off-plug wear {expected:.9f}"

@@ -323,7 +323,7 @@ class _Simplex:
         q = int(np.argmax(score))
         return q if score[q] > self.opt_tol else -1
 
-    def _iterate(self, cost: np.ndarray, phase: int) -> str:
+    def _iterate(self, cost: np.ndarray) -> str:
         d = self._reduced_costs(cost)
         bland = False
         stall = 0
@@ -440,7 +440,7 @@ class _Simplex:
         if self.n_art:
             cost1 = np.zeros(self.A.shape[1])
             cost1[self.n_struct + self.m :] = 1.0
-            outcome = self._iterate(cost1, phase=1)
+            outcome = self._iterate(cost1)
             if outcome == "iteration_limit":
                 return LpSolution(ITERATION_LIMIT, None, None, self.iterations)
             if outcome == "unbounded":
@@ -452,7 +452,7 @@ class _Simplex:
             self._evict_artificials()
 
         for attempt in range(4):
-            outcome = self._iterate(self.cost, phase=2)
+            outcome = self._iterate(self.cost)
             if outcome == "iteration_limit":
                 return LpSolution(ITERATION_LIMIT, None, None, self.iterations)
             if outcome == "unbounded":

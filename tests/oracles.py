@@ -173,3 +173,37 @@ def micro_case_grid_optimum(resolution: float = 1e-3) -> float:
     feasible = recharge <= 2 * cp + 1e-12             # two charging steps available
     cost = 0.1 * recharge - 0.5 * d
     return float(cost[feasible].min())
+
+
+def block_diagonal_scipy_optimum(problems: list[lp.LpProblem]) -> float:
+    """Optimum of the joint LP that stacks ``problems`` block-diagonally,
+    solved by scipy's HiGHS. Callers skip when scipy is missing."""
+    from scipy.optimize import linprog
+    from scipy.sparse import block_diag
+
+    def dense(p: lp.LpProblem) -> np.ndarray:
+        A = np.zeros((p.num_constraints, p.num_variables))
+        for i, row in enumerate(p._rows):
+            for j, coef in row.items():
+                A[i, j] = coef
+        return A
+
+    A = block_diag([dense(p) for p in problems], format="csr")
+    senses = np.array([s for p in problems for s in p._senses])
+    b = np.array([r for p in problems for r in p._rhs])
+    c = np.array([x for p in problems for x in p._cost])
+    bounds = [(lo, hi) for p in problems for lo, hi in zip(p._lb, p._ub)]
+    sign = np.where(senses == ">=", -1.0, 1.0)  # flip >= rows into <= form
+    ineq = senses != "="
+    res = linprog(
+        c,
+        A_ub=A[ineq].multiply(sign[ineq][:, None]).tocsr(),
+        b_ub=b[ineq] * sign[ineq],
+        A_eq=A[~ineq],
+        b_eq=b[~ineq],
+        bounds=bounds,
+        method="highs",
+    )
+    if res.status != 0:
+        raise AssertionError(f"scipy could not solve the joint LP: {res.message}")
+    return float(res.fun)

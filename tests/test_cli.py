@@ -4,10 +4,14 @@ from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
 
+from evdispatch import cli
 from evdispatch.cli import main
 from evdispatch.domain import example_scenario_path
+from evdispatch.evba import AssemblyError
+from evdispatch.lp import LpError
 
 
 @pytest.fixture()
@@ -137,3 +141,35 @@ def test_env_var_default_out(example_path, tmp_path, monkeypatch):
                "--gen-prices", "low"])
     assert rc == 0
     assert (tmp_path / "envout" / "schedule.csv").exists()
+
+
+@pytest.mark.parametrize("bad", ["inf", "nan"])
+def test_non_finite_price_file_exit_1_without_report(example_path, tmp_path, capsys, bad):
+    values = ["0.05"] * 24
+    values[7] = bad
+    prices = tmp_path / "prices.csv"
+    prices.write_text("".join(f"{t},{x}\n" for t, x in enumerate(values)))
+    out = tmp_path / "report"
+    rc = main(["solve", "--model", "evba", "--scenario", example_path,
+               "--prices", str(prices), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error:") and "non-finite" in err and len(err.splitlines()) == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "exc", [LpError("boom"), AssemblyError("boom"), ArithmeticError("boom"),
+            np.linalg.LinAlgError("boom")],
+)
+def test_solver_failures_exit_1_with_one_line(example_path, tmp_path, capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli, "solve_evba", fail)
+    out = tmp_path / "report"
+    rc = main(["solve", "--model", "evba", "--scenario", example_path,
+               "--gen-prices", "low", "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == "error: boom\n"
+    assert not out.exists()

@@ -87,8 +87,8 @@ def test_emit_rows_adds_two_constraints():
 def test_emit_rows_counts_scale_with_fleet(example_with_high):
     from evdispatch.evba import CostToggles, build_evba
 
-    problem, _ = build_evba(example_with_high, CostToggles())
-    deg_rows = [n for n in problem.row_names() if n.startswith("deg")]
+    problems = build_evba(example_with_high, CostToggles())
+    deg_rows = [n for p in problems for n in p.row_names() if n.startswith("deg")]
     assert len(deg_rows) == 2 * 3 * 24  # two rows per vehicle-step
 
 

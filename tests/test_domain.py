@@ -236,3 +236,9 @@ def test_generated_series_round_trips_through_csv(tmp_path):
 
 def test_example_path_exists():
     assert example_scenario_path().exists()
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_price_series_rejects_non_finite_values(bad):
+    with pytest.raises(ScenarioError, match="step 2"):
+        PriceSeries("x", [0.1, 0.2, bad])

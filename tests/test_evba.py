@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,15 +17,18 @@ from evdispatch.domain import (
     Scenario,
     TripPlan,
     Vehicle,
+    parse_scenario,
+    scenario_to_dict,
 )
 from evdispatch.evba import (
+    AssemblyError,
     PowerMode,
     build_evba,
     cost_toggles_for,
     extract_schedule,
     solve_evba,
 )
-from oracles import micro_case_grid_optimum
+from oracles import block_diagonal_scipy_optimum, micro_case_grid_optimum
 from scen import micro_scenario, random_scenario
 
 OF1 = cost_toggles_for("of1")
@@ -42,12 +47,17 @@ def _one_ev_24() -> Scenario:
     return s.with_prices(generate_price_set("medium", seed=2))
 
 
+def _var_ids(problem: lp.LpProblem, prefix: str) -> set[int]:
+    return {i for i in range(problem.num_variables) if problem.variable_name(i).startswith(prefix)}
+
+
 def test_variable_and_degradation_row_counts():
     s = _one_ev_24()
-    problem, varmap = build_evba(s, cost_toggles_for("of2"))
-    assert problem.num_variables == 5 * 24
-    assert sum(1 for n in problem.row_names() if n.startswith("deg")) == 2 * 24
-    assert varmap.cdeg is not None
+    problems = build_evba(s, cost_toggles_for("of2"))
+    assert len(problems) == 1
+    assert sum(p.num_variables for p in problems) == 5 * 24
+    assert sum(1 for p in problems for n in p.row_names() if n.startswith("deg")) == 2 * 24
+    assert sum(len(_var_ids(p, "cdeg[")) for p in problems) == 24
 
 
 def test_disconnected_steps_force_zero_flow():
@@ -59,15 +69,15 @@ def test_disconnected_steps_force_zero_flow():
 
 
 def test_taper_rows_only_reference_slow_charging(example_with_high):
-    problem, varmap = build_evba(example_with_high, OF5)
-    sch_ids = set(varmap.sch.ravel().tolist())
-    fch_ids = set(varmap.fch.ravel().tolist())
-    for i, name in enumerate(problem.row_names()):
-        if not name.startswith("cv["):
-            continue
-        row_vars = set(problem._rows[i])
-        assert row_vars & sch_ids
-        assert not (row_vars & fch_ids)
+    for problem in build_evba(example_with_high, OF5):
+        sch_ids = _var_ids(problem, "sch[")
+        fch_ids = _var_ids(problem, "fch[")
+        for i, name in enumerate(problem.row_names()):
+            if not name.startswith("cv["):
+                continue
+            row_vars = set(problem._rows[i])
+            assert row_vars & sch_ids
+            assert not (row_vars & fch_ids)
 
 
 def test_micro_case_exact_value_and_flows():
@@ -104,6 +114,39 @@ def test_impossible_trip_reports_infeasible_with_hint():
     fs = solve_evba(s, OF1)
     assert fs.status == lp.INFEASIBLE
     assert "ev1" in fs.message and "step 3" in fs.message
+
+
+def _second_vehicle_infeasible(stranded: Vehicle, plugged: slice, trip: tuple[int, float]) -> Scenario:
+    """ev1 is feasible on its own; ``stranded`` is plugged in at ``plugged``
+    and drives ``trip`` = (step, kWh)."""
+    ok = Vehicle("ev1", 20.0, 10.0, 3000.0)
+    cp = ChargingPoint("home", "slow", 10.0, 0.0, 0.0, 0.0)
+    mask = np.zeros((2, 6, 1), dtype=bool)
+    mask[0, :2, 0] = True
+    mask[1, plugged, 0] = True
+    trips = np.zeros((2, 6))
+    trips[0, 3] = 1.0
+    trips[1, trip[0]] = trip[1]
+    s = Scenario(Horizon(6), (ok, stranded), (cp,), ConnectivityMatrix(mask), TripPlan(trips))
+    return s.with_prices(PriceSeries("flat", np.full(6, 0.1)))
+
+
+def test_infeasibility_hint_names_the_vehicle_whose_trip_cannot_be_covered():
+    s = _second_vehicle_infeasible(Vehicle("ev2", 20.0, 10.0, 3000.0), slice(0, 2), (4, 30.0))
+    fs = solve_evba(s, OF1)
+    assert fs.status == lp.INFEASIBLE
+    assert "'ev2'" in fs.message and "step 4" in fs.message
+    assert "'ev1'" not in fs.message
+
+
+def test_infeasibility_hint_names_the_vehicle_held_back_by_the_taper():
+    # one plug-in step cannot restore the end-of-day stock under the taper,
+    # although it could without it
+    tapered = Vehicle("ev2", 20.0, 10.0, 3000.0, soe_cv_frac=0.5, soe_initial_frac=0.9)
+    fs = solve_evba(_second_vehicle_infeasible(tapered, slice(1, 2), (0, 4.0)), OF1)
+    assert fs.status == lp.INFEASIBLE
+    assert "'ev2'" in fs.message and "taper" in fs.message
+    assert "'ev1'" not in fs.message
 
 
 def test_micro_breakdown_energy_only():
@@ -217,10 +260,52 @@ def test_optimal_both_mode_schedule_passes_audit(example_with_high):
 
 
 def test_extract_requires_optimal_solution(example_with_high):
-    problem, varmap = build_evba(example_with_high, OF5)
+    problems = build_evba(example_with_high, OF5)
     bad = lp.LpSolution(lp.INFEASIBLE, None, None, 0)
     with pytest.raises(ValueError):
-        extract_schedule(varmap, bad, example_with_high, OF5)
+        extract_schedule([bad] * len(problems), example_with_high, OF5)
+
+
+def test_extract_rejects_nan_objective(example_with_high):
+    sols = [lp.solve(p) for p in build_evba(example_with_high, OF5)]
+    sols[1] = dataclasses.replace(sols[1], objective=float("nan"))
+    with pytest.raises(AssemblyError, match="ev2"):
+        extract_schedule(sols, example_with_high, OF5)
+
+
+def _replicated(s: Scenario, copies: int) -> Scenario:
+    """The fleet repeated ``copies`` times, vehicle ids suffixed ``_rNN``."""
+    data = scenario_to_dict(s)
+    out = {**data, "vehicles": [], "connectivity": [], "trips": []}
+    for r in range(copies):
+        suffix = f"_r{r:02d}"
+        out["vehicles"] += [{**v, "id": v["id"] + suffix} for v in data["vehicles"]]
+        for key in ("connectivity", "trips"):
+            out[key] += [{**item, "vehicle": item["vehicle"] + suffix} for item in data[key]]
+    return parse_scenario(out).with_prices(s.prices)
+
+
+def test_decomposition_is_exact_for_a_replicated_fleet(example_with_high):
+    base = solve_evba(example_with_high, OF5)
+    s4 = _replicated(example_with_high, 4)
+    fs = solve_evba(s4, OF5)
+    assert fs.status == "optimal"
+    assert fs.total_cost_eur == pytest.approx(4 * base.total_cost_eur, rel=1e-9)
+    V = len(example_with_high.vehicles)
+    for r in range(4):
+        rows = slice(r * V, (r + 1) * V)
+        for field in ("e_sch", "e_dch", "e_fch", "soe", "c_deg"):
+            assert np.array_equal(getattr(fs, field)[rows], getattr(base, field))
+    assert check_schedule(s4, fs).ok
+
+
+@pytest.mark.parametrize("label", ["of1", "of2", "of3", "of4", "of5"])
+def test_fleet_total_matches_scipy_on_the_joint_lp(example_with_high, label):
+    pytest.importorskip("scipy")
+    ct = cost_toggles_for(label)
+    fs = solve_evba(example_with_high, ct)
+    joint = block_diagonal_scipy_optimum(build_evba(example_with_high, ct))
+    assert fs.total_cost_eur == pytest.approx(joint, rel=1e-7, abs=1e-7)
 
 
 def test_fast_charger_used_when_it_is_the_only_plug():

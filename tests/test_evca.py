@@ -50,7 +50,6 @@ def test_derive_sessions_two_runs_with_gap():
     assert len(sessions) == 2
     assert (sessions[0].cp, sessions[0].arrive_step, sessions[0].depart_step) == ("cp1", 1, 7)
     assert (sessions[1].cp, sessions[1].arrive_step, sessions[1].depart_step) == ("cp2", 9, 16)
-    assert sessions[0].soe_arrival_kwh is None and sessions[0].soe_depart_min_kwh is None
 
 
 def test_derive_sessions_never_connected():
