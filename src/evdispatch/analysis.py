@@ -29,6 +29,7 @@ from . import charts
 from .degradation import plane_values
 from .domain import FAST, SLOW, PriceSeries, Scenario
 from .evba import (
+    FIXED_POWER_KW,
     OBJECTIVE_VARIANTS,
     CostToggles,
     FleetSchedule,
@@ -360,8 +361,7 @@ def run_power_ablation(
 
     expect(PowerMode.OBC_ONLY, PowerMode.BOTH)
     expect(PowerMode.CP_ONLY, PowerMode.BOTH)
-    h = s.horizon.step_hours
-    fixed_cap = 4.0 * h
+    fixed_cap = FIXED_POWER_KW * s.horizon.step_hours
     connected_limits = [
         cp.power_limit_kwh_per_step
         for v_idx in range(len(s.vehicles))

@@ -22,8 +22,8 @@ from .analysis import (
     write_report,
 )
 from .domain import ScenarioError, load_price_series, load_scenario, validate_scenario
-from .evba import AssemblyError, PowerMode, cost_toggles_for, solve_evba
-from .evca import ItineraryError, SessionInfeasibleError, SoePolicy, solve_evca
+from .evba import OBJECTIVE_VARIANTS, AssemblyError, PowerMode, cost_toggles_for, solve_evba
+from .evca import HIGH_SOE, LOW_SOE, ItineraryError, SessionInfeasibleError, solve_evca
 from .lp import LpError
 
 _POWER_FLAGS = {
@@ -32,7 +32,7 @@ _POWER_FLAGS = {
     "cp": PowerMode.CP_ONLY,
     "both": PowerMode.BOTH,
 }
-_POLICY_FLAGS = {"high": 0.95, "low": 0.60}
+_POLICY_FLAGS = {"high": HIGH_SOE, "low": LOW_SOE}
 
 
 def _default_out() -> str:
@@ -66,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--scenario", required=True)
     _add_price_source(p_solve)
     p_solve.add_argument("--policy", choices=tuple(_POLICY_FLAGS), help="departure SOE policy (evca)")
-    p_solve.add_argument("--costs", default="of5", choices=tuple(f"of{i}" for i in range(1, 6)))
+    p_solve.add_argument("--costs", default="of5", choices=tuple(OBJECTIVE_VARIANTS))
     p_solve.add_argument("--power", default="both", choices=tuple(_POWER_FLAGS))
     p_solve.add_argument("--best-effort", action="store_true",
                          help="lower unreachable session floors instead of failing (evca)")
@@ -83,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pow = sub.add_parser("ablate-power", help="power-cap ablation with audit")
     p_pow.add_argument("--scenario", required=True)
     _add_price_source(p_pow)
-    p_pow.add_argument("--costs", default="of1", choices=tuple(f"of{i}" for i in range(1, 6)))
+    p_pow.add_argument("--costs", default="of1", choices=tuple(OBJECTIVE_VARIANTS))
     p_pow.add_argument("--out", default=_default_out())
 
     p_cost = sub.add_parser("ablate-costs", help="objective-term ablation of1..of5")
@@ -105,7 +105,7 @@ def _cmd_solve(args) -> int:
     if args.model == "evca":
         fs = solve_evca(
             s,
-            SoePolicy(_POLICY_FLAGS[args.policy]),
+            _POLICY_FLAGS[args.policy],
             ct,
             power,
             best_effort=args.best_effort,

@@ -243,18 +243,25 @@ def grid_fee(cp: ChargingPoint, t: int, cal: TariffCalendar, step_hours: float =
 # ---------------------------------------------------------------------------
 # Validation
 
+def _non_finite(loc: str, fields: tuple[tuple[str, float], ...]) -> list[str]:
+    return [f"{loc}: {name} must be finite, got {val}" for name, val in fields if not np.isfinite(val)]
+
+
 def validate_scenario(s: Scenario) -> list[str]:
     """Check every structural invariant; return one diagnostic per violation.
 
     Returns an empty list for valid scenarios. Diagnostics name the violated
-    invariant and its location; nothing is raised.
+    invariant and its location; nothing is raised. Every number must be
+    finite: JSON input may carry NaN or Infinity, and sign checks are written
+    ``not (x >= 0)`` so that NaN fails them too. Fractions and efficiencies
+    are finite once their range checks pass.
     """
     out: list[str] = []
     h = s.horizon
     if h.step_count < 1:
         out.append(f"horizon: step_count must be >= 1, got {h.step_count}")
-    if not h.step_hours > 0:
-        out.append(f"horizon: step_hours must be > 0, got {h.step_hours}")
+    if not (h.step_hours > 0 and np.isfinite(h.step_hours)):
+        out.append(f"horizon: step_hours must be finite and > 0, got {h.step_hours}")
 
     seen_vids: set[str] = set()
     for v in s.vehicles:
@@ -262,11 +269,18 @@ def validate_scenario(s: Scenario) -> list[str]:
         if v.id in seen_vids:
             out.append(f"{loc}: duplicate id")
         seen_vids.add(v.id)
+        d = v.degradation
+        out += _non_finite(loc, (
+            ("capacity_kwh", v.capacity_kwh), ("obc_max_kw", v.obc_max_kwh_per_step),
+            ("battery_cost_eur", v.battery_cost_eur),
+            ("degradation.d1", d.d1), ("degradation.d2", d.d2),
+            ("degradation.d3", d.d3), ("degradation.d4", d.d4),
+        ))
         if not v.capacity_kwh > 0:
             out.append(f"{loc}: capacity_kwh must be > 0")
-        if v.obc_max_kwh_per_step < 0:
+        if not v.obc_max_kwh_per_step >= 0:
             out.append(f"{loc}: obc_max must be >= 0")
-        if v.battery_cost_eur < 0:
+        if not v.battery_cost_eur >= 0:
             out.append(f"{loc}: battery_cost_eur must be >= 0")
         if not (0 <= v.soe_min_frac <= v.soe_initial_frac <= v.soe_max_frac <= 1):
             out.append(
@@ -288,12 +302,14 @@ def validate_scenario(s: Scenario) -> list[str]:
         seen_cpids.add(cp.id)
         if cp.kind not in (SLOW, FAST):
             out.append(f"{loc}: kind must be 'slow' or 'fast', got {cp.kind!r}")
-        if cp.power_limit_kwh_per_step < 0:
+        fees = (("grid_fee_low", cp.grid_fee_low_eur_per_kwh),
+                ("grid_fee_high", cp.grid_fee_high_eur_per_kwh),
+                ("cp_fee", cp.cp_fee_eur_per_kwh))
+        out += _non_finite(loc, (("power_kw", cp.power_limit_kwh_per_step), *fees))
+        if not cp.power_limit_kwh_per_step >= 0:
             out.append(f"{loc}: power limit must be >= 0")
-        for name, fee in (("grid_fee_low", cp.grid_fee_low_eur_per_kwh),
-                          ("grid_fee_high", cp.grid_fee_high_eur_per_kwh),
-                          ("cp_fee", cp.cp_fee_eur_per_kwh)):
-            if fee < 0:
+        for name, fee in fees:
+            if not fee >= 0:
                 out.append(f"{loc}: {name} must be >= 0")
 
     cal = s.tariff_calendar
@@ -319,6 +335,11 @@ def validate_scenario(s: Scenario) -> list[str]:
         out.append(
             f"vehicle {s.vehicles[v].id!r} step {t}: multiple connections "
             f"({int(per_step[v, t])} charging points at once)"
+        )
+    for v, t in zip(*np.nonzero(~np.isfinite(s.trips.energy_kwh))):
+        out.append(
+            f"vehicle {s.vehicles[v].id!r} step {t}: trip energy_kwh must be finite, "
+            f"got {s.trips.energy_kwh[v, t]}"
         )
     if np.any(s.trips.energy_kwh < 0):
         v, t = [int(a[0]) for a in np.nonzero(s.trips.energy_kwh < 0)]
@@ -453,7 +474,7 @@ def parse_scenario(data: dict, *, check: bool = True) -> Scenario:
     ho = _Obj(top.child("horizon"), "horizon")
     horizon = Horizon(step_count=ho.integer("step_count"), step_hours=ho.number("step_hours", 1.0))
     ho.finish()
-    if horizon.step_count < 1 or not horizon.step_hours > 0:
+    if horizon.step_count < 1 or not (horizon.step_hours > 0 and np.isfinite(horizon.step_hours)):
         raise ScenarioError(f"horizon: invalid step_count/step_hours {horizon}")
 
     vraw = top.child("vehicles")

@@ -6,16 +6,19 @@ variables and sparse linear rows. Built for the sizes this package produces
 and easy to verify.
 
 Algorithm notes:
-- every row gets a slack variable (bounds encode the sense; equalities get a
-  slack fixed at zero), phase 1 adds artificial columns only for rows whose
-  slack cannot absorb the initial residual;
+- every row gets a slack variable whose bounds are the only encoding of the
+  row sense (``<=`` slack in [0, inf), ``>=`` in (-inf, 0], ``=`` fixed at
+  zero); phase 1 adds artificial columns only for rows whose slack cannot
+  absorb the initial residual;
 - pricing is Dantzig (most negative reduced cost) with a permanent switch to
   Bland's rule after a stall, which guarantees termination;
 - a bound flip is taken when the entering variable hits its opposite bound
   before any basic variable hits one of its own;
 - optimality and primal feasibility are re-verified from the original data
-  before a solution is declared optimal; on drift the tableau is rebuilt from
-  the current basis and iteration continues.
+  before a solution is declared optimal: structurals and the implied slacks
+  ``b - A x`` are checked against their bounds, and a NaN anywhere fails the
+  check; on drift the tableau is rebuilt from the current basis and iteration
+  continues.
 
 Deterministic by construction: same problem, same pivots, same answer.
 """
@@ -38,7 +41,7 @@ _AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
 
 
 class LpError(ValueError):
-    """Raised for malformed problems (inverted bounds, unknown variable ids)."""
+    """Raised for malformed problems (inverted bounds, non-finite data, unknown variable ids)."""
 
 
 class LpProblem:
@@ -71,7 +74,7 @@ class LpProblem:
     def add_variable(self, lb: float = 0.0, ub: float = INF, cost: float = 0.0, name: str = "") -> int:
         if not lb <= ub:
             raise LpError(f"variable {name or len(self._lb)}: inverted bounds lb={lb} > ub={ub}")
-        if lb == INF or ub == -INF or np.isnan(cost):
+        if lb == INF or ub == -INF or not np.isfinite(cost):
             raise LpError(f"variable {name or len(self._lb)}: unusable bounds or cost")
         self._lb.append(float(lb))
         self._ub.append(float(ub))
@@ -86,10 +89,14 @@ class LpProblem:
             sense = "="
         if sense not in ("<=", ">=", "="):
             raise LpError(f"constraint {name!r}: unknown sense {sense!r}")
+        if not np.isfinite(rhs):
+            raise LpError(f"constraint {name!r}: non-finite right-hand side {rhs}")
         merged: dict[int, float] = {}
         for var, coef in terms:
             if not 0 <= var < len(self._lb):
                 raise LpError(f"constraint {name!r}: unknown variable id {var}")
+            if not np.isfinite(coef):
+                raise LpError(f"constraint {name!r}: non-finite coefficient {coef} on variable {var}")
             merged[var] = merged.get(var, 0.0) + float(coef)
         self._rows.append(merged)
         self._senses.append(sense)
@@ -97,17 +104,8 @@ class LpProblem:
         self._row_names.append(name or f"r{len(self._rows) - 1}")
         return len(self._rows) - 1
 
-    def set_cost(self, var: int, cost: float) -> None:
-        """Replace one variable's objective coefficient."""
-        if not 0 <= var < len(self._lb):
-            raise LpError(f"unknown variable id {var}")
-        self._cost[var] = float(cost)
-
     def variable_name(self, var: int) -> str:
         return self._var_names[var]
-
-    def constraint_name(self, row: int) -> str:
-        return self._row_names[row]
 
     def row_names(self) -> list[str]:
         return list(self._row_names)
@@ -124,8 +122,7 @@ class LpProblem:
             body = "".join(
                 f" {coef:+.12g} {self._var_names[var]}" for var, coef in sorted(row.items())
             )
-            op = {"<=": "<=", ">=": ">=", "=": "="}[sense]
-            out.append(f" {name}:{body} {op} {rhs:.12g}")
+            out.append(f" {name}:{body} {sense} {rhs:.12g}")
         out.append("Bounds")
         for i, (lo, hi) in enumerate(zip(self._lb, self._ub)):
             lo_s = "-inf" if lo == -INF else f"{lo:.12g}"
@@ -157,24 +154,7 @@ def solve(p: LpProblem, *, feas_tol: float = 1e-6, max_iter: int | None = None) 
     solution; reaching ``max_iter`` reports the distinct iteration_limit
     status instead of raising.
     """
-    n = p.num_variables
-    m = p.num_constraints
-    if n == 0:
-        if m == 0 or all(_row_trivially_ok(p, i, feas_tol) for i in range(m)):
-            return LpSolution(OPTIMAL, 0.0, np.zeros(0), 0)
-        return LpSolution(INFEASIBLE, None, None, 0)
-
-    sim = _Simplex(p, feas_tol=feas_tol, max_iter=max_iter)
-    return sim.run()
-
-
-def _row_trivially_ok(p: LpProblem, i: int, tol: float) -> bool:
-    rhs, sense = p._rhs[i], p._senses[i]
-    if sense == "<=":
-        return 0.0 <= rhs + tol
-    if sense == ">=":
-        return 0.0 >= rhs - tol
-    return abs(rhs) <= tol
+    return _Simplex(p, feas_tol=feas_tol, max_iter=max_iter).run()
 
 
 class _Simplex:
@@ -188,26 +168,18 @@ class _Simplex:
         self.m = m
 
         # columns: structural | slacks | artificials (appended in _setup)
-        ncols = n + m
-        A = np.zeros((m, ncols))
+        A = np.zeros((m, n + m))
         for i, row in enumerate(p._rows):
             for var, coef in row.items():
                 A[i, var] = coef
-            A[i, n + i] = 1.0
+        A[np.arange(m), n + np.arange(m)] = 1.0
         self.b = np.array(p._rhs, dtype=float)
 
-        lb = np.concatenate([np.array(p._lb), np.zeros(m)])
-        ub = np.concatenate([np.array(p._ub), np.zeros(m)])
-        for i, sense in enumerate(p._senses):
-            if sense == "<=":
-                lb[n + i], ub[n + i] = 0.0, INF
-            elif sense == ">=":
-                lb[n + i], ub[n + i] = -INF, 0.0
-            else:
-                lb[n + i], ub[n + i] = 0.0, 0.0
+        # the slack bounds are the one place the row sense is encoded
+        sense = np.array(p._senses, dtype=str)
         self.A = A
-        self.lb = lb
-        self.ub = ub
+        self.lb = np.concatenate([np.array(p._lb), np.where(sense == ">=", -INF, 0.0)])
+        self.ub = np.concatenate([np.array(p._ub), np.where(sense == "<=", INF, 0.0)])
         self.cost = np.concatenate([np.array(p._cost), np.zeros(m)])
         self.max_iter = max_iter if max_iter is not None else 200 * (m + n + 20)
         self.iterations = 0
@@ -215,55 +187,41 @@ class _Simplex:
     # -- setup -------------------------------------------------------------
 
     def _setup(self) -> None:
+        n, m = self.n_struct, self.m
         ncols = self.A.shape[1]
-        status = np.empty(ncols, dtype=np.int8)
-        finite_lb = np.isfinite(self.lb)
-        finite_ub = np.isfinite(self.ub)
-        status[:] = _FREE
-        status[finite_ub] = _AT_UB
-        status[finite_lb] = _AT_LB  # prefer the lower bound when both are finite
+        status = np.full(ncols, _FREE, dtype=np.int8)
+        status[np.isfinite(self.ub)] = _AT_UB
+        status[np.isfinite(self.lb)] = _AT_LB  # prefer the lower bound when both are finite
 
         xbar = np.where(status == _AT_LB, self.lb, np.where(status == _AT_UB, self.ub, 0.0))
         resid = self.b - self.A @ xbar
 
-        basis: list[int] = []
-        art_cols: list[np.ndarray] = []
-        art_sign: list[float] = []
-        xB = np.zeros(self.m)
-        row_scale = np.ones(self.m)
-        for i in range(self.m):
-            s_idx = self.n_struct + i
-            r = resid[i] + xbar[s_idx]  # slack currently at a bound; absorb if possible
-            if self.lb[s_idx] - 1e-12 <= r <= self.ub[s_idx] + 1e-12:
-                basis.append(s_idx)
-                status[s_idx] = _BASIC
-                xB[i] = min(max(r, self.lb[s_idx]), self.ub[s_idx])
-            else:
-                clamped = min(max(r, self.lb[s_idx]), self.ub[s_idx])
-                status[s_idx] = _AT_LB if clamped == self.lb[s_idx] else _AT_UB
-                xbar[s_idx] = clamped
-                sigma = 1.0 if r - clamped > 0 else -1.0
-                col = np.zeros(self.m)
-                col[i] = sigma
-                art_cols.append(col)
-                art_sign.append(sigma)
-                basis.append(ncols + len(art_cols) - 1)
-                xB[i] = abs(r - clamped)
-                row_scale[i] = sigma
+        # each slack absorbs its row's residual if that fits its bounds;
+        # otherwise it rests at the nearer bound and an artificial column
+        # signed like the remainder starts basic in its place
+        lbS, ubS = self.lb[n:], self.ub[n:]
+        r = resid + xbar[n:]
+        clamped = np.minimum(np.maximum(r, lbS), ubS)
+        art = ~((lbS - 1e-12 <= r) & (r <= ubS + 1e-12))
+        status[n:] = np.where(art, np.where(clamped == lbS, _AT_LB, _AT_UB), _BASIC)
+        sigma = np.where(art, np.where(r - clamped > 0, 1.0, -1.0), 1.0)
+        art_rows = np.flatnonzero(art)
+        n_art = art_rows.size
+        art_cols = np.zeros((m, n_art))
+        art_cols[art_rows, np.arange(n_art)] = sigma[art_rows]
+        basis = n + np.arange(m)
+        basis[art_rows] = ncols + np.arange(n_art)
 
-        n_art = len(art_cols)
-        if n_art:
-            self.A = np.hstack([self.A, np.stack(art_cols, axis=1)])
-            self.lb = np.concatenate([self.lb, np.zeros(n_art)])
-            self.ub = np.concatenate([self.ub, np.full(n_art, INF)])
-            self.cost = np.concatenate([self.cost, np.zeros(n_art)])
-            status = np.concatenate([status, np.full(n_art, _BASIC, dtype=np.int8)])
+        self.A = np.hstack([self.A, art_cols])
+        self.lb = np.concatenate([self.lb, np.zeros(n_art)])
+        self.ub = np.concatenate([self.ub, np.full(n_art, INF)])
+        self.cost = np.concatenate([self.cost, np.zeros(n_art)])
         self.n_art = n_art
-        self.basis = np.array(basis, dtype=int)
-        self.status = status
-        self.xB = xB
+        self.basis = basis
+        self.status = np.concatenate([status, np.full(n_art, _BASIC, dtype=np.int8)])
+        self.xB = np.where(art, np.abs(r - clamped), clamped)
         # initial basis matrix is diagonal +-1, so B^-1 A is a row rescale
-        self.T = self.A * row_scale[:, None]
+        self.T = self.A * sigma[:, None]
         self.nb_value = np.where(
             self.status == _AT_LB, self.lb, np.where(self.status == _AT_UB, self.ub, 0.0)
         )
@@ -288,26 +246,20 @@ class _Simplex:
         return x
 
     def _violation(self, x: np.ndarray) -> float:
-        """Worst bound/row violation of a candidate point, original data."""
-        worst = 0.0
-        lo = np.maximum(self.lb[: self.n_struct] - x[: self.n_struct], 0.0)
-        hi = np.maximum(x[: self.n_struct] - self.ub[: self.n_struct], 0.0)
-        if lo.size:
-            worst = max(worst, float(lo.max()), float(hi.max()))
-        act = self.A[:, : self.n_struct] @ x[: self.n_struct]
-        for i, sense in enumerate(self.p._senses):
-            if sense == "<=":
-                worst = max(worst, act[i] - self.b[i])
-            elif sense == ">=":
-                worst = max(worst, self.b[i] - act[i])
-            else:
-                worst = max(worst, abs(act[i] - self.b[i]))
-        return worst
+        """Worst bound/row violation of a candidate point, original data.
+
+        Rows are checked through their implied slacks ``b - A x`` against the
+        slack bounds; ``np.max`` propagates NaN, so a NaN point never passes.
+        """
+        n = self.n_struct
+        xs = np.concatenate([x[:n], self.b - self.A[:, :n] @ x[:n]])
+        lo, hi = self.lb[: n + self.m], self.ub[: n + self.m]
+        return float(np.max(np.maximum(lo - xs, xs - hi), initial=0.0))
 
     # -- core iteration ----------------------------------------------------
 
     def _price(self, d: np.ndarray, bland: bool) -> int:
-        """Pick the entering column, or -1 at optimality."""
+        """Pick the entering column, or -1 when none is eligible (optimality)."""
         at_lb = self.status == _AT_LB
         at_ub = self.status == _AT_UB
         free = self.status == _FREE
@@ -317,11 +269,25 @@ class _Simplex:
         score[free] = np.abs(d[free])
         score[self.ub - self.lb <= 0.0] = -INF  # fixed vars never enter
         score[self.status == _BASIC] = -INF
-        if bland:
-            eligible = np.flatnonzero(score > self.opt_tol)
-            return int(eligible[0]) if eligible.size else -1
-        q = int(np.argmax(score))
-        return q if score[q] > self.opt_tol else -1
+        eligible = score > self.opt_tol
+        if not eligible.any():
+            return -1
+        # argmax of the mask is the first eligible column, which Bland's rule takes
+        return int(np.argmax(eligible if bland else score))
+
+    def _pivot(self, r: int, q: int, entering_val: float, leaving_status: int) -> None:
+        """Exchange basic row ``r`` for column ``q``; the leaver rests at a bound."""
+        leaving = self.basis[r]
+        self.status[leaving] = leaving_status
+        self.nb_value[leaving] = self.lb[leaving] if leaving_status == _AT_LB else self.ub[leaving]
+        self.T[r, :] /= self.T[r, q]
+        col = self.T[:, q].copy()
+        col[r] = 0.0
+        np.multiply(col[:, None], self.T[r, :][None, :], out=self._buf)
+        np.subtract(self.T, self._buf, out=self.T)
+        self.basis[r] = q
+        self.status[q] = _BASIC
+        self.xB[r] = entering_val
 
     def _iterate(self, cost: np.ndarray) -> str:
         d = self._reduced_costs(cost)
@@ -386,24 +352,8 @@ class _Simplex:
 
             entering_val = self.nb_value[q] + sigma * delta
             self.xB = self.xB - w * (sigma * delta)
-            leaving = self.basis[r]
-            if sw[r] > 0:
-                self.status[leaving] = _AT_LB
-                self.nb_value[leaving] = self.lb[leaving]
-            else:
-                self.status[leaving] = _AT_UB
-                self.nb_value[leaving] = self.ub[leaving]
-
-            piv = self.T[r, q]
-            self.T[r, :] /= piv
-            col = self.T[:, q].copy()
-            col[r] = 0.0
-            np.multiply(col[:, None], self.T[r, :][None, :], out=self._buf)
-            np.subtract(self.T, self._buf, out=self.T)
+            self._pivot(r, q, entering_val, _AT_LB if sw[r] > 0 else _AT_UB)
             d = d - d[q] * self.T[r, :]
-            self.basis[r] = q
-            self.status[q] = _BASIC
-            self.xB[r] = entering_val
 
     def _evict_artificials(self) -> None:
         """Pivot basic artificial columns out where possible; lock them at zero."""
@@ -418,19 +368,7 @@ class _Simplex:
             if cand.size == 0:
                 continue  # redundant row; artificial stays basic at zero
             q = int(cand[0])
-            piv = self.T[r, q]
-            leaving = self.basis[r]
-            entering_val = self.nb_value[q]
-            self.T[r, :] /= piv
-            col = self.T[:, q].copy()
-            col[r] = 0.0
-            np.multiply(col[:, None], self.T[r, :][None, :], out=self._buf)
-            np.subtract(self.T, self._buf, out=self.T)
-            self.status[leaving] = _AT_LB
-            self.nb_value[leaving] = 0.0
-            self.basis[r] = q
-            self.status[q] = _BASIC
-            self.xB[r] = entering_val
+            self._pivot(r, q, self.nb_value[q], _AT_LB)
         # artificials may never re-enter
         self.ub[ncols_real:] = 0.0
 

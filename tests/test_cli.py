@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -156,6 +157,39 @@ def test_non_finite_price_file_exit_1_without_report(example_path, tmp_path, cap
     assert rc == 1
     assert err.startswith("error:") and "non-finite" in err and len(err.splitlines()) == 1
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, bad, named",
+    [
+        ("vehicles", "obc_max_kw", "nan", "obc_max_kw"),
+        ("vehicles", "battery_cost_eur", "inf", "battery_cost_eur"),
+        ("vehicles", "battery_cost_eur", "nan", "battery_cost_eur"),
+        ("charging_points", "power_kw", "inf", "power_kw"),
+        ("charging_points", "cp_fee_eur_per_kwh", "nan", "cp_fee"),
+        ("trips", "energy_kwh", "nan", "energy_kwh"),
+    ],
+)
+def test_non_finite_scenario_number_exit_1_without_report(
+    example_path, tmp_path, capsys, section, key, bad, named
+):
+    data = json.loads(Path(example_path).read_text())
+    data[section][0][key] = float(bad)
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(data))  # json writes NaN/Infinity, which json.loads accepts
+
+    assert main(["validate", "--scenario", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "must be finite" in out and named in out
+
+    report = tmp_path / "report"
+    rc = main(["solve", "--model", "evba", "--scenario", str(path),
+               "--gen-prices", "high", "--seed", "1", "--out", str(report)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert err.startswith("error:") and named in err and "Traceback" not in err
+    assert not report.exists()
 
 
 @pytest.mark.parametrize(

@@ -170,6 +170,22 @@ def test_validate_soe_ordering_diagnostic():
     assert any("SOE ordering" in d for d in diags)
 
 
+@pytest.mark.parametrize("key", ["d1", "d2", "d3", "d4"])
+@pytest.mark.parametrize("bad", [float("inf"), float("nan")])
+def test_validate_rejects_non_finite_degradation_coefficient(key, bad):
+    data = _minimal_dict()
+    data["vehicles"][0]["degradation"] = {"d1": -0.3, "d2": 0.03, "d3": 0.004, "d4": 0.008, key: bad}
+    diags = validate_scenario(parse_scenario(data, check=False))
+    assert any(f"degradation.{key} must be finite" in d for d in diags)
+
+
+def test_infinite_step_hours_rejected():
+    data = _minimal_dict()
+    data["horizon"]["step_hours"] = float("inf")
+    with pytest.raises(ScenarioError, match="step_hours"):
+        parse_scenario(data, check=False)
+
+
 def test_validate_passes_whatever_load_accepts(example_scenario, tmp_path):
     assert validate_scenario(example_scenario) == []
     s = parse_scenario(_minimal_dict())

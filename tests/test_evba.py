@@ -299,13 +299,32 @@ def test_decomposition_is_exact_for_a_replicated_fleet(example_with_high):
     assert check_schedule(s4, fs).ok
 
 
-@pytest.mark.parametrize("label", ["of1", "of2", "of3", "of4", "of5"])
-def test_fleet_total_matches_scipy_on_the_joint_lp(example_with_high, label):
+def _assert_total_matches_scipy(s: Scenario, label: str, power: PowerMode = PowerMode.BOTH):
     pytest.importorskip("scipy")
     ct = cost_toggles_for(label)
-    fs = solve_evba(example_with_high, ct)
-    joint = block_diagonal_scipy_optimum(build_evba(example_with_high, ct))
+    fs = solve_evba(s, ct, power)
+    joint = block_diagonal_scipy_optimum(build_evba(s, ct, power))
     assert fs.total_cost_eur == pytest.approx(joint, rel=1e-7, abs=1e-7)
+
+
+@pytest.mark.parametrize("label", ["of1", "of2", "of3", "of4", "of5"])
+def test_fleet_total_matches_scipy_on_the_joint_lp(example_with_high, label):
+    _assert_total_matches_scipy(example_with_high, label)
+
+
+@pytest.mark.parametrize("power", list(PowerMode), ids=lambda m: m.value)
+@pytest.mark.parametrize("label", ["of1", "of5"])
+@pytest.mark.parametrize(
+    "seed", [None, *range(10)], ids=["example", *(f"seed{seed}" for seed in range(10))]
+)
+def test_fleet_total_matches_scipy_across_scenarios_and_power_modes(
+    example_with_high, seed, label, power
+):
+    if seed is None:
+        s = example_with_high
+    else:
+        s = random_scenario(seed).with_prices(generate_price_set("high", seed=seed))
+    _assert_total_matches_scipy(s, label, power)
 
 
 def test_fast_charger_used_when_it_is_the_only_plug():

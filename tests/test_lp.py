@@ -23,6 +23,14 @@ def test_add_variable_inverted_bounds_rejected():
         p.add_variable(2.0, 1.0)
 
 
+@pytest.mark.parametrize("cost", [lp.INF, -lp.INF, float("nan")])
+def test_add_variable_non_finite_cost_rejected(cost):
+    p = lp.LpProblem()
+    with pytest.raises(lp.LpError):
+        p.add_variable(0.0, 1.0, cost, "x")
+    assert p.num_variables == 0
+
+
 def test_add_variable_fixed_interval_accepted():
     p = lp.LpProblem()
     x = p.add_variable(3.0, 3.0, 5.0, "x")
@@ -55,6 +63,18 @@ def test_add_constraint_unknown_id_rejected():
     p.add_variable()
     with pytest.raises(lp.LpError):
         p.add_constraint([(99, 1.0)], "<=", 4.0)
+
+
+@pytest.mark.parametrize("coef, rhs", [
+    (float("nan"), 1.0), (lp.INF, 1.0), (-lp.INF, 1.0),
+    (1.0, float("nan")), (1.0, lp.INF), (1.0, -lp.INF),
+])
+def test_add_constraint_non_finite_data_rejected(coef, rhs):
+    p = lp.LpProblem()
+    x = p.add_variable()
+    with pytest.raises(lp.LpError):
+        p.add_constraint([(x, coef)], "<=", rhs, "r")
+    assert p.num_constraints == 0
 
 
 def test_unbounded_detection():
@@ -116,6 +136,24 @@ def test_empty_problem():
     assert sol.objective == 0.0
 
 
+@pytest.mark.parametrize("sense, rhs, status", [
+    ("<=", 1.0, lp.OPTIMAL),
+    ("=", 0.0, lp.OPTIMAL),
+    (">=", 1.0, lp.INFEASIBLE),
+    ("=", 1.0, lp.INFEASIBLE),
+])
+def test_problem_without_variables(sense, rhs, status):
+    p = lp.LpProblem()
+    p.add_constraint([], sense, rhs, "r")
+    sol = lp.solve(p)
+    assert sol.status == status
+    if status == lp.OPTIMAL:
+        assert sol.objective == 0.0
+        assert sol.x.shape == (0,)
+    else:
+        assert sol.objective is None and sol.x is None
+
+
 def test_determinism_same_problem_same_values():
     rng = np.random.default_rng(7)
     data = random_bounded_lp(rng)
@@ -123,6 +161,49 @@ def test_determinism_same_problem_same_values():
     s2 = lp.solve(build_problem(*data))
     assert s1.status == s2.status == lp.OPTIMAL
     assert np.array_equal(s1.x, s2.x)
+
+
+def _crash_basis_by_rows(sim):
+    """Row-by-row reference for the starting basis ``_Simplex._setup`` builds."""
+    n, m = sim.n_struct, sim.m
+    lb, ub = sim.lb[: n + m], sim.ub[: n + m]
+    status = np.where(np.isfinite(lb), lp._AT_LB, np.where(np.isfinite(ub), lp._AT_UB, lp._FREE))
+    xbar = np.where(status == lp._AT_LB, lb, np.where(status == lp._AT_UB, ub, 0.0))
+    resid = sim.b - sim.A[:, : n + m] @ xbar
+    basis, xB, signs = [], [], []
+    for i in range(m):
+        s = n + i
+        r = resid[i] + xbar[s]
+        clamped = min(max(r, lb[s]), ub[s])
+        if lb[s] - 1e-12 <= r <= ub[s] + 1e-12:
+            basis.append(s)
+            status[s] = lp._BASIC
+            xB.append(clamped)
+        else:
+            status[s] = lp._AT_LB if clamped == lb[s] else lp._AT_UB
+            signs.append((i, 1.0 if r - clamped > 0 else -1.0))
+            basis.append(n + m + len(signs) - 1)
+            xB.append(abs(r - clamped))
+    return basis, status, np.array(xB), signs
+
+
+def test_crash_basis_matches_row_by_row_reference():
+    n_art = 0
+    for seed in range(60):
+        sim = lp._Simplex(build_problem(*random_bounded_lp(np.random.default_rng(seed))), 1e-6, None)
+        sim._setup()
+        basis, status, xB, signs = _crash_basis_by_rows(sim)
+        n, m = sim.n_struct, sim.m
+        assert sim.basis.tolist() == basis
+        assert np.array_equal(sim.status[: n + m], status)
+        assert sim.xB.tobytes() == xB.tobytes()
+        art = sim.A[:, n + m :]
+        expected = np.zeros((m, len(signs)))
+        for k, (i, sign) in enumerate(signs):
+            expected[i, k] = sign
+        assert np.array_equal(art, expected)
+        n_art += len(signs)
+    assert n_art > 0  # the sample must exercise the artificial columns
 
 
 def test_lp_text_dump_mentions_rows_and_bounds():
