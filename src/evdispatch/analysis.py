@@ -157,8 +157,13 @@ _VOLATILITY_SCALE = {"low": 1.0, "medium": 3.0, "high": 6.0}
 PRICE_MEAN = 0.05
 
 
-def generate_price_set(volatility: str, seed: int = 0, step_count: int = 24) -> PriceSeries:
+def generate_price_set(
+    volatility: str, seed: int = 0, step_count: int = 24, step_hours: float = 1.0
+) -> PriceSeries:
     """Seeded day-ahead price series with a two-peak daily shape.
+
+    The shape is laid out in hours, so a horizon of shorter steps sees the
+    same peaks at the same hours of the day.
 
     The same seed produces the same normalized shape for every volatility
     level; the level only scales the standard deviation (1x/3x/6x of the
@@ -168,11 +173,11 @@ def generate_price_set(volatility: str, seed: int = 0, step_count: int = 24) -> 
         scale = _VOLATILITY_SCALE[volatility]
     except KeyError:
         raise ValueError(f"volatility must be one of {sorted(_VOLATILITY_SCALE)}, got {volatility!r}") from None
-    t = np.arange(step_count, dtype=float)
+    hour = np.arange(step_count, dtype=float) * step_hours
     shape = (
-        0.9 * np.exp(-(((t - 8.5) / 2.0) ** 2))
-        + 1.1 * np.exp(-(((t - 18.5) / 2.2) ** 2))
-        - 0.8 * np.exp(-(((t - 3.0) / 2.5) ** 2))
+        0.9 * np.exp(-(((hour - 8.5) / 2.0) ** 2))
+        + 1.1 * np.exp(-(((hour - 18.5) / 2.2) ** 2))
+        - 0.8 * np.exp(-(((hour - 3.0) / 2.5) ** 2))
     )
     rng = np.random.default_rng(seed)
     z = shape + rng.normal(0.0, 0.35, step_count)

@@ -21,7 +21,7 @@ from .analysis import (
     run_power_ablation,
     write_report,
 )
-from .domain import ScenarioError, load_price_series, load_scenario, validate_scenario
+from .domain import Horizon, ScenarioError, load_price_series, load_scenario, validate_scenario
 from .evba import OBJECTIVE_VARIANTS, AssemblyError, PowerMode, cost_toggles_for, solve_evba
 from .evca import HIGH_SOE, LOW_SOE, ItineraryError, SessionInfeasibleError, solve_evca
 from .lp import LpError
@@ -48,10 +48,12 @@ def _add_price_source(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=1, help="seed for generated prices")
 
 
-def _resolve_prices(args, step_count: int):
+def _resolve_prices(args, h: Horizon):
     if args.prices:
-        return load_price_series(args.prices, step_count)
-    return generate_price_set(args.gen_prices, seed=args.seed, step_count=step_count)
+        return load_price_series(args.prices, h.step_count)
+    return generate_price_set(
+        args.gen_prices, seed=args.seed, step_count=h.step_count, step_hours=h.step_hours
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -99,7 +101,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_solve(args) -> int:
     s = load_scenario(args.scenario)
-    s = s.with_prices(_resolve_prices(args, s.horizon.step_count))
+    s = s.with_prices(_resolve_prices(args, s.horizon))
     ct = cost_toggles_for(args.costs)
     power = _POWER_FLAGS[args.power]
     if args.model == "evca":
@@ -131,7 +133,9 @@ def _cmd_compare(args) -> int:
         sets = [load_price_series(p, s.horizon.step_count) for p in args.prices]
     else:
         sets = [
-            generate_price_set(v, seed=args.seed, step_count=s.horizon.step_count)
+            generate_price_set(
+                v, seed=args.seed, step_count=s.horizon.step_count, step_hours=s.horizon.step_hours
+            )
             for v in ("high", "medium", "low")
         ]
     report = compare_aggregators(s, sets)
@@ -146,7 +150,7 @@ def _cmd_compare(args) -> int:
 
 def _cmd_ablate_power(args) -> int:
     s = load_scenario(args.scenario)
-    prices = _resolve_prices(args, s.horizon.step_count)
+    prices = _resolve_prices(args, s.horizon)
     study = run_power_ablation(s, prices, cost_toggles_for(args.costs))
     for p in write_report(study, args.out):
         print(f"wrote {p}")
@@ -155,7 +159,7 @@ def _cmd_ablate_power(args) -> int:
 
 def _cmd_ablate_costs(args) -> int:
     s = load_scenario(args.scenario)
-    prices = _resolve_prices(args, s.horizon.step_count)
+    prices = _resolve_prices(args, s.horizon)
     study = run_cost_ablation(s, prices, _POWER_FLAGS[args.power])
     for p in write_report(study, args.out):
         print(f"wrote {p}")

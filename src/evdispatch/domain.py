@@ -254,7 +254,8 @@ def validate_scenario(s: Scenario) -> list[str]:
     invariant and its location; nothing is raised. Every number must be
     finite: JSON input may carry NaN or Infinity, and sign checks are written
     ``not (x >= 0)`` so that NaN fails them too. Fractions and efficiencies
-    are finite once their range checks pass.
+    are finite once their range checks pass. The wear-cost coefficients the
+    LP derives from a vehicle's battery cost must be finite as well.
     """
     out: list[str] = []
     h = s.horizon
@@ -282,6 +283,19 @@ def validate_scenario(s: Scenario) -> list[str]:
             out.append(f"{loc}: obc_max must be >= 0")
         if not v.battery_cost_eur >= 0:
             out.append(f"{loc}: battery_cost_eur must be >= 0")
+        elif v.capacity_kwh > 0 and np.all(np.isfinite(
+            [v.battery_cost_eur, v.capacity_kwh, d.d1, d.d2, d.d3, d.d4]
+        )):
+            # the wear rows' coefficients, as emit_degradation_rows derives them
+            with np.errstate(over="ignore", invalid="ignore"):
+                scale = v.battery_cost_eur * 100.0 / v.capacity_kwh
+                derived = (d.d2 * scale, d.d3 * scale, d.d4 * scale,
+                           v.battery_cost_eur * (d.d1 + d.d3 * 100.0))
+            if not np.all(np.isfinite(derived)):
+                out.append(
+                    f"{loc}: battery_cost_eur {v.battery_cost_eur:g} is too large: the "
+                    f"wear-cost coefficients it scales must be finite"
+                )
         if not (0 <= v.soe_min_frac <= v.soe_initial_frac <= v.soe_max_frac <= 1):
             out.append(
                 f"{loc}: SOE ordering violated, need 0 <= min <= initial <= max <= 1 "

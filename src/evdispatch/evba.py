@@ -441,6 +441,15 @@ def _infeasibility_hint(s: Scenario, v_idx: int, power: PowerMode) -> str:
     )
 
 
+def _numerics_hint(s: Scenario, status: str) -> str:
+    """Why a window LP ends ``status`` (unbounded or at the iteration limit):
+    its flow variables are all bounded, so the data must be extreme."""
+    return (
+        f"LP ended {status}, although every flow variable is bounded, so the data "
+        f"is numerically extreme (largest |price| {np.abs(s.prices.values).max():.6g} EUR/kWh)"
+    )
+
+
 def solve_evba(
     s: Scenario,
     ct: CostToggles = CostToggles(),
@@ -450,14 +459,16 @@ def solve_evba(
 ) -> FleetSchedule:
     """Solve each vehicle's LP and stitch the fleet schedule.
 
-    The first vehicle whose LP is not optimal makes the fleet status; an
-    infeasible one is named in the message.
+    The first vehicle whose LP is not optimal makes the fleet status, and the
+    message names that vehicle and why.
     """
     sols = []
     for v_idx, problem in enumerate(build_evba(s, ct, power)):
         sol = lp.solve(problem, feas_tol=feas_tol)
+        if sol.status == lp.INFEASIBLE:
+            return FleetSchedule.empty(s, sol.status, _infeasibility_hint(s, v_idx, power))
         if sol.status != lp.OPTIMAL:
-            message = _infeasibility_hint(s, v_idx, power) if sol.status == lp.INFEASIBLE else ""
+            message = f"vehicle {s.vehicles[v_idx].id!r}: {_numerics_hint(s, sol.status)}"
             return FleetSchedule.empty(s, sol.status, message)
         sols.append(sol)
     return extract_schedule(sols, s, ct)

@@ -29,6 +29,7 @@ from .evba import (
     _cost_breakdown,
     _FloorUnreachable,
     _implied_wear,
+    _numerics_hint,
     _window_schedule,
     AssemblyError,
 )
@@ -129,7 +130,10 @@ def _solve_session_lp(
     feas_tol: float,
     maximize_departure: bool = False,
 ) -> lp.LpSolution | None:
-    """One session LP; None when infeasible."""
+    """One session LP; None when infeasible.
+
+    Any other non-optimal status raises ArithmeticError naming the session.
+    """
     try:
         problem = _build_window_lp(
             s, v_idx, session.steps, arrival, floor, ct, power,
@@ -138,7 +142,11 @@ def _solve_session_lp(
     except _FloorUnreachable:
         return None
     sol = lp.solve(problem, feas_tol=feas_tol)
-    return sol if sol.status == lp.OPTIMAL else None
+    if sol.status == lp.INFEASIBLE:
+        return None
+    if sol.status != lp.OPTIMAL:
+        raise ArithmeticError(f"{session.describe()}: {_numerics_hint(s, sol.status)}")
+    return sol
 
 
 def solve_evca(

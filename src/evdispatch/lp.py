@@ -10,8 +10,19 @@ Algorithm notes:
   row sense (``<=`` slack in [0, inf), ``>=`` in (-inf, 0], ``=`` fixed at
   zero); phase 1 adds artificial columns only for rows whose slack cannot
   absorb the initial residual;
+- the tableau ``T = B^-1 A`` is stored column-major, and a pivot updates
+  only the columns where the normalised pivot row is nonzero: every other
+  column is unchanged by the rank-1 update. Each updated column is one
+  contiguous row of the C-ordered view ``T.T``, and each updated entry gets
+  the same arithmetic as a full update, so skipping columns changes no bit;
+- reduced costs are computed from a row-major copy of ``T``: BLAS uses a
+  different kernel for a column-major operand, its sums differ in the last
+  bits, and those bits feed pricing decisions. The copy is made only when
+  reduced costs are recomputed from scratch, a few times per solve;
 - pricing is Dantzig (most negative reduced cost) with a permanent switch to
-  Bland's rule after a stall, which guarantees termination;
+  Bland's rule after a stall, which guarantees termination. The score comes
+  from one lookup by column status, and a mask kept since setup excludes
+  fixed columns (and the artificials once phase 1 locks them);
 - a bound flip is taken when the entering variable hits its opposite bound
   before any basic variable hits one of its own;
 - optimality and primal feasibility are re-verified from the original data
@@ -38,6 +49,10 @@ ITERATION_LIMIT = "iteration_limit"
 
 # nonbasic/basic status codes
 _AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
+# pricing score per unit reduced cost, indexed by status: a column at its
+# lower bound gains from a negative d, one at its upper bound from a positive
+# d; basic columns score 0 and free columns are overwritten with |d|
+_SCORE_SIGN = np.array([-1.0, 1.0, 0.0, 0.0])
 
 
 class LpError(ValueError):
@@ -221,21 +236,22 @@ class _Simplex:
         self.status = np.concatenate([status, np.full(n_art, _BASIC, dtype=np.int8)])
         self.xB = np.where(art, np.abs(r - clamped), clamped)
         # initial basis matrix is diagonal +-1, so B^-1 A is a row rescale
-        self.T = self.A * sigma[:, None]
+        self.T = np.asfortranarray(self.A * sigma[:, None])
         self.nb_value = np.where(
             self.status == _AT_LB, self.lb, np.where(self.status == _AT_UB, self.ub, 0.0)
         )
-        self._buf = np.empty_like(self.T)  # scratch for in-place pivot updates
+        self.fixed = self.ub - self.lb <= 0.0  # fixed columns never enter
 
     # -- helpers -----------------------------------------------------------
 
     def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
-        return cost - cost[self.basis] @ self.T
+        # on a row-major copy, so the sums keep their last bits (see above)
+        return cost - cost[self.basis] @ np.ascontiguousarray(self.T)
 
     def _refactorize(self) -> None:
         """Rebuild the tableau and basic values from the original columns."""
         B = self.A[:, self.basis]
-        self.T = np.linalg.solve(B, self.A)
+        self.T = np.asfortranarray(np.linalg.solve(B, self.A))
         nb_mask = self.status != _BASIC
         contrib = self.A[:, nb_mask] @ self.nb_value[nb_mask]
         self.xB = np.linalg.solve(B, self.b - contrib)
@@ -260,15 +276,10 @@ class _Simplex:
 
     def _price(self, d: np.ndarray, bland: bool) -> int:
         """Pick the entering column, or -1 when none is eligible (optimality)."""
-        at_lb = self.status == _AT_LB
-        at_ub = self.status == _AT_UB
+        score = _SCORE_SIGN[self.status] * d
         free = self.status == _FREE
-        score = np.zeros(d.size)
-        score[at_lb] = -d[at_lb]
-        score[at_ub] = d[at_ub]
         score[free] = np.abs(d[free])
-        score[self.ub - self.lb <= 0.0] = -INF  # fixed vars never enter
-        score[self.status == _BASIC] = -INF
+        score[self.fixed] = -INF
         eligible = score > self.opt_tol
         if not eligible.any():
             return -1
@@ -283,8 +294,11 @@ class _Simplex:
         self.T[r, :] /= self.T[r, q]
         col = self.T[:, q].copy()
         col[r] = 0.0
-        np.multiply(col[:, None], self.T[r, :][None, :], out=self._buf)
-        np.subtract(self.T, self._buf, out=self.T)
+        # only columns with a nonzero pivot-row entry change; each is one
+        # contiguous row of the C-ordered view T.T
+        cols = np.flatnonzero(self.T[r])
+        Tt = self.T.T
+        Tt[cols] -= self.T[r, cols][:, None] * col[None, :]
         self.basis[r] = q
         self.status[q] = _BASIC
         self.xB[r] = entering_val
@@ -371,6 +385,7 @@ class _Simplex:
             self._pivot(r, q, self.nb_value[q], _AT_LB)
         # artificials may never re-enter
         self.ub[ncols_real:] = 0.0
+        self.fixed[ncols_real:] = True
 
     def run(self) -> LpSolution:
         self._setup()

@@ -2,7 +2,9 @@
 
 These deliberately avoid the package's solver paths: LPs are checked against
 brute-force vertex enumeration, and the three-step arbitrage case against a
-discharge-grid scan with the recharge amount resolved exactly.
+discharge-grid scan with the recharge amount resolved exactly. The one
+exception is ``DenseSimplex``, the reference kernel the solver must match
+pivot for pivot.
 """
 
 from __future__ import annotations
@@ -207,3 +209,50 @@ def block_diagonal_scipy_optimum(problems: list[lp.LpProblem]) -> float:
     if res.status != 0:
         raise AssertionError(f"scipy could not solve the joint LP: {res.message}")
     return float(res.fun)
+
+
+class DenseSimplex(lp._Simplex):
+    """The simplex with its plain dense kernel, as the reference for the
+    solver's sparse one: a row-major tableau, a rank-1 update of every
+    column through a scratch buffer, and pricing by one mask per status.
+
+    The solver's kernel must reproduce this one bit for bit: the same
+    pivots, iterations, ``x`` and objective.
+    """
+
+    def _setup(self) -> None:
+        super()._setup()
+        self.T = np.ascontiguousarray(self.T)
+        self._buf = np.empty_like(self.T)
+
+    def _refactorize(self) -> None:
+        super()._refactorize()
+        self.T = np.ascontiguousarray(self.T)
+
+    def _price(self, d: np.ndarray, bland: bool) -> int:
+        at_lb = self.status == lp._AT_LB
+        at_ub = self.status == lp._AT_UB
+        free = self.status == lp._FREE
+        score = np.zeros(d.size)
+        score[at_lb] = -d[at_lb]
+        score[at_ub] = d[at_ub]
+        score[free] = np.abs(d[free])
+        score[self.ub - self.lb <= 0.0] = -lp.INF
+        score[self.status == lp._BASIC] = -lp.INF
+        eligible = score > self.opt_tol
+        if not eligible.any():
+            return -1
+        return int(np.argmax(eligible if bland else score))
+
+    def _pivot(self, r: int, q: int, entering_val: float, leaving_status: int) -> None:
+        leaving = self.basis[r]
+        self.status[leaving] = leaving_status
+        self.nb_value[leaving] = self.lb[leaving] if leaving_status == lp._AT_LB else self.ub[leaving]
+        self.T[r, :] /= self.T[r, q]
+        col = self.T[:, q].copy()
+        col[r] = 0.0
+        np.multiply(col[:, None], self.T[r, :][None, :], out=self._buf)
+        np.subtract(self.T, self._buf, out=self.T)
+        self.basis[r] = q
+        self.status[q] = lp._BASIC
+        self.xB[r] = entering_val

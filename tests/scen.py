@@ -1,4 +1,5 @@
-"""Scenario builders for the tests: a tiny arbitrage case and seeded random fleets.
+"""Scenario builders for the tests: a tiny arbitrage case, seeded random
+fleets, and a finer-stepped copy of one vehicle.
 
 Random scenarios are feasible by construction for both schedulers, including
 the 95% departure policy: sessions are long enough to recharge what the trips
@@ -7,6 +8,8 @@ before a candidate is accepted.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 
@@ -65,6 +68,29 @@ def flat_scenario(n_vehicles: int = 2, price: float = 0.2, with_trips: bool = Fa
         trips=TripPlan(trips),
     )
     return s.with_prices(PriceSeries("flat", np.full(T, price)))
+
+
+def refine(s: Scenario, vehicle: str, factor: int) -> Scenario:
+    """One vehicle of ``s`` with every step split into ``factor`` steps.
+
+    Plug-in windows keep their hours, a trip's energy is spread evenly over
+    the sub-steps of its step, and per-step energy ratings shrink with the
+    step. Prices are dropped: attach a series of the refined length.
+    """
+    v_idx = s.vehicle_index(vehicle)
+    v = s.vehicles[v_idx]
+    one = slice(v_idx, v_idx + 1)
+    return Scenario(
+        horizon=Horizon(s.horizon.step_count * factor, s.horizon.step_hours / factor),
+        vehicles=(replace(v, obc_max_kwh_per_step=v.obc_max_kwh_per_step / factor),),
+        charging_points=tuple(
+            replace(cp, power_limit_kwh_per_step=cp.power_limit_kwh_per_step / factor)
+            for cp in s.charging_points
+        ),
+        connectivity=ConnectivityMatrix(np.repeat(s.connectivity.mask[one], factor, axis=1)),
+        trips=TripPlan(np.repeat(s.trips.energy_kwh[one], factor, axis=1) / factor),
+        tariff_calendar=s.tariff_calendar,
+    )
 
 
 def _max_reachable_depart(v: Vehicle, arrival: float, cap_per_step: float, n_steps: int) -> float:

@@ -158,6 +158,43 @@ def test_price_mean_is_construction_exact():
         assert abs(ps.values.mean() - 0.05) < 1e-9
 
 
+def test_hourly_price_shape_is_laid_out_in_steps_as_before():
+    # reference: the shape in step units, which equal hours at hourly steps
+    t = np.arange(24, dtype=float)
+    shape = (
+        0.9 * np.exp(-(((t - 8.5) / 2.0) ** 2))
+        + 1.1 * np.exp(-(((t - 18.5) / 2.2) ** 2))
+        - 0.8 * np.exp(-(((t - 3.0) / 2.5) ** 2))
+    )
+    z = shape + np.random.default_rng(4).normal(0.0, 0.35, 24)
+    z = (z - z.mean()) / z.std()
+    expected = 0.05 + 0.008 * 6.0 * z
+    assert generate_price_set("high", seed=4).values.tobytes() == expected.tobytes()
+
+
+def test_quarter_hour_prices_peak_in_the_same_hours_as_hourly_ones():
+    def landmarks(step_hours: float) -> np.ndarray:
+        # averaging over seeds leaves the shape: hours of the morning peak,
+        # the evening peak and the night trough
+        n = round(24 / step_hours)
+        values = np.mean(
+            [generate_price_set("low", seed=k, step_count=n, step_hours=step_hours).values
+             for k in range(60)],
+            axis=0,
+        )
+        hours = np.arange(n) * step_hours
+        morning = hours < 12.0
+        return np.array([
+            hours[morning][np.argmax(values[morning])],
+            hours[np.argmax(values)],
+            hours[np.argmin(values)],
+        ])
+
+    hourly, quarter = landmarks(1.0), landmarks(0.25)
+    assert np.all(np.abs(quarter - hourly) <= 1.0), (hourly, quarter)
+    assert 17.0 <= quarter[1] <= 20.0 and 1.0 <= quarter[2] <= 5.0
+
+
 def test_price_determinism_and_label():
     a = generate_price_set("high", seed=5)
     b = generate_price_set("high", seed=5)

@@ -165,6 +165,7 @@ def test_non_finite_price_file_exit_1_without_report(example_path, tmp_path, cap
         ("vehicles", "obc_max_kw", "nan", "obc_max_kw"),
         ("vehicles", "battery_cost_eur", "inf", "battery_cost_eur"),
         ("vehicles", "battery_cost_eur", "nan", "battery_cost_eur"),
+        ("vehicles", "battery_cost_eur", "1e308", "battery_cost_eur"),  # overflows the wear rows
         ("charging_points", "power_kw", "inf", "power_kw"),
         ("charging_points", "cp_fee_eur_per_kwh", "nan", "cp_fee"),
         ("trips", "energy_kwh", "nan", "energy_kwh"),
@@ -206,4 +207,21 @@ def test_solver_failures_exit_1_with_one_line(example_path, tmp_path, capsys, mo
                "--gen-prices", "low", "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == "error: boom\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("model", [["--model", "evba"], ["--model", "evca", "--policy", "low"]])
+def test_extreme_price_exit_1_naming_vehicle_and_status(example_path, tmp_path, capsys, model):
+    values = ["0.05"] * 24
+    values[5] = "1e300"
+    prices = tmp_path / "prices.csv"
+    prices.write_text("".join(f"{t},{x}\n" for t, x in enumerate(values)))
+    out = tmp_path / "report"
+    rc = main(["solve", *model, "--scenario", example_path,
+               "--prices", str(prices), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1
+    assert "'ev1'" in err and "unbounded" in err and "1e+300" in err
+    assert "departure floor" not in err
     assert not out.exists()

@@ -179,6 +179,15 @@ def test_validate_rejects_non_finite_degradation_coefficient(key, bad):
     assert any(f"degradation.{key} must be finite" in d for d in diags)
 
 
+def test_validate_rejects_battery_cost_that_overflows_the_wear_coefficients():
+    data = _minimal_dict()
+    data["vehicles"][0]["battery_cost_eur"] = 1e308  # finite, but 1e308 * 100 / 20 is not
+    diags = validate_scenario(parse_scenario(data, check=False))
+    assert len(diags) == 1 and "battery_cost_eur" in diags[0] and "must be finite" in diags[0]
+    data["vehicles"][0]["battery_cost_eur"] = 1e300
+    assert validate_scenario(parse_scenario(data, check=False)) == []
+
+
 def test_infinite_step_hours_rejected():
     data = _minimal_dict()
     data["horizon"]["step_hours"] = float("inf")

@@ -29,7 +29,7 @@ from evdispatch.evba import (
     solve_evba,
 )
 from oracles import block_diagonal_scipy_optimum, micro_case_grid_optimum
-from scen import micro_scenario, random_scenario
+from scen import micro_scenario, random_scenario, refine
 
 OF1 = cost_toggles_for("of1")
 OF5 = cost_toggles_for("of5")
@@ -325,6 +325,16 @@ def test_fleet_total_matches_scipy_across_scenarios_and_power_modes(
     else:
         s = random_scenario(seed).with_prices(generate_price_set("high", seed=seed))
     _assert_total_matches_scipy(s, label, power)
+
+
+def test_fleet_total_matches_scipy_on_the_replicated_example(example_with_high):
+    _assert_total_matches_scipy(_replicated(example_with_high, 4), "of5")
+
+
+def test_fleet_total_matches_scipy_on_a_15_minute_vehicle(example_scenario):
+    s = refine(example_scenario, "ev1", 4)
+    s = s.with_prices(generate_price_set("high", seed=1, step_count=96, step_hours=0.25))
+    _assert_total_matches_scipy(s, "of5")
 
 
 def test_fast_charger_used_when_it_is_the_only_plug():

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from evdispatch import lp
-from oracles import build_problem, random_bounded_lp, vertex_enumeration_optimum
+from evdispatch import evba, lp
+from evdispatch.analysis import generate_price_set
+from oracles import DenseSimplex, build_problem, random_bounded_lp, vertex_enumeration_optimum
+from scen import refine
 
 
 def test_add_variable_first_id_is_zero():
@@ -250,3 +252,65 @@ def test_certified_feasibility_on_random_lps(seed):
     sol = lp.solve(build_problem(*data))
     assert sol.status == lp.OPTIMAL
     assert _residuals_ok(data, sol)
+
+
+def _assert_same_as_dense_reference(p: lp.LpProblem) -> lp.LpSolution:
+    """Solve ``p`` with the solver and the dense reference kernel; both must
+    give the same status and iterations, bitwise the same x and objective,
+    and equal final tableaus and reduced costs."""
+    got_sim, ref_sim = lp._Simplex(p, 1e-6, None), DenseSimplex(p, 1e-6, None)
+    got, ref = got_sim.run(), ref_sim.run()
+    assert (got.status, got.iterations) == (ref.status, ref.iterations)
+    assert repr(got.objective) == repr(ref.objective)
+    assert (got.x is None and ref.x is None) or got.x.tobytes() == ref.x.tobytes()
+    # pricing reads the reduced costs, so they must agree to the last bit
+    assert np.array_equal(got_sim.T, ref_sim.T)
+    assert np.array_equal(got_sim._reduced_costs(got_sim.cost), ref_sim._reduced_costs(ref_sim.cost))
+    return got
+
+
+def _example_lps(example_with_high) -> list[lp.LpProblem]:
+    return evba.build_evba(example_with_high, evba.cost_toggles_for("of5"))
+
+
+def test_pivots_match_dense_reference_on_random_lps():
+    for seed in range(200):
+        _assert_same_as_dense_reference(build_problem(*random_bounded_lp(np.random.default_rng(seed))))
+
+
+def test_pivots_match_dense_reference_on_a_15_minute_vehicle(example_scenario):
+    s = refine(example_scenario, "ev1", 4)
+    s = s.with_prices(generate_price_set("high", seed=1, step_count=96, step_hours=0.25))
+    (p,) = evba.build_evba(s, evba.cost_toggles_for("of5"))
+    assert (p.num_variables, p.num_constraints) == (480, 376)
+    assert _assert_same_as_dense_reference(p).status == lp.OPTIMAL
+
+
+def test_pivots_match_dense_reference_under_blands_rule(example_with_high, monkeypatch):
+    # Bland's entering rule from the first pivot, in both kernels
+    for cls in (lp._Simplex, DenseSimplex):
+        price = cls._price
+        monkeypatch.setattr(cls, "_price", lambda self, d, bland, price=price: price(self, d, True))
+    problems = _example_lps(example_with_high)
+    problems += [build_problem(*random_bounded_lp(np.random.default_rng(seed))) for seed in range(50)]
+    for p in problems:
+        _assert_same_as_dense_reference(p)
+
+
+def test_pivots_match_dense_reference_through_a_refactorization(example_with_high, monkeypatch):
+    # the first verification fails, so each solve rebuilds its tableau once
+    violation = lp._Simplex._violation
+    rebuilds = []
+
+    def fail_once(self, x):
+        if not hasattr(self, "failed_once"):
+            self.failed_once = True
+            rebuilds.append(type(self))
+            return lp.INF
+        return violation(self, x)
+
+    monkeypatch.setattr(lp._Simplex, "_violation", fail_once)
+    problems = _example_lps(example_with_high)
+    for p in problems:
+        assert _assert_same_as_dense_reference(p).status == lp.OPTIMAL
+    assert rebuilds == [lp._Simplex, DenseSimplex] * len(problems)
