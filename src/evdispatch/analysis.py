@@ -37,7 +37,7 @@ from .evba import (
     cost_toggles_for,
     solve_evba,
 )
-from .evca import HIGH_SOE, LOW_SOE, SoePolicy, solve_evca
+from .evca import HIGH_SOE, LOW_SOE, solve_evca
 
 #: Declared defaults surfaced in every report header.
 ASSUMPTIONS = (
@@ -253,20 +253,17 @@ def _breakdown_totals(fs: FleetSchedule) -> dict[str, float]:
     return out
 
 
-def compare_aggregators(
-    s: Scenario,
-    price_sets: list[PriceSeries],
-    policies: tuple[float, float] = (HIGH_SOE.depart_min_frac, LOW_SOE.depart_min_frac),
-    ct: CostToggles = CostToggles(),
-    power: PowerMode = PowerMode.BOTH,
-) -> ComparisonReport:
+def compare_aggregators(s: Scenario, price_sets: list[PriceSeries]) -> ComparisonReport:
     """Fleet vs per-station optimizer across price series and policies.
 
-    Solver and session errors are recorded per cell rather than raised, so a
-    partially solvable grid still yields a report. Each station-model cell
-    records its cost gap against the fleet model.
+    Every model prices all objective terms under the full power caps; the
+    station model runs under HIGH_SOE and LOW_SOE. Solver and session errors
+    are recorded per cell rather than raised, so a partially solvable grid
+    still yields a report. Each station-model cell records its cost gap
+    against the fleet model.
     """
     models = ["evba", "evca_high", "evca_low"]
+    policies = {"evca_high": HIGH_SOE, "evca_low": LOW_SOE}
     cells: list[ComparisonCell] = []
     for ps in price_sets:
         sp = s.with_prices(ps)
@@ -274,10 +271,9 @@ def compare_aggregators(
         for model in models:
             try:
                 if model == "evba":
-                    fs = solve_evba(sp, ct, power)
+                    fs = solve_evba(sp)
                 else:
-                    frac = policies[0] if model == "evca_high" else policies[1]
-                    fs = solve_evca(sp, SoePolicy(frac), ct, power)
+                    fs = solve_evca(sp, policies[model])
                 if fs.status != "optimal":
                     cells.append(
                         ComparisonCell(ps.label, model, fs.status, None, {}, None, None, {},
@@ -315,6 +311,48 @@ def compare_aggregators(
     )
 
 
+def _ablation(
+    kind: str,
+    s: Scenario,
+    prices: PriceSeries,
+    variants: list[tuple[str, CostToggles, PowerMode]],
+    orderings: list[tuple[str, str]],
+) -> AblationStudy:
+    """Solve the fleet model for each ``(label, toggles, power)`` variant and
+    audit each optimal schedule against the full constraint set.
+
+    Raises OrderingError when, for an ``(lo, hi)`` pair of labels that both
+    solved, cost(lo) exceeds cost(hi).
+    """
+    sp = s.with_prices(prices)
+    reports: list[AblationReport] = []
+    costs: dict[str, float] = {}
+    for label, ct, power in variants:
+        fs = solve_evba(sp, ct, power)
+        if fs.status != "optimal":
+            reports.append(
+                AblationReport(label, float("nan"), {}, 0.0, 0.0, ViolationReport(), fs.status)
+            )
+            continue
+        costs[label] = fs.total_cost_eur
+        reports.append(
+            AblationReport(
+                label=label,
+                total_cost_eur=fs.total_cost_eur,
+                breakdown=_breakdown_totals(fs),
+                charged_kwh=fs.charged_kwh,
+                discharged_kwh=fs.discharged_kwh,
+                violations=check_schedule(sp, fs),
+            )
+        )
+    for lo, hi in orderings:
+        if lo in costs and hi in costs and costs[lo] > costs[hi] + 1e-6:
+            raise OrderingError(
+                f"expected cost({lo}) <= cost({hi}), got {costs[lo]:.9f} > {costs[hi]:.9f}"
+            )
+    return AblationStudy(kind=kind, price_label=prices.label, reports=reports)
+
+
 _POWER_ABLATION_ORDER = (
     PowerMode.FIXED_4KW,
     PowerMode.OBC_ONLY,
@@ -335,37 +373,8 @@ def run_power_ablation(
     match or beat the full set; the flat 4 kW cap, when tighter than every
     plug and OBC rating, can only match or worsen it).
     """
-    sp = s.with_prices(prices)
-    reports: list[AblationReport] = []
-    costs: dict[PowerMode, float] = {}
-    for mode in _POWER_ABLATION_ORDER:
-        fs = solve_evba(sp, ct, mode)
-        if fs.status != "optimal":
-            reports.append(
-                AblationReport(mode.value, float("nan"), {}, 0.0, 0.0, ViolationReport(), fs.status)
-            )
-            continue
-        costs[mode] = fs.total_cost_eur
-        reports.append(
-            AblationReport(
-                label=mode.value,
-                total_cost_eur=fs.total_cost_eur,
-                breakdown=_breakdown_totals(fs),
-                charged_kwh=fs.charged_kwh,
-                discharged_kwh=fs.discharged_kwh,
-                violations=check_schedule(sp, fs),
-            )
-        )
-
-    def expect(lo: PowerMode, hi: PowerMode):
-        if lo in costs and hi in costs and costs[lo] > costs[hi] + 1e-6:
-            raise OrderingError(
-                f"expected cost({lo.value}) <= cost({hi.value}), got "
-                f"{costs[lo]:.9f} > {costs[hi]:.9f}"
-            )
-
-    expect(PowerMode.OBC_ONLY, PowerMode.BOTH)
-    expect(PowerMode.CP_ONLY, PowerMode.BOTH)
+    variants = [(mode.value, ct, mode) for mode in _POWER_ABLATION_ORDER]
+    orderings = [("obc_only", "both"), ("cp_only", "both")]
     fixed_cap = FIXED_POWER_KW * s.horizon.step_hours
     connected_limits = [
         cp.power_limit_kwh_per_step
@@ -376,8 +385,8 @@ def run_power_ablation(
     if all(fixed_cap <= lim for lim in connected_limits) and all(
         fixed_cap <= v.obc_max_kwh_per_step for v in s.vehicles
     ):
-        expect(PowerMode.BOTH, PowerMode.FIXED_4KW)
-    return AblationStudy(kind="power", price_label=prices.label, reports=reports)
+        orderings.append(("both", "fixed_4kw"))
+    return _ablation("power", s, prices, variants, orderings)
 
 
 def run_cost_ablation(
@@ -389,37 +398,9 @@ def run_cost_ablation(
     cannot lower the optimum). Discharge-volume ordering across variants is
     reported, not asserted; ties in the LP can break it without being wrong.
     """
-    sp = s.with_prices(prices)
-    reports: list[AblationReport] = []
-    costs: dict[str, float] = {}
-    for label, ct in OBJECTIVE_VARIANTS.items():
-        fs = solve_evba(sp, ct, power)
-        if fs.status != "optimal":
-            reports.append(
-                AblationReport(label, float("nan"), {}, 0.0, 0.0, ViolationReport(), fs.status)
-            )
-            continue
-        costs[label] = fs.total_cost_eur
-        reports.append(
-            AblationReport(
-                label=label,
-                total_cost_eur=fs.total_cost_eur,
-                breakdown=_breakdown_totals(fs),
-                charged_kwh=fs.charged_kwh,
-                discharged_kwh=fs.discharged_kwh,
-                violations=check_schedule(sp, fs),
-            )
-        )
-
-    def expect(lo: str, hi: str):
-        if lo in costs and hi in costs and costs[lo] > costs[hi] + 1e-6:
-            raise OrderingError(
-                f"expected obj({lo}) <= obj({hi}), got {costs[lo]:.9f} > {costs[hi]:.9f}"
-            )
-
-    for lo, hi in (("of1", "of2"), ("of2", "of5"), ("of1", "of3"), ("of1", "of4"), ("of4", "of5")):
-        expect(lo, hi)
-    return AblationStudy(kind="cost", price_label=prices.label, reports=reports)
+    variants = [(label, ct, power) for label, ct in OBJECTIVE_VARIANTS.items()]
+    orderings = [("of1", "of2"), ("of2", "of5"), ("of1", "of3"), ("of1", "of4"), ("of4", "of5")]
+    return _ablation("cost", s, prices, variants, orderings)
 
 
 # ---------------------------------------------------------------------------

@@ -128,6 +128,9 @@ class ConnectivityMatrix:
     mask[v, t, cp] is True when vehicle v is plugged into charging point cp
     during step t. At most one cp may be True per (v, t), and a vehicle that
     draws trip energy at step t must be disconnected at t.
+
+    index[v, t] is the first charging point set at (v, t), or -1 when the
+    vehicle is unplugged.
     """
 
     def __init__(self, mask: np.ndarray):
@@ -136,10 +139,11 @@ class ConnectivityMatrix:
             raise ScenarioError("connectivity mask must have shape (vehicles, steps, charging points)")
         mask.flags.writeable = False
         self.mask = mask
-
-    def cp_index_at(self, v: int, t: int) -> int | None:
-        hits = np.flatnonzero(self.mask[v, t])
-        return int(hits[0]) if hits.size else None
+        # argmax raises on an empty axis, so with no charging points skip it
+        first = mask.argmax(axis=2) if mask.shape[2] else 0
+        index = np.where(mask.any(axis=2), first, -1)
+        index.flags.writeable = False
+        self.index = index
 
     def __eq__(self, other) -> bool:
         return isinstance(other, ConnectivityMatrix) and np.array_equal(self.mask, other.mask)
@@ -222,8 +226,8 @@ class Scenario:
 
     def cp_at(self, v: int, t: int) -> ChargingPoint | None:
         """The charging point vehicle v is plugged into at step t, if any."""
-        idx = self.connectivity.cp_index_at(v, t)
-        return None if idx is None else self.charging_points[idx]
+        idx = self.connectivity.index[v, t]
+        return None if idx < 0 else self.charging_points[idx]
 
     def with_prices(self, prices: PriceSeries) -> "Scenario":
         """Attach a price series, checking its length against the horizon."""

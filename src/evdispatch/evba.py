@@ -34,7 +34,7 @@ import numpy as np
 
 from . import lp
 from .degradation import degradation_cost, emit_degradation_rows
-from .domain import FAST, SLOW, Scenario, ScenarioError, Vehicle, grid_fee, validate_scenario
+from .domain import FAST, SLOW, ChargingPoint, Scenario, ScenarioError, Vehicle, grid_fee, validate_scenario
 
 FIXED_POWER_KW = 4.0
 
@@ -154,14 +154,16 @@ class FleetSchedule:
 # ---------------------------------------------------------------------------
 # Assembly
 
-def _flow_costs(s: Scenario, ct: CostToggles, v_idx: int, t: int) -> tuple[float, float, float]:
-    """Objective coefficients (slow charge, discharge, fast charge) at (v, t)."""
+def _flow_costs(
+    s: Scenario, ct: CostToggles, cp: ChargingPoint | None, t: int
+) -> tuple[float, float, float]:
+    """Objective coefficients (slow charge, discharge, fast charge) at step t
+    on charging point ``cp`` (None when unplugged)."""
     price = float(s.prices.values[t])
     cal = s.tariff_calendar
     h = s.horizon.step_hours
     sch = price
     fch = price
-    cp = s.cp_at(v_idx, t)
     if cp is not None:
         fee_grid = grid_fee(cp, t, cal, h) if ct.include_grid_tariff else 0.0
         fee_cp = cp.cp_fee_eur_per_kwh if ct.include_cp_tariff else 0.0
@@ -172,18 +174,20 @@ def _flow_costs(s: Scenario, ct: CostToggles, v_idx: int, t: int) -> tuple[float
     return sch, -price, fch
 
 
-def _slow_cap(s: Scenario, v: Vehicle, v_idx: int, t: int, power: PowerMode) -> float:
-    """Upper bound on slow charge/discharge at (v, t) under a power mode."""
-    cp = s.cp_at(v_idx, t)
-    if cp is None or cp.kind != SLOW:
-        return 0.0
+def _caps(s: Scenario, v: Vehicle, cp: ChargingPoint | None, power: PowerMode) -> tuple[float, float]:
+    """Upper bounds (slow charge/discharge, fast charge) on vehicle v's flows
+    on charging point ``cp`` (None when unplugged) under a power mode."""
+    if cp is None:
+        return 0.0, 0.0
+    if cp.kind == FAST:
+        return 0.0, cp.power_limit_kwh_per_step
     if power is PowerMode.FIXED_4KW:
-        return FIXED_POWER_KW * s.horizon.step_hours
+        return FIXED_POWER_KW * s.horizon.step_hours, 0.0
     if power is PowerMode.OBC_ONLY:
-        return v.obc_max_kwh_per_step
+        return v.obc_max_kwh_per_step, 0.0
     if power is PowerMode.CP_ONLY:
-        return cp.power_limit_kwh_per_step
-    return min(cp.power_limit_kwh_per_step, v.obc_max_kwh_per_step)
+        return cp.power_limit_kwh_per_step, 0.0
+    return min(cp.power_limit_kwh_per_step, v.obc_max_kwh_per_step), 0.0
 
 
 def _build_window_lp(
@@ -218,13 +222,12 @@ def _build_window_lp(
 
     prev_id = None
     for t in map(int, steps):
+        cp = s.cp_at(v_idx, t)
         if maximize_departure:
             c_sch = c_dch = c_fch = 0.0
         else:
-            c_sch, c_dch, c_fch = _flow_costs(s, ct, v_idx, t)
-        slow_cap = _slow_cap(s, v, v_idx, t, power)
-        cp = s.cp_at(v_idx, t)
-        fast_cap = cp.power_limit_kwh_per_step if cp is not None and cp.kind == FAST else 0.0
+            c_sch, c_dch, c_fch = _flow_costs(s, ct, cp, t)
+        slow_cap, fast_cap = _caps(s, v, cp, power)
         sch_id = p.add_variable(0.0, slow_cap, c_sch, f"sch[{v.id},{t}]")
         dch_id = p.add_variable(0.0, slow_cap, c_dch, f"dch[{v.id},{t}]")
         fch_id = p.add_variable(0.0, fast_cap, c_fch, f"fch[{v.id},{t}]")
@@ -270,6 +273,15 @@ def _build_window_lp(
     return p
 
 
+def _require_solvable(s: Scenario) -> None:
+    """Raise ScenarioError unless ``s`` is valid and has prices attached."""
+    diags = validate_scenario(s)
+    if diags:
+        raise ScenarioError("invalid scenario:\n  " + "\n  ".join(diags))
+    if s.prices is None:
+        raise ScenarioError("scenario has no price series attached; use Scenario.with_prices")
+
+
 def build_evba(
     s: Scenario, ct: CostToggles = CostToggles(), power: PowerMode = PowerMode.BOTH
 ) -> list[lp.LpProblem]:
@@ -278,11 +290,7 @@ def build_evba(
     Returns one problem per vehicle, in scenario order; the fleet optimum is
     the sum of their optima.
     """
-    diags = validate_scenario(s)
-    if diags:
-        raise ScenarioError("invalid scenario:\n  " + "\n  ".join(diags))
-    if s.prices is None:
-        raise ScenarioError("scenario has no price series attached; use Scenario.with_prices")
+    _require_solvable(s)
     steps = np.arange(s.horizon.step_count)
     # the end-of-day stock floor is the initial stock
     return [
@@ -370,32 +378,55 @@ def _cost_breakdown(
     return out
 
 
-def extract_schedule(sols: list[lp.LpSolution], s: Scenario, ct: CostToggles) -> FleetSchedule:
-    """Stitch the optimal solutions of build_evba's problems into a FleetSchedule.
+def _assemble(
+    s: Scenario,
+    ct: CostToggles,
+    windows: list[tuple[int, np.ndarray, tuple[np.ndarray, ...], float]],
+    **extra,
+) -> FleetSchedule:
+    """Stitch solved window LPs into a FleetSchedule; ``extra`` goes to it as is.
 
-    Each vehicle's cost breakdown is recomputed independently from prices and
-    fees and reconciled with its own LP objective; a mismatch means the model
-    assembly is wrong and raises AssemblyError.
+    Each window is ``(v_idx, steps, arrays, objective)``: the steps it
+    covers, its _window_schedule arrays and its LP objective. At a step no
+    window covers, the stock follows the trips and ``c_deg`` is the wear that
+    stock implies. Each vehicle's cost breakdown is recomputed independently
+    from prices and fees and must reconcile with its windows' objectives plus
+    its priced uncovered wear; a mismatch means the model assembly is wrong
+    and raises AssemblyError.
     """
-    if len(sols) != len(s.vehicles):
-        raise ValueError(f"expected one solution per vehicle ({len(s.vehicles)}), got {len(sols)}")
-    for sol in sols:
-        if sol.status != lp.OPTIMAL:
-            raise ValueError(f"cannot extract from a non-optimal solution (status={sol.status})")
     V, T = len(s.vehicles), s.horizon.step_count
-    e_sch, e_dch, e_fch, soe, c_deg = np.zeros((5, V, T))
-    for v_idx, (v, sol) in enumerate(zip(s.vehicles, sols)):
-        e_sch[v_idx], e_dch[v_idx], e_fch[v_idx], soe[v_idx], c_deg[v_idx] = _window_schedule(
-            v, sol, ct
-        )
+    fleet = np.zeros((5, V, T))
+    e_sch, e_dch, e_fch, soe, c_deg = fleet
+    covered = np.zeros((V, T), dtype=bool)
+    expected = [0.0] * V
+    for v_idx, steps, arrays, objective in windows:
+        for dst, src in zip(fleet, arrays):
+            dst[v_idx, steps] = src
+        covered[v_idx, steps] = True
+        expected[v_idx] += objective
+
+    for v_idx, v in enumerate(s.vehicles):
+        off = ~covered[v_idx]
+        if not off.any():
+            continue
+        stock = v.soe_initial_kwh
+        for t in range(T):
+            if off[t]:
+                stock -= float(s.trips.energy_kwh[v_idx, t]) / v.eta_run
+                soe[v_idx, t] = stock
+            else:
+                stock = soe[v_idx, t]
+        c_deg[v_idx, off] = _implied_wear(v, e_dch[v_idx, off], soe[v_idx, off])
+        if ct.include_degradation:
+            expected[v_idx] += float(c_deg[v_idx, off].sum())
 
     deg_priced = c_deg if ct.include_degradation else np.zeros((V, T))
     per_vehicle = _cost_breakdown(s, ct, e_sch, e_dch, e_fch, deg_priced)
-    for c, sol in zip(per_vehicle, sols):
-        if not (abs(c.total_eur - sol.objective) <= 1e-6 * (1.0 + abs(sol.objective))):
+    for c, want in zip(per_vehicle, expected):
+        if not (abs(c.total_eur - want) <= 1e-6 * (1.0 + abs(want))):
             raise AssemblyError(
                 f"vehicle {c.vehicle!r}: cost breakdown {c.total_eur:.9f} does not reconcile "
-                f"with LP objective {sol.objective:.9f}"
+                f"with its window objectives plus uncovered wear {want:.9f}"
             )
     return FleetSchedule(
         status="optimal",
@@ -406,7 +437,26 @@ def extract_schedule(sols: list[lp.LpSolution], s: Scenario, ct: CostToggles) ->
         c_deg=c_deg,
         per_vehicle=per_vehicle,
         total_cost_eur=sum(c.total_eur for c in per_vehicle),
+        **extra,
     )
+
+
+def extract_schedule(sols: list[lp.LpSolution], s: Scenario, ct: CostToggles) -> FleetSchedule:
+    """Stitch the optimal solutions of build_evba's problems into a FleetSchedule.
+
+    Each vehicle's cost breakdown is reconciled with its own LP objective
+    (see _assemble).
+    """
+    if len(sols) != len(s.vehicles):
+        raise ValueError(f"expected one solution per vehicle ({len(s.vehicles)}), got {len(sols)}")
+    for sol in sols:
+        if sol.status != lp.OPTIMAL:
+            raise ValueError(f"cannot extract from a non-optimal solution (status={sol.status})")
+    steps = np.arange(s.horizon.step_count)
+    return _assemble(s, ct, [
+        (v_idx, steps, _window_schedule(v, sol, ct), sol.objective)
+        for v_idx, (v, sol) in enumerate(zip(s.vehicles, sols))
+    ])
 
 
 def _infeasibility_hint(s: Scenario, v_idx: int, power: PowerMode) -> str:
@@ -419,9 +469,7 @@ def _infeasibility_hint(s: Scenario, v_idx: int, power: PowerMode) -> str:
     v = s.vehicles[v_idx]
     stock = v.soe_initial_kwh
     for t in range(s.horizon.step_count):
-        slow = _slow_cap(s, v, v_idx, t, power)
-        cp = s.cp_at(v_idx, t)
-        fast = cp.power_limit_kwh_per_step if cp is not None and cp.kind == FAST else 0.0
+        slow, fast = _caps(s, v, s.cp_at(v_idx, t), power)
         stock = min(stock + slow * v.eta_sch + fast * v.eta_fch, v.soe_max_kwh)
         stock -= float(s.trips.energy_kwh[v_idx, t]) / v.eta_run
         if stock < v.soe_min_kwh - 1e-9:

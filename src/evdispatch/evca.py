@@ -19,19 +19,19 @@ import numpy as np
 
 from . import lp
 from .degradation import degradation_cost  # noqa: F401 - bench/tracing.py wraps this binding
-from .domain import Scenario, ScenarioError, Vehicle, validate_scenario
+from .domain import Scenario, Vehicle
+from .domain import validate_scenario  # noqa: F401 - bench/tracing.py wraps this binding
 from .evba import (
     CostToggles,
     FleetSchedule,
     PowerMode,
     SessionResult,
+    _assemble,
     _build_window_lp,
-    _cost_breakdown,
     _FloorUnreachable,
-    _implied_wear,
     _numerics_hint,
+    _require_solvable,
     _window_schedule,
-    AssemblyError,
 )
 
 
@@ -81,28 +81,14 @@ def derive_sessions(s: Scenario) -> list[list[Session]]:
     Returns one (possibly empty) list per vehicle, in scenario order.
     """
     out: list[list[Session]] = []
-    T = s.horizon.step_count
-    for v_idx, v in enumerate(s.vehicles):
-        sessions: list[Session] = []
-        t = 0
-        while t < T:
-            cp_idx = s.connectivity.cp_index_at(v_idx, t)
-            if cp_idx is None:
-                t += 1
-                continue
-            start = t
-            while t + 1 < T and s.connectivity.cp_index_at(v_idx, t + 1) == cp_idx:
-                t += 1
-            sessions.append(
-                Session(
-                    vehicle=v.id,
-                    cp=s.charging_points[cp_idx].id,
-                    arrive_step=start,
-                    depart_step=t,
-                )
-            )
-            t += 1
-        out.append(sessions)
+    for v, row in zip(s.vehicles, s.connectivity.index):
+        # runs of equal plug index; the unplugged ones (-1) are not sessions
+        edges = [0, *(np.flatnonzero(np.diff(row)) + 1).tolist(), row.size]
+        out.append([
+            Session(v.id, s.charging_points[row[lo]].id, lo, hi - 1)
+            for lo, hi in zip(edges[:-1], edges[1:])
+            if row[lo] >= 0
+        ])
     return out
 
 
@@ -166,11 +152,7 @@ def solve_evca(
     to the maximum reachable stock and recorded as a warning instead of
     raising SessionInfeasibleError.
     """
-    diags = validate_scenario(s)
-    if diags:
-        raise ScenarioError("invalid scenario:\n  " + "\n  ".join(diags))
-    if s.prices is None:
-        raise ScenarioError("scenario has no price series attached; use Scenario.with_prices")
+    _require_solvable(s)
     if not (policy.depart_min_frac >= 0.0):
         raise ValueError("policy floor must be a fraction >= 0")
     for v in s.vehicles:
@@ -180,20 +162,10 @@ def solve_evca(
                 f"minimum SOE fraction {v.soe_min_frac}"
             )
 
-    V, T = len(s.vehicles), s.horizon.step_count
-    e_sch = np.zeros((V, T))
-    e_dch = np.zeros((V, T))
-    e_fch = np.zeros((V, T))
-    soe = np.zeros((V, T))
-    c_deg = np.zeros((V, T))
-    in_window = np.zeros((V, T), dtype=bool)
+    windows = []
     traces: list[SessionResult] = []
     warnings: list[str] = []
-    session_cost_sum = 0.0
-
-    all_sessions = derive_sessions(s)
-    for v_idx, v in enumerate(s.vehicles):
-        sessions = all_sessions[v_idx]
+    for v_idx, (v, sessions) in enumerate(zip(s.vehicles, derive_sessions(s))):
         trips_v = s.trips.energy_kwh[v_idx]
         if not sessions:
             if trips_v.sum() > 0:
@@ -243,13 +215,9 @@ def solve_evca(
                     f"{session.describe()}: no feasible schedule reaches the departure "
                     f"floor {floor:.3f} kWh from arrival stock {arrival:.3f} kWh"
                 )
-            w = slice(session.arrive_step, session.depart_step + 1)
-            e_sch[v_idx, w], e_dch[v_idx, w], e_fch[v_idx, w], soe[v_idx, w], c_deg[v_idx, w] = (
-                _window_schedule(v, sol, ct)
-            )
-            in_window[v_idx, w] = True
-            depart_soe = soe[v_idx, session.depart_step]
-            session_cost_sum += sol.objective
+            arrays = _window_schedule(v, sol, ct)
+            windows.append((v_idx, session.steps, arrays, sol.objective))
+            depart_soe = float(arrays[3][-1])
             traces.append(
                 SessionResult(
                     vehicle=v.id,
@@ -257,51 +225,15 @@ def solve_evca(
                     arrive_step=session.arrive_step,
                     depart_step=session.depart_step,
                     arrival_soe_kwh=arrival,
-                    depart_soe_kwh=float(depart_soe),
+                    depart_soe_kwh=depart_soe,
                     floor_kwh=float(floor),
                     cost_eur=float(sol.objective),
                     note=note,
                 )
             )
-            running = float(depart_soe)
+            running = depart_soe
             prev_end = session.depart_step
-
-    # stitch stock and wear across unplugged steps
-    off_deg_sum = 0.0
-    for v_idx, v in enumerate(s.vehicles):
-        prev = v.soe_initial_kwh
-        for t in range(T):
-            if in_window[v_idx, t]:
-                prev = soe[v_idx, t]
-                continue
-            prev = prev - float(s.trips.energy_kwh[v_idx, t]) / v.eta_run
-            soe[v_idx, t] = prev
-        off = ~in_window[v_idx]
-        c_deg[v_idx, off] = _implied_wear(v, e_dch[v_idx, off], soe[v_idx, off])
-        if ct.include_degradation:
-            off_deg_sum += float(c_deg[v_idx, off].sum())
-
-    deg_priced = c_deg if ct.include_degradation else np.zeros((V, T))
-    per_vehicle = _cost_breakdown(s, ct, e_sch, e_dch, e_fch, deg_priced)
-    total = sum(c.total_eur for c in per_vehicle)
-    expected = session_cost_sum + off_deg_sum
-    if not (abs(total - expected) <= 1e-6 * (1.0 + abs(expected))):
-        raise AssemblyError(
-            f"stitched cost {total:.9f} does not reconcile with session objectives "
-            f"plus off-plug wear {expected:.9f}"
-        )
-    return FleetSchedule(
-        status="optimal",
-        e_sch=e_sch,
-        e_dch=e_dch,
-        e_fch=e_fch,
-        soe=soe,
-        c_deg=c_deg,
-        per_vehicle=per_vehicle,
-        total_cost_eur=total,
-        warnings=warnings,
-        sessions=traces,
-    )
+    return _assemble(s, ct, windows, warnings=warnings, sessions=traces)
 
 
 def sessions_csv_text(fs: FleetSchedule) -> str:

@@ -7,8 +7,10 @@ import json
 import numpy as np
 import pytest
 
+from evdispatch import analysis
 from evdispatch.analysis import (
     AblationStudy,
+    OrderingError,
     check_schedule,
     compare_aggregators,
     generate_price_set,
@@ -302,6 +304,24 @@ def test_cost_ablation_zero_prices():
     assert by["of1"].total_cost_eur == pytest.approx(0.0, abs=1e-9)
     for r in study.reports:
         assert r.total_cost_eur >= -1e-9
+
+
+@pytest.mark.parametrize("run,raised,message", [
+    (run_cost_ablation, OF1, r"expected cost\(of1\) <= cost\(of2\)"),
+    (run_power_ablation, PowerMode.OBC_ONLY, r"expected cost\(obc_only\) <= cost\(both\)"),
+], ids=["cost", "power"])
+def test_ablation_ordering_failure_names_both_variants(
+    example_scenario, high_prices, monkeypatch, run, raised, message
+):
+    def solve_raising_one_variant(s, ct, power):
+        fs = solve_evba(s, ct, power)
+        if raised in (ct, power):
+            fs.total_cost_eur += 100.0
+        return fs
+
+    monkeypatch.setattr(analysis, "solve_evba", solve_raising_one_variant)
+    with pytest.raises(OrderingError, match=message):
+        run(example_scenario, high_prices)
 
 
 # ---------------------------------------------------------------------------

@@ -158,6 +158,30 @@ def test_validate_multiple_connections_diagnostic():
     assert any("multiple connections" in d for d in diags)
 
 
+def test_cp_at_returns_the_first_of_two_connections():
+    mask = np.zeros((1, 4, 3), dtype=bool)
+    mask[0, 1, 1:] = True     # step 1 at work and dcfast at once
+    mask[0, 2, 0] = True
+    work = ChargingPoint("work", "slow", 8.0, 0.0, 0.0, 0.0)
+    s = Scenario(
+        Horizon(4), (Vehicle("ev1", 20.0, 10.0, 3000.0),), (HOME, work, DCFAST),
+        ConnectivityMatrix(mask), TripPlan(np.zeros((1, 4))),
+    )
+    assert [s.cp_at(0, t) for t in range(4)] == [None, work, HOME, None]
+    assert s.connectivity.index.tolist() == [[-1, 1, 0, -1]]
+    with pytest.raises(ValueError):
+        s.connectivity.index[0, 0] = 0
+
+
+def test_cp_at_without_charging_points():
+    s = Scenario(
+        Horizon(4), (Vehicle("ev1", 20.0, 10.0, 3000.0),), (),
+        ConnectivityMatrix(np.zeros((1, 4, 0), dtype=bool)), TripPlan(np.zeros((1, 4))),
+    )
+    assert validate_scenario(s) == []
+    assert [s.cp_at(0, t) for t in range(4)] == [None] * 4
+
+
 def test_validate_soe_ordering_diagnostic():
     s = Scenario(
         horizon=Horizon(4),

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from evdispatch import lp
 from evdispatch.analysis import check_schedule, generate_price_set
 from evdispatch.domain import (
     ChargingPoint,
@@ -15,7 +18,7 @@ from evdispatch.domain import (
     TripPlan,
     Vehicle,
 )
-from evdispatch.evba import cost_toggles_for, solve_evba
+from evdispatch.evba import AssemblyError, cost_toggles_for, solve_evba
 from evdispatch.evca import (
     HIGH_SOE,
     LOW_SOE,
@@ -61,6 +64,64 @@ def test_derive_sessions_never_connected():
         TripPlan(np.zeros((1, 24))),
     )
     assert derive_sessions(s) == [[]]
+
+
+def _plugged(runs: list[tuple[int, int, int]], cp_count: int = 2) -> Scenario:
+    """One vehicle over 24 steps, at slow point ``cp{k + 1}`` for each
+    inclusive run ``(k, first step, last step)``."""
+    mask = np.zeros((1, 24, cp_count), dtype=bool)
+    for k, lo, hi in runs:
+        mask[0, lo : hi + 1, k] = True
+    points = tuple(ChargingPoint(f"cp{k + 1}", "slow", 6.0, 0.0, 0.0, 0.0) for k in range(cp_count))
+    s = Scenario(
+        Horizon(24), (Vehicle("ev1", 40.0, 10.0, 6000.0),), points,
+        ConnectivityMatrix(mask), TripPlan(np.zeros((1, 24))),
+    )
+    return s.with_prices(generate_price_set("medium", seed=4))
+
+
+def _runs(s: Scenario) -> list[tuple[str, int, int]]:
+    return [(x.cp, x.arrive_step, x.depart_step) for x in derive_sessions(s)[0]]
+
+
+def test_derive_sessions_adjacent_runs_at_different_points():
+    s = _plugged([(0, 3, 7), (1, 8, 12), (0, 13, 15)])
+    assert _runs(s) == [("cp1", 3, 7), ("cp2", 8, 12), ("cp1", 13, 15)]
+
+
+def test_derive_sessions_runs_touching_both_ends_of_the_horizon():
+    assert _runs(_plugged([(0, 0, 2), (1, 20, 23)])) == [("cp1", 0, 2), ("cp2", 20, 23)]
+    assert _runs(_plugged([(1, 0, 23)])) == [("cp2", 0, 23)]
+
+
+def test_scenario_without_charging_points_idles_in_both_models():
+    # parked below 20% of capacity, where the wear plane is positive even
+    # without discharge, so the idle steps carry a priced wear cost
+    low = Vehicle("ev1", 40.0, 10.0, 6000.0, soe_min_frac=0.05, soe_initial_frac=0.1)
+    s = dataclasses.replace(_plugged([], cp_count=0), vehicles=(low,))
+    assert derive_sessions(s) == [[]]
+    for fs in (solve_evca(s, LOW_SOE, OF5), solve_evba(s, OF5)):
+        assert fs.status == "optimal"
+        assert fs.soe == pytest.approx(np.full((1, 24), low.soe_initial_kwh))
+        assert fs.c_deg.min() > 0.0
+        assert fs.total_cost_eur == pytest.approx(float(fs.c_deg.sum()))
+
+
+def test_evca_reconciliation_names_the_vehicle(example_with_high, monkeypatch):
+    solve = lp.solve
+    perturbed: list[str] = []
+
+    def perturb_first_ev2_session(problem, **kwargs):
+        sol = solve(problem, **kwargs)
+        if problem.name.startswith("window[ev2,") and not perturbed:
+            perturbed.append(problem.name)
+            return dataclasses.replace(sol, objective=sol.objective + 1.0)
+        return sol
+
+    monkeypatch.setattr(lp, "solve", perturb_first_ev2_session)
+    with pytest.raises(AssemblyError, match="ev2"):
+        solve_evca(example_with_high, HIGH_SOE)
+    assert perturbed
 
 
 def test_example_three_sessions_each(example_scenario):
