@@ -172,8 +172,15 @@ class TripPlan:
         return f"TripPlan(shape={self.energy_kwh.shape}, total_kwh={self.energy_kwh.sum():.3f})"
 
 
+#: Largest |price| a PriceSeries accepts, EUR/kWh: 250 times the 4 EUR/kWh
+#: day-ahead clearing cap. Far larger prices swamp the other cost terms in
+#: the simplex's floating-point pricing.
+MAX_ABS_PRICE_EUR_PER_KWH = 1e3
+
+
 class PriceSeries:
-    """Energy prices per step, EUR/kWh. Prices may be negative, not non-finite."""
+    """Energy prices per step, EUR/kWh. Prices may be negative; they must be
+    finite and at most ``MAX_ABS_PRICE_EUR_PER_KWH`` in magnitude."""
 
     def __init__(self, label: str, values: np.ndarray):
         arr = np.array(values, dtype=float).reshape(-1)
@@ -181,6 +188,12 @@ class PriceSeries:
         if bad.size:
             raise ScenarioError(
                 f"price series {label!r}: non-finite price {arr[bad[0]]} at step {bad[0]}"
+            )
+        bad = np.flatnonzero(np.abs(arr) > MAX_ABS_PRICE_EUR_PER_KWH)
+        if bad.size:
+            raise ScenarioError(
+                f"price series {label!r}: price {arr[bad[0]]} at step {bad[0]} exceeds "
+                f"the {MAX_ABS_PRICE_EUR_PER_KWH:g} EUR/kWh limit in magnitude"
             )
         arr.flags.writeable = False
         self.label = label

@@ -1,4 +1,4 @@
-"""Bounded-variable linear programming with a dense two-phase simplex.
+"""Bounded-variable linear programming with a dense simplex.
 
 Self-contained minimization solver for problems with box-constrained
 variables and sparse linear rows. Built for the sizes this package produces
@@ -8,8 +8,13 @@ and easy to verify.
 Algorithm notes:
 - every row gets a slack variable whose bounds are the only encoding of the
   row sense (``<=`` slack in [0, inf), ``>=`` in (-inf, 0], ``=`` fixed at
-  zero); phase 1 adds artificial columns only for rows whose slack cannot
-  absorb the initial residual;
+  zero). There are no artificial columns: every slack starts basic at its
+  row residual, even outside its bounds, and a triangular crash makes one
+  structural column basic per equality row (Bixby, ORSA J. Comput. 4(3), 1992);
+- phase 1 is Wolfe's composite method in the same pivot loop: it minimises
+  the sum of the basic variables' bound violations, prices from the
+  infeasible rows only, and lets an infeasible basic variable block at the
+  bound it violates (SIAM Rev. 7(1), 1965);
 - the tableau ``T = B^-1 A`` is stored column-major, and a pivot updates
   only the columns where the normalised pivot row is nonzero: every other
   column is unchanged by the rank-1 update. Each updated column is one
@@ -17,19 +22,17 @@ Algorithm notes:
   the same arithmetic as a full update, so skipping columns changes no bit;
 - reduced costs are computed from a row-major copy of ``T``: BLAS uses a
   different kernel for a column-major operand, its sums differ in the last
-  bits, and those bits feed pricing decisions. The copy is made only when
-  reduced costs are recomputed from scratch, a few times per solve;
+  bits, and those bits feed pricing decisions;
 - pricing is Dantzig (most negative reduced cost) with a permanent switch to
   Bland's rule after a stall, which guarantees termination. The score comes
-  from one lookup by column status, and a mask kept since setup excludes
-  fixed columns (and the artificials once phase 1 locks them);
+  from one lookup by column status, and fixed columns never enter;
 - a bound flip is taken when the entering variable hits its opposite bound
   before any basic variable hits one of its own;
 - optimality and primal feasibility are re-verified from the original data
   before a solution is declared optimal: structurals and the implied slacks
   ``b - A x`` are checked against their bounds, and a NaN anywhere fails the
-  check; on drift the tableau is rebuilt from the current basis and iteration
-  continues.
+  check; on drift the tableau is rebuilt from the current basis and both
+  phases run again.
 
 Deterministic by construction: same problem, same pivots, same answer.
 """
@@ -147,6 +150,22 @@ class LpProblem:
         return "\n".join(out) + "\n"
 
 
+@dataclass(frozen=True)
+class SolveStats:
+    """What one solve did; the crash pivots of set-up are not iterations,
+    the phase-1 and phase-2 pivots and the bound flips are."""
+
+    n: int  # structural columns
+    m: int  # rows
+    crash_columns: int
+    phase1_pivots: int
+    phase2_pivots: int
+    bound_flips: int
+    bland_from: int | None  # iteration at which Bland's rule took over, if it did
+    refactorizations: int
+    max_violation: float  # worst bound or row violation of the final point
+
+
 @dataclass
 class LpSolution:
     """Solver outcome. ``x`` holds one value per problem variable when optimal."""
@@ -155,6 +174,7 @@ class LpSolution:
     objective: float | None
     x: np.ndarray | None
     iterations: int
+    stats: SolveStats | None = None
 
     def value(self, var: int) -> float:
         if self.x is None:
@@ -182,7 +202,7 @@ class _Simplex:
         self.n_struct = n
         self.m = m
 
-        # columns: structural | slacks | artificials (appended in _setup)
+        # columns: structural | slacks
         A = np.zeros((m, n + m))
         for i, row in enumerate(p._rows):
             for var, coef in row.items():
@@ -196,65 +216,63 @@ class _Simplex:
         self.lb = np.concatenate([np.array(p._lb), np.where(sense == ">=", -INF, 0.0)])
         self.ub = np.concatenate([np.array(p._ub), np.where(sense == "<=", INF, 0.0)])
         self.cost = np.concatenate([np.array(p._cost), np.zeros(m)])
+        self.fixed = self.ub - self.lb <= 0.0  # fixed columns never enter
         self.max_iter = max_iter if max_iter is not None else 200 * (m + n + 20)
         self.iterations = 0
+        self.crash_columns = self.phase1_pivots = self.flips = self.refactorizations = 0
+        self.bland_from: int | None = None
 
     # -- setup -------------------------------------------------------------
 
     def _setup(self) -> None:
+        """Slack basis, then a triangular crash: each equality row in order
+        takes the structural column with the widest nonzero bound range
+        (ties to the lowest index) among those nonzero in it and zero in
+        every row taken before it."""
         n, m = self.n_struct, self.m
-        ncols = self.A.shape[1]
-        status = np.full(ncols, _FREE, dtype=np.int8)
+        status = np.full(n + m, _FREE, dtype=np.int8)
         status[np.isfinite(self.ub)] = _AT_UB
         status[np.isfinite(self.lb)] = _AT_LB  # prefer the lower bound when both are finite
-
-        xbar = np.where(status == _AT_LB, self.lb, np.where(status == _AT_UB, self.ub, 0.0))
-        resid = self.b - self.A @ xbar
-
-        # each slack absorbs its row's residual if that fits its bounds;
-        # otherwise it rests at the nearer bound and an artificial column
-        # signed like the remainder starts basic in its place
-        lbS, ubS = self.lb[n:], self.ub[n:]
-        r = resid + xbar[n:]
-        clamped = np.minimum(np.maximum(r, lbS), ubS)
-        art = ~((lbS - 1e-12 <= r) & (r <= ubS + 1e-12))
-        status[n:] = np.where(art, np.where(clamped == lbS, _AT_LB, _AT_UB), _BASIC)
-        sigma = np.where(art, np.where(r - clamped > 0, 1.0, -1.0), 1.0)
-        art_rows = np.flatnonzero(art)
-        n_art = art_rows.size
-        art_cols = np.zeros((m, n_art))
-        art_cols[art_rows, np.arange(n_art)] = sigma[art_rows]
-        basis = n + np.arange(m)
-        basis[art_rows] = ncols + np.arange(n_art)
-
-        self.A = np.hstack([self.A, art_cols])
-        self.lb = np.concatenate([self.lb, np.zeros(n_art)])
-        self.ub = np.concatenate([self.ub, np.full(n_art, INF)])
-        self.cost = np.concatenate([self.cost, np.zeros(n_art)])
-        self.n_art = n_art
-        self.basis = basis
-        self.status = np.concatenate([status, np.full(n_art, _BASIC, dtype=np.int8)])
-        self.xB = np.where(art, np.abs(r - clamped), clamped)
-        # initial basis matrix is diagonal +-1, so B^-1 A is a row rescale
-        self.T = np.asfortranarray(self.A * sigma[:, None])
-        self.nb_value = np.where(
-            self.status == _AT_LB, self.lb, np.where(self.status == _AT_UB, self.ub, 0.0)
-        )
-        self.fixed = self.ub - self.lb <= 0.0  # fixed columns never enter
+        status[n:] = _BASIC
+        self.status = status
+        self.nb_value = np.where(status == _AT_LB, self.lb, np.where(status == _AT_UB, self.ub, 0.0))
+        self.basis = n + np.arange(m)
+        self.xB = self.b - self.A[:, :n] @ self.nb_value[:n]
+        self.T = np.array(self.A, order="F")  # B = I; a copy, never a view of A
+        width = self.ub[:n] - self.lb[:n]
+        blocked = np.zeros(n, dtype=bool)
+        crash = []
+        for i in map(int, np.flatnonzero(self.fixed[n:])):  # the equality rows
+            nonzero = [j for j, coef in self.p._rows[i].items() if coef != 0.0]
+            cand = [j for j in nonzero if not blocked[j] and width[j] > 0.0]
+            if cand:
+                crash.append((i, min(cand, key=lambda j: (-width[j], j))))
+                blocked[nonzero] = True
+        # the picks are triangular, so in reverse order every pivot row is an
+        # original row; each pivot moves its column until the slack is zero
+        for r, q in reversed(crash):
+            delta = self.xB[r] / self.T[r, q]
+            self.xB = self.xB - self.T[:, q] * delta
+            self._pivot(r, q, self.nb_value[q] + delta, _AT_LB)
+        self.crash_columns = len(crash)
 
     # -- helpers -----------------------------------------------------------
 
-    def _reduced_costs(self, cost: np.ndarray) -> np.ndarray:
+    def _reduced_costs(self) -> np.ndarray:
         # on a row-major copy, so the sums keep their last bits (see above)
-        return cost - cost[self.basis] @ np.ascontiguousarray(self.T)
+        return self.cost - self.cost[self.basis] @ np.ascontiguousarray(self.T)
 
     def _refactorize(self) -> None:
         """Rebuild the tableau and basic values from the original columns."""
+        self.refactorizations += 1
         B = self.A[:, self.basis]
-        self.T = np.asfortranarray(np.linalg.solve(B, self.A))
         nb_mask = self.status != _BASIC
         contrib = self.A[:, nb_mask] @ self.nb_value[nb_mask]
-        self.xB = np.linalg.solve(B, self.b - contrib)
+        try:
+            self.T = np.asfortranarray(np.linalg.solve(B, self.A))
+            self.xB = np.linalg.solve(B, self.b - contrib)
+        except np.linalg.LinAlgError as exc:
+            raise ArithmeticError(f"singular basis in {self.p.name!r}: {exc}") from exc
 
     def _assemble_x(self) -> np.ndarray:
         x = self.nb_value.copy()
@@ -269,8 +287,7 @@ class _Simplex:
         """
         n = self.n_struct
         xs = np.concatenate([x[:n], self.b - self.A[:, :n] @ x[:n]])
-        lo, hi = self.lb[: n + self.m], self.ub[: n + self.m]
-        return float(np.max(np.maximum(lo - xs, xs - hi), initial=0.0))
+        return float(np.max(np.maximum(self.lb - xs, xs - self.ub), initial=0.0))
 
     # -- core iteration ----------------------------------------------------
 
@@ -303,24 +320,44 @@ class _Simplex:
         self.status[q] = _BASIC
         self.xB[r] = entering_val
 
-    def _iterate(self, cost: np.ndarray) -> str:
-        d = self._reduced_costs(cost)
-        bland = False
+    def _iterate(self, phase1: bool) -> str:
+        """Pivot until no column improves the phase's objective: the sum of
+        bound violations in phase 1, which ends infeasible above
+        ``feas_tol`` times the largest |rhs|; the cost in phase 2."""
+        d = None if phase1 else self._reduced_costs()
         stall = 0
         stall_limit = 50 + 2 * (self.m + self.n_struct)
         verified = False
         while True:
+            bland = self.bland_from is not None
+            lbB = self.lb[self.basis]
+            ubB = self.ub[self.basis]
+            out = np.zeros(self.m, dtype=bool)
+            if phase1:
+                gap = np.maximum(lbB - self.xB, self.xB - ubB)
+                out = gap > self.pivot_tol
+                if not out.any():
+                    return OPTIMAL
+                # a basic variable costs -1 below its lower bound, +1 above its
+                # upper, and blocks only at the bound it violates
+                above = out & (self.xB > ubB)
+                d = np.where(above[out], -1.0, 1.0) @ np.ascontiguousarray(self.T[out])
+                lbB, ubB = (np.where(above, ubB, np.where(out, -INF, lbB)),
+                            np.where(above, INF, np.where(out, lbB, ubB)))
             q = self._price(d, bland)
             if q < 0:
+                if phase1:
+                    scale = max(1.0, float(np.abs(self.b).max()))
+                    return INFEASIBLE if gap[out].sum() > self.feas_tol * scale else OPTIMAL
                 if verified:
-                    return "optimal"
+                    return OPTIMAL
                 # re-derive reduced costs from scratch to rule out drift
-                d = self._reduced_costs(cost)
+                d = self._reduced_costs()
                 verified = True
                 continue
             verified = False
             if self.iterations >= self.max_iter:
-                return "iteration_limit"
+                return ITERATION_LIMIT
             self.iterations += 1
 
             if self.status[q] == _AT_UB or (self.status[q] == _FREE and d[q] > 0):
@@ -329,8 +366,6 @@ class _Simplex:
                 sigma = 1.0
             w = self.T[:, q]
             sw = sigma * w
-            lbB = self.lb[self.basis]
-            ubB = self.ub[self.basis]
             ratios = np.full(self.m, INF)
             pos = sw > self.pivot_tol
             neg = sw < -self.pivot_tol
@@ -342,17 +377,20 @@ class _Simplex:
             t_flip = self.ub[q] - self.lb[q]
             delta = min(t_rows, t_flip)
             if delta == INF:
-                return "unbounded"
+                if phase1:
+                    raise ArithmeticError("phase-1 objective cannot be unbounded")
+                return UNBOUNDED
 
             if delta <= 1e-12:
                 stall += 1
-                if stall > stall_limit:
-                    bland = True
+                if stall > stall_limit and not bland:
+                    self.bland_from = self.iterations
             else:
                 stall = 0
 
             if t_flip <= t_rows:
                 # entering variable runs to its opposite bound; basis unchanged
+                self.flips += 1
                 self.xB = self.xB - w * (sigma * t_flip)
                 self.status[q] = _AT_UB if self.status[q] == _AT_LB else _AT_LB
                 self.nb_value[q] = self.ub[q] if self.status[q] == _AT_UB else self.lb[q]
@@ -364,57 +402,36 @@ class _Simplex:
             else:
                 r = int(cand[np.argmax(np.abs(w[cand]))])
 
+            self.phase1_pivots += phase1
             entering_val = self.nb_value[q] + sigma * delta
             self.xB = self.xB - w * (sigma * delta)
-            self._pivot(r, q, entering_val, _AT_LB if sw[r] > 0 else _AT_UB)
-            d = d - d[q] * self.T[r, :]
-
-    def _evict_artificials(self) -> None:
-        """Pivot basic artificial columns out where possible; lock them at zero."""
-        ncols_real = self.n_struct + self.m
-        for r in range(self.m):
-            if self.basis[r] < ncols_real:
-                continue
-            row = self.T[r, :ncols_real]
-            cand = np.flatnonzero(
-                (np.abs(row) > 1e-7) & (self.status[:ncols_real] != _BASIC)
-            )
-            if cand.size == 0:
-                continue  # redundant row; artificial stays basic at zero
-            q = int(cand[0])
-            self._pivot(r, q, self.nb_value[q], _AT_LB)
-        # artificials may never re-enter
-        self.ub[ncols_real:] = 0.0
-        self.fixed[ncols_real:] = True
+            # a feasible leaver rests at the bound it moves toward, an
+            # infeasible one at the bound it violated, on the other side
+            self._pivot(r, q, entering_val, _AT_LB if (sw[r] > 0) != out[r] else _AT_UB)
+            if not phase1:
+                d = d - d[q] * self.T[r, :]
 
     def run(self) -> LpSolution:
         self._setup()
-
-        if self.n_art:
-            cost1 = np.zeros(self.A.shape[1])
-            cost1[self.n_struct + self.m :] = 1.0
-            outcome = self._iterate(cost1)
-            if outcome == "iteration_limit":
-                return LpSolution(ITERATION_LIMIT, None, None, self.iterations)
-            if outcome == "unbounded":
-                raise ArithmeticError("phase-1 objective cannot be unbounded")
-            art_level = float(cost1[self.basis] @ self.xB)
-            scale = max(1.0, float(np.abs(self.b).max()) if self.m else 1.0)
-            if art_level > self.feas_tol * scale:
-                return LpSolution(INFEASIBLE, None, None, self.iterations)
-            self._evict_artificials()
-
         for attempt in range(4):
-            outcome = self._iterate(self.cost)
-            if outcome == "iteration_limit":
-                return LpSolution(ITERATION_LIMIT, None, None, self.iterations)
-            if outcome == "unbounded":
-                return LpSolution(UNBOUNDED, None, None, self.iterations)
+            status = self._iterate(phase1=True)
+            if status == OPTIMAL:
+                status = self._iterate(phase1=False)
             x = self._assemble_x()
-            if self._violation(x) <= self.feas_tol:
-                obj = float(self.cost[: self.n_struct] @ x[: self.n_struct])
-                return LpSolution(OPTIMAL, obj, x[: self.n_struct].copy(), self.iterations)
+            violation = self._violation(x)
+            if status != OPTIMAL or violation <= self.feas_tol:
+                break
             self._refactorize()  # numerical drift: rebuild and keep iterating
-        raise ArithmeticError(
-            f"simplex failed to reach a verified solution for {self.p.name!r}"
+        else:
+            raise ArithmeticError(
+                f"simplex failed to reach a verified solution for {self.p.name!r}"
+            )
+        n = self.n_struct
+        stats = SolveStats(
+            n, self.m, self.crash_columns, self.phase1_pivots,
+            self.iterations - self.phase1_pivots - self.flips, self.flips,
+            self.bland_from, self.refactorizations, violation,
         )
+        if status != OPTIMAL:
+            return LpSolution(status, None, None, self.iterations, stats)
+        return LpSolution(status, float(self.cost[:n] @ x[:n]), x[:n].copy(), self.iterations, stats)

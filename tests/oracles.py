@@ -221,9 +221,10 @@ class DenseSimplex(lp._Simplex):
     """
 
     def _setup(self) -> None:
+        # the crash pivots in the base set-up already go through _pivot
+        self._buf = np.empty(self.A.shape)
         super()._setup()
         self.T = np.ascontiguousarray(self.T)
-        self._buf = np.empty_like(self.T)
 
     def _refactorize(self) -> None:
         super()._refactorize()

@@ -291,3 +291,10 @@ def test_example_path_exists():
 def test_price_series_rejects_non_finite_values(bad):
     with pytest.raises(ScenarioError, match="step 2"):
         PriceSeries("x", [0.1, 0.2, bad])
+
+
+@pytest.mark.parametrize("bad", [1000.5, -2e3, 1e300])
+def test_price_series_rejects_prices_beyond_the_limit(bad):
+    with pytest.raises(ScenarioError, match="step 2"):
+        PriceSeries("x", [0.1, 0.2, bad])
+    assert PriceSeries("edge", [1e3, -1e3]).values.tolist() == [1e3, -1e3]

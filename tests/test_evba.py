@@ -266,6 +266,14 @@ def test_extract_requires_optimal_solution(example_with_high):
         extract_schedule([bad] * len(problems), example_with_high, OF5)
 
 
+def test_unbounded_window_lp_names_the_vehicle_and_status(example_with_high, monkeypatch):
+    monkeypatch.setattr(lp, "solve", lambda p, **kw: lp.LpSolution(lp.UNBOUNDED, None, None, 0))
+    fs = solve_evba(example_with_high, OF5)
+    assert fs.status == lp.UNBOUNDED
+    assert fs.message.startswith("vehicle 'ev1': LP ended unbounded")
+    assert "numerically extreme" in fs.message
+
+
 def test_extract_rejects_nan_objective(example_with_high):
     sols = [lp.solve(p) for p in build_evba(example_with_high, OF5)]
     sols[1] = dataclasses.replace(sols[1], objective=float("nan"))

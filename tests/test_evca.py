@@ -298,3 +298,9 @@ def test_session_trace_contents(example_with_high):
             assert nxt.arrival_soe_kwh == pytest.approx(
                 prev.depart_soe_kwh - gap / v.eta_run, abs=1e-9
             )
+
+
+def test_unbounded_session_lp_raises_naming_the_session(example_with_high, monkeypatch):
+    monkeypatch.setattr(lp, "solve", lambda p, **kw: lp.LpSolution(lp.UNBOUNDED, None, None, 0))
+    with pytest.raises(ArithmeticError, match=r"^vehicle 'ev1' at .*: LP ended unbounded"):
+        solve_evca(example_with_high, LOW_SOE)

@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 
 from evdispatch import evba, lp
 from evdispatch.analysis import generate_price_set
-from oracles import DenseSimplex, build_problem, random_bounded_lp, vertex_enumeration_optimum
+from oracles import (
+    DenseSimplex,
+    block_diagonal_scipy_optimum,
+    build_problem,
+    random_bounded_lp,
+    vertex_enumeration_optimum,
+)
 from scen import refine
 
 
@@ -166,46 +172,62 @@ def test_determinism_same_problem_same_values():
 
 
 def _crash_basis_by_rows(sim):
-    """Row-by-row reference for the starting basis ``_Simplex._setup`` builds."""
+    """Row-by-row reference for the start ``_Simplex._setup`` builds: the
+    slack basis, in which each equality row in turn takes the widest-range
+    structural column that is nonzero in it and zero in every row taken
+    before it (ties to the lowest index). Returns the basis and the taken
+    rows."""
     n, m = sim.n_struct, sim.m
-    lb, ub = sim.lb[: n + m], sim.ub[: n + m]
-    status = np.where(np.isfinite(lb), lp._AT_LB, np.where(np.isfinite(ub), lp._AT_UB, lp._FREE))
-    xbar = np.where(status == lp._AT_LB, lb, np.where(status == lp._AT_UB, ub, 0.0))
-    resid = sim.b - sim.A[:, : n + m] @ xbar
-    basis, xB, signs = [], [], []
+    A, width = sim.A[:, :n], sim.ub[:n] - sim.lb[:n]
+    basis, taken = list(range(n, n + m)), []
     for i in range(m):
-        s = n + i
-        r = resid[i] + xbar[s]
-        clamped = min(max(r, lb[s]), ub[s])
-        if lb[s] - 1e-12 <= r <= ub[s] + 1e-12:
-            basis.append(s)
-            status[s] = lp._BASIC
-            xB.append(clamped)
-        else:
-            status[s] = lp._AT_LB if clamped == lb[s] else lp._AT_UB
-            signs.append((i, 1.0 if r - clamped > 0 else -1.0))
-            basis.append(n + m + len(signs) - 1)
-            xB.append(abs(r - clamped))
-    return basis, status, np.array(xB), signs
+        if sim.lb[n + i] != sim.ub[n + i]:
+            continue
+        best = None
+        for j in range(n):
+            if A[i, j] == 0.0 or width[j] <= 0.0 or np.any(A[taken, j] != 0.0):
+                continue
+            if best is None or width[j] > width[best]:
+                best = j
+        if best is not None:
+            basis[i] = best
+            taken.append(i)
+    return basis, taken
+
+
+def _random_lps_with_tied_ranges():
+    """The 60 random LPs, each also with its bound ranges rounded up to whole
+    numbers, so the crash meets ties; x0 stays feasible, as ranges only grow."""
+    for seed in range(60):
+        c, lb, ub, A, senses, b = random_bounded_lp(np.random.default_rng(seed))
+        yield build_problem(c, lb, ub, A, senses, b)
+        yield build_problem(c, lb, lb + np.ceil(ub - lb), A, senses, b)
 
 
 def test_crash_basis_matches_row_by_row_reference():
-    n_art = 0
-    for seed in range(60):
-        sim = lp._Simplex(build_problem(*random_bounded_lp(np.random.default_rng(seed))), 1e-6, None)
+    n_crash = 0
+    for p in _random_lps_with_tied_ranges():
+        sim = lp._Simplex(p, 1e-6, None)
         sim._setup()
-        basis, status, xB, signs = _crash_basis_by_rows(sim)
-        n, m = sim.n_struct, sim.m
+        basis, taken = _crash_basis_by_rows(sim)
         assert sim.basis.tolist() == basis
-        assert np.array_equal(sim.status[: n + m], status)
-        assert sim.xB.tobytes() == xB.tobytes()
-        art = sim.A[:, n + m :]
-        expected = np.zeros((m, len(signs)))
-        for k, (i, sign) in enumerate(signs):
-            expected[i, k] = sign
-        assert np.array_equal(art, expected)
-        n_art += len(signs)
-    assert n_art > 0  # the sample must exercise the artificial columns
+        assert sim.crash_columns == len(taken)
+        # every other basic column is a slack's unit column, so the start
+        # basis is triangular when its crash block is
+        B = sim.A[:, sim.basis]
+        block = B[np.ix_(taken, taken)]
+        assert np.all(np.triu(block, 1) == 0.0) and np.all(np.diag(block) != 0.0)
+        # nonbasic columns rest at the lower bound when it is finite, else the upper
+        status = np.where(np.isfinite(sim.lb), lp._AT_LB, np.where(np.isfinite(sim.ub), lp._AT_UB, lp._FREE))
+        status[sim.basis] = lp._BASIC
+        assert np.array_equal(sim.status, status)
+        x_n = np.where(status == lp._AT_LB, sim.lb, np.where(status == lp._AT_UB, sim.ub, 0.0))
+        x_n[sim.basis] = 0.0
+        assert np.array_equal(sim.nb_value[status != lp._BASIC], x_n[status != lp._BASIC])
+        np.testing.assert_allclose(sim.T, np.linalg.solve(B, sim.A), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(sim.xB, np.linalg.solve(B, sim.b - sim.A @ x_n), rtol=0.0, atol=1e-12)
+        n_crash += len(taken)
+    assert n_crash > 0  # the sample must exercise the crash
 
 
 def test_lp_text_dump_mentions_rows_and_bounds():
@@ -265,7 +287,7 @@ def _assert_same_as_dense_reference(p: lp.LpProblem) -> lp.LpSolution:
     assert (got.x is None and ref.x is None) or got.x.tobytes() == ref.x.tobytes()
     # pricing reads the reduced costs, so they must agree to the last bit
     assert np.array_equal(got_sim.T, ref_sim.T)
-    assert np.array_equal(got_sim._reduced_costs(got_sim.cost), ref_sim._reduced_costs(ref_sim.cost))
+    assert np.array_equal(got_sim._reduced_costs(), ref_sim._reduced_costs())
     return got
 
 
@@ -283,7 +305,55 @@ def test_pivots_match_dense_reference_on_a_15_minute_vehicle(example_scenario):
     s = s.with_prices(generate_price_set("high", seed=1, step_count=96, step_hours=0.25))
     (p,) = evba.build_evba(s, evba.cost_toggles_for("of5"))
     assert (p.num_variables, p.num_constraints) == (480, 376)
-    assert _assert_same_as_dense_reference(p).status == lp.OPTIMAL
+    sol = _assert_same_as_dense_reference(p)
+    assert sol.status == lp.OPTIMAL
+    # the crash puts the state-of-energy chain in the start basis; before it
+    # this LP took 437 pivots, 243 of them to drive out artificial columns
+    assert sol.stats.crash_columns == 96
+    assert sol.iterations <= 120 and sol.stats.phase1_pivots <= 10
+
+
+def test_example_lps_take_few_pivots_and_account_for_each(example_with_high):
+    for p in _example_lps(example_with_high):
+        sim = lp._Simplex(p, 1e-6, None)
+        sim._setup()
+        crashed = [p.variable_name(q) for q in sim.basis if q < p.num_variables]
+        # one pick per balance row, the SOE chain; at the last step the
+        # departure floor narrows the SOE range, and a charge column may tie
+        assert len(crashed) == 24
+        assert all(name.startswith("soe[") for name in crashed[:23])
+        sol = lp.solve(p)
+        st = sol.stats
+        assert sol.status == lp.OPTIMAL and sol.iterations <= 60
+        assert (st.n, st.m) == (p.num_variables, p.num_constraints)
+        assert st.phase1_pivots + st.phase2_pivots + st.bound_flips == sol.iterations
+        assert (st.bland_from, st.refactorizations) == (None, 0)
+        assert 0.0 <= st.max_violation <= 1e-6
+
+
+def test_long_horizon_lp_matches_highs(example_scenario):
+    # 16x refined (T=384): the artificial-column start ended in a singular basis here
+    pytest.importorskip("scipy")
+    s = refine(example_scenario, "ev1", 16)
+    s = s.with_prices(generate_price_set("high", seed=1, step_count=384, step_hours=0.0625))
+    (p,) = evba.build_evba(s, evba.cost_toggles_for("of5"))
+    assert (p.num_variables, p.num_constraints) == (1920, 1504)
+    sol = lp.solve(p)
+    assert sol.status == lp.OPTIMAL
+    assert sol.objective == pytest.approx(block_diagonal_scipy_optimum([p]), rel=1e-9, abs=1e-9)
+
+
+def test_singular_basis_raises_naming_the_problem():
+    p = lp.LpProblem("twin-columns")
+    x = p.add_variable(0.0, 1.0)
+    y = p.add_variable(0.0, 1.0)
+    p.add_constraint([(x, 1.0), (y, 1.0)], "<=", 1.0)
+    p.add_constraint([(x, 2.0), (y, 2.0)], "<=", 3.0)
+    sim = lp._Simplex(p, 1e-6, None)
+    sim._setup()
+    sim.basis[:] = [x, y]
+    with pytest.raises(ArithmeticError, match="twin-columns"):
+        sim._refactorize()
 
 
 def test_pivots_match_dense_reference_under_blands_rule(example_with_high, monkeypatch):
@@ -312,5 +382,6 @@ def test_pivots_match_dense_reference_through_a_refactorization(example_with_hig
     monkeypatch.setattr(lp._Simplex, "_violation", fail_once)
     problems = _example_lps(example_with_high)
     for p in problems:
-        assert _assert_same_as_dense_reference(p).status == lp.OPTIMAL
+        sol = _assert_same_as_dense_reference(p)
+        assert sol.status == lp.OPTIMAL and sol.stats.refactorizations == 1
     assert rebuilds == [lp._Simplex, DenseSimplex] * len(problems)
