@@ -11,8 +11,6 @@ import argparse
 import os
 import sys
 
-import numpy as np
-
 from .analysis import (
     OrderingError,
     compare_aggregators,
@@ -193,7 +191,7 @@ def main(argv: list[str] | None = None) -> int:
             return _cmd_ablate_costs(args)
         return _cmd_validate(args)
     except (ScenarioError, SessionInfeasibleError, ItineraryError, OrderingError, OSError,
-            LpError, AssemblyError, ArithmeticError, np.linalg.LinAlgError) as exc:
+            LpError, AssemblyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -53,29 +53,36 @@ def degradation_cost(v: Vehicle, e_dch_kwh: float, soe_kwh: float) -> float:
     return np.where(p2 > p1, p2, p1)[()]
 
 
-def emit_degradation_rows(
-    p: LpProblem, c_deg: int, e_dch: int, soe: int, v: Vehicle, t: int
-) -> tuple[int, int]:
-    """Add the two epigraph rows ``c_deg >= plane`` for one vehicle-step.
+def degradation_rows(
+    v: Vehicle, c_deg, e_dch, soe, t
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
+    """The two epigraph rows ``c_deg >= plane`` of each vehicle-step, as a
+    block for ``LpProblem.add_constraints``: ``(row, var, coef, senses,
+    rhs, names)``, with plane1 in row 2i and plane2 in row 2i + 1 for the
+    i-th step. The variable ids and steps are scalars or arrays of one length.
+    """
+    c_deg, e_dch, soe, t = (np.atleast_1d(a) for a in (c_deg, e_dch, soe, t))
+    k = len(t)
+    d = v.degradation
+    scale = v.battery_cost_eur * 100.0 / v.capacity_kwh
+    plane1 = 2 * np.arange(k)
+    # plane1: c_deg - d2' * e_dch + d3' * soe >= C_bat * (d1 + 100 * d3)
+    # plane2: c_deg - d4' * e_dch >= 0
+    row = np.concatenate([plane1, plane1, plane1, plane1 + 1, plane1 + 1])
+    var = np.concatenate([c_deg, e_dch, soe, c_deg, e_dch])
+    coef = np.repeat([1.0, -d.d2 * scale, d.d3 * scale, 1.0, -d.d4 * scale], k)
+    rhs = np.zeros(2 * k)
+    rhs[0::2] = v.battery_cost_eur * (d.d1 + d.d3 * 100.0)
+    heads = (f"deg1[{v.id},", f"deg2[{v.id},")  # joined, not formatted whole: much cheaper
+    names = [head + tail for tail in [f"{step}]" for step in t.tolist()] for head in heads]
+    return row, var, coef, np.full(2 * k, ">="), rhs, names
+
+
+def emit_degradation_rows(p: LpProblem, c_deg, e_dch, soe, v: Vehicle, t) -> np.ndarray:
+    """Add the two epigraph rows ``c_deg >= plane`` of each vehicle-step,
+    plane1 then plane2 step by step; returns the constraint ids.
 
     ``c_deg`` must carry a +1 objective coefficient for the epigraph to be
-    tight at the optimum. Returns the two constraint ids.
+    tight at the optimum.
     """
-    cap = v.capacity_kwh
-    d = v.degradation
-    scale = v.battery_cost_eur * 100.0 / cap
-    # plane1: c_deg - d2' * e_dch + d3' * soe >= C_bat * (d1 + 100 * d3)
-    r1 = p.add_constraint(
-        [(c_deg, 1.0), (e_dch, -d.d2 * scale), (soe, d.d3 * scale)],
-        ">=",
-        v.battery_cost_eur * (d.d1 + d.d3 * 100.0),
-        name=f"deg1[{v.id},{t}]",
-    )
-    # plane2: c_deg - d4' * e_dch >= 0
-    r2 = p.add_constraint(
-        [(c_deg, 1.0), (e_dch, -d.d4 * scale)],
-        ">=",
-        0.0,
-        name=f"deg2[{v.id},{t}]",
-    )
-    return r1, r2
+    return p.add_constraints(*degradation_rows(v, c_deg, e_dch, soe, t))

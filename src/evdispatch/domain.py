@@ -108,15 +108,16 @@ class TariffCalendar:
     night_start_hour: int = 22
     night_end_hour: int = 6
 
-    def is_low_band(self, t: int, step_hours: float = 1.0) -> bool:
-        """True when step ``t`` starts inside the night band."""
+    def is_low_band(self, t, step_hours: float = 1.0):
+        """True when step ``t`` starts inside the night band; elementwise
+        for an array of steps. Plain operators keep a scalar step cheap."""
         hour = (t * step_hours) % 24.0
         start, end = self.night_start_hour, self.night_end_hour
         if start == end:
-            return False
+            return hour < 0.0  # no night band: False, as the hour is never negative
         if start < end:
-            return start <= hour < end
-        return hour >= start or hour < end
+            return (start <= hour) & (hour < end)
+        return (hour >= start) | (hour < end)
 
     def band(self, t: int, step_hours: float = 1.0) -> str:
         return "low" if self.is_low_band(t, step_hours) else "high"

@@ -33,7 +33,7 @@ from enum import Enum
 import numpy as np
 
 from . import lp
-from .degradation import degradation_cost, emit_degradation_rows
+from .degradation import degradation_cost, degradation_rows
 from .domain import FAST, SLOW, ChargingPoint, Scenario, ScenarioError, Vehicle, grid_fee, validate_scenario
 
 FIXED_POWER_KW = 4.0
@@ -155,23 +155,22 @@ class FleetSchedule:
 # Assembly
 
 def _flow_costs(
-    s: Scenario, ct: CostToggles, cp: ChargingPoint | None, t: int
-) -> tuple[float, float, float]:
-    """Objective coefficients (slow charge, discharge, fast charge) at step t
-    on charging point ``cp`` (None when unplugged)."""
-    price = float(s.prices.values[t])
-    cal = s.tariff_calendar
-    h = s.horizon.step_hours
-    sch = price
-    fch = price
-    if cp is not None:
-        fee_grid = grid_fee(cp, t, cal, h) if ct.include_grid_tariff else 0.0
-        fee_cp = cp.cp_fee_eur_per_kwh if ct.include_cp_tariff else 0.0
-        if cp.kind == SLOW:
-            sch += fee_grid + fee_cp
-        else:
-            fch += fee_grid + fee_cp
-    return sch, -price, fch
+    s: Scenario, ct: CostToggles, plug: np.ndarray, steps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Objective coefficients (slow charge, discharge, fast charge) per step,
+    where ``plug`` is the charging-point index per step (-1 when unplugged)."""
+    price = s.prices.values[steps]
+    zero = np.zeros(len(steps))
+    # one entry per charging point, then the unplugged one that index -1 picks
+    cps = s.charging_points
+    low, high, cp_fee = np.array(
+        [(cp.grid_fee_low_eur_per_kwh, cp.grid_fee_high_eur_per_kwh, cp.cp_fee_eur_per_kwh) for cp in cps]
+        + [(0.0, 0.0, 0.0)]
+    )[plug].T
+    kind = np.array([cp.kind for cp in cps] + [""])[plug]
+    in_low_band = s.tariff_calendar.is_low_band(steps, s.horizon.step_hours)
+    fee = (np.where(in_low_band, low, high) if ct.include_grid_tariff else zero) + (cp_fee if ct.include_cp_tariff else zero)
+    return np.where(kind == SLOW, price + fee, price), -price, np.where(kind == FAST, price + fee, price)
 
 
 def _caps(s: Scenario, v: Vehicle, cp: ChargingPoint | None, power: PowerMode) -> tuple[float, float]:
@@ -190,6 +189,13 @@ def _caps(s: Scenario, v: Vehicle, cp: ChargingPoint | None, power: PowerMode) -
     return min(cp.power_limit_kwh_per_step, v.obc_max_kwh_per_step), 0.0
 
 
+def _step_names(kinds: list[str], vid: str, tails: list[str]) -> list[str]:
+    """``kind[vid,t]`` for each tail ``t]`` and kind, kinds varying fastest."""
+    # joining two parts is much cheaper than formatting every name whole
+    heads = [f"{kind}[{vid}," for kind in kinds]
+    return [head + tail for tail in tails for head in heads]
+
+
 def _build_window_lp(
     s: Scenario,
     v_idx: int,
@@ -206,70 +212,76 @@ def _build_window_lp(
     ``init_soe`` is the stock entering the first window step; ``floor`` the
     minimum stock at the last one. Variables run per step in the order
     sch, dch, fch, soe and, when wear is priced, cdeg, so a solution vector
-    reshapes to one row per step (see _window_schedule). With
-    ``maximize_departure`` the feasible set is the same and the objective is
-    the negated stock at the last step.
+    reshapes to one row per step (see _window_schedule). Rows run per step
+    in the order cv (where the taper applies), bal and, when wear is priced,
+    deg1 and deg2. With ``maximize_departure`` the feasible set is the same
+    and the objective is the negated stock at the last step.
     """
     v = s.vehicles[v_idx]
     cap = v.capacity_kwh
-    soe_lb = v.soe_min_kwh
-    soe_ub = v.soe_max_kwh
-    last = int(steps[-1])
+    steps = np.asarray(steps)
+    k, last = len(steps), int(steps[-1])
+    floor_lb = max(v.soe_min_kwh, floor)
+    if floor_lb > v.soe_max_kwh + 1e-9:
+        raise _FloorUnreachable(
+            f"vehicle {v.id!r}: required stock {floor_lb:.3f} kWh at step {last} "
+            f"exceeds the SOE ceiling {v.soe_max_kwh:.3f} kWh"
+        )
     p = lp.LpProblem(f"window[{v.id},{int(steps[0])}..{last}]")
-    taper_k = None
-    if v.soe_cv_frac < 1.0 - 1e-12:
-        taper_k = v.obc_max_kwh_per_step / (cap * (1.0 - v.soe_cv_frac))
+    window = slice(int(steps[0]), last + 1)
+    plug = s.connectivity.index[v_idx, window]
+    slow_cap, fast_cap = np.array([_caps(s, v, cp, power) for cp in (*s.charging_points, None)])[plug].T
 
-    prev_id = None
-    for t in map(int, steps):
-        cp = s.cp_at(v_idx, t)
-        if maximize_departure:
-            c_sch = c_dch = c_fch = 0.0
-        else:
-            c_sch, c_dch, c_fch = _flow_costs(s, ct, cp, t)
-        slow_cap, fast_cap = _caps(s, v, cp, power)
-        sch_id = p.add_variable(0.0, slow_cap, c_sch, f"sch[{v.id},{t}]")
-        dch_id = p.add_variable(0.0, slow_cap, c_dch, f"dch[{v.id},{t}]")
-        fch_id = p.add_variable(0.0, fast_cap, c_fch, f"fch[{v.id},{t}]")
-        lb_t = soe_lb
-        if t == last:
-            lb_t = max(lb_t, floor)
-            if lb_t > soe_ub + 1e-9:
-                raise _FloorUnreachable(
-                    f"vehicle {v.id!r}: required stock {lb_t:.3f} kWh at step {t} "
-                    f"exceeds the SOE ceiling {soe_ub:.3f} kWh"
-                )
-            lb_t = min(lb_t, soe_ub)
-        soe_cost = -1.0 if maximize_departure and t == last else 0.0
-        soe_id = p.add_variable(lb_t, soe_ub, soe_cost, f"soe[{v.id},{t}]")
-        deg_id = None
-        if ct.include_degradation:
-            deg_cost = 0.0 if maximize_departure else 1.0
-            deg_id = p.add_variable(0.0, lp.INF, deg_cost, f"cdeg[{v.id},{t}]")
+    # variables: one row of these tables per step
+    kinds = ["sch", "dch", "fch", "soe", "cdeg"][: 5 if ct.include_degradation else 4]
+    lb, ub, cost = np.zeros((k, len(kinds))), np.empty((k, len(kinds))), np.zeros((k, len(kinds)))
+    ub[:, 0] = ub[:, 1] = slow_cap
+    ub[:, 2] = fast_cap
+    lb[:, 3], ub[:, 3] = v.soe_min_kwh, v.soe_max_kwh
+    lb[-1, 3] = min(floor_lb, v.soe_max_kwh)
+    if maximize_departure:
+        cost[-1, 3] = -1.0
+    else:
+        cost[:, 0], cost[:, 1], cost[:, 2] = _flow_costs(s, ct, plug, steps)
+    if ct.include_degradation:
+        ub[:, 4], cost[:, 4] = lp.INF, 0.0 if maximize_departure else 1.0
+    tails = [f"{t}]" for t in steps.tolist()]
+    p.add_variables(lb.ravel(), ub.ravel(), cost.ravel(), _step_names(kinds, v.id, tails))
+    sch, dch, fch, soe, *cdeg = np.arange(k * len(kinds)).reshape(k, len(kinds)).T
 
-        # charge taper above the CC/CV breakpoint; slow charging only
-        if taper_k is not None and slow_cap > 0.0 and power is not PowerMode.CP_ONLY:
-            p.add_constraint(
-                [(sch_id, 1.0), (soe_id, taper_k)],
-                "<=",
-                taper_k * cap,
-                name=f"cv[{v.id},{t}]",
-            )
-        terms = [
-            (soe_id, 1.0),
-            (sch_id, -v.eta_sch),
-            (fch_id, -v.eta_fch),
-            (dch_id, 1.0 / v.eta_dch),
-        ]
-        rhs = -float(s.trips.energy_kwh[v_idx, t]) / v.eta_run
-        if prev_id is not None:
-            terms.append((prev_id, -1.0))
-        else:
-            rhs += init_soe
-        p.add_constraint(terms, "=", rhs, name=f"bal[{v.id},{t}]")
-        if deg_id is not None:
-            emit_degradation_rows(p, deg_id, dch_id, soe_id, v, t)
-        prev_id = soe_id
+    # rows: each step's balance row falls after the rows of earlier steps
+    # and its own taper row
+    taper = v.soe_cv_frac < 1.0 - 1e-12 and power is not PowerMode.CP_ONLY
+    has_cv = (slow_cap > 0.0) & taper  # charge taper above the CC/CV breakpoint; slow charging only
+    rows_after_cv = 3 if ct.include_degradation else 1
+    bal = (has_cv + rows_after_cv).cumsum() - rows_after_cv
+    cv = np.flatnonzero(has_cv)
+    taper_k = v.obc_max_kwh_per_step / (cap * (1.0 - v.soe_cv_frac)) if taper else 0.0
+    n_cv = len(cv)
+    rows = [bal[cv] - 1, bal[cv] - 1, bal, bal, bal, bal, bal[1:]]
+    terms = [sch[cv], soe[cv], soe, sch, fch, dch, soe[:-1]]
+    coefs = [np.repeat([1.0, taper_k, 1.0, -v.eta_sch, -v.eta_fch, 1.0 / v.eta_dch, -1.0],
+                       [n_cv, n_cv, k, k, k, k, k - 1])]
+    rhs_bal = -s.trips.energy_kwh[v_idx, window] / v.eta_run
+    rhs_bal[0] += init_soe
+    at = [bal[cv] - 1, bal]  # where the block rows below go
+    senses, rhs = [np.full(n_cv, "<="), np.full(k, "=")], [np.full(n_cv, taper_k * cap), rhs_bal]
+    names = _step_names(["cv"], v.id, [tails[i] for i in cv.tolist()]) + _step_names(["bal"], v.id, tails)
+    if ct.include_degradation:
+        d_row, d_var, d_coef, d_senses, d_rhs, d_names = degradation_rows(v, cdeg[0], dch, soe, steps)
+        deg_at = (bal[:, None] + [1, 2]).ravel()
+        rows.append(deg_at[d_row])
+        terms.append(d_var)
+        coefs.append(d_coef)
+        at.append(deg_at)
+        senses.append(d_senses)
+        rhs.append(d_rhs)
+        names += d_names
+    # the row blocks, scattered into step order
+    order = np.argsort(np.concatenate(at))
+    p.add_constraints(np.concatenate(rows), np.concatenate(terms), np.concatenate(coefs),
+                      np.concatenate(senses)[order], np.concatenate(rhs)[order],
+                      [names[i] for i in order.tolist()])
     return p
 
 

@@ -5,6 +5,11 @@ variables and sparse linear rows. Built for the sizes this package produces
 (a few hundred rows and columns), where a dense tableau is both fast enough
 and easy to verify.
 
+Problems are built in bulk: ``LpProblem.add_variables`` and
+``add_constraints`` take arrays and store the rows in compressed sparse row
+form, which the crash and the tableau set-up read directly;
+``add_variable`` and ``add_constraint`` add one item through the same path.
+
 Algorithm notes:
 - every row gets a slack variable whose bounds are the only encoding of the
   row sense (``<=`` slack in [0, inf), ``>=`` in (-inf, 0], ``=`` fixed at
@@ -19,13 +24,19 @@ Algorithm notes:
   only the columns where the normalised pivot row is nonzero: every other
   column is unchanged by the rank-1 update. Each updated column is one
   contiguous row of the C-ordered view ``T.T``, and each updated entry gets
-  the same arithmetic as a full update, so skipping columns changes no bit;
+  the same arithmetic as a full update, so skipping columns changes no bit.
+  Fixed columns (equality slacks and ``lb == ub`` structurals) can never
+  enter, so their entries are not updated at all: on window LPs they are
+  over 40% of a pivot row's nonzeros;
 - reduced costs are computed from a row-major copy of ``T``: BLAS uses a
   different kernel for a column-major operand, its sums differ in the last
   bits, and those bits feed pricing decisions;
 - pricing is Dantzig (most negative reduced cost) with a permanent switch to
-  Bland's rule after a stall, which guarantees termination. The score comes
-  from one lookup by column status, and fixed columns never enter;
+  Bland's rule after a stall, which guarantees termination. Each column
+  keeps its pricing sign (-1 at a lower bound, +1 at an upper bound, 0 when
+  basic or fixed) and each basic variable its bounds; pivots keep both up to
+  date and a refactorization rebuilds them, so pricing is one multiply and
+  one argmax and the ratio test reads the basic bounds without a gather;
 - a bound flip is taken when the entering variable hits its opposite bound
   before any basic variable hits one of its own;
 - optimality and primal feasibility are re-verified from the original data
@@ -66,19 +77,24 @@ class LpProblem:
     """A minimization LP under construction.
 
     Variables carry bounds and an objective coefficient; constraints are
-    sparse coefficient lists with a sense and right-hand side. Duplicate
-    terms on one variable within a constraint are summed.
+    sparse coefficient lists with a sense and right-hand side. Both are added
+    in bulk from arrays, and ``add_variable``/``add_constraint`` add one
+    through the same path. Duplicate terms on one variable within a
+    constraint are summed in the order given. Rows are stored in compressed
+    sparse row form, columns ascending within a row.
     """
 
     def __init__(self, name: str = ""):
         self.name = name
-        self._lb: list[float] = []
-        self._ub: list[float] = []
-        self._cost: list[float] = []
+        self._lb = np.zeros(0)
+        self._ub = np.zeros(0)
+        self._cost = np.zeros(0)
         self._var_names: list[str] = []
-        self._rows: list[dict[int, float]] = []
-        self._senses: list[str] = []
-        self._rhs: list[float] = []
+        self._indptr = np.zeros(1, dtype=np.intp)
+        self._indices = np.zeros(0, dtype=np.intp)
+        self._data = np.zeros(0)
+        self._senses = np.zeros(0, dtype="<U2")
+        self._rhs = np.zeros(0)
         self._row_names: list[str] = []
 
     @property
@@ -87,40 +103,84 @@ class LpProblem:
 
     @property
     def num_constraints(self) -> int:
-        return len(self._rows)
+        return len(self._rhs)
+
+    @property
+    def _rows(self) -> list[dict[int, float]]:
+        """Each row as a {variable: coefficient} dict, for row-at-a-time readers."""
+        idx, val, ptr = self._indices.tolist(), self._data.tolist(), self._indptr.tolist()
+        return [dict(zip(idx[a:b], val[a:b])) for a, b in zip(ptr[:-1], ptr[1:])]
 
     def add_variable(self, lb: float = 0.0, ub: float = INF, cost: float = 0.0, name: str = "") -> int:
-        if not lb <= ub:
-            raise LpError(f"variable {name or len(self._lb)}: inverted bounds lb={lb} > ub={ub}")
-        if lb == INF or ub == -INF or not np.isfinite(cost):
-            raise LpError(f"variable {name or len(self._lb)}: unusable bounds or cost")
-        self._lb.append(float(lb))
-        self._ub.append(float(ub))
-        self._cost.append(float(cost))
-        self._var_names.append(name or f"x{len(self._lb) - 1}")
-        return len(self._lb) - 1
+        return int(self.add_variables(lb, ub, cost, [name])[0])
+
+    def add_variables(self, lb, ub, cost, names: list[str] | None = None) -> np.ndarray:
+        """Add one variable per entry of ``lb``, ``ub`` and ``cost`` (arrays of
+        one length, or scalars); returns their ids. Adds nothing if any entry
+        is invalid."""
+        lb, ub, cost = (np.asarray(a, dtype=float).reshape(-1) for a in (lb, ub, cost))
+        if not len(lb) == len(ub) == len(cost):
+            lb, ub, cost = np.broadcast_arrays(lb, ub, cost)
+        first, k = len(self._lb), len(lb)
+        ok = (lb <= ub) & (lb < INF) & (ub > -INF) & np.isfinite(cost)
+        if not ok.all():
+            j = int(np.argmin(ok))
+            label = (names[j] if names else "") or first + j
+            if not lb[j] <= ub[j]:
+                raise LpError(f"variable {label}: inverted bounds lb={lb[j]} > ub={ub[j]}")
+            raise LpError(f"variable {label}: unusable bounds or cost")
+        self._lb = np.concatenate([self._lb, lb])
+        self._ub = np.concatenate([self._ub, ub])
+        self._cost = np.concatenate([self._cost, cost])
+        self._var_names += names if names and all(names) else \
+            [nm or f"x{i}" for nm, i in zip(names or [""] * k, range(first, first + k))]
+        return np.arange(first, first + k)
 
     def add_constraint(
         self, terms: list[tuple[int, float]], sense: str, rhs: float, name: str = ""
     ) -> int:
-        if sense == "==":
-            sense = "="
-        if sense not in ("<=", ">=", "="):
-            raise LpError(f"constraint {name!r}: unknown sense {sense!r}")
-        if not np.isfinite(rhs):
-            raise LpError(f"constraint {name!r}: non-finite right-hand side {rhs}")
-        merged: dict[int, float] = {}
-        for var, coef in terms:
-            if not 0 <= var < len(self._lb):
-                raise LpError(f"constraint {name!r}: unknown variable id {var}")
-            if not np.isfinite(coef):
-                raise LpError(f"constraint {name!r}: non-finite coefficient {coef} on variable {var}")
-            merged[var] = merged.get(var, 0.0) + float(coef)
-        self._rows.append(merged)
-        self._senses.append(sense)
-        self._rhs.append(float(rhs))
-        self._row_names.append(name or f"r{len(self._rows) - 1}")
-        return len(self._rows) - 1
+        var, coef = zip(*terms) if terms else ((), ())
+        return int(self.add_constraints(np.zeros(len(var), dtype=np.intp), var, coef, [sense], [rhs], [name])[0])
+
+    def add_constraints(self, row, var, coef, senses, rhs, names: list[str] | None = None) -> np.ndarray:
+        """Add one row per entry of ``senses`` and ``rhs``; term k puts
+        ``coef[k]`` on variable ``var[k]`` in new row ``row[k]`` (counted
+        from 0 among the new rows), terms in any order. Returns the row ids.
+        Adds nothing if any row is invalid."""
+        row, var = np.asarray(row, dtype=np.intp), np.asarray(var, dtype=np.intp)
+        coef, rhs = np.asarray(coef, dtype=float), np.asarray(rhs, dtype=float)
+        senses = np.asarray(senses, dtype=str)
+        senses = np.where(senses == "==", "=", senses)
+        n, first, k = len(self._lb), len(self._rhs), len(senses)
+        if row.size and not (0 <= row.min() and row.max() < k):
+            raise LpError(f"constraint terms refer to rows outside the {k} new ones")
+        known = (senses == "<=") | (senses == ">=") | (senses == "=")
+        if not (known.all() and np.isfinite(rhs).all() and np.isfinite(coef).all()
+                and (not var.size or 0 <= var.min() and var.max() < n)):
+            bad_term = ~((0 <= var) & (var < n) & np.isfinite(coef))
+            i = min(np.flatnonzero(~known | ~np.isfinite(rhs))[:1].tolist() + row[bad_term].tolist())
+            _reject(names[i] if names else "", str(senses[i]), rhs[i], var[row == i], coef[row == i], n)
+        # sort the terms by row, then column, keeping the given order among
+        # duplicates, which are summed in that order as 0.0 + c1 + c2 + ...
+        key = row * max(n, 1) + var
+        order = np.argsort(key, kind="stable")
+        key, row, var, coef = key[order], row[order], var[order], coef[order]
+        lead = np.ones(len(key), dtype=bool)
+        lead[1:] = key[1:] != key[:-1]
+        if lead.all():
+            merged = coef + 0.0
+        else:
+            merged = np.zeros(int(lead.sum()))
+            np.add.at(merged, lead.cumsum() - 1, coef)
+        self._indices = np.concatenate([self._indices, var[lead]])
+        self._data = np.concatenate([self._data, merged])
+        ends = self._indptr[-1] + np.bincount(row[lead], minlength=k).cumsum()
+        self._indptr = np.concatenate([self._indptr, ends])
+        self._senses = np.concatenate([self._senses, senses.astype("<U2")])
+        self._rhs = np.concatenate([self._rhs, rhs])
+        self._row_names += names if names and all(names) else \
+            [nm or f"r{i}" for nm, i in zip(names or [""] * k, range(first, first + k))]
+        return np.arange(first, first + k)
 
     def variable_name(self, var: int) -> str:
         return self._var_names[var]
@@ -130,24 +190,37 @@ class LpProblem:
 
     def to_lp_text(self) -> str:
         """Debug dump in LP text format for cross-checking with other tools."""
+        names = self._var_names
         out = [f"\\ {self.name}", "Minimize", " obj:"]
-        terms = [
-            f" {c:+.12g} {n}" for c, n in zip(self._cost, self._var_names) if c != 0.0
-        ]
-        out.append("".join(terms) if terms else " 0 " + (self._var_names[0] if self._var_names else "x0"))
+        terms = [f" {c:+.12g} {nm}" for c, nm in zip(self._cost.tolist(), names) if c != 0.0]
+        out.append("".join(terms) if terms else " 0 " + (names[0] if names else "x0"))
         out.append("Subject To")
-        for row, sense, rhs, name in zip(self._rows, self._senses, self._rhs, self._row_names):
-            body = "".join(
-                f" {coef:+.12g} {self._var_names[var]}" for var, coef in sorted(row.items())
-            )
+        idx, val, ptr = self._indices.tolist(), self._data.tolist(), self._indptr.tolist()
+        for i, (sense, rhs, name) in enumerate(zip(self._senses.tolist(), self._rhs.tolist(), self._row_names)):
+            body = "".join(f" {coef:+.12g} {names[var]}"
+                           for var, coef in zip(idx[ptr[i]:ptr[i + 1]], val[ptr[i]:ptr[i + 1]]))
             out.append(f" {name}:{body} {sense} {rhs:.12g}")
         out.append("Bounds")
-        for i, (lo, hi) in enumerate(zip(self._lb, self._ub)):
+        for lo, hi, name in zip(self._lb.tolist(), self._ub.tolist(), names):
             lo_s = "-inf" if lo == -INF else f"{lo:.12g}"
             hi_s = "+inf" if hi == INF else f"{hi:.12g}"
-            out.append(f" {lo_s} <= {self._var_names[i]} <= {hi_s}")
+            out.append(f" {lo_s} <= {name} <= {hi_s}")
         out.append("End")
         return "\n".join(out) + "\n"
+
+
+def _reject(name: str, sense: str, rhs: float, var: np.ndarray, coef: np.ndarray, n: int) -> None:
+    """Raise the LpError for the first fault of one row: its sense, its
+    right-hand side, then its terms in the order given."""
+    if sense not in ("<=", ">=", "="):
+        raise LpError(f"constraint {name!r}: unknown sense {sense!r}")
+    if not np.isfinite(rhs):
+        raise LpError(f"constraint {name!r}: non-finite right-hand side {rhs}")
+    for j, c in zip(var.tolist(), coef.tolist()):
+        if not 0 <= j < n:
+            raise LpError(f"constraint {name!r}: unknown variable id {j}")
+        if not np.isfinite(c):
+            raise LpError(f"constraint {name!r}: non-finite coefficient {c} on variable {j}")
 
 
 @dataclass(frozen=True)
@@ -204,19 +277,17 @@ class _Simplex:
 
         # columns: structural | slacks
         A = np.zeros((m, n + m))
-        for i, row in enumerate(p._rows):
-            for var, coef in row.items():
-                A[i, var] = coef
+        A[np.repeat(np.arange(m), np.diff(p._indptr)), p._indices] = p._data
         A[np.arange(m), n + np.arange(m)] = 1.0
-        self.b = np.array(p._rhs, dtype=float)
+        self.b = p._rhs.copy()
 
         # the slack bounds are the one place the row sense is encoded
-        sense = np.array(p._senses, dtype=str)
+        sense = p._senses
         self.A = A
-        self.lb = np.concatenate([np.array(p._lb), np.where(sense == ">=", -INF, 0.0)])
-        self.ub = np.concatenate([np.array(p._ub), np.where(sense == "<=", INF, 0.0)])
-        self.cost = np.concatenate([np.array(p._cost), np.zeros(m)])
-        self.fixed = self.ub - self.lb <= 0.0  # fixed columns never enter
+        self.lb = np.concatenate([p._lb, np.where(sense == ">=", -INF, 0.0)])
+        self.ub = np.concatenate([p._ub, np.where(sense == "<=", INF, 0.0)])
+        self.cost = np.concatenate([p._cost, np.zeros(m)])
+        self.live = self.ub - self.lb > 0.0  # fixed columns never enter
         self.max_iter = max_iter if max_iter is not None else 200 * (m + n + 20)
         self.iterations = 0
         self.crash_columns = self.phase1_pivots = self.flips = self.refactorizations = 0
@@ -239,15 +310,18 @@ class _Simplex:
         self.basis = n + np.arange(m)
         self.xB = self.b - self.A[:, :n] @ self.nb_value[:n]
         self.T = np.array(self.A, order="F")  # B = I; a copy, never a view of A
-        width = self.ub[:n] - self.lb[:n]
-        blocked = np.zeros(n, dtype=bool)
+        self._sync()
+        width = (self.ub[:n] - self.lb[:n]).tolist()
+        blocked = [False] * n
+        ptr, idx, val = (a.tolist() for a in (self.p._indptr, self.p._indices, self.p._data))
         crash = []
-        for i in map(int, np.flatnonzero(self.fixed[n:])):  # the equality rows
-            nonzero = [j for j, coef in self.p._rows[i].items() if coef != 0.0]
+        for i in np.flatnonzero(~self.live[n:]).tolist():  # the equality rows
+            nonzero = [j for j, coef in zip(idx[ptr[i]:ptr[i + 1]], val[ptr[i]:ptr[i + 1]]) if coef != 0.0]
             cand = [j for j in nonzero if not blocked[j] and width[j] > 0.0]
             if cand:
                 crash.append((i, min(cand, key=lambda j: (-width[j], j))))
-                blocked[nonzero] = True
+                for j in nonzero:
+                    blocked[j] = True
         # the picks are triangular, so in reverse order every pivot row is an
         # original row; each pivot moves its column until the slack is zero
         for r, q in reversed(crash):
@@ -255,6 +329,15 @@ class _Simplex:
             self.xB = self.xB - self.T[:, q] * delta
             self._pivot(r, q, self.nb_value[q] + delta, _AT_LB)
         self.crash_columns = len(crash)
+
+    def _sync(self) -> None:
+        """Derive the pricing sign of every column and the bounds of the
+        basic variables from the status and the basis; pivots then keep
+        both up to date."""
+        self.sign = np.where(self.live, _SCORE_SIGN[self.status], 0.0)
+        self.has_free = bool((self.status == _FREE).any())
+        self.lbB = self.lb[self.basis]
+        self.ubB = self.ub[self.basis]
 
     # -- helpers -----------------------------------------------------------
 
@@ -273,6 +356,7 @@ class _Simplex:
             self.xB = np.linalg.solve(B, self.b - contrib)
         except np.linalg.LinAlgError as exc:
             raise ArithmeticError(f"singular basis in {self.p.name!r}: {exc}") from exc
+        self._sync()
 
     def _assemble_x(self) -> np.ndarray:
         x = self.nb_value.copy()
@@ -293,31 +377,37 @@ class _Simplex:
 
     def _price(self, d: np.ndarray, bland: bool) -> int:
         """Pick the entering column, or -1 when none is eligible (optimality)."""
-        score = _SCORE_SIGN[self.status] * d
-        free = self.status == _FREE
-        score[free] = np.abs(d[free])
-        score[self.fixed] = -INF
-        eligible = score > self.opt_tol
-        if not eligible.any():
+        score = self.sign * d
+        if self.has_free:
+            free = self.status == _FREE
+            score[free] = np.abs(d[free])
+        if not score.size:
             return -1
-        # argmax of the mask is the first eligible column, which Bland's rule takes
-        return int(np.argmax(eligible if bland else score))
+        # the first eligible column is the one Bland's rule takes
+        q = int(np.argmax(score > self.opt_tol if bland else score))
+        return q if score[q] > self.opt_tol else -1
 
     def _pivot(self, r: int, q: int, entering_val: float, leaving_status: int) -> None:
         """Exchange basic row ``r`` for column ``q``; the leaver rests at a bound."""
         leaving = self.basis[r]
         self.status[leaving] = leaving_status
         self.nb_value[leaving] = self.lb[leaving] if leaving_status == _AT_LB else self.ub[leaving]
+        if self.live[leaving]:
+            self.sign[leaving] = _SCORE_SIGN[leaving_status]
         self.T[r, :] /= self.T[r, q]
         col = self.T[:, q].copy()
         col[r] = 0.0
-        # only columns with a nonzero pivot-row entry change; each is one
-        # contiguous row of the C-ordered view T.T
-        cols = np.flatnonzero(self.T[r])
+        # only columns with a nonzero pivot-row entry change, and fixed
+        # columns never enter, so theirs are left as they are; each updated
+        # column is one contiguous row of the C-ordered view T.T
+        cols = np.flatnonzero((self.T[r] != 0.0) & self.live)
         Tt = self.T.T
         Tt[cols] -= self.T[r, cols][:, None] * col[None, :]
         self.basis[r] = q
         self.status[q] = _BASIC
+        self.sign[q] = 0.0
+        self.lbB[r] = self.lb[q]
+        self.ubB[r] = self.ub[q]
         self.xB[r] = entering_val
 
     def _iterate(self, phase1: bool) -> str:
@@ -330,9 +420,7 @@ class _Simplex:
         verified = False
         while True:
             bland = self.bland_from is not None
-            lbB = self.lb[self.basis]
-            ubB = self.ub[self.basis]
-            out = np.zeros(self.m, dtype=bool)
+            lbB, ubB = self.lbB, self.ubB
             if phase1:
                 gap = np.maximum(lbB - self.xB, self.xB - ubB)
                 out = gap > self.pivot_tol
@@ -364,15 +452,13 @@ class _Simplex:
                 sigma = -1.0
             else:
                 sigma = 1.0
+            # ratio test: a row whose |w| exceeds pivot_tol blocks where its
+            # basic variable, moving by -sigma * w per unit, meets a bound
             w = self.T[:, q]
             sw = sigma * w
-            ratios = np.full(self.m, INF)
-            pos = sw > self.pivot_tol
-            neg = sw < -self.pivot_tol
-            if pos.any():
-                ratios[pos] = np.maximum(self.xB[pos] - lbB[pos], 0.0) / sw[pos]
-            if neg.any():
-                ratios[neg] = np.maximum(ubB[neg] - self.xB[neg], 0.0) / (-sw[neg])
+            aw = np.abs(w)
+            room = np.maximum(np.where(sw > 0.0, self.xB - lbB, ubB - self.xB), 0.0)
+            ratios = np.divide(room, aw, out=np.full(self.m, INF), where=aw > self.pivot_tol)
             t_rows = ratios.min() if self.m else INF
             t_flip = self.ub[q] - self.lb[q]
             delta = min(t_rows, t_flip)
@@ -394,22 +480,25 @@ class _Simplex:
                 self.xB = self.xB - w * (sigma * t_flip)
                 self.status[q] = _AT_UB if self.status[q] == _AT_LB else _AT_LB
                 self.nb_value[q] = self.ub[q] if self.status[q] == _AT_UB else self.lb[q]
+                self.sign[q] = -self.sign[q]
                 continue
 
-            cand = np.flatnonzero(ratios <= delta + 1e-9)
+            blocking = ratios <= delta + 1e-9
             if bland:
+                cand = np.flatnonzero(blocking)
                 r = int(cand[np.argmin(self.basis[cand])])
             else:
-                r = int(cand[np.argmax(np.abs(w[cand]))])
+                r = int(np.argmax(np.where(blocking, aw, -1.0)))
 
             self.phase1_pivots += phase1
             entering_val = self.nb_value[q] + sigma * delta
             self.xB = self.xB - w * (sigma * delta)
             # a feasible leaver rests at the bound it moves toward, an
             # infeasible one at the bound it violated, on the other side
-            self._pivot(r, q, entering_val, _AT_LB if (sw[r] > 0) != out[r] else _AT_UB)
+            infeasible = phase1 and bool(out[r])
+            self._pivot(r, q, entering_val, _AT_LB if (sw[r] > 0) != infeasible else _AT_UB)
             if not phase1:
-                d = d - d[q] * self.T[r, :]
+                d -= d[q] * self.T[r, :]
 
     def run(self) -> LpSolution:
         self._setup()

@@ -2,9 +2,10 @@
 
 These deliberately avoid the package's solver paths: LPs are checked against
 brute-force vertex enumeration, and the three-step arbitrage case against a
-discharge-grid scan with the recharge amount resolved exactly. The one
-exception is ``DenseSimplex``, the reference kernel the solver must match
-pivot for pivot.
+discharge-grid scan with the recharge amount resolved exactly. The
+exceptions are ``DenseSimplex``, the reference kernel the solver must match
+pivot for pivot, and ``window_lp_by_rows``, the reference for the window LP
+that ``evba`` builds from arrays.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from evdispatch import lp
+from evdispatch import evba, lp
+from evdispatch.domain import SLOW
 
 
 @lru_cache(maxsize=None)
@@ -211,13 +213,153 @@ def block_diagonal_scipy_optimum(problems: list[lp.LpProblem]) -> float:
     return float(res.fun)
 
 
+def _flow_costs_by_step(
+    s, ct: evba.CostToggles, cp, t: int
+) -> tuple[float, float, float]:
+    """Objective coefficients (slow charge, discharge, fast charge) at step t
+    on charging point ``cp`` (None when unplugged)."""
+    price = float(s.prices.values[t])
+    cal = s.tariff_calendar
+    h = s.horizon.step_hours
+    sch = price
+    fch = price
+    if cp is not None:
+        # the night band, as TariffCalendar.is_low_band reads it for one step
+        hour = (t * h) % 24.0
+        start, end = cal.night_start_hour, cal.night_end_hour
+        low = start != end and (start <= hour < end if start < end else hour >= start or hour < end)
+        fee = cp.grid_fee_low_eur_per_kwh if low else cp.grid_fee_high_eur_per_kwh
+        fee_grid = fee if ct.include_grid_tariff else 0.0
+        fee_cp = cp.cp_fee_eur_per_kwh if ct.include_cp_tariff else 0.0
+        if cp.kind == SLOW:
+            sch += fee_grid + fee_cp
+        else:
+            fch += fee_grid + fee_cp
+    return sch, -price, fch
+
+
+def window_lp_by_rows(
+    s,
+    v_idx: int,
+    steps: np.ndarray,
+    init_soe: float,
+    floor: float,
+    ct: evba.CostToggles,
+    power: evba.PowerMode,
+    *,
+    maximize_departure: bool = False,
+) -> lp.LpProblem:
+    """Row-by-row reference for ``evba._build_window_lp``: one vehicle's LP
+    over a window of steps, built one variable and one row at a time.
+
+    ``init_soe`` is the stock entering the first window step; ``floor`` the
+    minimum stock at the last one. Variables run per step in the order
+    sch, dch, fch, soe and, when wear is priced, cdeg, so a solution vector
+    reshapes to one row per step (see _window_schedule). With
+    ``maximize_departure`` the feasible set is the same and the objective is
+    the negated stock at the last step.
+    """
+    v = s.vehicles[v_idx]
+    cap = v.capacity_kwh
+    soe_lb = v.soe_min_kwh
+    soe_ub = v.soe_max_kwh
+    last = int(steps[-1])
+    p = lp.LpProblem(f"window[{v.id},{int(steps[0])}..{last}]")
+    taper_k = None
+    if v.soe_cv_frac < 1.0 - 1e-12:
+        taper_k = v.obc_max_kwh_per_step / (cap * (1.0 - v.soe_cv_frac))
+
+    prev_id = None
+    for t in map(int, steps):
+        cp = s.cp_at(v_idx, t)
+        if maximize_departure:
+            c_sch = c_dch = c_fch = 0.0
+        else:
+            c_sch, c_dch, c_fch = _flow_costs_by_step(s, ct, cp, t)
+        slow_cap, fast_cap = evba._caps(s, v, cp, power)
+        sch_id = p.add_variable(0.0, slow_cap, c_sch, f"sch[{v.id},{t}]")
+        dch_id = p.add_variable(0.0, slow_cap, c_dch, f"dch[{v.id},{t}]")
+        fch_id = p.add_variable(0.0, fast_cap, c_fch, f"fch[{v.id},{t}]")
+        lb_t = soe_lb
+        if t == last:
+            lb_t = max(lb_t, floor)
+            if lb_t > soe_ub + 1e-9:
+                raise evba._FloorUnreachable(
+                    f"vehicle {v.id!r}: required stock {lb_t:.3f} kWh at step {t} "
+                    f"exceeds the SOE ceiling {soe_ub:.3f} kWh"
+                )
+            lb_t = min(lb_t, soe_ub)
+        soe_cost = -1.0 if maximize_departure and t == last else 0.0
+        soe_id = p.add_variable(lb_t, soe_ub, soe_cost, f"soe[{v.id},{t}]")
+        deg_id = None
+        if ct.include_degradation:
+            deg_cost = 0.0 if maximize_departure else 1.0
+            deg_id = p.add_variable(0.0, lp.INF, deg_cost, f"cdeg[{v.id},{t}]")
+
+        # charge taper above the CC/CV breakpoint; slow charging only
+        if taper_k is not None and slow_cap > 0.0 and power is not evba.PowerMode.CP_ONLY:
+            p.add_constraint(
+                [(sch_id, 1.0), (soe_id, taper_k)],
+                "<=",
+                taper_k * cap,
+                name=f"cv[{v.id},{t}]",
+            )
+        terms = [
+            (soe_id, 1.0),
+            (sch_id, -v.eta_sch),
+            (fch_id, -v.eta_fch),
+            (dch_id, 1.0 / v.eta_dch),
+        ]
+        rhs = -float(s.trips.energy_kwh[v_idx, t]) / v.eta_run
+        if prev_id is not None:
+            terms.append((prev_id, -1.0))
+        else:
+            rhs += init_soe
+        p.add_constraint(terms, "=", rhs, name=f"bal[{v.id},{t}]")
+        if deg_id is not None:
+            _degradation_rows_by_step(p, deg_id, dch_id, soe_id, v, t)
+        prev_id = soe_id
+    return p
+
+
+def _degradation_rows_by_step(
+    p: lp.LpProblem, c_deg: int, e_dch: int, soe: int, v, t: int
+) -> tuple[int, int]:
+    """Add the two epigraph rows ``c_deg >= plane`` for one vehicle-step.
+
+    ``c_deg`` must carry a +1 objective coefficient for the epigraph to be
+    tight at the optimum. Returns the two constraint ids.
+    """
+    cap = v.capacity_kwh
+    d = v.degradation
+    scale = v.battery_cost_eur * 100.0 / cap
+    # plane1: c_deg - d2' * e_dch + d3' * soe >= C_bat * (d1 + 100 * d3)
+    r1 = p.add_constraint(
+        [(c_deg, 1.0), (e_dch, -d.d2 * scale), (soe, d.d3 * scale)],
+        ">=",
+        v.battery_cost_eur * (d.d1 + d.d3 * 100.0),
+        name=f"deg1[{v.id},{t}]",
+    )
+    # plane2: c_deg - d4' * e_dch >= 0
+    r2 = p.add_constraint(
+        [(c_deg, 1.0), (e_dch, -d.d4 * scale)],
+        ">=",
+        0.0,
+        name=f"deg2[{v.id},{t}]",
+    )
+    return r1, r2
+
+
 class DenseSimplex(lp._Simplex):
     """The simplex with its plain dense kernel, as the reference for the
     solver's sparse one: a row-major tableau, a rank-1 update of every
-    column through a scratch buffer, and pricing by one mask per status.
+    column through a scratch buffer, pricing by one mask per status, and a
+    pivot loop that reads the basic bounds from the basis and runs its ratio
+    test by boolean masks.
 
     The solver's kernel must reproduce this one bit for bit: the same
-    pivots, iterations, ``x`` and objective.
+    pivots, iterations, ``x`` and objective. It shares only set-up,
+    refactorization and the reduced-cost product with the solver.
     """
 
     def _setup(self) -> None:
@@ -257,3 +399,94 @@ class DenseSimplex(lp._Simplex):
         self.basis[r] = q
         self.status[q] = lp._BASIC
         self.xB[r] = entering_val
+
+    def _iterate(self, phase1: bool) -> str:
+        """Pivot until no column improves the phase's objective: the sum of
+        bound violations in phase 1, which ends infeasible above
+        ``feas_tol`` times the largest |rhs|; the cost in phase 2."""
+        d = None if phase1 else self._reduced_costs()
+        stall = 0
+        stall_limit = 50 + 2 * (self.m + self.n_struct)
+        verified = False
+        while True:
+            bland = self.bland_from is not None
+            lbB = self.lb[self.basis]
+            ubB = self.ub[self.basis]
+            out = np.zeros(self.m, dtype=bool)
+            if phase1:
+                gap = np.maximum(lbB - self.xB, self.xB - ubB)
+                out = gap > self.pivot_tol
+                if not out.any():
+                    return lp.OPTIMAL
+                # a basic variable costs -1 below its lower bound, +1 above its
+                # upper, and blocks only at the bound it violates
+                above = out & (self.xB > ubB)
+                d = np.where(above[out], -1.0, 1.0) @ np.ascontiguousarray(self.T[out])
+                lbB, ubB = (np.where(above, ubB, np.where(out, -lp.INF, lbB)),
+                            np.where(above, lp.INF, np.where(out, lbB, ubB)))
+            q = self._price(d, bland)
+            if q < 0:
+                if phase1:
+                    scale = max(1.0, float(np.abs(self.b).max()))
+                    return lp.INFEASIBLE if gap[out].sum() > self.feas_tol * scale else lp.OPTIMAL
+                if verified:
+                    return lp.OPTIMAL
+                # re-derive reduced costs from scratch to rule out drift
+                d = self._reduced_costs()
+                verified = True
+                continue
+            verified = False
+            if self.iterations >= self.max_iter:
+                return lp.ITERATION_LIMIT
+            self.iterations += 1
+
+            if self.status[q] == lp._AT_UB or (self.status[q] == lp._FREE and d[q] > 0):
+                sigma = -1.0
+            else:
+                sigma = 1.0
+            w = self.T[:, q]
+            sw = sigma * w
+            ratios = np.full(self.m, lp.INF)
+            pos = sw > self.pivot_tol
+            neg = sw < -self.pivot_tol
+            if pos.any():
+                ratios[pos] = np.maximum(self.xB[pos] - lbB[pos], 0.0) / sw[pos]
+            if neg.any():
+                ratios[neg] = np.maximum(ubB[neg] - self.xB[neg], 0.0) / (-sw[neg])
+            t_rows = ratios.min() if self.m else lp.INF
+            t_flip = self.ub[q] - self.lb[q]
+            delta = min(t_rows, t_flip)
+            if delta == lp.INF:
+                if phase1:
+                    raise ArithmeticError("phase-1 objective cannot be unbounded")
+                return lp.UNBOUNDED
+
+            if delta <= 1e-12:
+                stall += 1
+                if stall > stall_limit and not bland:
+                    self.bland_from = self.iterations
+            else:
+                stall = 0
+
+            if t_flip <= t_rows:
+                # entering variable runs to its opposite bound; basis unchanged
+                self.flips += 1
+                self.xB = self.xB - w * (sigma * t_flip)
+                self.status[q] = lp._AT_UB if self.status[q] == lp._AT_LB else lp._AT_LB
+                self.nb_value[q] = self.ub[q] if self.status[q] == lp._AT_UB else self.lb[q]
+                continue
+
+            cand = np.flatnonzero(ratios <= delta + 1e-9)
+            if bland:
+                r = int(cand[np.argmin(self.basis[cand])])
+            else:
+                r = int(cand[np.argmax(np.abs(w[cand]))])
+
+            self.phase1_pivots += phase1
+            entering_val = self.nb_value[q] + sigma * delta
+            self.xB = self.xB - w * (sigma * delta)
+            # a feasible leaver rests at the bound it moves toward, an
+            # infeasible one at the bound it violated, on the other side
+            self._pivot(r, q, entering_val, lp._AT_LB if (sw[r] > 0) != out[r] else lp._AT_UB)
+            if not phase1:
+                d = d - d[q] * self.T[r, :]

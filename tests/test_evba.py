@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
 
-from evdispatch import lp
+from evdispatch import evca, lp
 from evdispatch.analysis import check_schedule, generate_price_set
 from evdispatch.domain import (
     ChargingPoint,
@@ -21,14 +22,17 @@ from evdispatch.domain import (
     scenario_to_dict,
 )
 from evdispatch.evba import (
+    OBJECTIVE_VARIANTS,
     AssemblyError,
     PowerMode,
+    _build_window_lp,
+    _FloorUnreachable,
     build_evba,
     cost_toggles_for,
     extract_schedule,
     solve_evba,
 )
-from oracles import block_diagonal_scipy_optimum, micro_case_grid_optimum
+from oracles import block_diagonal_scipy_optimum, micro_case_grid_optimum, window_lp_by_rows
 from scen import micro_scenario, random_scenario, refine
 
 OF1 = cost_toggles_for("of1")
@@ -387,3 +391,56 @@ def test_empty_fleet_is_trivially_optimal():
     fs = solve_evba(s, OF5)
     assert fs.status == "optimal"
     assert fs.total_cost_eur == 0.0
+
+
+def _same_problem(got: lp.LpProblem, ref: lp.LpProblem) -> bool:
+    """Bitwise the same variables, bounds, costs, names, rows, senses and rhs."""
+    arrays = ("_lb", "_ub", "_cost", "_indptr", "_indices", "_data", "_rhs")
+    return (
+        got.name == ref.name
+        and all(getattr(got, a).tobytes() == getattr(ref, a).tobytes() for a in arrays)
+        and got._senses.tolist() == ref._senses.tolist()
+        and got._var_names == ref._var_names
+        and got.row_names() == ref.row_names()
+    )
+
+
+def _build_both(*args, **kwargs):
+    """The window LP from the array builder and from the row-by-row
+    reference, or the exception type each raised."""
+    out = []
+    for build in (_build_window_lp, window_lp_by_rows):
+        try:
+            out.append(build(*args, **kwargs))
+        except _FloorUnreachable as exc:
+            out.append(type(exc))
+    return out
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_window_lp_matches_the_row_by_row_reference(seed):
+    s = random_scenario(seed).with_prices(generate_price_set(("low", "medium", "high")[seed % 3], seed=seed))
+    day = np.arange(s.horizon.step_count)
+    windows = [(v_idx, day) for v_idx in range(len(s.vehicles))]
+    windows += [(v_idx, session.steps)
+                for v_idx, sessions in enumerate(evca.derive_sessions(s)) for session in sessions]
+    built = 0
+    for (label, ct), power in itertools.product(OBJECTIVE_VARIANTS.items(), PowerMode):
+        for v_idx, steps in windows:
+            v = s.vehicles[v_idx]
+            # the end-of-day floor, and evca's best-effort relaxation
+            cases = [(v.soe_initial_kwh, False), (v.soe_min_kwh, True)]
+            if label == "of5" and power is PowerMode.BOTH:
+                # the floor only moves the last SOE bound: the ceiling itself
+                # (the range closes), one 5e-10 above it (tied to the
+                # ceiling) and one out of reach
+                cases += [(v.soe_max_kwh, False), (v.soe_max_kwh + 5e-10, False), (v.soe_max_kwh + 1.0, False)]
+            for floor, maximize in cases:
+                got, ref = _build_both(s, v_idx, steps, v.soe_initial_kwh, floor, ct, power,
+                                       maximize_departure=maximize)
+                if ref is _FloorUnreachable:
+                    assert got is _FloorUnreachable
+                    continue
+                assert _same_problem(got, ref), (v.id, steps[0], label, power, floor, maximize)
+                built += 1
+    assert built == (2 * 5 * 4 + 2) * len(windows)

@@ -85,6 +85,35 @@ def test_add_constraint_non_finite_data_rejected(coef, rhs):
     assert p.num_constraints == 0
 
 
+def test_bulk_adds_match_one_at_a_time():
+    # the same rows in one call, terms shuffled across rows, with a duplicate
+    # term on x summed in the order given
+    one = lp.LpProblem("p")
+    for j in range(3):
+        one.add_variable(-1.0, 2.0 + j, 0.5 * j, f"x{j}")
+    one.add_constraint([(2, 1.5), (0, 0.1), (0, 0.2), (0, -0.3)], "<=", 4.0, "a")
+    one.add_constraint([(1, -1.0)], "==", -2.0)
+    bulk = lp.LpProblem("p")
+    assert bulk.add_variables(-1.0, [2.0, 3.0, 4.0], [0.0, 0.5, 1.0], ["x0", "x1", "x2"]).tolist() == [0, 1, 2]
+    ids = bulk.add_constraints([0, 1, 0, 0, 0], [0, 1, 2, 0, 0], [0.1, -1.0, 1.5, 0.2, -0.3],
+                               ["<=", "=="], [4.0, -2.0], ["a", ""])
+    assert ids.tolist() == [0, 1]
+    assert bulk.to_lp_text() == one.to_lp_text()
+    assert bulk._rows == one._rows == [{0: 0.1 + 0.2 - 0.3, 2: 1.5}, {1: -1.0}]
+    assert bulk.row_names() == ["a", "r1"]
+
+
+def test_bulk_add_rejects_the_first_faulty_row_and_adds_nothing():
+    p = lp.LpProblem()
+    p.add_variables(0.0, 1.0, 0.0)
+    with pytest.raises(lp.LpError, match="constraint 'b': unknown variable id 3"):
+        p.add_constraints([0, 1, 1, 2], [0, 3, 0, 0], [1.0, 1.0, float("nan"), 1.0],
+                          ["<=", ">=", "<"], [1.0, 1.0, 1.0], ["a", "b", "c"])
+    with pytest.raises(lp.LpError, match="variable 2: inverted bounds"):
+        p.add_variables([0.0, 2.0, 0.0], [1.0, 1.0, -1.0], 0.0)
+    assert (p.num_variables, p.num_constraints) == (1, 0)
+
+
 def test_unbounded_detection():
     p = lp.LpProblem()
     p.add_variable(0.0, lp.INF, -1.0, "x")
@@ -224,7 +253,9 @@ def test_crash_basis_matches_row_by_row_reference():
         x_n = np.where(status == lp._AT_LB, sim.lb, np.where(status == lp._AT_UB, sim.ub, 0.0))
         x_n[sim.basis] = 0.0
         assert np.array_equal(sim.nb_value[status != lp._BASIC], x_n[status != lp._BASIC])
-        np.testing.assert_allclose(sim.T, np.linalg.solve(B, sim.A), rtol=0.0, atol=1e-12)
+        # fixed columns never enter, so pivots leave their tableau entries as they are
+        live = sim.ub > sim.lb
+        np.testing.assert_allclose(sim.T[:, live], np.linalg.solve(B, sim.A)[:, live], rtol=0.0, atol=1e-12)
         np.testing.assert_allclose(sim.xB, np.linalg.solve(B, sim.b - sim.A @ x_n), rtol=0.0, atol=1e-12)
         n_crash += len(taken)
     assert n_crash > 0  # the sample must exercise the crash
@@ -278,16 +309,19 @@ def test_certified_feasibility_on_random_lps(seed):
 
 def _assert_same_as_dense_reference(p: lp.LpProblem) -> lp.LpSolution:
     """Solve ``p`` with the solver and the dense reference kernel; both must
-    give the same status and iterations, bitwise the same x and objective,
-    and equal final tableaus and reduced costs."""
+    give the same status, iterations and stats, bitwise the same x and
+    objective, and equal final tableaus and reduced costs on every column
+    that can enter (the solver leaves fixed columns' entries as they are)."""
     got_sim, ref_sim = lp._Simplex(p, 1e-6, None), DenseSimplex(p, 1e-6, None)
     got, ref = got_sim.run(), ref_sim.run()
     assert (got.status, got.iterations) == (ref.status, ref.iterations)
+    assert repr(got.stats) == repr(ref.stats)
     assert repr(got.objective) == repr(ref.objective)
     assert (got.x is None and ref.x is None) or got.x.tobytes() == ref.x.tobytes()
     # pricing reads the reduced costs, so they must agree to the last bit
-    assert np.array_equal(got_sim.T, ref_sim.T)
-    assert np.array_equal(got_sim._reduced_costs(), ref_sim._reduced_costs())
+    live = got_sim.ub > got_sim.lb
+    assert np.array_equal(got_sim.T[:, live], ref_sim.T[:, live])
+    assert np.array_equal(got_sim._reduced_costs()[live], ref_sim._reduced_costs()[live])
     return got
 
 
@@ -365,6 +399,20 @@ def test_pivots_match_dense_reference_under_blands_rule(example_with_high, monke
     problems += [build_problem(*random_bounded_lp(np.random.default_rng(seed))) for seed in range(50)]
     for p in problems:
         _assert_same_as_dense_reference(p)
+
+
+def test_blands_rule_breaks_a_real_cycle_on_kuhns_example():
+    # Kuhn's cycling example, columns 1 and 2 swapped: Dantzig pricing with
+    # the largest-|w| leaving row cycles through degenerate pivots at the
+    # origin, so Bland's rule takes over at the stall limit; from then on,
+    # rows tied in the ratio test leave in order of their basic column
+    c = np.array([-3.0, -2.0, 1.0, 12.0])
+    A = np.array([[-9.0, -2.0, 1.0, 9.0], [1.0, 1.0 / 3.0, -1.0 / 3.0, -2.0], [3.0, 2.0, -1.0, -12.0]])
+    data = (c, np.zeros(4), np.full(4, lp.INF), A, ["<="] * 3, np.array([0.0, 0.0, 2.0]))
+    sol = _assert_same_as_dense_reference(build_problem(*data))
+    assert sol.status == lp.OPTIMAL
+    assert sol.stats.bland_from == 50 + 2 * (3 + 4) + 1  # the first pivot past the stall limit
+    assert sol.objective == pytest.approx(vertex_enumeration_optimum(*data), abs=1e-9)
 
 
 def test_pivots_match_dense_reference_through_a_refactorization(example_with_high, monkeypatch):
