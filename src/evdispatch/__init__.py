@@ -25,7 +25,7 @@ from .analysis import (
     run_power_ablation,
     write_report,
 )
-from .degradation import degradation_cost, emit_degradation_rows, plane_values
+from .degradation import degradation_cost, plane_values
 from .domain import (
     ChargingPoint,
     ConnectivityMatrix,
@@ -37,14 +37,11 @@ from .domain import (
     TariffCalendar,
     TripPlan,
     Vehicle,
-    dump_scenario,
     example_scenario_path,
     grid_fee,
     load_price_series,
     load_scenario,
     parse_scenario,
-    save_price_series,
-    scenario_to_dict,
     validate_scenario,
 )
 from .evba import (
@@ -112,8 +109,6 @@ __all__ = [
     "cost_toggles_for",
     "degradation_cost",
     "derive_sessions",
-    "dump_scenario",
-    "emit_degradation_rows",
     "example_scenario_path",
     "extract_schedule",
     "generate_price_set",
@@ -124,8 +119,6 @@ __all__ = [
     "plane_values",
     "run_cost_ablation",
     "run_power_ablation",
-    "save_price_series",
-    "scenario_to_dict",
     "solve",
     "solve_evba",
     "solve_evca",

@@ -195,7 +195,7 @@ class AblationReport:
     """One variant of an ablation study, audited against the full model."""
 
     label: str
-    total_cost_eur: float
+    total_cost_eur: float | None  # None when the variant did not solve to optimality
     breakdown: dict[str, float]
     charged_kwh: float
     discharged_kwh: float
@@ -208,7 +208,6 @@ class AblationStudy:
     kind: str  # "power" or "cost"
     price_label: str
     reports: list[AblationReport]
-    assumptions: list[str] = field(default_factory=lambda: list(ASSUMPTIONS))
 
 
 @dataclass
@@ -232,7 +231,6 @@ class ComparisonReport:
     models: list[str]
     cells: list[ComparisonCell]
     price_series: dict[str, list[float]]
-    assumptions: list[str] = field(default_factory=lambda: list(ASSUMPTIONS))
 
     def cell(self, price_label: str, model: str) -> ComparisonCell:
         for c in self.cells:
@@ -331,7 +329,7 @@ def _ablation(
         fs = solve_evba(sp, ct, power)
         if fs.status != "optimal":
             reports.append(
-                AblationReport(label, float("nan"), {}, 0.0, 0.0, ViolationReport(), fs.status)
+                AblationReport(label, None, {}, 0.0, 0.0, ViolationReport(), fs.status)
             )
             continue
         costs[label] = fs.total_cost_eur
@@ -425,6 +423,55 @@ def _violations_json(rep: ViolationReport) -> dict:
     }
 
 
+def _schedule_csv(s: Scenario, fs: FleetSchedule) -> str:
+    """Schedule as CSV: vehicle,step,e_sch,e_dch,e_fch,soe,c_deg."""
+    lines = ["vehicle,step,e_sch_kwh,e_dch_kwh,e_fch_kwh,soe_kwh,c_deg_eur"]
+    for v_idx, v in enumerate(s.vehicles):
+        for t in range(s.horizon.step_count):
+            lines.append(
+                f"{v.id},{t},{fs.e_sch[v_idx, t]:.6f},{fs.e_dch[v_idx, t]:.6f},"
+                f"{fs.e_fch[v_idx, t]:.6f},{fs.soe[v_idx, t]:.6f},{fs.c_deg[v_idx, t]:.6f}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def _breakdown_json(fs: FleetSchedule) -> dict:
+    """Cost breakdown as a JSON-ready dict, including the assumption header."""
+    return {
+        "assumptions": list(ASSUMPTIONS),
+        "status": fs.status,
+        "message": fs.message,
+        "total_cost_eur": fs.total_cost_eur,
+        "charged_kwh": fs.charged_kwh,
+        "discharged_kwh": fs.discharged_kwh,
+        "per_vehicle": [
+            {
+                "vehicle": c.vehicle,
+                "energy_eur": c.energy_eur,
+                "grid_fee_eur": c.grid_fee_eur,
+                "cp_fee_eur": c.cp_fee_eur,
+                "degradation_eur": c.degradation_eur,
+                "v2g_revenue_eur": c.v2g_revenue_eur,
+                "total_eur": c.total_eur,
+            }
+            for c in fs.per_vehicle
+        ],
+        "warnings": list(fs.warnings),
+    }
+
+
+def _sessions_csv(fs: FleetSchedule) -> str:
+    """Per-session trace as CSV."""
+    lines = ["vehicle,cp,arrive_step,depart_step,arrival_soe_kwh,depart_soe_kwh,floor_kwh,cost_eur,note"]
+    for tr in fs.sessions:
+        lines.append(
+            f"{tr.vehicle},{tr.cp},{tr.arrive_step},{tr.depart_step},"
+            f"{tr.arrival_soe_kwh:.6f},{tr.depart_soe_kwh:.6f},{tr.floor_kwh:.6f},"
+            f"{tr.cost_eur:.6f},{tr.note}"
+        )
+    return "\n".join(lines) + "\n"
+
+
 def _write(path: Path, text: str, written: list[Path]) -> None:
     try:
         path.write_text(text)
@@ -446,7 +493,7 @@ def write_report(report, out_dir: str | Path, *, scenario: Scenario | None = Non
 
     if isinstance(report, ComparisonReport):
         payload = {
-            "assumptions": report.assumptions,
+            "assumptions": list(ASSUMPTIONS),
             "price_labels": report.price_labels,
             "models": report.models,
             "price_series": report.price_series,
@@ -513,7 +560,7 @@ def write_report(report, out_dir: str | Path, *, scenario: Scenario | None = Non
     if isinstance(report, AblationStudy):
         stem = f"{report.kind}_ablation"
         payload = {
-            "assumptions": report.assumptions,
+            "assumptions": list(ASSUMPTIONS),
             "kind": report.kind,
             "price": report.price_label,
             "variants": [
@@ -538,8 +585,9 @@ def write_report(report, out_dir: str | Path, *, scenario: Scenario | None = Non
         ]
         for r in report.reports:
             b = r.breakdown
+            cost = "" if r.total_cost_eur is None else f"{r.total_cost_eur:.6f}"
             lines.append(
-                f"{r.label},{r.status},{r.total_cost_eur:.6f},"
+                f"{r.label},{r.status},{cost},"
                 f"{b.get('energy_eur', 0.0):.6f},{b.get('grid_fee_eur', 0.0):.6f},"
                 f"{b.get('cp_fee_eur', 0.0):.6f},{b.get('degradation_eur', 0.0):.6f},"
                 f"{b.get('v2g_revenue_eur', 0.0):.6f},{r.charged_kwh:.6f},"
@@ -570,16 +618,12 @@ def write_report(report, out_dir: str | Path, *, scenario: Scenario | None = Non
         return written
 
     if isinstance(report, FleetSchedule):
-        # local imports keep module load acyclic
-        from .evba import breakdown_dict, schedule_csv_text
-        from .evca import sessions_csv_text
-
         if scenario is None:
             raise ValueError("write_report(FleetSchedule, ...) requires scenario=")
-        _write(out / "schedule.csv", schedule_csv_text(scenario, report), written)
-        _write(out / "breakdown.json", _json_bytes(breakdown_dict(scenario, report)), written)
+        _write(out / "schedule.csv", _schedule_csv(scenario, report), written)
+        _write(out / "breakdown.json", _json_bytes(_breakdown_json(report)), written)
         if report.sessions is not None:
-            _write(out / "sessions.csv", sessions_csv_text(report), written)
+            _write(out / "sessions.csv", _sessions_csv(report), written)
         return written
 
     raise TypeError(f"unsupported report type {type(report).__name__}")

@@ -67,10 +67,12 @@ def line_chart(series: list[tuple[str, list[float]]], *, title: str, y_label: st
     return _frame(title, y_label, body)
 
 
-def bar_chart(labels: list[str], values: list[float], *, title: str, y_label: str) -> str:
-    """Single-series bar chart with value captions."""
-    lo = min(0.0, min(values, default=0.0))
-    hi = max(0.0, max(values, default=1.0))
+def bar_chart(labels: list[str], values: list[float | None], *, title: str, y_label: str) -> str:
+    """Single-series bar chart with value captions; a None value gets its
+    label but no bar or caption."""
+    known = [v for v in values if v is not None]
+    lo = min(0.0, min(known, default=0.0))
+    hi = max(0.0, max(known, default=1.0))
     lo, hi, to_y = _scale(lo, hi, -(_H - _MT - _MB), _H - _MB)
     n = max(len(values), 1)
     slot = (_W - _ML - _MR) / n
@@ -86,6 +88,10 @@ def bar_chart(labels: list[str], values: list[float], *, title: str, y_label: st
     for i, (label, v) in enumerate(zip(labels, values)):
         x = _ML + slot * i + slot * 0.2
         w = slot * 0.6
+        label_text = f'<text x="{_fmt(x + w / 2)}" y="{_H - _MB + 16}" text-anchor="middle">{label}</text>'
+        if v is None:
+            body.append(label_text)
+            continue
         y0, y1 = to_y(0.0), to_y(v)
         top, height = (y1, y0 - y1) if v >= 0 else (y0, y1 - y0)
         color = _PALETTE[i % len(_PALETTE)]
@@ -93,9 +99,7 @@ def bar_chart(labels: list[str], values: list[float], *, title: str, y_label: st
             f'<rect x="{_fmt(x)}" y="{_fmt(top)}" width="{_fmt(w)}" height="{_fmt(max(height, 0.5))}" '
             f'fill="{color}" fill-opacity="0.8"/>'
         )
-        body.append(
-            f'<text x="{_fmt(x + w / 2)}" y="{_H - _MB + 16}" text-anchor="middle">{label}</text>'
-        )
+        body.append(label_text)
         body.append(
             f'<text x="{_fmt(x + w / 2)}" y="{_fmt(top - 4)}" text-anchor="middle">{v:.3f}</text>'
         )

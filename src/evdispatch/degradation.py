@@ -21,7 +21,6 @@ from __future__ import annotations
 import numpy as np
 
 from .domain import Vehicle
-from .lp import LpProblem
 
 
 def plane_values(v: Vehicle, e_dch_kwh: float, soe_kwh: float) -> tuple[float, float]:
@@ -76,13 +75,3 @@ def degradation_rows(
     heads = (f"deg1[{v.id},", f"deg2[{v.id},")  # joined, not formatted whole: much cheaper
     names = [head + tail for tail in [f"{step}]" for step in t.tolist()] for head in heads]
     return row, var, coef, np.full(2 * k, ">="), rhs, names
-
-
-def emit_degradation_rows(p: LpProblem, c_deg, e_dch, soe, v: Vehicle, t) -> np.ndarray:
-    """Add the two epigraph rows ``c_deg >= plane`` of each vehicle-step,
-    plane1 then plane2 step by step; returns the constraint ids.
-
-    ``c_deg`` must carry a +1 objective coefficient for the epigraph to be
-    tight at the optimum.
-    """
-    return p.add_constraints(*degradation_rows(v, c_deg, e_dch, soe, t))

@@ -37,7 +37,8 @@ DEFAULT_BATTERY_COST_EUR_PER_KWH = 150.0
 
 
 class ScenarioError(ValueError):
-    """Raised for scenario or price inputs that cannot be loaded."""
+    """Raised for scenario or price inputs that cannot be loaded, and for a
+    departure policy that a scenario's vehicles cannot take."""
 
 
 @dataclass(frozen=True)
@@ -108,7 +109,7 @@ class TariffCalendar:
     night_start_hour: int = 22
     night_end_hour: int = 6
 
-    def is_low_band(self, t, step_hours: float = 1.0):
+    def is_low_band(self, t, step_hours: float):
         """True when step ``t`` starts inside the night band; elementwise
         for an array of steps. Plain operators keep a scalar step cheap."""
         hour = (t * step_hours) % 24.0
@@ -118,9 +119,6 @@ class TariffCalendar:
         if start < end:
             return (start <= hour) & (hour < end)
         return (hour >= start) | (hour < end)
-
-    def band(self, t: int, step_hours: float = 1.0) -> str:
-        return "low" if self.is_low_band(t, step_hours) else "high"
 
 
 class ConnectivityMatrix:
@@ -232,12 +230,6 @@ class Scenario:
                 return i
         raise KeyError(f"unknown vehicle id {vid!r}")
 
-    def cp_index(self, cpid: str) -> int:
-        for i, cp in enumerate(self.charging_points):
-            if cp.id == cpid:
-                return i
-        raise KeyError(f"unknown charging point id {cpid!r}")
-
     def cp_at(self, v: int, t: int) -> ChargingPoint | None:
         """The charging point vehicle v is plugged into at step t, if any."""
         idx = self.connectivity.index[v, t]
@@ -253,7 +245,7 @@ class Scenario:
         return replace(self, prices=prices)
 
 
-def grid_fee(cp: ChargingPoint, t: int, cal: TariffCalendar, step_hours: float = 1.0) -> float:
+def grid_fee(cp: ChargingPoint, t: int, cal: TariffCalendar, step_hours: float) -> float:
     """Grid tariff (EUR/kWh) at charging point ``cp`` during step ``t``."""
     return cp.grid_fee_low_eur_per_kwh if cal.is_low_band(t, step_hours) else cp.grid_fee_high_eur_per_kwh
 
@@ -304,7 +296,7 @@ def validate_scenario(s: Scenario) -> list[str]:
         elif v.capacity_kwh > 0 and np.all(np.isfinite(
             [v.battery_cost_eur, v.capacity_kwh, d.d1, d.d2, d.d3, d.d4]
         )):
-            # the wear rows' coefficients, as emit_degradation_rows derives them
+            # the wear rows' coefficients, as degradation_rows derives them
             with np.errstate(over="ignore", invalid="ignore"):
                 scale = v.battery_cost_eur * 100.0 / v.capacity_kwh
                 derived = (d.d2 * scale, d.d3 * scale, d.d4 * scale,
@@ -525,7 +517,11 @@ def parse_scenario(data: dict, *, check: bool = True) -> Scenario:
     cpid_index = {cp.id: i for i, cp in enumerate(cps)}
     V, T, C = len(vehicles), horizon.step_count, len(cps)
 
-    mask = np.zeros((V, T, C), dtype=bool)
+    try:
+        mask = np.zeros((V, T, C), dtype=bool)
+        trips = np.zeros((V, T), dtype=float)
+    except (ValueError, MemoryError) as exc:
+        raise ScenarioError(f"horizon.step_count {T} is too large to allocate: {exc}") from exc
     conn_raw = top.child("connectivity", [])
     if not isinstance(conn_raw, list):
         raise ScenarioError("scenario.connectivity: expected a list")
@@ -544,7 +540,6 @@ def parse_scenario(data: dict, *, check: bool = True) -> Scenario:
             )
         mask[vid_index[vid], lo : hi + 1, cpid_index[cpid]] = True
 
-    trips = np.zeros((V, T), dtype=float)
     trips_raw = top.child("trips", [])
     if not isinstance(trips_raw, list):
         raise ScenarioError("scenario.trips: expected a list")
@@ -603,82 +598,6 @@ def load_scenario(path: str | Path, *, check: bool = True) -> Scenario:
     return parse_scenario(data, check=check)
 
 
-def scenario_to_dict(s: Scenario) -> dict:
-    """Inverse of parse_scenario: a JSON-ready dict that parses back equal."""
-    h = s.horizon
-    vehicles = []
-    for v in s.vehicles:
-        vehicles.append(
-            {
-                "id": v.id,
-                "capacity_kwh": v.capacity_kwh,
-                "obc_max_kw": v.obc_max_kwh_per_step / h.step_hours,
-                "battery_cost_eur": v.battery_cost_eur,
-                "soe_min_frac": v.soe_min_frac,
-                "soe_max_frac": v.soe_max_frac,
-                "soe_cv_frac": v.soe_cv_frac,
-                "soe_initial_frac": v.soe_initial_frac,
-                "eta_sch": v.eta_sch,
-                "eta_dch": v.eta_dch,
-                "eta_run": v.eta_run,
-                "eta_fch": v.eta_fch,
-                "degradation": {
-                    "d1": v.degradation.d1,
-                    "d2": v.degradation.d2,
-                    "d3": v.degradation.d3,
-                    "d4": v.degradation.d4,
-                },
-            }
-        )
-    cps = []
-    for cp in s.charging_points:
-        cps.append(
-            {
-                "id": cp.id,
-                "kind": cp.kind,
-                "power_kw": cp.power_limit_kwh_per_step / h.step_hours,
-                "grid_fee_low_eur_per_kwh": cp.grid_fee_low_eur_per_kwh,
-                "grid_fee_high_eur_per_kwh": cp.grid_fee_high_eur_per_kwh,
-                "cp_fee_eur_per_kwh": cp.cp_fee_eur_per_kwh,
-            }
-        )
-    connectivity = []
-    for v_idx, v in enumerate(s.vehicles):
-        for cp_idx, cp in enumerate(s.charging_points):
-            col = s.connectivity.mask[v_idx, :, cp_idx]
-            t = 0
-            while t < h.step_count:
-                if col[t]:
-                    start = t
-                    while t + 1 < h.step_count and col[t + 1]:
-                        t += 1
-                    connectivity.append(
-                        {"vehicle": v.id, "cp": cp.id, "from_step": start, "to_step": t}
-                    )
-                t += 1
-    trips = []
-    for v_idx, v in enumerate(s.vehicles):
-        for t in range(h.step_count):
-            e = s.trips.energy_kwh[v_idx, t]
-            if e != 0.0:
-                trips.append({"vehicle": v.id, "step": t, "energy_kwh": e})
-    return {
-        "horizon": {"step_count": h.step_count, "step_hours": h.step_hours},
-        "vehicles": vehicles,
-        "charging_points": cps,
-        "connectivity": connectivity,
-        "trips": trips,
-        "tariff_calendar": {
-            "night_start_hour": s.tariff_calendar.night_start_hour,
-            "night_end_hour": s.tariff_calendar.night_end_hour,
-        },
-    }
-
-
-def dump_scenario(s: Scenario, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(scenario_to_dict(s), indent=2, sort_keys=True) + "\n")
-
-
 # ---------------------------------------------------------------------------
 # Price files
 
@@ -714,11 +633,6 @@ def load_price_series(path: str | Path, step_count: int | None = None) -> PriceS
     if step_count is not None and len(values) != step_count:
         raise ScenarioError(f"{path}: has {len(values)} rows, horizon needs {step_count}")
     return PriceSeries(label=path.stem, values=np.array(values))
-
-
-def save_price_series(ps: PriceSeries, path: str | Path) -> None:
-    lines = [f"{t},{float(price)!r}" for t, price in enumerate(ps.values)]
-    Path(path).write_text("\n".join(lines) + "\n")
 
 
 def example_scenario_path() -> Path:

@@ -26,7 +26,6 @@ concurrently.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -532,46 +531,3 @@ def solve_evba(
             return FleetSchedule.empty(s, sol.status, message)
         sols.append(sol)
     return extract_schedule(sols, s, ct)
-
-
-# ---------------------------------------------------------------------------
-# Schedule export
-
-def schedule_csv_text(s: Scenario, fs: FleetSchedule) -> str:
-    """Schedule as CSV: vehicle,step,e_sch,e_dch,e_fch,soe,c_deg."""
-    buf = io.StringIO()
-    buf.write("vehicle,step,e_sch_kwh,e_dch_kwh,e_fch_kwh,soe_kwh,c_deg_eur\n")
-    for v_idx, v in enumerate(s.vehicles):
-        for t in range(s.horizon.step_count):
-            buf.write(
-                f"{v.id},{t},{fs.e_sch[v_idx, t]:.6f},{fs.e_dch[v_idx, t]:.6f},"
-                f"{fs.e_fch[v_idx, t]:.6f},{fs.soe[v_idx, t]:.6f},{fs.c_deg[v_idx, t]:.6f}\n"
-            )
-    return buf.getvalue()
-
-
-def breakdown_dict(s: Scenario, fs: FleetSchedule) -> dict:
-    """Cost breakdown as a JSON-ready dict, including the assumption header."""
-    from .analysis import ASSUMPTIONS  # late import; analysis depends on this module
-
-    return {
-        "assumptions": list(ASSUMPTIONS),
-        "status": fs.status,
-        "message": fs.message,
-        "total_cost_eur": fs.total_cost_eur,
-        "charged_kwh": fs.charged_kwh,
-        "discharged_kwh": fs.discharged_kwh,
-        "per_vehicle": [
-            {
-                "vehicle": c.vehicle,
-                "energy_eur": c.energy_eur,
-                "grid_fee_eur": c.grid_fee_eur,
-                "cp_fee_eur": c.cp_fee_eur,
-                "degradation_eur": c.degradation_eur,
-                "v2g_revenue_eur": c.v2g_revenue_eur,
-                "total_eur": c.total_eur,
-            }
-            for c in fs.per_vehicle
-        ],
-        "warnings": list(fs.warnings),
-    }

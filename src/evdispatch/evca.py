@@ -19,7 +19,7 @@ import numpy as np
 
 from . import lp
 from .degradation import degradation_cost  # noqa: F401 - bench/tracing.py wraps this binding
-from .domain import Scenario, Vehicle
+from .domain import Scenario, ScenarioError, Vehicle
 from .domain import validate_scenario  # noqa: F401 - bench/tracing.py wraps this binding
 from .evba import (
     CostToggles,
@@ -154,10 +154,10 @@ def solve_evca(
     """
     _require_solvable(s)
     if not (policy.depart_min_frac >= 0.0):
-        raise ValueError("policy floor must be a fraction >= 0")
+        raise ScenarioError("policy floor must be a fraction >= 0")
     for v in s.vehicles:
         if policy.depart_min_frac < v.soe_min_frac - 1e-12:
-            raise ValueError(
+            raise ScenarioError(
                 f"policy floor {policy.depart_min_frac} below vehicle {v.id!r} "
                 f"minimum SOE fraction {v.soe_min_frac}"
             )
@@ -234,15 +234,3 @@ def solve_evca(
             running = depart_soe
             prev_end = session.depart_step
     return _assemble(s, ct, windows, warnings=warnings, sessions=traces)
-
-
-def sessions_csv_text(fs: FleetSchedule) -> str:
-    """Per-session trace as CSV."""
-    lines = ["vehicle,cp,arrive_step,depart_step,arrival_soe_kwh,depart_soe_kwh,floor_kwh,cost_eur,note"]
-    for tr in fs.sessions or []:
-        lines.append(
-            f"{tr.vehicle},{tr.cp},{tr.arrive_step},{tr.depart_step},"
-            f"{tr.arrival_soe_kwh:.6f},{tr.depart_soe_kwh:.6f},{tr.floor_kwh:.6f},"
-            f"{tr.cost_eur:.6f},{tr.note}"
-        )
-    return "\n".join(lines) + "\n"

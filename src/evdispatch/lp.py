@@ -182,12 +182,6 @@ class LpProblem:
             [nm or f"r{i}" for nm, i in zip(names or [""] * k, range(first, first + k))]
         return np.arange(first, first + k)
 
-    def variable_name(self, var: int) -> str:
-        return self._var_names[var]
-
-    def row_names(self) -> list[str]:
-        return list(self._row_names)
-
     def to_lp_text(self) -> str:
         """Debug dump in LP text format for cross-checking with other tools."""
         names = self._var_names

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -241,3 +242,66 @@ def test_extreme_price_exit_1_naming_the_step(example_path, tmp_path, capsys, mo
     assert len(err.splitlines()) == 1
     assert err.startswith("error:") and "step 5" in err and "1e+300" in err
     assert not out.exists()
+
+
+def test_policy_floor_below_a_vehicle_minimum_exit_1_naming_it(example_path, tmp_path, capsys):
+    data = json.loads(Path(example_path).read_text())
+    data["vehicles"][0].update(soe_min_frac=0.7, soe_initial_frac=0.8)
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "report"
+    rc = main(["solve", "--model", "evca", "--policy", "low", "--scenario", str(path),
+               "--gen-prices", "high", "--seed", "1", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: policy floor 0.6") and "'ev1'" in err
+    assert not out.exists()
+
+
+def test_infeasible_ablation_variant_has_a_null_cost(example_path, tmp_path):
+    # ev1 cannot cover a 10.8 kWh trip at 4 kW, but can with its 8 kW plug
+    data = json.loads(Path(example_path).read_text())
+    for trip in data["trips"]:
+        if trip["vehicle"] == "ev1" and trip["step"] == 15:
+            trip["energy_kwh"] = 10.8
+    for plug in data["connectivity"]:
+        if plug["vehicle"] == "ev1" and plug["cp"] == "leisure":
+            plug["from_step"] = 23
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "report"
+    rc = main(["ablate-power", "--scenario", str(path), "--gen-prices", "high", "--seed", "1",
+               "--out", str(out)])
+    assert rc == 0
+
+    def no_constant(name):
+        raise ValueError(f"non-JSON constant {name}")
+
+    written = sorted(out.iterdir())
+    assert [p.name for p in written] == [
+        "power_ablation.csv", "power_ablation.json", "power_ablation.svg", "power_ablation_discharge.svg"
+    ]
+    for p in written:
+        assert not re.search(r"\bnan\b", p.read_text(), re.IGNORECASE), p.name
+    variants = json.loads((out / "power_ablation.json").read_text(), parse_constant=no_constant)["variants"]
+    assert [(v["label"], v["status"], v["total_cost_eur"] is None) for v in variants] == [
+        ("fixed_4kw", "infeasible", True), ("obc_only", "optimal", False),
+        ("cp_only", "optimal", False), ("both", "optimal", False),
+    ]
+    assert (out / "power_ablation.csv").read_text().splitlines()[1].startswith("fixed_4kw,infeasible,,")
+    svg = (out / "power_ablation.svg").read_text()
+    assert svg.count("<rect ") == 1 + 3  # the background, then one bar per solved variant
+    assert ">fixed_4kw</text>" in svg
+
+
+@pytest.mark.parametrize("step_count", [10**19, 2**62])  # numpy refuses both before allocating
+def test_horizon_too_large_to_allocate_exit_1(example_path, tmp_path, capsys, step_count):
+    data = json.loads(Path(example_path).read_text())
+    data["horizon"]["step_count"] = step_count
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--scenario", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"error: horizon.step_count {step_count} is too large")

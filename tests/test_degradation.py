@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evdispatch import lp
-from evdispatch.degradation import degradation_cost, emit_degradation_rows, plane_values
+from evdispatch.degradation import degradation_cost, degradation_rows, plane_values
 from evdispatch.domain import Vehicle
 
 V40 = Vehicle(id="v", capacity_kwh=40.0, obc_max_kwh_per_step=10.0, battery_cost_eur=1000.0)
@@ -80,7 +80,7 @@ def test_emit_rows_adds_two_constraints():
     e = p.add_variable(0.0, 10.0, 0.0, "e")
     soe = p.add_variable(8.0, 40.0, 0.0, "soe")
     before = p.num_constraints
-    emit_degradation_rows(p, cdeg, e, soe, V40, 0)
+    p.add_constraints(*degradation_rows(V40, cdeg, e, soe, 0))
     assert p.num_constraints == before + 2
 
 
@@ -88,7 +88,7 @@ def test_emit_rows_counts_scale_with_fleet(example_with_high):
     from evdispatch.evba import CostToggles, build_evba
 
     problems = build_evba(example_with_high, CostToggles())
-    deg_rows = [n for p in problems for n in p.row_names() if n.startswith("deg")]
+    deg_rows = [n for p in problems for n in p._row_names if n.startswith("deg")]
     assert len(deg_rows) == 2 * 3 * 24  # two rows per vehicle-step
 
 
@@ -99,7 +99,7 @@ def test_lp_epigraph_matches_evaluator_at_optimum():
         cdeg = p.add_variable(0.0, lp.INF, 1.0, "cdeg")
         e = p.add_variable(e_val, e_val, 0.0, "e")
         soe = p.add_variable(soe_val, soe_val, 0.0, "soe")
-        emit_degradation_rows(p, cdeg, e, soe, V40, 0)
+        p.add_constraints(*degradation_rows(V40, cdeg, e, soe, 0))
         sol = lp.solve(p)
         assert sol.status == lp.OPTIMAL
         expected = max(degradation_cost(V40, e_val, soe_val), 0.0)
@@ -113,7 +113,7 @@ def test_variable_plane1_coefficients_match_rows():
     cdeg = p.add_variable(0.0, lp.INF, 1.0, "cdeg")
     e = p.add_variable(0.0, 10.0, -100.0, "e")
     soe = p.add_variable(20.0, 20.0, 0.0, "soe")
-    emit_degradation_rows(p, cdeg, e, soe, V40, 0)
+    p.add_constraints(*degradation_rows(V40, cdeg, e, soe, 0))
     sol = lp.solve(p)
     assert sol.value(e) == pytest.approx(10.0, abs=1e-9)
     p1, p2 = plane_values(V40, sol.value(e), 20.0)

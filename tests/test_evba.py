@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from evdispatch.domain import (
     Scenario,
     TripPlan,
     Vehicle,
+    example_scenario_path,
     parse_scenario,
-    scenario_to_dict,
 )
 from evdispatch.evba import (
     OBJECTIVE_VARIANTS,
@@ -52,7 +53,7 @@ def _one_ev_24() -> Scenario:
 
 
 def _var_ids(problem: lp.LpProblem, prefix: str) -> set[int]:
-    return {i for i in range(problem.num_variables) if problem.variable_name(i).startswith(prefix)}
+    return {i for i in range(problem.num_variables) if problem._var_names[i].startswith(prefix)}
 
 
 def test_variable_and_degradation_row_counts():
@@ -60,7 +61,7 @@ def test_variable_and_degradation_row_counts():
     problems = build_evba(s, cost_toggles_for("of2"))
     assert len(problems) == 1
     assert sum(p.num_variables for p in problems) == 5 * 24
-    assert sum(1 for p in problems for n in p.row_names() if n.startswith("deg")) == 2 * 24
+    assert sum(1 for p in problems for n in p._row_names if n.startswith("deg")) == 2 * 24
     assert sum(len(_var_ids(p, "cdeg[")) for p in problems) == 24
 
 
@@ -76,7 +77,7 @@ def test_taper_rows_only_reference_slow_charging(example_with_high):
     for problem in build_evba(example_with_high, OF5):
         sch_ids = _var_ids(problem, "sch[")
         fch_ids = _var_ids(problem, "fch[")
-        for i, name in enumerate(problem.row_names()):
+        for i, name in enumerate(problem._row_names):
             if not name.startswith("cv["):
                 continue
             row_vars = set(problem._rows[i])
@@ -286,8 +287,9 @@ def test_extract_rejects_nan_objective(example_with_high):
 
 
 def _replicated(s: Scenario, copies: int) -> Scenario:
-    """The fleet repeated ``copies`` times, vehicle ids suffixed ``_rNN``."""
-    data = scenario_to_dict(s)
+    """The bundled example fleet repeated ``copies`` times, vehicle ids
+    suffixed ``_rNN``, with the prices of ``s``."""
+    data = json.loads(example_scenario_path().read_text())
     out = {**data, "vehicles": [], "connectivity": [], "trips": []}
     for r in range(copies):
         suffix = f"_r{r:02d}"
@@ -401,7 +403,7 @@ def _same_problem(got: lp.LpProblem, ref: lp.LpProblem) -> bool:
         and all(getattr(got, a).tobytes() == getattr(ref, a).tobytes() for a in arrays)
         and got._senses.tolist() == ref._senses.tolist()
         and got._var_names == ref._var_names
-        and got.row_names() == ref.row_names()
+        and got._row_names == ref._row_names
     )
 
 

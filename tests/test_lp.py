@@ -100,7 +100,7 @@ def test_bulk_adds_match_one_at_a_time():
     assert ids.tolist() == [0, 1]
     assert bulk.to_lp_text() == one.to_lp_text()
     assert bulk._rows == one._rows == [{0: 0.1 + 0.2 - 0.3, 2: 1.5}, {1: -1.0}]
-    assert bulk.row_names() == ["a", "r1"]
+    assert bulk._row_names == ["a", "r1"]
 
 
 def test_bulk_add_rejects_the_first_faulty_row_and_adds_nothing():
@@ -351,7 +351,7 @@ def test_example_lps_take_few_pivots_and_account_for_each(example_with_high):
     for p in _example_lps(example_with_high):
         sim = lp._Simplex(p, 1e-6, None)
         sim._setup()
-        crashed = [p.variable_name(q) for q in sim.basis if q < p.num_variables]
+        crashed = [p._var_names[q] for q in sim.basis if q < p.num_variables]
         # one pick per balance row, the SOE chain; at the last step the
         # departure floor narrows the SOE range, and a charge column may tie
         assert len(crashed) == 24
