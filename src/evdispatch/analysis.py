@@ -195,10 +195,10 @@ class AblationReport:
     """One variant of an ablation study, audited against the full model."""
 
     label: str
-    total_cost_eur: float | None  # None when the variant did not solve to optimality
+    total_cost_eur: float | None  # None, like the flows, when the variant did not solve to optimality
     breakdown: dict[str, float]
-    charged_kwh: float
-    discharged_kwh: float
+    charged_kwh: float | None
+    discharged_kwh: float | None
     violations: ViolationReport
     status: str = "optimal"
 
@@ -329,7 +329,7 @@ def _ablation(
         fs = solve_evba(sp, ct, power)
         if fs.status != "optimal":
             reports.append(
-                AblationReport(label, None, {}, 0.0, 0.0, ViolationReport(), fs.status)
+                AblationReport(label, None, {}, None, None, ViolationReport(), fs.status)
             )
             continue
         costs[label] = fs.total_cost_eur
@@ -571,7 +571,7 @@ def write_report(report, out_dir: str | Path, *, scenario: Scenario | None = Non
                     "breakdown": r.breakdown,
                     "charged_kwh": r.charged_kwh,
                     "discharged_kwh": r.discharged_kwh,
-                    "violation_count": len(r.violations.violations),
+                    "violation_count": len(r.violations.violations) if r.status == "optimal" else None,
                     **_violations_json(r.violations),
                 }
                 for r in report.reports
@@ -584,10 +584,12 @@ def write_report(report, out_dir: str | Path, *, scenario: Scenario | None = Non
             "degradation_eur,v2g_revenue_eur,charged_kwh,discharged_kwh,violation_count"
         ]
         for r in report.reports:
+            if r.status != "optimal":  # no schedule: no breakdown, flows or audit
+                lines.append(f"{r.label},{r.status}" + "," * 9)
+                continue
             b = r.breakdown
-            cost = "" if r.total_cost_eur is None else f"{r.total_cost_eur:.6f}"
             lines.append(
-                f"{r.label},{r.status},{cost},"
+                f"{r.label},{r.status},{r.total_cost_eur:.6f},"
                 f"{b.get('energy_eur', 0.0):.6f},{b.get('grid_fee_eur', 0.0):.6f},"
                 f"{b.get('cp_fee_eur', 0.0):.6f},{b.get('degradation_eur', 0.0):.6f},"
                 f"{b.get('v2g_revenue_eur', 0.0):.6f},{r.charged_kwh:.6f},"

@@ -20,21 +20,28 @@ Algorithm notes:
   the sum of the basic variables' bound violations, prices from the
   infeasible rows only, and lets an infeasible basic variable block at the
   bound it violates (SIAM Rev. 7(1), 1965);
+- the tableau holds only columns that can enter: fixed columns (equality
+  slacks and ``lb == ub`` structurals) never enter and are left out, which
+  on window LPs is about a quarter of all columns. Tableau column ``k`` is
+  variable ``cols[k]`` and ``pos`` maps a variable back (-1 when fixed);
+  everything per column (pricing signs, reduced costs, the ratio test's
+  column) is indexed by tableau column, everything per variable (status,
+  bounds, nonbasic values, the basis) by variable. Set-up scatters the
+  sparse rows straight into ``T``;
 - the tableau ``T = B^-1 A`` is stored column-major, and a pivot updates
   only the columns where the normalised pivot row is nonzero: every other
   column is unchanged by the rank-1 update. Each updated column is one
   contiguous row of the C-ordered view ``T.T``, and each updated entry gets
-  the same arithmetic as a full update, so skipping columns changes no bit.
-  Fixed columns (equality slacks and ``lb == ub`` structurals) can never
-  enter, so their entries are not updated at all: on window LPs they are
-  over 40% of a pivot row's nonzeros;
-- reduced costs are computed from a row-major copy of ``T``: BLAS uses a
-  different kernel for a column-major operand, its sums differ in the last
-  bits, and those bits feed pricing decisions;
+  the same arithmetic as a full update, so skipping columns changes no bit;
+- reduced costs are computed from a row-major copy of ``T`` at full width,
+  one column per variable with the fixed ones zero: BLAS uses a different
+  kernel for a column-major operand, and sums the last few columns of a row
+  apart from the others, so only this copy gives each column the last bits
+  a full tableau gives it, and those bits feed pricing decisions;
 - pricing is Dantzig (most negative reduced cost) with a permanent switch to
   Bland's rule after a stall, which guarantees termination. Each column
   keeps its pricing sign (-1 at a lower bound, +1 at an upper bound, 0 when
-  basic or fixed) and each basic variable its bounds; pivots keep both up to
+  basic or free) and each basic variable its bounds; pivots keep both up to
   date and a refactorization rebuilds them, so pricing is one multiply and
   one argmax and the ratio test reads the basic bounds without a gather;
 - a bound flip is taken when the entering variable hits its opposite bound
@@ -224,6 +231,7 @@ class SolveStats:
 
     n: int  # structural columns
     m: int  # rows
+    tableau_columns: int  # columns that can enter (ub > lb), the width of the tableau
     crash_columns: int
     phase1_pivots: int
     phase2_pivots: int
@@ -269,19 +277,22 @@ class _Simplex:
         self.n_struct = n
         self.m = m
 
-        # columns: structural | slacks
-        A = np.zeros((m, n + m))
-        A[np.repeat(np.arange(m), np.diff(p._indptr)), p._indices] = p._data
-        A[np.arange(m), n + np.arange(m)] = 1.0
+        # the structural block; the slacks' columns are the identity
+        self.row_of = np.repeat(np.arange(m), np.diff(p._indptr))  # row of each sparse entry
+        self.A = np.zeros((m, n))
+        self.A[self.row_of, p._indices] = p._data
         self.b = p._rhs.copy()
 
         # the slack bounds are the one place the row sense is encoded
         sense = p._senses
-        self.A = A
         self.lb = np.concatenate([p._lb, np.where(sense == ">=", -INF, 0.0)])
         self.ub = np.concatenate([p._ub, np.where(sense == "<=", INF, 0.0)])
         self.cost = np.concatenate([p._cost, np.zeros(m)])
-        self.live = self.ub - self.lb > 0.0  # fixed columns never enter
+        # tableau column k is variable cols[k]; fixed variables never enter
+        # and have no column (pos -1)
+        self.cols = np.flatnonzero(self.ub - self.lb > 0.0)
+        self.pos = np.full(n + m, -1, dtype=np.intp)
+        self.pos[self.cols] = np.arange(len(self.cols))
         self.max_iter = max_iter if max_iter is not None else 200 * (m + n + 20)
         self.iterations = 0
         self.crash_columns = self.phase1_pivots = self.flips = self.refactorizations = 0
@@ -302,14 +313,20 @@ class _Simplex:
         self.status = status
         self.nb_value = np.where(status == _AT_LB, self.lb, np.where(status == _AT_UB, self.ub, 0.0))
         self.basis = n + np.arange(m)
-        self.xB = self.b - self.A[:, :n] @ self.nb_value[:n]
-        self.T = np.array(self.A, order="F")  # B = I; a copy, never a view of A
+        self.xB = self.b - self.A @ self.nb_value[:n]
+        # B = I, so T is [A | I] on the columns that can enter
+        self.T = np.zeros((m, len(self.cols)), order="F")
+        col = self.pos[self.p._indices]
+        keep = col >= 0
+        self.T[self.row_of[keep], col[keep]] = self.p._data[keep]
+        slack = np.flatnonzero(self.pos[n:] >= 0)
+        self.T[slack, self.pos[n + slack]] = 1.0
         self._sync()
         width = (self.ub[:n] - self.lb[:n]).tolist()
         blocked = [False] * n
         ptr, idx, val = (a.tolist() for a in (self.p._indptr, self.p._indices, self.p._data))
         crash = []
-        for i in np.flatnonzero(~self.live[n:]).tolist():  # the equality rows
+        for i in np.flatnonzero(self.pos[n:] < 0).tolist():  # the equality rows
             nonzero = [j for j, coef in zip(idx[ptr[i]:ptr[i + 1]], val[ptr[i]:ptr[i + 1]]) if coef != 0.0]
             cand = [j for j in nonzero if not blocked[j] and width[j] > 0.0]
             if cand:
@@ -319,34 +336,45 @@ class _Simplex:
         # the picks are triangular, so in reverse order every pivot row is an
         # original row; each pivot moves its column until the slack is zero
         for r, q in reversed(crash):
-            delta = self.xB[r] / self.T[r, q]
-            self.xB = self.xB - self.T[:, q] * delta
-            self._pivot(r, q, self.nb_value[q] + delta, _AT_LB)
+            k = self.pos[q]
+            delta = self.xB[r] / self.T[r, k]
+            self.xB = self.xB - self.T[:, k] * delta
+            self._pivot(r, k, self.nb_value[q] + delta, _AT_LB)
         self.crash_columns = len(crash)
 
     def _sync(self) -> None:
-        """Derive the pricing sign of every column and the bounds of the
-        basic variables from the status and the basis; pivots then keep
+        """Derive the pricing sign of every tableau column and the bounds of
+        the basic variables from the status and the basis; pivots then keep
         both up to date."""
-        self.sign = np.where(self.live, _SCORE_SIGN[self.status], 0.0)
+        self.sign = _SCORE_SIGN[self.status[self.cols]]
         self.has_free = bool((self.status == _FREE).any())
         self.lbB = self.lb[self.basis]
         self.ubB = self.ub[self.basis]
 
     # -- helpers -----------------------------------------------------------
 
+    def _full_width(self, rows: np.ndarray) -> np.ndarray:
+        """A row-major copy of tableau rows with one column per variable,
+        the fixed ones zero (see the module notes on reduced costs)."""
+        out = np.zeros((len(rows), self.n_struct + self.m))
+        out[:, self.cols] = rows
+        return out
+
     def _reduced_costs(self) -> np.ndarray:
         # on a row-major copy, so the sums keep their last bits (see above)
-        return self.cost - self.cost[self.basis] @ np.ascontiguousarray(self.T)
+        return self.cost[self.cols] - (self.cost[self.basis] @ self._full_width(self.T))[self.cols]
 
     def _refactorize(self) -> None:
         """Rebuild the tableau and basic values from the original columns."""
         self.refactorizations += 1
-        B = self.A[:, self.basis]
+        A = np.hstack([self.A, np.eye(self.m)])
+        B = A[:, self.basis]
         nb_mask = self.status != _BASIC
-        contrib = self.A[:, nb_mask] @ self.nb_value[nb_mask]
+        contrib = A[:, nb_mask] @ self.nb_value[nb_mask]
         try:
-            self.T = np.asfortranarray(np.linalg.solve(B, self.A))
+            # solved for every column, so the kept ones get the bits a
+            # full-width tableau would hold
+            self.T = np.asfortranarray(np.linalg.solve(B, A)[:, self.cols])
             self.xB = np.linalg.solve(B, self.b - contrib)
         except np.linalg.LinAlgError as exc:
             raise ArithmeticError(f"singular basis in {self.p.name!r}: {exc}") from exc
@@ -364,16 +392,16 @@ class _Simplex:
         slack bounds; ``np.max`` propagates NaN, so a NaN point never passes.
         """
         n = self.n_struct
-        xs = np.concatenate([x[:n], self.b - self.A[:, :n] @ x[:n]])
+        xs = np.concatenate([x[:n], self.b - self.A @ x[:n]])
         return float(np.max(np.maximum(self.lb - xs, xs - self.ub), initial=0.0))
 
     # -- core iteration ----------------------------------------------------
 
     def _price(self, d: np.ndarray, bland: bool) -> int:
-        """Pick the entering column, or -1 when none is eligible (optimality)."""
+        """Pick the entering tableau column, or -1 when none is eligible (optimality)."""
         score = self.sign * d
         if self.has_free:
-            free = self.status == _FREE
+            free = self.status[self.cols] == _FREE
             score[free] = np.abs(d[free])
         if not score.size:
             return -1
@@ -381,28 +409,31 @@ class _Simplex:
         q = int(np.argmax(score > self.opt_tol if bland else score))
         return q if score[q] > self.opt_tol else -1
 
-    def _pivot(self, r: int, q: int, entering_val: float, leaving_status: int) -> None:
-        """Exchange basic row ``r`` for column ``q``; the leaver rests at a bound."""
-        leaving = self.basis[r]
+    def _pivot(self, r: int, k: int, entering_val: float, leaving_status: int) -> np.ndarray:
+        """Exchange basic row ``r`` for tableau column ``k``; the leaver rests
+        at a bound. Returns the normalised pivot row."""
+        leaving, q = self.basis[r], self.cols[k]
         self.status[leaving] = leaving_status
         self.nb_value[leaving] = self.lb[leaving] if leaving_status == _AT_LB else self.ub[leaving]
-        if self.live[leaving]:
-            self.sign[leaving] = _SCORE_SIGN[leaving_status]
-        self.T[r, :] /= self.T[r, q]
-        col = self.T[:, q].copy()
+        if self.pos[leaving] >= 0:
+            self.sign[self.pos[leaving]] = _SCORE_SIGN[leaving_status]
+        # the row is strided in T, so it is read once into a contiguous copy
+        row = self.T[r] / self.T[r, k]
+        self.T[r] = row
+        col = self.T[:, k].copy()
         col[r] = 0.0
-        # only columns with a nonzero pivot-row entry change, and fixed
-        # columns never enter, so theirs are left as they are; each updated
+        # only columns with a nonzero pivot-row entry change; each updated
         # column is one contiguous row of the C-ordered view T.T
-        cols = np.flatnonzero((self.T[r] != 0.0) & self.live)
+        nz = row.nonzero()[0]
         Tt = self.T.T
-        Tt[cols] -= self.T[r, cols][:, None] * col[None, :]
+        Tt[nz] -= row[nz][:, None] * col[None, :]
         self.basis[r] = q
         self.status[q] = _BASIC
-        self.sign[q] = 0.0
+        self.sign[k] = 0.0
         self.lbB[r] = self.lb[q]
         self.ubB[r] = self.ub[q]
         self.xB[r] = entering_val
+        return row
 
     def _iterate(self, phase1: bool) -> str:
         """Pivot until no column improves the phase's objective: the sum of
@@ -423,11 +454,11 @@ class _Simplex:
                 # a basic variable costs -1 below its lower bound, +1 above its
                 # upper, and blocks only at the bound it violates
                 above = out & (self.xB > ubB)
-                d = np.where(above[out], -1.0, 1.0) @ np.ascontiguousarray(self.T[out])
+                d = (np.where(above[out], -1.0, 1.0) @ self._full_width(self.T[out]))[self.cols]
                 lbB, ubB = (np.where(above, ubB, np.where(out, -INF, lbB)),
                             np.where(above, INF, np.where(out, lbB, ubB)))
-            q = self._price(d, bland)
-            if q < 0:
+            k = self._price(d, bland)
+            if k < 0:
                 if phase1:
                     scale = max(1.0, float(np.abs(self.b).max()))
                     return INFEASIBLE if gap[out].sum() > self.feas_tol * scale else OPTIMAL
@@ -442,13 +473,14 @@ class _Simplex:
                 return ITERATION_LIMIT
             self.iterations += 1
 
-            if self.status[q] == _AT_UB or (self.status[q] == _FREE and d[q] > 0):
+            q = self.cols[k]
+            if self.status[q] == _AT_UB or (self.status[q] == _FREE and d[k] > 0):
                 sigma = -1.0
             else:
                 sigma = 1.0
             # ratio test: a row whose |w| exceeds pivot_tol blocks where its
             # basic variable, moving by -sigma * w per unit, meets a bound
-            w = self.T[:, q]
+            w = self.T[:, k]
             sw = sigma * w
             aw = np.abs(w)
             room = np.maximum(np.where(sw > 0.0, self.xB - lbB, ubB - self.xB), 0.0)
@@ -474,7 +506,7 @@ class _Simplex:
                 self.xB = self.xB - w * (sigma * t_flip)
                 self.status[q] = _AT_UB if self.status[q] == _AT_LB else _AT_LB
                 self.nb_value[q] = self.ub[q] if self.status[q] == _AT_UB else self.lb[q]
-                self.sign[q] = -self.sign[q]
+                self.sign[k] = -self.sign[k]
                 continue
 
             blocking = ratios <= delta + 1e-9
@@ -490,9 +522,9 @@ class _Simplex:
             # a feasible leaver rests at the bound it moves toward, an
             # infeasible one at the bound it violated, on the other side
             infeasible = phase1 and bool(out[r])
-            self._pivot(r, q, entering_val, _AT_LB if (sw[r] > 0) != infeasible else _AT_UB)
+            row = self._pivot(r, k, entering_val, _AT_LB if (sw[r] > 0) != infeasible else _AT_UB)
             if not phase1:
-                d -= d[q] * self.T[r, :]
+                d -= d[k] * row
 
     def run(self) -> LpSolution:
         self._setup()
@@ -511,7 +543,7 @@ class _Simplex:
             )
         n = self.n_struct
         stats = SolveStats(
-            n, self.m, self.crash_columns, self.phase1_pivots,
+            n, self.m, len(self.cols), self.crash_columns, self.phase1_pivots,
             self.iterations - self.phase1_pivots - self.flips, self.flips,
             self.bland_from, self.refactorizations, violation,
         )

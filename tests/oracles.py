@@ -358,19 +358,53 @@ class DenseSimplex(lp._Simplex):
     test by boolean masks.
 
     The solver's kernel must reproduce this one bit for bit: the same
-    pivots, iterations, ``x`` and objective. It shares only set-up,
-    refactorization and the reduced-cost product with the solver.
+    pivots, iterations, ``x`` and objective. Its tableau is full width, one
+    column per variable, fixed ones included; it shares only the problem's
+    arrays, the ``run`` loop and the final verification with the solver.
     """
 
     def _setup(self) -> None:
-        # the crash pivots in the base set-up already go through _pivot
-        self._buf = np.empty(self.A.shape)
-        super()._setup()
-        self.T = np.ascontiguousarray(self.T)
+        """Slack basis, then the triangular crash: each equality row in order
+        takes the widest-range structural column nonzero in it and zero in
+        every row taken before it (ties to the lowest index)."""
+        n, m = self.n_struct, self.m
+        self.full = np.hstack([self.A, np.eye(m)])  # [A | I]
+        self.status = np.where(np.isfinite(self.lb), lp._AT_LB,
+                               np.where(np.isfinite(self.ub), lp._AT_UB, lp._FREE)).astype(np.int8)
+        self.status[n:] = lp._BASIC
+        self.nb_value = np.where(self.status == lp._AT_LB, self.lb,
+                                 np.where(self.status == lp._AT_UB, self.ub, 0.0))
+        self.basis = n + np.arange(m)
+        self.xB = self.b - self.full[:, :n] @ self.nb_value[:n]
+        self.T = self.full.copy()
+        self._buf = np.empty(self.T.shape)
+        width = self.ub[:n] - self.lb[:n]
+        blocked = np.zeros(n, dtype=bool)
+        crash = []
+        for i in np.flatnonzero(self.lb[n:] == self.ub[n:]):
+            nonzero = self.full[i, :n] != 0.0
+            cand = np.flatnonzero(nonzero & ~blocked & (width > 0.0))
+            if cand.size:
+                crash.append((i, cand[np.argmax(width[cand])]))  # the first of ties
+                blocked |= nonzero
+        for r, q in reversed(crash):
+            delta = self.xB[r] / self.T[r, q]
+            self.xB = self.xB - self.T[:, q] * delta
+            self._pivot(r, q, self.nb_value[q] + delta, lp._AT_LB)
+        self.crash_columns = len(crash)
 
     def _refactorize(self) -> None:
-        super()._refactorize()
-        self.T = np.ascontiguousarray(self.T)
+        self.refactorizations += 1
+        B = self.full[:, self.basis]
+        nb = self.status != lp._BASIC
+        try:
+            self.T = np.ascontiguousarray(np.linalg.solve(B, self.full))
+            self.xB = np.linalg.solve(B, self.b - self.full[:, nb] @ self.nb_value[nb])
+        except np.linalg.LinAlgError as exc:
+            raise ArithmeticError(f"singular basis in {self.p.name!r}: {exc}") from exc
+
+    def _reduced_costs(self) -> np.ndarray:
+        return self.cost - self.cost[self.basis] @ self.T
 
     def _price(self, d: np.ndarray, bland: bool) -> int:
         at_lb = self.status == lp._AT_LB

@@ -295,6 +295,34 @@ def test_infeasible_ablation_variant_has_a_null_cost(example_path, tmp_path):
     assert ">fixed_4kw</text>" in svg
 
 
+def test_infeasible_ablation_variant_reports_no_flows_or_audit(example_path, tmp_path):
+    # the same infeasible 4 kW variant: it has no schedule, so nothing of one
+    # is reported, where zeros would read as a schedule that moves no energy
+    data = json.loads(Path(example_path).read_text())
+    for trip in data["trips"]:
+        if trip["vehicle"] == "ev1" and trip["step"] == 15:
+            trip["energy_kwh"] = 10.8
+    for plug in data["connectivity"]:
+        if plug["vehicle"] == "ev1" and plug["cp"] == "leisure":
+            plug["from_step"] = 23
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "report"
+    assert main(["ablate-power", "--scenario", str(path), "--gen-prices", "high", "--seed", "1",
+                 "--out", str(out)]) == 0
+    variants = json.loads((out / "power_ablation.json").read_text())["variants"]
+    assert [(v["charged_kwh"], v["discharged_kwh"], v["violation_count"]) for v in variants][0] == (None,) * 3
+    # the relaxed variants are audited against the full model, so they may violate it
+    assert [v["violation_count"] for v in variants[1:]] == [25, 19, 0]
+    assert all(v["charged_kwh"] > 0.0 for v in variants[1:])
+    rows = (out / "power_ablation.csv").read_text().splitlines()
+    assert rows[1] == "fixed_4kw,infeasible,,,,,,,,,"
+    assert all(len(row.split(",")) == 11 for row in rows)
+    svg = (out / "power_ablation_discharge.svg").read_text()
+    assert svg.count("<rect ") == 1 + 3  # the background, then one bar per solved variant
+    assert ">fixed_4kw</text>" in svg
+
+
 @pytest.mark.parametrize("step_count", [10**19, 2**62])  # numpy refuses both before allocating
 def test_horizon_too_large_to_allocate_exit_1(example_path, tmp_path, capsys, step_count):
     data = json.loads(Path(example_path).read_text())

@@ -243,7 +243,8 @@ def test_crash_basis_matches_row_by_row_reference():
         assert sim.crash_columns == len(taken)
         # every other basic column is a slack's unit column, so the start
         # basis is triangular when its crash block is
-        B = sim.A[:, sim.basis]
+        A = np.hstack([sim.A, np.eye(sim.m)])
+        B = A[:, sim.basis]
         block = B[np.ix_(taken, taken)]
         assert np.all(np.triu(block, 1) == 0.0) and np.all(np.diag(block) != 0.0)
         # nonbasic columns rest at the lower bound when it is finite, else the upper
@@ -253,12 +254,95 @@ def test_crash_basis_matches_row_by_row_reference():
         x_n = np.where(status == lp._AT_LB, sim.lb, np.where(status == lp._AT_UB, sim.ub, 0.0))
         x_n[sim.basis] = 0.0
         assert np.array_equal(sim.nb_value[status != lp._BASIC], x_n[status != lp._BASIC])
-        # fixed columns never enter, so pivots leave their tableau entries as they are
+        # fixed columns never enter, so the tableau holds only the others
         live = sim.ub > sim.lb
-        np.testing.assert_allclose(sim.T[:, live], np.linalg.solve(B, sim.A)[:, live], rtol=0.0, atol=1e-12)
-        np.testing.assert_allclose(sim.xB, np.linalg.solve(B, sim.b - sim.A @ x_n), rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(sim.T, np.linalg.solve(B, A)[:, live], rtol=0.0, atol=1e-12)
+        np.testing.assert_allclose(sim.xB, np.linalg.solve(B, sim.b - A @ x_n), rtol=0.0, atol=1e-12)
         n_crash += len(taken)
     assert n_crash > 0  # the sample must exercise the crash
+
+
+def test_tableau_holds_one_column_per_variable_that_can_enter(example_scenario):
+    s = refine(example_scenario, "ev1", 4)
+    s = s.with_prices(generate_price_set("high", seed=1, step_count=96, step_hours=0.25))
+    problems = list(_random_lps_with_tied_ranges()) + evba.build_evba(s, evba.cost_toggles_for("of5"))
+    for p in problems:
+        sim = lp._Simplex(p, 1e-6, None)
+        sim._setup()
+        live = np.flatnonzero(sim.ub > sim.lb)
+        assert np.array_equal(sim.cols, live)
+        assert sim.T.shape == (p.num_constraints, live.size) and sim.T.flags.f_contiguous
+        assert np.array_equal(sim.pos[live], np.arange(live.size))
+        assert np.all(sim.pos[sim.ub <= sim.lb] == -1)
+        A = np.hstack([sim.A, np.eye(sim.m)])
+        np.testing.assert_allclose(sim.T, np.linalg.solve(A[:, sim.basis], A)[:, live], rtol=0.0, atol=1e-12)
+        assert lp.solve(p).stats.tableau_columns == live.size
+    # the 15-minute window: 480 structurals and 376 slacks, less 112 fixed
+    # structurals and the 96 equality slacks
+    assert (p.num_variables + p.num_constraints, sim.T.shape[1]) == (856, 648)
+
+
+def _edge_lps():
+    """Edge cases of the tableau's shape, each with the data of an equivalent
+    LP with finite bounds for vertex enumeration."""
+    # every column fixed, so the tableau has none: one feasible, one not
+    A = np.array([[1.0, 1.0], [2.0, -1.0]])
+    for b in ([3.0, 0.0], [4.0, 0.0]):
+        data = (np.array([1.0, -2.0]), np.array([1.0, 2.0]), np.array([1.0, 2.0]), A, ["=", "="], np.array(b))
+        yield build_problem(*data), data
+    for seed in range(20):
+        rng = np.random.default_rng(500 + seed)
+        c, lb, ub, A, senses, b = random_bounded_lp(rng)
+        # no rows
+        data = (c, lb, ub, np.zeros((0, c.size)), [], np.zeros(0))
+        yield build_problem(*data), data
+        # only equality rows, met by an interior point
+        x0 = rng.uniform(lb, ub)
+        data = (c, lb, ub, A, ["="] * len(b), A @ x0)
+        yield build_problem(*data), data
+        # free columns, most of them after a fixed one, their bounds moved into rows
+        lb, ub = lb.copy(), ub.copy()
+        lb[1] = ub[1] = x0[1]
+        b = A @ x0 + np.select([np.array(senses) == "<=", np.array(senses) == ">="], [1.0, -1.0], 0.0)
+        free = np.arange(c.size) % 2 == 0
+        p = build_problem(c, np.where(free, -lp.INF, lb), np.where(free, lp.INF, ub), A, senses, b)
+        for j in np.flatnonzero(free).tolist():
+            p.add_constraint([(j, 1.0)], ">=", lb[j], f"lb{j}")
+            p.add_constraint([(j, 1.0)], "<=", ub[j], f"ub{j}")
+        yield p, (c, lb, ub, A, senses, b)
+
+
+def test_edge_lps_match_the_dense_reference_and_vertex_enumeration():
+    shapes = set()
+    for p, data in _edge_lps():
+        sol = _assert_same_as_dense_reference(p)
+        oracle = vertex_enumeration_optimum(*data)
+        if oracle is None:
+            assert sol.status == lp.INFEASIBLE
+        else:
+            assert sol.status == lp.OPTIMAL
+            assert sol.objective == pytest.approx(oracle, abs=1e-6)
+        shapes.add((sol.stats.m == 0, sol.stats.tableau_columns == 0))
+    assert shapes == {(False, False), (True, False), (False, True)}
+
+
+def test_solving_twice_gives_the_same_bits_and_leaves_the_problem_unchanged(example_scenario):
+    s = refine(example_scenario, "ev1", 4)
+    s = s.with_prices(generate_price_set("high", seed=1, step_count=96, step_hours=0.25))
+    problems = evba.build_evba(s, evba.cost_toggles_for("of5"))
+    problems.append(build_problem(*random_bounded_lp(np.random.default_rng(3))))
+
+    def snapshot(p):
+        return {k: (v.tobytes(), v.dtype, v.shape) if isinstance(v, np.ndarray) else repr(v)
+                for k, v in vars(p).items()}
+
+    for p in problems:
+        before = snapshot(p)
+        first, second = lp.solve(p), lp.solve(p)
+        assert (first.status, first.iterations, repr(first.stats), repr(first.objective)) == \
+            (second.status, second.iterations, repr(second.stats), repr(second.objective))
+        assert first.x.tobytes() == second.x.tobytes()
+        assert snapshot(p) == before
 
 
 def test_lp_text_dump_mentions_rows_and_bounds():
@@ -311,17 +395,18 @@ def _assert_same_as_dense_reference(p: lp.LpProblem) -> lp.LpSolution:
     """Solve ``p`` with the solver and the dense reference kernel; both must
     give the same status, iterations and stats, bitwise the same x and
     objective, and equal final tableaus and reduced costs on every column
-    that can enter (the solver leaves fixed columns' entries as they are)."""
+    that can enter (the solver's tableau holds only those)."""
     got_sim, ref_sim = lp._Simplex(p, 1e-6, None), DenseSimplex(p, 1e-6, None)
     got, ref = got_sim.run(), ref_sim.run()
+    assert ref_sim.T.shape == (p.num_constraints, p.num_variables + p.num_constraints)
     assert (got.status, got.iterations) == (ref.status, ref.iterations)
     assert repr(got.stats) == repr(ref.stats)
     assert repr(got.objective) == repr(ref.objective)
     assert (got.x is None and ref.x is None) or got.x.tobytes() == ref.x.tobytes()
     # pricing reads the reduced costs, so they must agree to the last bit
-    live = got_sim.ub > got_sim.lb
-    assert np.array_equal(got_sim.T[:, live], ref_sim.T[:, live])
-    assert np.array_equal(got_sim._reduced_costs()[live], ref_sim._reduced_costs()[live])
+    live = got_sim.cols
+    assert np.array_equal(got_sim.T, ref_sim.T[:, live])
+    assert np.array_equal(got_sim._reduced_costs(), ref_sim._reduced_costs()[live])
     return got
 
 
