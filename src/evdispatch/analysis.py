@@ -38,6 +38,7 @@ from .evba import (
     solve_evba,
 )
 from .evca import HIGH_SOE, LOW_SOE, solve_evca
+from .lp import FEAS_TOL
 
 #: Declared defaults surfaced in every report header.
 ASSUMPTIONS = (
@@ -75,12 +76,13 @@ class ViolationReport:
         return sum(1 for v in self.violations if v.constraint == constraint)
 
 
-def check_schedule(s: Scenario, fs: FleetSchedule, tol: float = 1e-6) -> ViolationReport:
+def check_schedule(s: Scenario, fs: FleetSchedule) -> ViolationReport:
     """Recompute the full constraint set on a schedule, independent of any solver.
 
-    Every violation above ``tol`` is reported with its magnitude. Steps where
-    charge and discharge run simultaneously are flagged (not violations; they
-    can be optimal under negative prices) so such pathologies stay visible.
+    Every violation above the solver's ``FEAS_TOL`` is reported with its
+    magnitude. Steps where charge and discharge run simultaneously are flagged
+    (not violations; they can be optimal under negative prices) so such
+    pathologies stay visible.
     """
     V, T = len(s.vehicles), s.horizon.step_count
     if fs.e_sch.shape != (V, T):
@@ -105,25 +107,25 @@ def check_schedule(s: Scenario, fs: FleetSchedule, tol: float = 1e-6) -> Violati
             fast_lim = cp.power_limit_kwh_per_step if cp is not None and cp.kind == FAST else 0.0
 
             for name, flow in (("e_sch", sch), ("e_dch", dch), ("e_fch", fch)):
-                if flow < -tol:
+                if flow < -FEAS_TOL:
                     add(v_idx, t, "nonnegative", -flow)
-            if sch > slow_lim + tol:
+            if sch > slow_lim + FEAS_TOL:
                 add(v_idx, t, "CP limit", sch - slow_lim)
-            if dch > slow_lim + tol:
+            if dch > slow_lim + FEAS_TOL:
                 add(v_idx, t, "CP limit", dch - slow_lim)
-            if sch > v.obc_max_kwh_per_step + tol:
+            if sch > v.obc_max_kwh_per_step + FEAS_TOL:
                 add(v_idx, t, "OBC limit", sch - v.obc_max_kwh_per_step)
-            if dch > v.obc_max_kwh_per_step + tol:
+            if dch > v.obc_max_kwh_per_step + FEAS_TOL:
                 add(v_idx, t, "OBC limit", dch - v.obc_max_kwh_per_step)
-            if fch > fast_lim + tol:
+            if fch > fast_lim + FEAS_TOL:
                 add(v_idx, t, "CP limit", fch - fast_lim)
             if v.soe_cv_frac < 1.0 - 1e-12:
                 taper = v.obc_max_kwh_per_step * (cap - stock) / (cap * (1.0 - v.soe_cv_frac))
-                if sch > taper + tol:
+                if sch > taper + FEAS_TOL:
                     add(v_idx, t, "CV taper", sch - taper)
-            if stock < v.soe_min_kwh - tol:
+            if stock < v.soe_min_kwh - FEAS_TOL:
                 add(v_idx, t, "SOE bounds", v.soe_min_kwh - stock)
-            if stock > v.soe_max_kwh + tol:
+            if stock > v.soe_max_kwh + FEAS_TOL:
                 add(v_idx, t, "SOE bounds", stock - v.soe_max_kwh)
             balance = (
                 prev
@@ -132,11 +134,11 @@ def check_schedule(s: Scenario, fs: FleetSchedule, tol: float = 1e-6) -> Violati
                 - dch / v.eta_dch
                 - float(s.trips.energy_kwh[v_idx, t]) / v.eta_run
             )
-            if abs(stock - balance) > tol:
+            if abs(stock - balance) > FEAS_TOL:
                 add(v_idx, t, "balance", abs(stock - balance))
             p1, p2 = plane_values(v, max(dch, 0.0), min(max(stock, 0.0), cap))
             short = max(p1, p2) - fs.c_deg[v_idx, t]
-            if short > tol:
+            if short > FEAS_TOL:
                 add(v_idx, t, "degradation", short)
             if sch > 1e-6 and dch > 1e-6:
                 rep.flags.append(
@@ -144,7 +146,7 @@ def check_schedule(s: Scenario, fs: FleetSchedule, tol: float = 1e-6) -> Violati
                     f"and discharge {dch:.4f} kWh"
                 )
             prev = stock
-        if fs.soe[v_idx, T - 1] < v.soe_initial_kwh - tol:
+        if fs.soe[v_idx, T - 1] < v.soe_initial_kwh - FEAS_TOL:
             add(v_idx, T - 1, "terminal SOE", v.soe_initial_kwh - fs.soe[v_idx, T - 1])
     return rep
 
@@ -167,7 +169,8 @@ def generate_price_set(
 
     The same seed produces the same normalized shape for every volatility
     level; the level only scales the standard deviation (1x/3x/6x of the
-    base). The mean is exactly PRICE_MEAN by construction.
+    base). The mean is exactly PRICE_MEAN by construction; a one-step series,
+    which has no spread to scale, is flat at PRICE_MEAN.
     """
     try:
         scale = _VOLATILITY_SCALE[volatility]
@@ -179,10 +182,12 @@ def generate_price_set(
         + 1.1 * np.exp(-(((hour - 18.5) / 2.2) ** 2))
         - 0.8 * np.exp(-(((hour - 3.0) / 2.5) ** 2))
     )
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     z = shape + rng.normal(0.0, 0.35, step_count)
     z = z - z.mean()
-    z = z / z.std()
+    z = z / z.std() if z.any() else z
     values = PRICE_MEAN + _SIGMA_BASE * scale * z
     return PriceSeries(label=volatility, values=values)
 

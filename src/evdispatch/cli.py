@@ -71,7 +71,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--best-effort", action="store_true",
                          help="lower unreachable session floors instead of failing (evca)")
     p_solve.add_argument("--out", default=_default_out())
-    p_solve.add_argument("--tolerance", type=float, default=1e-6)
 
     p_cmp = sub.add_parser("compare", help="fleet vs per-station grid over three price series")
     p_cmp.add_argument("--scenario", required=True)
@@ -103,16 +102,9 @@ def _cmd_solve(args) -> int:
     ct = cost_toggles_for(args.costs)
     power = _POWER_FLAGS[args.power]
     if args.model == "evca":
-        fs = solve_evca(
-            s,
-            _POLICY_FLAGS[args.policy],
-            ct,
-            power,
-            best_effort=args.best_effort,
-            feas_tol=args.tolerance,
-        )
+        fs = solve_evca(s, _POLICY_FLAGS[args.policy], ct, power, best_effort=args.best_effort)
     else:
-        fs = solve_evba(s, ct, power, feas_tol=args.tolerance)
+        fs = solve_evba(s, ct, power)
     if fs.status != "optimal":
         print(f"{fs.status}: {fs.message}", file=sys.stderr)
         return 1
@@ -180,16 +172,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.command == "solve" and args.model == "evca" and not args.policy:
         parser.error("--model evca requires --policy high|low")
+    if getattr(args, "seed", 0) < 0:
+        parser.error(f"--seed must be a non-negative integer, got {args.seed}")
+    commands = {"solve": _cmd_solve, "compare": _cmd_compare, "ablate-power": _cmd_ablate_power,
+                "ablate-costs": _cmd_ablate_costs, "validate": _cmd_validate}
     try:
-        if args.command == "solve":
-            return _cmd_solve(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        if args.command == "ablate-power":
-            return _cmd_ablate_power(args)
-        if args.command == "ablate-costs":
-            return _cmd_ablate_costs(args)
-        return _cmd_validate(args)
+        return commands[args.command](args)
     except (ScenarioError, SessionInfeasibleError, ItineraryError, OrderingError, OSError,
             LpError, AssemblyError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -176,6 +176,11 @@ class TripPlan:
 #: the simplex's floating-point pricing.
 MAX_ABS_PRICE_EUR_PER_KWH = 1e3
 
+#: Largest battery capacity, charging limit per step or trip energy a
+#: scenario accepts, kWh. Schedules are held to an absolute 1e-6 kWh, which
+#: rounding at 1e12 kWh already exceeds.
+MAX_ENERGY_KWH = 1e6
+
 
 class PriceSeries:
     """Energy prices per step, EUR/kWh. Prices may be negative; they must be
@@ -253,8 +258,11 @@ def grid_fee(cp: ChargingPoint, t: int, cal: TariffCalendar, step_hours: float) 
 # ---------------------------------------------------------------------------
 # Validation
 
-def _non_finite(loc: str, fields: tuple[tuple[str, float], ...]) -> list[str]:
-    return [f"{loc}: {name} must be finite, got {val}" for name, val in fields if not np.isfinite(val)]
+def _unusable(loc: str, fields: tuple[tuple[str, float], ...], limit: float = np.inf) -> list[str]:
+    """One diagnostic per field that is not finite or, in kWh, exceeds ``limit``."""
+    return [f"{loc}: {name} must be finite, got {val}" if not np.isfinite(val)
+            else f"{loc}: {name} {val:g} exceeds the {limit:g} kWh limit"
+            for name, val in fields if not (np.isfinite(val) and val <= limit)]
 
 
 def validate_scenario(s: Scenario) -> list[str]:
@@ -265,7 +273,8 @@ def validate_scenario(s: Scenario) -> list[str]:
     finite: JSON input may carry NaN or Infinity, and sign checks are written
     ``not (x >= 0)`` so that NaN fails them too. Fractions and efficiencies
     are finite once their range checks pass. The wear-cost coefficients the
-    LP derives from a vehicle's battery cost must be finite as well.
+    LP derives from a vehicle's battery cost must be finite as well, and
+    capacities, charging limits and trip energies at most ``MAX_ENERGY_KWH``.
     """
     out: list[str] = []
     h = s.horizon
@@ -281,8 +290,9 @@ def validate_scenario(s: Scenario) -> list[str]:
             out.append(f"{loc}: duplicate id")
         seen_vids.add(v.id)
         d = v.degradation
-        out += _non_finite(loc, (
-            ("capacity_kwh", v.capacity_kwh), ("obc_max_kw", v.obc_max_kwh_per_step),
+        out += _unusable(loc, (("capacity_kwh", v.capacity_kwh), ("obc_max_kw", v.obc_max_kwh_per_step)),
+                         MAX_ENERGY_KWH)
+        out += _unusable(loc, (
             ("battery_cost_eur", v.battery_cost_eur),
             ("degradation.d1", d.d1), ("degradation.d2", d.d2),
             ("degradation.d3", d.d3), ("degradation.d4", d.d4),
@@ -329,7 +339,8 @@ def validate_scenario(s: Scenario) -> list[str]:
         fees = (("grid_fee_low", cp.grid_fee_low_eur_per_kwh),
                 ("grid_fee_high", cp.grid_fee_high_eur_per_kwh),
                 ("cp_fee", cp.cp_fee_eur_per_kwh))
-        out += _non_finite(loc, (("power_kw", cp.power_limit_kwh_per_step), *fees))
+        out += _unusable(loc, (("power_kw", cp.power_limit_kwh_per_step),), MAX_ENERGY_KWH)
+        out += _unusable(loc, fees)
         if not cp.power_limit_kwh_per_step >= 0:
             out.append(f"{loc}: power limit must be >= 0")
         for name, fee in fees:
@@ -360,13 +371,12 @@ def validate_scenario(s: Scenario) -> list[str]:
             f"vehicle {s.vehicles[v].id!r} step {t}: multiple connections "
             f"({int(per_step[v, t])} charging points at once)"
         )
-    for v, t in zip(*np.nonzero(~np.isfinite(s.trips.energy_kwh))):
-        out.append(
-            f"vehicle {s.vehicles[v].id!r} step {t}: trip energy_kwh must be finite, "
-            f"got {s.trips.energy_kwh[v, t]}"
-        )
-    if np.any(s.trips.energy_kwh < 0):
-        v, t = [int(a[0]) for a in np.nonzero(s.trips.energy_kwh < 0)]
+    trips = s.trips.energy_kwh
+    for v, t in zip(*np.nonzero(~(np.isfinite(trips) & (trips <= MAX_ENERGY_KWH)))):
+        loc = f"vehicle {s.vehicles[v].id!r} step {t}"
+        out += _unusable(loc, (("trip energy_kwh", trips[v, t]),), MAX_ENERGY_KWH)
+    if np.any(trips < 0):
+        v, t = [int(a[0]) for a in np.nonzero(trips < 0)]
         out.append(f"vehicle {s.vehicles[v].id!r} step {t}: negative trip energy")
     driving_connected = (s.trips.energy_kwh > 0) & (per_step > 0)
     for v, t in zip(*np.nonzero(driving_connected)):

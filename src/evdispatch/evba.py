@@ -513,8 +513,6 @@ def solve_evba(
     s: Scenario,
     ct: CostToggles = CostToggles(),
     power: PowerMode = PowerMode.BOTH,
-    *,
-    feas_tol: float = 1e-6,
 ) -> FleetSchedule:
     """Solve each vehicle's LP and stitch the fleet schedule.
 
@@ -523,7 +521,7 @@ def solve_evba(
     """
     sols = []
     for v_idx, problem in enumerate(build_evba(s, ct, power)):
-        sol = lp.solve(problem, feas_tol=feas_tol)
+        sol = lp.solve(problem)
         if sol.status == lp.INFEASIBLE:
             return FleetSchedule.empty(s, sol.status, _infeasibility_hint(s, v_idx, power))
         if sol.status != lp.OPTIMAL:

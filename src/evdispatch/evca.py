@@ -113,7 +113,6 @@ def _solve_session_lp(
     floor: float,
     ct: CostToggles,
     power: PowerMode,
-    feas_tol: float,
     maximize_departure: bool = False,
 ) -> lp.LpSolution | None:
     """One session LP; None when infeasible.
@@ -127,7 +126,7 @@ def _solve_session_lp(
         )
     except _FloorUnreachable:
         return None
-    sol = lp.solve(problem, feas_tol=feas_tol)
+    sol = lp.solve(problem)
     if sol.status == lp.INFEASIBLE:
         return None
     if sol.status != lp.OPTIMAL:
@@ -142,7 +141,6 @@ def solve_evca(
     power: PowerMode = PowerMode.BOTH,
     *,
     best_effort: bool = False,
-    feas_tol: float = 1e-6,
 ) -> FleetSchedule:
     """Solve every session chronologically and stitch the fleet schedule.
 
@@ -192,11 +190,10 @@ def solve_evca(
                 floor = policy.floor_kwh(v)
                 note = ""
 
-            sol = _solve_session_lp(s, v_idx, session, arrival, floor, ct, power, feas_tol)
+            sol = _solve_session_lp(s, v_idx, session, arrival, floor, ct, power)
             if sol is None and best_effort:
                 relaxed = _solve_session_lp(
-                    s, v_idx, session, arrival, v.soe_min_kwh, ct, power, feas_tol,
-                    maximize_departure=True,
+                    s, v_idx, session, arrival, v.soe_min_kwh, ct, power, maximize_departure=True,
                 )
                 if relaxed is not None:
                     # the relaxed objective is minus the departure stock
@@ -207,9 +204,7 @@ def solve_evca(
                     )
                     note = (note + "; " if note else "") + "best-effort floor"
                     floor = reachable - 1e-9
-                    sol = _solve_session_lp(
-                        s, v_idx, session, arrival, floor, ct, power, feas_tol
-                    )
+                    sol = _solve_session_lp(s, v_idx, session, arrival, floor, ct, power)
             if sol is None:
                 raise SessionInfeasibleError(
                     f"{session.describe()}: no feasible schedule reaches the departure "

@@ -19,7 +19,8 @@ Algorithm notes:
 - phase 1 is Wolfe's composite method in the same pivot loop: it minimises
   the sum of the basic variables' bound violations, prices from the
   infeasible rows only, and lets an infeasible basic variable block at the
-  bound it violates (SIAM Rev. 7(1), 1965);
+  bound it violates (SIAM Rev. 7(1), 1965); it ends infeasible when a basic
+  violation above ``FEAS_TOL`` remains;
 - the tableau holds only columns that can enter: fixed columns (equality
   slacks and ``lb == ub`` structurals) never enter and are left out, which
   on window LPs is about a quarter of all columns. Tableau column ``k`` is
@@ -48,9 +49,9 @@ Algorithm notes:
   before any basic variable hits one of its own;
 - optimality and primal feasibility are re-verified from the original data
   before a solution is declared optimal: structurals and the implied slacks
-  ``b - A x`` are checked against their bounds, and a NaN anywhere fails the
-  check; on drift the tableau is rebuilt from the current basis and both
-  phases run again.
+  ``b - A x`` must be within ``FEAS_TOL`` of their bounds, and a NaN
+  anywhere fails the check; on drift the tableau is rebuilt from the current
+  basis and both phases run again.
 
 Deterministic by construction: same problem, same pivots, same answer.
 """
@@ -67,6 +68,10 @@ OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
 UNBOUNDED = "unbounded"
 ITERATION_LIMIT = "iteration_limit"
+
+#: Largest bound or row violation of an optimal solution; a problem that phase
+#: 1 cannot bring within it is infeasible. The schedule auditor uses it too.
+FEAS_TOL = 1e-6
 
 # nonbasic/basic status codes
 _AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
@@ -257,20 +262,19 @@ class LpSolution:
         return float(self.x[var])
 
 
-def solve(p: LpProblem, *, feas_tol: float = 1e-6, max_iter: int | None = None) -> LpSolution:
+def solve(p: LpProblem) -> LpSolution:
     """Solve a problem to optimality, or classify it infeasible/unbounded.
 
-    ``feas_tol`` bounds the constraint violation accepted in an optimal
-    solution; reaching ``max_iter`` reports the distinct iteration_limit
-    status instead of raising.
+    An optimal solution violates no bound or row by more than ``FEAS_TOL``;
+    running out of iterations (``200 * (m + n + 20)``) reports the distinct
+    iteration_limit status instead of raising.
     """
-    return _Simplex(p, feas_tol=feas_tol, max_iter=max_iter).run()
+    return _Simplex(p).run()
 
 
 class _Simplex:
-    def __init__(self, p: LpProblem, feas_tol: float, max_iter: int | None):
+    def __init__(self, p: LpProblem):
         self.p = p
-        self.feas_tol = feas_tol
         self.opt_tol = 1e-9
         self.pivot_tol = 1e-9
         n, m = p.num_variables, p.num_constraints
@@ -293,7 +297,7 @@ class _Simplex:
         self.cols = np.flatnonzero(self.ub - self.lb > 0.0)
         self.pos = np.full(n + m, -1, dtype=np.intp)
         self.pos[self.cols] = np.arange(len(self.cols))
-        self.max_iter = max_iter if max_iter is not None else 200 * (m + n + 20)
+        self.max_iter = 200 * (m + n + 20)
         self.iterations = 0
         self.crash_columns = self.phase1_pivots = self.flips = self.refactorizations = 0
         self.bland_from: int | None = None
@@ -437,8 +441,8 @@ class _Simplex:
 
     def _iterate(self, phase1: bool) -> str:
         """Pivot until no column improves the phase's objective: the sum of
-        bound violations in phase 1, which ends infeasible above
-        ``feas_tol`` times the largest |rhs|; the cost in phase 2."""
+        bound violations in phase 1, which ends infeasible when a violation
+        above ``FEAS_TOL`` remains; the cost in phase 2."""
         d = None if phase1 else self._reduced_costs()
         stall = 0
         stall_limit = 50 + 2 * (self.m + self.n_struct)
@@ -460,8 +464,7 @@ class _Simplex:
             k = self._price(d, bland)
             if k < 0:
                 if phase1:
-                    scale = max(1.0, float(np.abs(self.b).max()))
-                    return INFEASIBLE if gap[out].sum() > self.feas_tol * scale else OPTIMAL
+                    return INFEASIBLE if gap.max() > FEAS_TOL else OPTIMAL
                 if verified:
                     return OPTIMAL
                 # re-derive reduced costs from scratch to rule out drift
@@ -534,7 +537,7 @@ class _Simplex:
                 status = self._iterate(phase1=False)
             x = self._assemble_x()
             violation = self._violation(x)
-            if status != OPTIMAL or violation <= self.feas_tol:
+            if status != OPTIMAL or violation <= FEAS_TOL:
                 break
             self._refactorize()  # numerical drift: rebuild and keep iterating
         else:

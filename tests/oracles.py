@@ -436,8 +436,8 @@ class DenseSimplex(lp._Simplex):
 
     def _iterate(self, phase1: bool) -> str:
         """Pivot until no column improves the phase's objective: the sum of
-        bound violations in phase 1, which ends infeasible above
-        ``feas_tol`` times the largest |rhs|; the cost in phase 2."""
+        bound violations in phase 1, which ends infeasible when a violation
+        above ``FEAS_TOL`` remains; the cost in phase 2."""
         d = None if phase1 else self._reduced_costs()
         stall = 0
         stall_limit = 50 + 2 * (self.m + self.n_struct)
@@ -461,8 +461,7 @@ class DenseSimplex(lp._Simplex):
             q = self._price(d, bland)
             if q < 0:
                 if phase1:
-                    scale = max(1.0, float(np.abs(self.b).max()))
-                    return lp.INFEASIBLE if gap[out].sum() > self.feas_tol * scale else lp.OPTIMAL
+                    return lp.INFEASIBLE if gap.max() > lp.FEAS_TOL else lp.OPTIMAL
                 if verified:
                     return lp.OPTIMAL
                 # re-derive reduced costs from scratch to rule out drift

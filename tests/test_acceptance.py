@@ -93,7 +93,7 @@ def test_criterion_2_feasibility_audits(random_batch):
     bad = 0
     for b in random_batch:
         for fs in (b.evba, b.evca_high, b.evca_low):
-            rep = check_schedule(b.scenario, fs, tol=TOL)
+            rep = check_schedule(b.scenario, fs)
             if not rep.ok:
                 bad += 1
     _verdict(

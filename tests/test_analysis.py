@@ -160,6 +160,16 @@ def test_price_mean_is_construction_exact():
         assert abs(ps.values.mean() - 0.05) < 1e-9
 
 
+def test_one_step_price_series_is_flat_at_the_mean():
+    for vol in ("low", "medium", "high"):
+        assert generate_price_set(vol, seed=3, step_count=1).values.tolist() == [analysis.PRICE_MEAN]
+
+
+def test_negative_price_seed_is_named_in_the_error():
+    with pytest.raises(ValueError, match="seed must be a non-negative integer, got -1"):
+        generate_price_set("high", seed=-1)
+
+
 def test_hourly_price_shape_is_laid_out_in_steps_as_before():
     # reference: the shape in step units, which equal hours at hourly steps
     t = np.arange(24, dtype=float)

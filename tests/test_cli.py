@@ -127,14 +127,6 @@ def test_seed_determines_outputs_byte_for_byte(example_path, tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
-def test_tolerance_flag_accepted(example_path, tmp_path):
-    rc = main([
-        "solve", "--model", "evba", "--scenario", example_path,
-        "--gen-prices", "low", "--tolerance", "1e-7", "--out", str(tmp_path),
-    ])
-    assert rc == 0
-
-
 def test_env_var_default_out(example_path, tmp_path, monkeypatch):
     monkeypatch.setenv("EVDISPATCH_OUT", str(tmp_path / "envout"))
     monkeypatch.chdir(tmp_path)
@@ -191,6 +183,96 @@ def test_non_finite_scenario_number_exit_1_without_report(
     assert sum(line.startswith("error:") for line in err.splitlines()) == 1
     assert err.startswith("error:") and named in err and "Traceback" not in err
     assert not report.exists()
+
+
+@pytest.mark.parametrize(
+    "section, key, big",
+    [
+        ("vehicles", "capacity_kwh", 1e12),
+        ("vehicles", "capacity_kwh", 1e300),
+        ("vehicles", "obc_max_kw", 1e12),
+        ("vehicles", "obc_max_kw", 1e300),
+        ("charging_points", "power_kw", 1e12),
+        ("trips", "energy_kwh", 1e12),
+    ],
+)
+@pytest.mark.parametrize("command", ["ablate-power", "ablate-costs", "compare"])
+def test_number_beyond_the_energy_limit_exit_1_without_report(
+    example_path, tmp_path, capsys, section, key, big, command
+):
+    data = json.loads(Path(example_path).read_text())
+    data[section][0][key] = big
+    path = tmp_path / "scen.json"
+    path.write_text(json.dumps(data))
+
+    assert main(["validate", "--scenario", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"{key} {big:g} exceeds the 1e+06 kWh limit" in out
+
+    report = tmp_path / "report"
+    prices = [] if command == "compare" else ["--gen-prices", "high"]
+    rc = main([command, "--scenario", str(path), *prices, "--seed", "1", "--out", str(report)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert sum(line.startswith("error:") for line in err.splitlines()) == 1
+    assert err.startswith("error: invalid scenario") and "exceeds" in err and "Traceback" not in err
+    assert not report.exists()
+
+
+def _nearly_feasible_path(example_path, tmp_path) -> str:
+    # ev1's step-7 trip 1e-5 kWh beyond what its window can cover
+    data = json.loads(Path(example_path).read_text())
+    data["trips"][0]["energy_kwh"] = 14.3975
+    path = tmp_path / "nearly.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
+def test_nearly_feasible_window_is_reported_infeasible(example_path, tmp_path, capsys):
+    path = _nearly_feasible_path(example_path, tmp_path)
+    rc = main(["solve", "--model", "evba", "--scenario", path, "--gen-prices", "high", "--seed", "1",
+               "--out", str(tmp_path / "solve")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert len(err.splitlines()) == 1 and err.startswith("infeasible: vehicle 'ev1': ")
+
+    out = tmp_path / "costs"
+    assert main(["ablate-costs", "--scenario", path, "--gen-prices", "high", "--seed", "1",
+                 "--out", str(out)]) == 0
+    variants = json.loads((out / "cost_ablation.json").read_text())["variants"]
+    assert [v["status"] for v in variants] == ["infeasible"] * 5
+
+    out = tmp_path / "compare"
+    main(["compare", "--scenario", path, "--seed", "1", "--out", str(out)])
+    cells = json.loads((out / "comparison.json").read_text())["cells"]
+    assert [c["status"] for c in cells if c["model"] == "evba"] == ["infeasible"] * 3
+
+
+@pytest.mark.parametrize("command", [
+    ["solve", "--model", "evba", "--gen-prices", "high"],
+    ["ablate-power", "--gen-prices", "low"],
+    ["compare"],
+])
+def test_negative_seed_is_usage_error(example_path, tmp_path, capsys, command):
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--scenario", example_path, "--seed", "-3", "--out", str(tmp_path / "r")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: --seed must be a non-negative integer, got -3" in err and "Traceback" not in err
+    assert sum("error" in line for line in err.splitlines()) == 1
+    assert not (tmp_path / "r").exists()
+
+
+def test_one_step_horizon_solves_with_generated_prices(example_path, tmp_path, capsys):
+    data = json.loads(Path(example_path).read_text())
+    data["horizon"]["step_count"] = 1
+    data["connectivity"], data["trips"] = [], []
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps(data))
+    rc = main(["solve", "--model", "evba", "--scenario", str(path), "--gen-prices", "high",
+               "--out", str(tmp_path / "r")])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
 
 
 @pytest.mark.parametrize("exc", [LpError("boom"), AssemblyError("boom"), ArithmeticError("boom")])

@@ -28,6 +28,7 @@ from evdispatch.evba import (
     PowerMode,
     _build_window_lp,
     _FloorUnreachable,
+    _infeasibility_hint,
     build_evba,
     cost_toggles_for,
     extract_schedule,
@@ -152,6 +153,18 @@ def test_infeasibility_hint_names_the_vehicle_held_back_by_the_taper():
     assert fs.status == lp.INFEASIBLE
     assert "'ev2'" in fs.message and "taper" in fs.message
     assert "'ev1'" not in fs.message
+
+
+def test_window_infeasible_by_less_than_the_wear_row_rhs_times_the_tolerance_is_infeasible():
+    # infeasible by about 1e-5 kWh, far below the wear row's 257 EUR rhs
+    # times 1e-6, which phase 1 once took as its threshold
+    data = json.loads(example_scenario_path().read_text())
+    data["trips"][0]["energy_kwh"] = 14.3975  # ev1's step-7 trip; 14.3974 kWh is feasible
+    s = parse_scenario(data).with_prices(generate_price_set("high", seed=1))
+    fs = solve_evba(s)
+    assert fs.status == lp.INFEASIBLE
+    assert fs.message == _infeasibility_hint(s, 0, PowerMode.BOTH)
+    assert fs.message.startswith("vehicle 'ev1': ")
 
 
 def test_micro_breakdown_energy_only():

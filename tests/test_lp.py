@@ -158,13 +158,38 @@ def test_free_variable():
     assert sol.objective == pytest.approx(-3.0, abs=1e-9)
 
 
-def test_iteration_limit_is_distinct_status():
+def test_iteration_limit_is_distinct_status(monkeypatch):
+    init = lp._Simplex.__init__
+
+    def no_iterations(self, p):
+        init(self, p)
+        self.max_iter = 0
+
+    monkeypatch.setattr(lp._Simplex, "__init__", no_iterations)
     p = lp.LpProblem()
     x = p.add_variable(0.0, 10.0, -1.0, "x")
     p.add_constraint([(x, 1.0)], "<=", 4.0, "r")
-    sol = lp.solve(p, max_iter=0)
+    sol = lp.solve(p)
     assert sol.status == lp.ITERATION_LIMIT
     assert sol.objective is None
+
+
+def test_phase_one_and_the_final_check_share_one_feasibility_rule():
+    # x <= 1 and x >= 1 + delta, beside a row whose rhs of 500 once scaled
+    # phase 1's infeasibility threshold to 5e-4: a leftover violation above
+    # FEAS_TOL is infeasible whatever the size of the other rows
+    for delta, status in ((1e-7, lp.OPTIMAL), (1e-5, lp.INFEASIBLE), (1e-4, lp.INFEASIBLE)):
+        p = lp.LpProblem("band")
+        x = p.add_variable(0.0, lp.INF, 1.0, "x")
+        y = p.add_variable(0.0, lp.INF, 1.0, "y")
+        p.add_constraint([(x, 1.0)], "<=", 1.0, "cap")
+        p.add_constraint([(x, 1.0)], ">=", 1.0 + delta, "need")
+        p.add_constraint([(y, 1.0)], "<=", 500.0, "wide")
+        sol = _assert_same_as_dense_reference(p)
+        assert sol.status == status
+        if status == lp.OPTIMAL:
+            assert sol.stats.max_violation <= lp.FEAS_TOL
+            assert sol.x[x] == pytest.approx(1.0, abs=2e-7) and sol.x[y] == 0.0
 
 
 def test_empty_problem():
@@ -236,7 +261,7 @@ def _random_lps_with_tied_ranges():
 def test_crash_basis_matches_row_by_row_reference():
     n_crash = 0
     for p in _random_lps_with_tied_ranges():
-        sim = lp._Simplex(p, 1e-6, None)
+        sim = lp._Simplex(p)
         sim._setup()
         basis, taken = _crash_basis_by_rows(sim)
         assert sim.basis.tolist() == basis
@@ -267,7 +292,7 @@ def test_tableau_holds_one_column_per_variable_that_can_enter(example_scenario):
     s = s.with_prices(generate_price_set("high", seed=1, step_count=96, step_hours=0.25))
     problems = list(_random_lps_with_tied_ranges()) + evba.build_evba(s, evba.cost_toggles_for("of5"))
     for p in problems:
-        sim = lp._Simplex(p, 1e-6, None)
+        sim = lp._Simplex(p)
         sim._setup()
         live = np.flatnonzero(sim.ub > sim.lb)
         assert np.array_equal(sim.cols, live)
@@ -396,7 +421,7 @@ def _assert_same_as_dense_reference(p: lp.LpProblem) -> lp.LpSolution:
     give the same status, iterations and stats, bitwise the same x and
     objective, and equal final tableaus and reduced costs on every column
     that can enter (the solver's tableau holds only those)."""
-    got_sim, ref_sim = lp._Simplex(p, 1e-6, None), DenseSimplex(p, 1e-6, None)
+    got_sim, ref_sim = lp._Simplex(p), DenseSimplex(p)
     got, ref = got_sim.run(), ref_sim.run()
     assert ref_sim.T.shape == (p.num_constraints, p.num_variables + p.num_constraints)
     assert (got.status, got.iterations) == (ref.status, ref.iterations)
@@ -434,7 +459,7 @@ def test_pivots_match_dense_reference_on_a_15_minute_vehicle(example_scenario):
 
 def test_example_lps_take_few_pivots_and_account_for_each(example_with_high):
     for p in _example_lps(example_with_high):
-        sim = lp._Simplex(p, 1e-6, None)
+        sim = lp._Simplex(p)
         sim._setup()
         crashed = [p._var_names[q] for q in sim.basis if q < p.num_variables]
         # one pick per balance row, the SOE chain; at the last step the
@@ -468,7 +493,7 @@ def test_singular_basis_raises_naming_the_problem():
     y = p.add_variable(0.0, 1.0)
     p.add_constraint([(x, 1.0), (y, 1.0)], "<=", 1.0)
     p.add_constraint([(x, 2.0), (y, 2.0)], "<=", 3.0)
-    sim = lp._Simplex(p, 1e-6, None)
+    sim = lp._Simplex(p)
     sim._setup()
     sim.basis[:] = [x, y]
     with pytest.raises(ArithmeticError, match="twin-columns"):
