@@ -37,7 +37,7 @@ from .evba import (
     cost_toggles_for,
     solve_evba,
 )
-from .evca import HIGH_SOE, LOW_SOE, solve_evca
+from .evca import HIGH_SOE, LOW_SOE, ItineraryError, SessionInfeasibleError, solve_evca
 from .lp import FEAS_TOL
 
 #: Declared defaults surfaced in every report header.
@@ -260,10 +260,11 @@ def compare_aggregators(s: Scenario, price_sets: list[PriceSeries]) -> Compariso
     """Fleet vs per-station optimizer across price series and policies.
 
     Every model prices all objective terms under the full power caps; the
-    station model runs under HIGH_SOE and LOW_SOE. Solver and session errors
-    are recorded per cell rather than raised, so a partially solvable grid
-    still yields a report. Each station-model cell records its cost gap
-    against the fleet model.
+    station model runs under HIGH_SOE and LOW_SOE. A cell with no feasible
+    schedule (a non-optimal LP, an infeasible session or itinerary) is
+    recorded with its status and message rather than raised, so a partially
+    solvable grid still yields a report; any other exception propagates.
+    Each station-model cell records its cost gap against the fleet model.
     """
     models = ["evba", "evca_high", "evca_low"]
     policies = {"evca_high": HIGH_SOE, "evca_low": LOW_SOE}
@@ -273,39 +274,31 @@ def compare_aggregators(s: Scenario, price_sets: list[PriceSeries]) -> Compariso
         evba_cost: float | None = None
         for model in models:
             try:
-                if model == "evba":
-                    fs = solve_evba(sp)
-                else:
-                    fs = solve_evca(sp, policies[model])
-                if fs.status != "optimal":
-                    cells.append(
-                        ComparisonCell(ps.label, model, fs.status, None, {}, None, None, {},
-                                       error=fs.message)
-                    )
-                    continue
-                cell = ComparisonCell(
-                    price_label=ps.label,
-                    model=model,
-                    status=fs.status,
-                    total_cost_eur=fs.total_cost_eur,
-                    per_vehicle_cost_eur={c.vehicle: c.total_eur for c in fs.per_vehicle},
-                    charged_kwh=fs.charged_kwh,
-                    discharged_kwh=fs.discharged_kwh,
-                    soe_kwh={
-                        v.id: [float(x) for x in fs.soe[i]] for i, v in enumerate(s.vehicles)
-                    },
-                )
-                if model == "evba":
-                    evba_cost = fs.total_cost_eur
-                elif evba_cost is not None:
-                    cell.dominance_gap_eur = fs.total_cost_eur - evba_cost
-                    cell.dominance_ok = evba_cost <= fs.total_cost_eur + 1e-6
-                cells.append(cell)
-            except Exception as exc:  # noqa: BLE001 - cell errors are report content
-                cells.append(
-                    ComparisonCell(ps.label, model, "error", None, {}, None, None, {},
-                                   error=f"{type(exc).__name__}: {exc}")
-                )
+                fs = solve_evba(sp) if model == "evba" else solve_evca(sp, policies[model])
+                status, message = fs.status, fs.message
+            except (ItineraryError, SessionInfeasibleError) as exc:
+                status, message = "infeasible", str(exc)
+            if status != "optimal":
+                cells.append(ComparisonCell(ps.label, model, status, None, {}, None, None, {}, error=message))
+                continue
+            cell = ComparisonCell(
+                price_label=ps.label,
+                model=model,
+                status=fs.status,
+                total_cost_eur=fs.total_cost_eur,
+                per_vehicle_cost_eur={c.vehicle: c.total_eur for c in fs.per_vehicle},
+                charged_kwh=fs.charged_kwh,
+                discharged_kwh=fs.discharged_kwh,
+                soe_kwh={
+                    v.id: [float(x) for x in fs.soe[i]] for i, v in enumerate(s.vehicles)
+                },
+            )
+            if model == "evba":
+                evba_cost = fs.total_cost_eur
+            elif evba_cost is not None:
+                cell.dominance_gap_eur = fs.total_cost_eur - evba_cost
+                cell.dominance_ok = evba_cost <= fs.total_cost_eur + 1e-6
+            cells.append(cell)
     return ComparisonReport(
         price_labels=[ps.label for ps in price_sets],
         models=models,

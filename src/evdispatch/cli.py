@@ -19,10 +19,9 @@ from .analysis import (
     run_power_ablation,
     write_report,
 )
-from .domain import Horizon, ScenarioError, load_price_series, load_scenario, validate_scenario
+from .domain import Horizon, load_price_series, load_scenario, validate_scenario
 from .evba import OBJECTIVE_VARIANTS, AssemblyError, PowerMode, cost_toggles_for, solve_evba
 from .evca import HIGH_SOE, LOW_SOE, ItineraryError, SessionInfeasibleError, solve_evca
-from .lp import LpError
 
 _POWER_FLAGS = {
     "fixed": PowerMode.FIXED_4KW,
@@ -178,8 +177,8 @@ def main(argv: list[str] | None = None) -> int:
                 "ablate-costs": _cmd_ablate_costs, "validate": _cmd_validate}
     try:
         return commands[args.command](args)
-    except (ScenarioError, SessionInfeasibleError, ItineraryError, OrderingError, OSError,
-            LpError, AssemblyError, ArithmeticError) as exc:
+    except (ValueError, SessionInfeasibleError, ItineraryError, OrderingError, OSError,
+            AssemblyError, ArithmeticError) as exc:  # ScenarioError and LpError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -32,13 +32,21 @@ Algorithm notes:
 - the tableau ``T = B^-1 A`` is stored column-major, and a pivot updates
   only the columns where the normalised pivot row is nonzero: every other
   column is unchanged by the rank-1 update. Each updated column is one
-  contiguous row of the C-ordered view ``T.T``, and each updated entry gets
-  the same arithmetic as a full update, so skipping columns changes no bit;
-- reduced costs are computed from a row-major copy of ``T`` at full width,
-  one column per variable with the fixed ones zero: BLAS uses a different
-  kernel for a column-major operand, and sums the last few columns of a row
-  apart from the others, so only this copy gives each column the last bits
-  a full tableau gives it, and those bits feed pricing decisions;
+  contiguous row of the C-ordered view ``T.T``, and the outer product is
+  one BLAS matrix product with an inner dimension of 1, so each updated
+  entry gets one rounded multiply and one subtract, as in a full update.
+  BLAS may write ``+0.0`` where an elementwise product gives ``-0.0``, so
+  an exact zero of ``T`` may differ in sign from a full update's; no pivot
+  decision reads the sign of a zero;
+- in reverse order every crash pivot row is an original row, so its
+  nonzero entries are its sparse entries in columns that can enter: a crash
+  pivot updates those columns alone, without a scan of the row, and the
+  status, pricing signs and basic bounds are derived once after the crash;
+- reduced costs are one BLAS matrix-vector product, ``T.T @ cost[basis]``,
+  on the C-ordered view of ``T``; phase 1's prices are the same product
+  with a vector of -1 above the upper bound, +1 below the lower bound and
+  0 elsewhere. BLAS sums in its own order, so these may differ from a
+  row-vector product in the last bits;
 - pricing is Dantzig (most negative reduced cost) with a permanent switch to
   Bland's rule after a stall, which guarantees termination. Each column
   keeps its pricing sign (-1 at a lower bound, +1 at an upper bound, 0 when
@@ -320,12 +328,11 @@ class _Simplex:
         self.xB = self.b - self.A @ self.nb_value[:n]
         # B = I, so T is [A | I] on the columns that can enter
         self.T = np.zeros((m, len(self.cols)), order="F")
-        col = self.pos[self.p._indices]
-        keep = col >= 0
-        self.T[self.row_of[keep], col[keep]] = self.p._data[keep]
+        at = self.pos[self.p._indices]  # the tableau column of each sparse entry
+        keep = at >= 0
+        self.T[self.row_of[keep], at[keep]] = self.p._data[keep]
         slack = np.flatnonzero(self.pos[n:] >= 0)
         self.T[slack, self.pos[n + slack]] = 1.0
-        self._sync()
         width = (self.ub[:n] - self.lb[:n]).tolist()
         blocked = [False] * n
         ptr, idx, val = (a.tolist() for a in (self.p._indptr, self.p._indices, self.p._data))
@@ -338,12 +345,33 @@ class _Simplex:
                 for j in nonzero:
                     blocked[j] = True
         # the picks are triangular, so in reverse order every pivot row is an
-        # original row; each pivot moves its column until the slack is zero
+        # original row: its nonzero tableau entries are its sparse entries in
+        # columns that can enter, and every other entry is 0.0. Each pivot
+        # moves its column until the slack is zero, with the arithmetic of
+        # _pivot on those entries alone
+        live = keep & (self.p._data != 0.0)
+        first = np.concatenate([[0], live.cumsum()])[self.p._indptr].tolist()
+        live_at, live_val = at[live], self.p._data[live]
+        T, xB = self.T, self.xB
         for r, q in reversed(crash):
             k = self.pos[q]
-            delta = self.xB[r] / self.T[r, k]
-            self.xB = self.xB - self.T[:, k] * delta
-            self._pivot(r, k, self.nb_value[q] + delta, _AT_LB)
+            nz = live_at[first[r]:first[r + 1]]
+            piv = T[r, k]
+            delta = xB[r] / piv
+            col = T[:, k].copy()
+            xB -= col * delta
+            xB[r] = self.nb_value[q] + delta
+            col[r] = 0.0
+            row = live_val[first[r]:first[r + 1]] / piv
+            T[r, nz] = row
+            T.T[nz] -= np.dot(row[:, None], col[None, :])
+        rows = n + np.array([r for r, _ in crash], dtype=np.intp)
+        picks = np.array([q for _, q in crash], dtype=np.intp)
+        self.status[rows] = _AT_LB
+        self.nb_value[rows] = self.lb[rows]
+        self.basis[rows - n] = picks
+        self.status[picks] = _BASIC
+        self._sync()
         self.crash_columns = len(crash)
 
     def _sync(self) -> None:
@@ -357,16 +385,8 @@ class _Simplex:
 
     # -- helpers -----------------------------------------------------------
 
-    def _full_width(self, rows: np.ndarray) -> np.ndarray:
-        """A row-major copy of tableau rows with one column per variable,
-        the fixed ones zero (see the module notes on reduced costs)."""
-        out = np.zeros((len(rows), self.n_struct + self.m))
-        out[:, self.cols] = rows
-        return out
-
     def _reduced_costs(self) -> np.ndarray:
-        # on a row-major copy, so the sums keep their last bits (see above)
-        return self.cost[self.cols] - (self.cost[self.basis] @ self._full_width(self.T))[self.cols]
+        return self.cost[self.cols] - self.T.T @ self.cost[self.basis]
 
     def _refactorize(self) -> None:
         """Rebuild the tableau and basic values from the original columns."""
@@ -430,7 +450,7 @@ class _Simplex:
         # column is one contiguous row of the C-ordered view T.T
         nz = row.nonzero()[0]
         Tt = self.T.T
-        Tt[nz] -= row[nz][:, None] * col[None, :]
+        Tt[nz] -= np.dot(row[nz][:, None], col[None, :])
         self.basis[r] = q
         self.status[q] = _BASIC
         self.sign[k] = 0.0
@@ -458,7 +478,7 @@ class _Simplex:
                 # a basic variable costs -1 below its lower bound, +1 above its
                 # upper, and blocks only at the bound it violates
                 above = out & (self.xB > ubB)
-                d = (np.where(above[out], -1.0, 1.0) @ self._full_width(self.T[out]))[self.cols]
+                d = self.T.T @ np.where(above, -1.0, np.where(out, 1.0, 0.0))
                 lbB, ubB = (np.where(above, ubB, np.where(out, -INF, lbB)),
                             np.where(above, INF, np.where(out, lbB, ubB)))
             k = self._price(d, bland)
@@ -484,10 +504,12 @@ class _Simplex:
             # ratio test: a row whose |w| exceeds pivot_tol blocks where its
             # basic variable, moving by -sigma * w per unit, meets a bound
             w = self.T[:, k]
-            sw = sigma * w
+            falls = w > 0.0 if sigma > 0.0 else w < 0.0  # sigma * w > 0
             aw = np.abs(w)
-            room = np.maximum(np.where(sw > 0.0, self.xB - lbB, ubB - self.xB), 0.0)
-            ratios = np.divide(room, aw, out=np.full(self.m, INF), where=aw > self.pivot_tol)
+            room = np.where(falls, self.xB - lbB, ubB - self.xB)
+            blocks = aw > self.pivot_tol
+            np.maximum(room, 0.0, out=room)
+            ratios = np.where(blocks, np.divide(room, aw, out=room, where=blocks), INF)
             t_rows = ratios.min() if self.m else INF
             t_flip = self.ub[q] - self.lb[q]
             delta = min(t_rows, t_flip)
@@ -525,7 +547,7 @@ class _Simplex:
             # a feasible leaver rests at the bound it moves toward, an
             # infeasible one at the bound it violated, on the other side
             infeasible = phase1 and bool(out[r])
-            row = self._pivot(r, k, entering_val, _AT_LB if (sw[r] > 0) != infeasible else _AT_UB)
+            row = self._pivot(r, k, entering_val, _AT_LB if falls[r] != infeasible else _AT_UB)
             if not phase1:
                 d -= d[k] * row
 

@@ -358,9 +358,12 @@ class DenseSimplex(lp._Simplex):
     test by boolean masks.
 
     The solver's kernel must reproduce this one bit for bit: the same
-    pivots, iterations, ``x`` and objective. Its tableau is full width, one
-    column per variable, fixed ones included; it shares only the problem's
-    arrays, the ``run`` loop and the final verification with the solver.
+    pivots, iterations, ``x``, objective and tableau entries. Reduced costs
+    are the exception, equal to 1e-12: the solver sums them in one BLAS
+    matrix-vector product, in another order than this kernel's row-vector
+    product. Its tableau is full width, one column per variable, fixed ones
+    included; it shares only the problem's arrays, the ``run`` loop and the
+    final verification with the solver.
     """
 
     def _setup(self) -> None:

@@ -258,8 +258,8 @@ def test_comparison_records_cell_errors_not_fatal():
     s = Scenario(Horizon(24), (v,), (cp,), ConnectivityMatrix(mask), TripPlan(trips))
     rep = compare_aggregators(s, [generate_price_set("low", seed=1)])
     bad = rep.cell("low", "evca_high")
-    assert bad.status == "error"
-    assert "ev1" in bad.error
+    assert bad.status == "infeasible"
+    assert bad.error.startswith("vehicle 'ev1' at 'cp1', steps 0..1: no feasible schedule")
     assert rep.cell("low", "evba").status == "optimal"
 
 

@@ -8,9 +8,10 @@ from pathlib import Path
 
 import pytest
 
-from evdispatch import cli, lp
+from evdispatch import analysis, cli, lp
+from evdispatch.analysis import generate_price_set
 from evdispatch.cli import main
-from evdispatch.domain import example_scenario_path
+from evdispatch.domain import example_scenario_path, load_scenario
 from evdispatch.evba import AssemblyError
 from evdispatch.lp import LpError
 
@@ -243,9 +244,45 @@ def test_nearly_feasible_window_is_reported_infeasible(example_path, tmp_path, c
     assert [v["status"] for v in variants] == ["infeasible"] * 5
 
     out = tmp_path / "compare"
-    main(["compare", "--scenario", path, "--seed", "1", "--out", str(out)])
+    assert main(["compare", "--scenario", path, "--seed", "1", "--out", str(out)]) == 1
     cells = json.loads((out / "comparison.json").read_text())["cells"]
-    assert [c["status"] for c in cells if c["model"] == "evba"] == ["infeasible"] * 3
+    assert [c["status"] for c in cells] == ["infeasible"] * 9
+    # the station model fails its itinerary check before any LP
+    assert all(re.match(r"vehicle 'ev1': trip of 14\.398 kWh drains the battery", c["error"])
+               for c in cells if c["model"] != "evba")
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 9 and "Error" not in err
+
+
+def test_compare_records_an_infeasible_session_as_infeasible(example_path, tmp_path, capsys):
+    # a 1e6 kWh battery cannot reach the 95% floor in its first session
+    data = json.loads(Path(example_path).read_text())
+    data["vehicles"][0]["capacity_kwh"] = 1e6
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(data))
+    out = tmp_path / "compare"
+    assert main(["compare", "--scenario", str(path), "--seed", "1", "--out", str(out)]) == 1
+    cells = json.loads((out / "comparison.json").read_text())["cells"]
+    for c in cells:
+        if c["model"] == "evca_high":
+            assert c["status"] == "infeasible"
+            assert c["error"].startswith("vehicle 'ev1' at 'home', steps 0..6: no feasible schedule")
+        else:
+            assert c["status"] == "optimal"
+    assert len(capsys.readouterr().err.splitlines()) == 3
+
+
+def test_compare_lets_any_other_exception_reach_the_cli(example_path, tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise ValueError("boom")
+
+    monkeypatch.setattr(analysis, "solve_evca", fail)
+    with pytest.raises(ValueError, match="boom"):
+        analysis.compare_aggregators(load_scenario(example_path), [generate_price_set("low", seed=1)])
+    out = tmp_path / "report"
+    assert main(["compare", "--scenario", example_path, "--seed", "1", "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: boom\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", [
