@@ -12,14 +12,26 @@ runners cover the three studies this package ships:
 - run_cost_ablation: objective variants of1..of5, tracking cost and
   discharge volumes.
 
-Experiment cells are independent (pure solves of immutable inputs); report
-assembly is single threaded. Reports are deterministic byte-for-byte for
-identical inputs.
+Experiment cells are independent (pure solves of immutable inputs), so the
+nine cells of compare_aggregators and the variants of both ablations run
+through _solve_cells. On Linux, with more than one CPU in the process's
+affinity set, more than one cell and no other thread running, it forks one
+child per extra CPU for each call and deals the cells out among them and
+this process; otherwise it runs the same loop here. Results are merged in
+cell order, and report assembly runs in this process, so reports are
+byte-for-byte identical either way and deterministic for identical inputs.
 """
 
 from __future__ import annotations
 
+import contextlib
+import gc
 import json
+import os
+import pickle
+import signal
+import sys
+import threading
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -247,6 +259,96 @@ class ComparisonReport:
 # ---------------------------------------------------------------------------
 # Experiment runners
 
+def _run_share(fn, share: list) -> list[tuple[bool, object]]:
+    """``(True, fn(c))`` per cell, up to and including the first ``(False, exception)``."""
+    out: list[tuple[bool, object]] = []
+    for c in share:
+        try:
+            out.append((True, fn(c)))
+        except Exception as exc:  # delivered to the caller by _solve_cells
+            out.append((False, exc))
+            break
+    return out
+
+
+def _child(fn, share: list, w: int):
+    """Solve ``share`` in a forked child, pickle its outcomes to ``w`` and exit.
+
+    ``os._exit`` runs no atexit handler and flushes no stdio buffer copied
+    from the parent. The exit code is 0 only when every byte was written.
+    """
+    code = 1
+    try:
+        gc.disable()  # a short-lived child; collection would only cost time
+        data = pickle.dumps(_run_share(fn, share), pickle.HIGHEST_PROTOCOL)
+        with open(w, "wb") as f:
+            f.write(data)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _solve_cells(fn, cells: list) -> list:
+    """Return ``[fn(c) for c in cells]``, solving the cells on every CPU.
+
+    With k = min(CPUs in the affinity set, len(cells)) it forks k - 1
+    children for this call only, so each starts from this process's exact
+    state. Share j is ``cells[j::k]``; this process solves share 0, and any
+    share whose child could not be forked or delivered nothing (it died, or
+    its outcomes would not pickle). Forking needs Linux and no other thread
+    running; otherwise k is 1 and the loop runs here. The first exception in
+    cell order is raised, as in the serial loop. Every child is reaped before
+    this returns or raises; on an interrupt the children are killed first.
+    """
+    k = 1
+    if sys.platform.startswith("linux") and len(cells) > 1 and threading.active_count() == 1:
+        k = min(len(os.sched_getaffinity(0)), len(cells))
+    shares = [cells[j::k] for j in range(k)]
+    children: dict[int, tuple[int, object]] = {}  # share -> (pid, read end); unreaped only
+    try:
+        for j in range(1, k):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                _child(fn, shares[j], w)
+            os.close(w)
+            children[j] = (pid, open(r, "rb"))
+        outcomes = {j: _run_share(fn, shares[j]) for j in range(k) if j not in children}
+        while children:
+            j = next(iter(children))
+            pid, f = children[j]
+            data = f.read()
+            f.close()
+            status = os.waitpid(pid, 0)[1]
+            del children[j]
+            delivered = None
+            if os.waitstatus_to_exitcode(status) == 0:
+                try:
+                    delivered = pickle.loads(data)
+                except Exception:  # an exception whose class will not rebuild from its args
+                    pass
+            outcomes[j] = delivered if delivered is not None else _run_share(fn, shares[j])
+    finally:
+        for pid, f in children.values():
+            f.close()
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, signal.SIGKILL)
+            with contextlib.suppress(ChildProcessError):
+                os.waitpid(pid, 0)
+    results = []
+    for i in range(len(cells)):
+        ok, value = outcomes[i % k][i // k]
+        if not ok:
+            raise value
+        results.append(value)
+    return results
+
+
 def _breakdown_totals(fs: FleetSchedule) -> dict[str, float]:
     keys = ("energy_eur", "grid_fee_eur", "cp_fee_eur", "degradation_eur", "v2g_revenue_eur")
     out = {k: 0.0 for k in keys}
@@ -268,16 +370,22 @@ def compare_aggregators(s: Scenario, price_sets: list[PriceSeries]) -> Compariso
     """
     models = ["evba", "evca_high", "evca_low"]
     policies = {"evca_high": HIGH_SOE, "evca_low": LOW_SOE}
+
+    def solve(cell: tuple[Scenario, str]) -> tuple[str, str, FleetSchedule | None]:
+        sp, model = cell
+        try:
+            fs = solve_evba(sp) if model == "evba" else solve_evca(sp, policies[model])
+        except (ItineraryError, SessionInfeasibleError) as exc:
+            return "infeasible", str(exc), None
+        return fs.status, fs.message, fs
+
+    grid = [(sp, model) for sp in map(s.with_prices, price_sets) for model in models]
+    outcomes = iter(_solve_cells(solve, grid))
     cells: list[ComparisonCell] = []
     for ps in price_sets:
-        sp = s.with_prices(ps)
         evba_cost: float | None = None
         for model in models:
-            try:
-                fs = solve_evba(sp) if model == "evba" else solve_evca(sp, policies[model])
-                status, message = fs.status, fs.message
-            except (ItineraryError, SessionInfeasibleError) as exc:
-                status, message = "infeasible", str(exc)
+            status, message, fs = next(outcomes)
             if status != "optimal":
                 cells.append(ComparisonCell(ps.label, model, status, None, {}, None, None, {}, error=message))
                 continue
@@ -321,10 +429,15 @@ def _ablation(
     solved, cost(lo) exceeds cost(hi).
     """
     sp = s.with_prices(prices)
+
+    def solve(variant: tuple[str, CostToggles, PowerMode]) -> tuple[FleetSchedule, ViolationReport | None]:
+        _, ct, power = variant
+        fs = solve_evba(sp, ct, power)
+        return fs, check_schedule(sp, fs) if fs.status == "optimal" else None
+
     reports: list[AblationReport] = []
     costs: dict[str, float] = {}
-    for label, ct, power in variants:
-        fs = solve_evba(sp, ct, power)
+    for (label, _, _), (fs, audit) in zip(variants, _solve_cells(solve, variants)):
         if fs.status != "optimal":
             reports.append(
                 AblationReport(label, None, {}, None, None, ViolationReport(), fs.status)
@@ -338,7 +451,7 @@ def _ablation(
                 breakdown=_breakdown_totals(fs),
                 charged_kwh=fs.charged_kwh,
                 discharged_kwh=fs.discharged_kwh,
-                violations=check_schedule(sp, fs),
+                violations=audit,
             )
         )
     for lo, hi in orderings:

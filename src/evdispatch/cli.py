@@ -8,6 +8,7 @@ diagnostics or a solver failure, 2 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -69,26 +70,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--power", default="both", choices=tuple(_POWER_FLAGS))
     p_solve.add_argument("--best-effort", action="store_true",
                          help="lower unreachable session floors instead of failing (evca)")
-    p_solve.add_argument("--out", default=_default_out())
+    p_solve.add_argument("--out")
 
     p_cmp = sub.add_parser("compare", help="fleet vs per-station grid over three price series")
     p_cmp.add_argument("--scenario", required=True)
     p_cmp.add_argument("--seed", type=int, default=1)
     p_cmp.add_argument("--prices", nargs=3, metavar="CSV",
                        help="three price CSV files instead of generated series")
-    p_cmp.add_argument("--out", default=_default_out())
+    p_cmp.add_argument("--out")
 
     p_pow = sub.add_parser("ablate-power", help="power-cap ablation with audit")
     p_pow.add_argument("--scenario", required=True)
     _add_price_source(p_pow)
     p_pow.add_argument("--costs", default="of1", choices=tuple(OBJECTIVE_VARIANTS))
-    p_pow.add_argument("--out", default=_default_out())
+    p_pow.add_argument("--out")
 
     p_cost = sub.add_parser("ablate-costs", help="objective-term ablation of1..of5")
     p_cost.add_argument("--scenario", required=True)
     _add_price_source(p_cost)
     p_cost.add_argument("--power", default="both", choices=tuple(_POWER_FLAGS))
-    p_cost.add_argument("--out", default=_default_out())
+    p_cost.add_argument("--out")
 
     p_val = sub.add_parser("validate", help="scenario diagnostics only")
     p_val.add_argument("--scenario", required=True)
@@ -166,9 +167,17 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process; parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser = _parser()
     args = parser.parse_args(argv)
+    if "out" in vars(args) and args.out is None:  # read at call time, not at build time
+        args.out = _default_out()
     if args.command == "solve" and args.model == "evca" and not args.policy:
         parser.error("--model evca requires --policy high|low")
     if getattr(args, "seed", 0) < 0:

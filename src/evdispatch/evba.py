@@ -21,7 +21,7 @@ Being plugged in is a prerequisite for any grid flow in every power mode;
 the modes only change which magnitude caps apply while plugged in.
 
 build/solve are pure given an immutable scenario, so distinct solves may run
-concurrently.
+concurrently; analysis solves the cells of its studies in forked children.
 """
 
 from __future__ import annotations
