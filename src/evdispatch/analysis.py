@@ -92,74 +92,78 @@ def check_schedule(s: Scenario, fs: FleetSchedule) -> ViolationReport:
     """Recompute the full constraint set on a schedule, independent of any solver.
 
     Every violation above the solver's ``FEAS_TOL`` is reported with its
-    magnitude. Steps where charge and discharge run simultaneously are flagged
-    (not violations; they can be optimal under negative prices) so such
-    pathologies stay visible.
+    magnitude, ordered by vehicle, then step, then check; a vehicle's
+    terminal-SOE violation follows its steps. Steps where charge and
+    discharge run simultaneously are flagged (not violations; they can be
+    optimal under negative prices) so such pathologies stay visible. Each
+    check is one pass over a vehicle's steps. A schedule with the wrong
+    shape or a non-finite entry raises ValueError.
     """
     V, T = len(s.vehicles), s.horizon.step_count
     if fs.e_sch.shape != (V, T):
         raise ValueError(
             f"schedule shape {fs.e_sch.shape} does not match scenario ({V}, {T})"
         )
-    rep = ViolationReport()
-
-    def add(v: int, t: int, constraint: str, magnitude: float):
-        rep.violations.append(Violation(s.vehicles[v].id, t, constraint, float(magnitude)))
-
-    for v_idx, v in enumerate(s.vehicles):
-        cap = v.capacity_kwh
-        prev = v.soe_initial_kwh
-        for t in range(T):
-            sch = fs.e_sch[v_idx, t]
-            dch = fs.e_dch[v_idx, t]
-            fch = fs.e_fch[v_idx, t]
-            stock = fs.soe[v_idx, t]
-            cp = s.cp_at(v_idx, t)
-            slow_lim = cp.power_limit_kwh_per_step if cp is not None and cp.kind == SLOW else 0.0
-            fast_lim = cp.power_limit_kwh_per_step if cp is not None and cp.kind == FAST else 0.0
-
-            for name, flow in (("e_sch", sch), ("e_dch", dch), ("e_fch", fch)):
-                if flow < -FEAS_TOL:
-                    add(v_idx, t, "nonnegative", -flow)
-            if sch > slow_lim + FEAS_TOL:
-                add(v_idx, t, "CP limit", sch - slow_lim)
-            if dch > slow_lim + FEAS_TOL:
-                add(v_idx, t, "CP limit", dch - slow_lim)
-            if sch > v.obc_max_kwh_per_step + FEAS_TOL:
-                add(v_idx, t, "OBC limit", sch - v.obc_max_kwh_per_step)
-            if dch > v.obc_max_kwh_per_step + FEAS_TOL:
-                add(v_idx, t, "OBC limit", dch - v.obc_max_kwh_per_step)
-            if fch > fast_lim + FEAS_TOL:
-                add(v_idx, t, "CP limit", fch - fast_lim)
-            if v.soe_cv_frac < 1.0 - 1e-12:
-                taper = v.obc_max_kwh_per_step * (cap - stock) / (cap * (1.0 - v.soe_cv_frac))
-                if sch > taper + FEAS_TOL:
-                    add(v_idx, t, "CV taper", sch - taper)
-            if stock < v.soe_min_kwh - FEAS_TOL:
-                add(v_idx, t, "SOE bounds", v.soe_min_kwh - stock)
-            if stock > v.soe_max_kwh + FEAS_TOL:
-                add(v_idx, t, "SOE bounds", stock - v.soe_max_kwh)
-            balance = (
-                prev
-                + sch * v.eta_sch
-                + fch * v.eta_fch
-                - dch / v.eta_dch
-                - float(s.trips.energy_kwh[v_idx, t]) / v.eta_run
+    for name in ("e_sch", "e_dch", "e_fch", "soe", "c_deg"):
+        bad = ~np.isfinite(getattr(fs, name))
+        if bad.any():
+            v_idx, t = np.argwhere(bad)[0].tolist()
+            raise ValueError(
+                f"schedule {name}: vehicle {s.vehicles[v_idx].id!r} step {t} holds "
+                f"{getattr(fs, name)[v_idx, t]}"
             )
-            if abs(stock - balance) > FEAS_TOL:
-                add(v_idx, t, "balance", abs(stock - balance))
-            p1, p2 = plane_values(v, max(dch, 0.0), min(max(stock, 0.0), cap))
-            short = max(p1, p2) - fs.c_deg[v_idx, t]
-            if short > FEAS_TOL:
-                add(v_idx, t, "degradation", short)
-            if sch > 1e-6 and dch > 1e-6:
-                rep.flags.append(
-                    f"vehicle {v.id!r} step {t}: simultaneous charge {sch:.4f} kWh "
-                    f"and discharge {dch:.4f} kWh"
-                )
-            prev = stock
-        if fs.soe[v_idx, T - 1] < v.soe_initial_kwh - FEAS_TOL:
-            add(v_idx, T - 1, "terminal SOE", v.soe_initial_kwh - fs.soe[v_idx, T - 1])
+    rep = ViolationReport()
+    cps = s.charging_points
+    slow_lims, fast_lims = np.array(
+        [(cp.power_limit_kwh_per_step if cp.kind == SLOW else 0.0,
+          cp.power_limit_kwh_per_step if cp.kind == FAST else 0.0) for cp in cps]
+        + [(0.0, 0.0)]  # unplugged, which index -1 picks
+    ).T
+    for v_idx, v in enumerate(s.vehicles):
+        cap, obc = v.capacity_kwh, v.obc_max_kwh_per_step
+        sch, dch, fch, stock = fs.e_sch[v_idx], fs.e_dch[v_idx], fs.e_fch[v_idx], fs.soe[v_idx]
+        plug = s.connectivity.index[v_idx]
+        slow_lim, fast_lim = slow_lims[plug], fast_lims[plug]
+        # (constraint, violated at each step, magnitude) in the order checked
+        checks = [
+            ("nonnegative", sch < -FEAS_TOL, -sch),
+            ("nonnegative", dch < -FEAS_TOL, -dch),
+            ("nonnegative", fch < -FEAS_TOL, -fch),
+            ("CP limit", sch > slow_lim + FEAS_TOL, sch - slow_lim),
+            ("CP limit", dch > slow_lim + FEAS_TOL, dch - slow_lim),
+            ("OBC limit", sch > obc + FEAS_TOL, sch - obc),
+            ("OBC limit", dch > obc + FEAS_TOL, dch - obc),
+            ("CP limit", fch > fast_lim + FEAS_TOL, fch - fast_lim),
+        ]
+        if v.soe_cv_frac < 1.0 - 1e-12:
+            taper = obc * (cap - stock) / (cap * (1.0 - v.soe_cv_frac))
+            checks.append(("CV taper", sch > taper + FEAS_TOL, sch - taper))
+        prev = np.concatenate([[v.soe_initial_kwh], stock[:-1]])
+        balance = (prev + sch * v.eta_sch + fch * v.eta_fch - dch / v.eta_dch
+                   - s.trips.energy_kwh[v_idx] / v.eta_run)
+        # max(x, 0.0) and min(x, cap) as Python takes them, -0.0 included
+        dch_pos = np.where(0.0 > dch, 0.0, dch)
+        stock_pos = np.where(0.0 > stock, 0.0, stock)
+        p1, p2 = plane_values(v, dch_pos, np.where(cap < stock_pos, cap, stock_pos))
+        short = np.where(p2 > p1, p2, p1) - fs.c_deg[v_idx]
+        checks += [
+            ("SOE bounds", stock < v.soe_min_kwh - FEAS_TOL, v.soe_min_kwh - stock),
+            ("SOE bounds", stock > v.soe_max_kwh + FEAS_TOL, stock - v.soe_max_kwh),
+            ("balance", abs(stock - balance) > FEAS_TOL, abs(stock - balance)),
+            ("degradation", short > FEAS_TOL, short),
+        ]
+        hit = np.array([violated for _, violated, _ in checks])
+        magnitude = np.array([m for _, _, m in checks])
+        for t, c in zip(*np.nonzero(hit.T)):  # by step, then check
+            rep.violations.append(Violation(v.id, int(t), checks[c][0], float(magnitude[c, t])))
+        for t in np.flatnonzero((sch > 1e-6) & (dch > 1e-6)).tolist():
+            rep.flags.append(
+                f"vehicle {v.id!r} step {t}: simultaneous charge {sch[t]:.4f} kWh "
+                f"and discharge {dch[t]:.4f} kWh"
+            )
+        if stock[T - 1] < v.soe_initial_kwh - FEAS_TOL:
+            shortfall = float(v.soe_initial_kwh - stock[T - 1])
+            rep.violations.append(Violation(v.id, T - 1, "terminal SOE", shortfall))
     return rep
 
 

@@ -8,7 +8,13 @@ master problem. build_evba therefore returns one LP per vehicle, solve_evba
 solves them in turn and extract_schedule stitches the fleet schedule. A
 shared site or feeder limit would add rows coupling vehicles and need
 Dantzig-Wolfe or Lagrangian coordination of these LPs; that is out of scope.
-The station model (evca) solves the same per-vehicle LP over each session.
+
+Every window LP, the whole day here and each session in the station model
+(evca), is a slice of one vehicle build: _build_vehicle_lp assembles the
+vehicle's whole-horizon LP once, with no arrival stock and no floor, and
+_slice_window cuts a window's variables and rows out of it and sets its
+arrival stock and floor. A station session is the same per-vehicle LP over
+a shorter window.
 
 Decision variables per vehicle and step: slow charge, grid discharge, fast
 charge (all kWh, grid side) and state of energy (kWh). When the wear term is
@@ -195,40 +201,48 @@ def _step_names(kinds: list[str], vid: str, tails: list[str]) -> list[str]:
     return [head + tail for tail in tails for head in heads]
 
 
-def _build_window_lp(
-    s: Scenario,
-    v_idx: int,
-    steps: np.ndarray,
-    init_soe: float,
-    floor: float,
-    ct: CostToggles,
-    power: PowerMode,
-    *,
-    maximize_departure: bool = False,
-) -> lp.LpProblem:
-    """One vehicle's LP over a contiguous, non-empty window of steps.
+@dataclass(frozen=True)
+class _VehicleLp:
+    """One vehicle's LP over the whole horizon, with no arrival stock and no
+    floor: the arrays that every window LP of the vehicle is sliced from.
 
-    ``init_soe`` is the stock entering the first window step; ``floor`` the
-    minimum stock at the last one. Variables run per step in the order
-    sch, dch, fch, soe and, when wear is priced, cdeg, so a solution vector
-    reshapes to one row per step (see _window_schedule). Rows run per step
-    in the order cv (where the taper applies), bal and, when wear is priced,
-    deg1 and deg2. With ``maximize_departure`` the feasible set is the same
-    and the objective is the negated stock at the last step.
+    ``lb``, ``ub`` and ``cost`` hold one row per step, and the rows are in
+    compressed sparse row form over the whole horizon's variables. Step
+    ``t`` has rows ``start[t]:start[t + 1]`` and its balance row is
+    ``bal[t]``.
+    """
+
+    v: Vehicle
+    lb: np.ndarray
+    ub: np.ndarray
+    cost: np.ndarray
+    var_names: list[str]
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+    senses: np.ndarray
+    rhs: np.ndarray
+    row_names: list[str]
+    start: np.ndarray
+    bal: np.ndarray
+
+
+def _build_vehicle_lp(s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode) -> _VehicleLp:
+    """Vehicle ``v_idx``'s LP over the whole horizon, with no arrival stock and
+    no floor; _slice_window cuts each window LP out of it.
+
+    Variables run per step in the order sch, dch, fch, soe and, when wear is
+    priced, cdeg, so a solution vector reshapes to one row per step (see
+    _window_schedule). Rows run per step in the order cv (where the taper
+    applies), bal and, when wear is priced, deg1 and deg2. The balance row of
+    a step after the first has the previous step's soe as its first term.
+    Nothing is validated here: each window LP checks what it takes.
     """
     v = s.vehicles[v_idx]
     cap = v.capacity_kwh
-    steps = np.asarray(steps)
-    k, last = len(steps), int(steps[-1])
-    floor_lb = max(v.soe_min_kwh, floor)
-    if floor_lb > v.soe_max_kwh + 1e-9:
-        raise _FloorUnreachable(
-            f"vehicle {v.id!r}: required stock {floor_lb:.3f} kWh at step {last} "
-            f"exceeds the SOE ceiling {v.soe_max_kwh:.3f} kWh"
-        )
-    p = lp.LpProblem(f"window[{v.id},{int(steps[0])}..{last}]")
-    window = slice(int(steps[0]), last + 1)
-    plug = s.connectivity.index[v_idx, window]
+    steps = np.arange(s.horizon.step_count)
+    k = len(steps)
+    plug = s.connectivity.index[v_idx]
     slow_cap, fast_cap = np.array([_caps(s, v, cp, power) for cp in (*s.charging_points, None)])[plug].T
 
     # variables: one row of these tables per step
@@ -237,23 +251,17 @@ def _build_window_lp(
     ub[:, 0] = ub[:, 1] = slow_cap
     ub[:, 2] = fast_cap
     lb[:, 3], ub[:, 3] = v.soe_min_kwh, v.soe_max_kwh
-    lb[-1, 3] = min(floor_lb, v.soe_max_kwh)
-    if maximize_departure:
-        cost[-1, 3] = -1.0
-    else:
-        cost[:, 0], cost[:, 1], cost[:, 2] = _flow_costs(s, ct, plug, steps)
+    cost[:, 0], cost[:, 1], cost[:, 2] = _flow_costs(s, ct, plug, steps)
     if ct.include_degradation:
-        ub[:, 4], cost[:, 4] = lp.INF, 0.0 if maximize_departure else 1.0
+        ub[:, 4], cost[:, 4] = lp.INF, 1.0
     tails = [f"{t}]" for t in steps.tolist()]
-    p.add_variables(lb.ravel(), ub.ravel(), cost.ravel(), _step_names(kinds, v.id, tails))
     sch, dch, fch, soe, *cdeg = np.arange(k * len(kinds)).reshape(k, len(kinds)).T
 
-    # rows: each step's balance row falls after the rows of earlier steps
-    # and its own taper row
+    # rows: each step's rows follow those of earlier steps
     taper = v.soe_cv_frac < 1.0 - 1e-12 and power is not PowerMode.CP_ONLY
     has_cv = (slow_cap > 0.0) & taper  # charge taper above the CC/CV breakpoint; slow charging only
-    rows_after_cv = 3 if ct.include_degradation else 1
-    bal = (has_cv + rows_after_cv).cumsum() - rows_after_cv
+    start = np.concatenate([[0], (has_cv + (3 if ct.include_degradation else 1)).cumsum()])
+    bal = start[:-1] + has_cv
     cv = np.flatnonzero(has_cv)
     taper_k = v.obc_max_kwh_per_step / (cap * (1.0 - v.soe_cv_frac)) if taper else 0.0
     n_cv = len(cv)
@@ -261,10 +269,9 @@ def _build_window_lp(
     terms = [sch[cv], soe[cv], soe, sch, fch, dch, soe[:-1]]
     coefs = [np.repeat([1.0, taper_k, 1.0, -v.eta_sch, -v.eta_fch, 1.0 / v.eta_dch, -1.0],
                        [n_cv, n_cv, k, k, k, k, k - 1])]
-    rhs_bal = -s.trips.energy_kwh[v_idx, window] / v.eta_run
-    rhs_bal[0] += init_soe
     at = [bal[cv] - 1, bal]  # where the block rows below go
-    senses, rhs = [np.full(n_cv, "<="), np.full(k, "=")], [np.full(n_cv, taper_k * cap), rhs_bal]
+    senses = [np.full(n_cv, "<="), np.full(k, "=")]
+    rhs = [np.full(n_cv, taper_k * cap), -s.trips.energy_kwh[v_idx] / v.eta_run]
     names = _step_names(["cv"], v.id, [tails[i] for i in cv.tolist()]) + _step_names(["bal"], v.id, tails)
     if ct.include_degradation:
         d_row, d_var, d_coef, d_senses, d_rhs, d_names = degradation_rows(v, cdeg[0], dch, soe, steps)
@@ -276,12 +283,80 @@ def _build_window_lp(
         senses.append(d_senses)
         rhs.append(d_rhs)
         names += d_names
-    # the row blocks, scattered into step order
+    # the row blocks, scattered into step order; the terms sorted by row,
+    # then variable, with the bits LpProblem.add_constraints stores (no term
+    # repeats, and its sum turns -0.0 into 0.0)
     order = np.argsort(np.concatenate(at))
-    p.add_constraints(np.concatenate(rows), np.concatenate(terms), np.concatenate(coefs),
-                      np.concatenate(senses)[order], np.concatenate(rhs)[order],
-                      [names[i] for i in order.tolist()])
-    return p
+    row, var = np.concatenate(rows), np.concatenate(terms)
+    by_row = np.lexsort((var, row))
+    return _VehicleLp(
+        v, lb, ub, cost, _step_names(kinds, v.id, tails),
+        np.concatenate([[0], np.bincount(row, minlength=start[-1]).cumsum()]),
+        var[by_row], np.concatenate(coefs)[by_row] + 0.0,
+        np.concatenate(senses)[order], np.concatenate(rhs)[order], [names[i] for i in order.tolist()],
+        start, bal,
+    )
+
+
+def _slice_window(
+    vl: _VehicleLp, first: int, last: int, init_soe: float, floor: float, *, maximize_departure: bool = False
+) -> lp.LpProblem:
+    """The LP of ``vl``'s vehicle over steps ``first..last``.
+
+    ``init_soe`` is the stock entering step ``first``: the previous step's
+    soe term leaves the window's first balance row, and the stock joins
+    its right-hand side. ``floor`` is the minimum stock at step ``last``.
+    With ``maximize_departure`` the feasible set is the same and the
+    objective is the negated stock at the last step.
+    """
+    v = vl.v
+    floor_lb = max(v.soe_min_kwh, floor)
+    if floor_lb > v.soe_max_kwh + 1e-9:
+        raise _FloorUnreachable(
+            f"vehicle {v.id!r}: required stock {floor_lb:.3f} kWh at step {last} "
+            f"exceeds the SOE ceiling {v.soe_max_kwh:.3f} kWh"
+        )
+    steps = slice(first, last + 1)
+    lb = vl.lb[steps].copy()
+    lb[-1, 3] = min(floor_lb, v.soe_max_kwh)
+    if maximize_departure:
+        cost = np.zeros(lb.shape)
+        cost[-1, 3] = -1.0
+    else:
+        cost = vl.cost[steps]
+    width = lb.shape[1]
+    r0, r1, b0 = vl.start[first], vl.start[last + 1], vl.bal[first]
+    lo, hi = vl.indptr[r0], vl.indptr[r1]
+    indptr = vl.indptr[r0:r1 + 1] - lo
+    terms = np.arange(lo, hi)
+    if first:  # soe[first - 1] leaves: the first term of the first balance row
+        terms = terms[terms != vl.indptr[b0]]
+        indptr[b0 - r0 + 1:] -= 1
+    rhs = vl.rhs[r0:r1].copy()
+    rhs[b0 - r0] += init_soe
+    return lp.LpProblem.from_csr(
+        f"window[{v.id},{first}..{last}]", lb.ravel(), vl.ub[steps].ravel(), cost.ravel(),
+        vl.var_names[first * width:(last + 1) * width], indptr, vl.indices[terms] - first * width,
+        vl.data[terms], vl.senses[r0:r1], rhs, vl.row_names[r0:r1],
+    )
+
+
+def _build_window_lp(
+    s: Scenario,
+    v_idx: int,
+    steps: np.ndarray,
+    init_soe: float,
+    floor: float,
+    ct: CostToggles,
+    power: PowerMode,
+    *,
+    maximize_departure: bool = False,
+) -> lp.LpProblem:
+    """One vehicle's LP over a contiguous, non-empty window of steps: the
+    window's slice of the vehicle's whole-horizon LP (see _build_vehicle_lp
+    for the layout and _slice_window for the arguments)."""
+    return _slice_window(_build_vehicle_lp(s, v_idx, ct, power), int(steps[0]), int(steps[-1]),
+                         init_soe, floor, maximize_departure=maximize_departure)
 
 
 def _require_solvable(s: Scenario) -> None:

@@ -7,6 +7,10 @@ departure stock must reach a policy floor (or the end-of-day floor for the
 last session). A session LP sees only the prices of its own window, so the
 optimizer at one plug is blind to prices elsewhere in the day.
 
+Each session LP is a slice of its vehicle's whole-horizon LP, which
+solve_evca builds once per vehicle per call (see evba._slice_window); the
+best-effort re-solves are slices of the same build.
+
 Sessions of one vehicle are strictly sequential because state chains through
 them; different vehicles are independent.
 """
@@ -27,10 +31,12 @@ from .evba import (
     PowerMode,
     SessionResult,
     _assemble,
-    _build_window_lp,
+    _build_vehicle_lp,
     _FloorUnreachable,
     _numerics_hint,
     _require_solvable,
+    _slice_window,
+    _VehicleLp,
     _window_schedule,
 )
 
@@ -107,21 +113,19 @@ def chain_arrival_soe(prev_depart_soe: float, trip_energy_kwh: float, v: Vehicle
 
 def _solve_session_lp(
     s: Scenario,
-    v_idx: int,
+    vl: _VehicleLp,
     session: Session,
     arrival: float,
     floor: float,
-    ct: CostToggles,
-    power: PowerMode,
     maximize_departure: bool = False,
 ) -> lp.LpSolution | None:
-    """One session LP; None when infeasible.
+    """One session LP, sliced from its vehicle's LP ``vl``; None when infeasible.
 
     Any other non-optimal status raises ArithmeticError naming the session.
     """
     try:
-        problem = _build_window_lp(
-            s, v_idx, session.steps, arrival, floor, ct, power,
+        problem = _slice_window(
+            vl, session.arrive_step, session.depart_step, arrival, floor,
             maximize_departure=maximize_departure,
         )
     except _FloorUnreachable:
@@ -172,6 +176,7 @@ def solve_evca(
                     f"end-of-day stock floor cannot be met"
                 )
             continue
+        vl = _build_vehicle_lp(s, v_idx, ct, power)
         running = v.soe_initial_kwh
         prev_end = -1
         for k, session in enumerate(sessions):
@@ -190,11 +195,9 @@ def solve_evca(
                 floor = policy.floor_kwh(v)
                 note = ""
 
-            sol = _solve_session_lp(s, v_idx, session, arrival, floor, ct, power)
+            sol = _solve_session_lp(s, vl, session, arrival, floor)
             if sol is None and best_effort:
-                relaxed = _solve_session_lp(
-                    s, v_idx, session, arrival, v.soe_min_kwh, ct, power, maximize_departure=True,
-                )
+                relaxed = _solve_session_lp(s, vl, session, arrival, v.soe_min_kwh, maximize_departure=True)
                 if relaxed is not None:
                     # the relaxed objective is minus the departure stock
                     reachable = min(-relaxed.objective, v.soe_max_kwh)
@@ -204,7 +207,7 @@ def solve_evca(
                     )
                     note = (note + "; " if note else "") + "best-effort floor"
                     floor = reachable - 1e-9
-                    sol = _solve_session_lp(s, v_idx, session, arrival, floor, ct, power)
+                    sol = _solve_session_lp(s, vl, session, arrival, floor)
             if sol is None:
                 raise SessionInfeasibleError(
                     f"{session.describe()}: no feasible schedule reaches the departure "

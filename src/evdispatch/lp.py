@@ -8,7 +8,8 @@ and easy to verify.
 Problems are built in bulk: ``LpProblem.add_variables`` and
 ``add_constraints`` take arrays and store the rows in compressed sparse row
 form, which the crash and the tableau set-up read directly;
-``add_variable`` and ``add_constraint`` add one item through the same path.
+``add_variable`` and ``add_constraint`` add one item through the same path,
+and ``LpProblem.from_csr`` takes rows already in that form.
 
 Algorithm notes:
 - every row gets a slack variable whose bounds are the only encoding of the
@@ -142,13 +143,7 @@ class LpProblem:
         if not len(lb) == len(ub) == len(cost):
             lb, ub, cost = np.broadcast_arrays(lb, ub, cost)
         first, k = len(self._lb), len(lb)
-        ok = (lb <= ub) & (lb < INF) & (ub > -INF) & np.isfinite(cost)
-        if not ok.all():
-            j = int(np.argmin(ok))
-            label = (names[j] if names else "") or first + j
-            if not lb[j] <= ub[j]:
-                raise LpError(f"variable {label}: inverted bounds lb={lb[j]} > ub={ub[j]}")
-            raise LpError(f"variable {label}: unusable bounds or cost")
+        _check_variables(lb, ub, cost, names, first)
         self._lb = np.concatenate([self._lb, lb])
         self._ub = np.concatenate([self._ub, ub])
         self._cost = np.concatenate([self._cost, cost])
@@ -202,6 +197,29 @@ class LpProblem:
             [nm or f"r{i}" for nm, i in zip(names or [""] * k, range(first, first + k))]
         return np.arange(first, first + k)
 
+    @classmethod
+    def from_csr(cls, name: str, lb, ub, cost, var_names: list[str], indptr, indices, data,
+                 senses, rhs, row_names: list[str]) -> "LpProblem":
+        """A problem given whole, its arrays kept, not copied: float arrays of
+        variable bounds and costs with one name each, and the rows in
+        compressed sparse row form, each with its name. The caller keeps
+        the structure: each row's columns are variables, ascending and
+        distinct, and its sense is ``<=``, ``>=`` or ``=``. The numbers are
+        checked: the first faulty variable or row raises the LpError that
+        ``add_variables``, then ``add_constraints``, would raise."""
+        _check_variables(lb, ub, cost, var_names, 0)
+        if not (np.isfinite(rhs).all() and np.isfinite(data).all()):
+            bad = ~np.isfinite(rhs)
+            bad[np.repeat(np.arange(len(rhs)), np.diff(indptr))[~np.isfinite(data)]] = True
+            i = int(np.argmax(bad))
+            terms = slice(indptr[i], indptr[i + 1])
+            _reject(row_names[i], str(senses[i]), rhs[i], indices[terms], data[terms], len(lb))
+        p = cls(name)
+        p._lb, p._ub, p._cost, p._var_names = lb, ub, cost, var_names
+        p._indptr, p._indices, p._data = indptr, indices, data
+        p._senses, p._rhs, p._row_names = senses.astype("<U2"), rhs, row_names
+        return p
+
     def to_lp_text(self) -> str:
         """Debug dump in LP text format for cross-checking with other tools."""
         names = self._var_names
@@ -221,6 +239,19 @@ class LpProblem:
             out.append(f" {lo_s} <= {name} <= {hi_s}")
         out.append("End")
         return "\n".join(out) + "\n"
+
+
+def _check_variables(lb: np.ndarray, ub: np.ndarray, cost: np.ndarray, names: list[str] | None,
+                     first: int) -> None:
+    """Raise the LpError for the first variable with inverted or unusable
+    bounds or a non-finite cost; ``first`` is the id of the first one."""
+    ok = (lb <= ub) & (lb < INF) & (ub > -INF) & np.isfinite(cost)
+    if not ok.all():
+        j = int(np.argmin(ok))
+        label = (names[j] if names else "") or first + j
+        if not lb[j] <= ub[j]:
+            raise LpError(f"variable {label}: inverted bounds lb={lb[j]} > ub={ub[j]}")
+        raise LpError(f"variable {label}: unusable bounds or cost")
 
 
 def _reject(name: str, sense: str, rhs: float, var: np.ndarray, coef: np.ndarray, n: int) -> None:
@@ -333,17 +364,23 @@ class _Simplex:
         self.T[self.row_of[keep], at[keep]] = self.p._data[keep]
         slack = np.flatnonzero(self.pos[n:] >= 0)
         self.T[slack, self.pos[n + slack]] = 1.0
-        width = (self.ub[:n] - self.lb[:n]).tolist()
-        blocked = [False] * n
-        ptr, idx, val = (a.tolist() for a in (self.p._indptr, self.p._indices, self.p._data))
-        crash = []
-        for i in np.flatnonzero(self.pos[n:] < 0).tolist():  # the equality rows
-            nonzero = [j for j, coef in zip(idx[ptr[i]:ptr[i + 1]], val[ptr[i]:ptr[i + 1]]) if coef != 0.0]
-            cand = [j for j in nonzero if not blocked[j] and width[j] > 0.0]
-            if cand:
-                crash.append((i, min(cand, key=lambda j: (-width[j], j))))
-                for j in nonzero:
-                    blocked[j] = True
+        # each equality row's nonzero columns, in pick order: those with a
+        # nonzero range first, widest first, ties to the lowest index
+        eq = (self.pos[n:] < 0)[self.row_of] & (self.p._data != 0.0)
+        row, col = self.row_of[eq], self.p._indices[eq]
+        width = self.ub[col] - self.lb[col]
+        order = np.lexsort((col, -width, width <= 0.0, row))
+        row, col, width = row[order], col[order], width[order]
+        start = np.flatnonzero(np.diff(row, prepend=-1))
+        n_cand = np.add.reduceat(width > 0.0, start) if start.size else start
+        cols, blocked, crash = col.tolist(), set(), []
+        for i, a, b, c in zip(row[start].tolist(), start.tolist(), [*start[1:].tolist(), len(cols)],
+                              (start + n_cand).tolist()):
+            for j in cols[a:c]:
+                if j not in blocked:
+                    crash.append((i, j))
+                    blocked.update(cols[a:b])
+                    break
         # the picks are triangular, so in reverse order every pivot row is an
         # original row: its nonzero tableau entries are its sparse entries in
         # columns that can enter, and every other entry is 0.0. Each pivot

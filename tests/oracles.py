@@ -4,8 +4,9 @@ These deliberately avoid the package's solver paths: LPs are checked against
 brute-force vertex enumeration, and the three-step arbitrage case against a
 discharge-grid scan with the recharge amount resolved exactly. The
 exceptions are ``DenseSimplex``, the reference kernel the solver must match
-pivot for pivot, and ``window_lp_by_rows``, the reference for the window LP
-that ``evba`` builds from arrays.
+pivot for pivot, ``window_lp_by_rows``, the reference for the window LP
+that ``evba`` builds from arrays, and ``check_schedule_by_steps``, the
+reference for the auditor that ``analysis`` runs in array passes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,10 @@ from functools import lru_cache
 import numpy as np
 
 from evdispatch import evba, lp
-from evdispatch.domain import SLOW
+from evdispatch.analysis import Violation, ViolationReport
+from evdispatch.degradation import plane_values
+from evdispatch.domain import FAST, SLOW
+from evdispatch.lp import FEAS_TOL
 
 
 @lru_cache(maxsize=None)
@@ -526,3 +530,79 @@ class DenseSimplex(lp._Simplex):
             self._pivot(r, q, entering_val, lp._AT_LB if (sw[r] > 0) != out[r] else lp._AT_UB)
             if not phase1:
                 d = d - d[q] * self.T[r, :]
+
+
+def check_schedule_by_steps(s, fs) -> ViolationReport:
+    """Step-by-step reference for ``analysis.check_schedule``: recompute the
+    full constraint set on a schedule, one vehicle-step at a time.
+
+    Every violation above the solver's ``FEAS_TOL`` is reported with its
+    magnitude. Steps where charge and discharge run simultaneously are flagged
+    (not violations; they can be optimal under negative prices) so such
+    pathologies stay visible.
+    """
+    V, T = len(s.vehicles), s.horizon.step_count
+    if fs.e_sch.shape != (V, T):
+        raise ValueError(
+            f"schedule shape {fs.e_sch.shape} does not match scenario ({V}, {T})"
+        )
+    rep = ViolationReport()
+
+    def add(v: int, t: int, constraint: str, magnitude: float):
+        rep.violations.append(Violation(s.vehicles[v].id, t, constraint, float(magnitude)))
+
+    for v_idx, v in enumerate(s.vehicles):
+        cap = v.capacity_kwh
+        prev = v.soe_initial_kwh
+        for t in range(T):
+            sch = fs.e_sch[v_idx, t]
+            dch = fs.e_dch[v_idx, t]
+            fch = fs.e_fch[v_idx, t]
+            stock = fs.soe[v_idx, t]
+            cp = s.cp_at(v_idx, t)
+            slow_lim = cp.power_limit_kwh_per_step if cp is not None and cp.kind == SLOW else 0.0
+            fast_lim = cp.power_limit_kwh_per_step if cp is not None and cp.kind == FAST else 0.0
+
+            for name, flow in (("e_sch", sch), ("e_dch", dch), ("e_fch", fch)):
+                if flow < -FEAS_TOL:
+                    add(v_idx, t, "nonnegative", -flow)
+            if sch > slow_lim + FEAS_TOL:
+                add(v_idx, t, "CP limit", sch - slow_lim)
+            if dch > slow_lim + FEAS_TOL:
+                add(v_idx, t, "CP limit", dch - slow_lim)
+            if sch > v.obc_max_kwh_per_step + FEAS_TOL:
+                add(v_idx, t, "OBC limit", sch - v.obc_max_kwh_per_step)
+            if dch > v.obc_max_kwh_per_step + FEAS_TOL:
+                add(v_idx, t, "OBC limit", dch - v.obc_max_kwh_per_step)
+            if fch > fast_lim + FEAS_TOL:
+                add(v_idx, t, "CP limit", fch - fast_lim)
+            if v.soe_cv_frac < 1.0 - 1e-12:
+                taper = v.obc_max_kwh_per_step * (cap - stock) / (cap * (1.0 - v.soe_cv_frac))
+                if sch > taper + FEAS_TOL:
+                    add(v_idx, t, "CV taper", sch - taper)
+            if stock < v.soe_min_kwh - FEAS_TOL:
+                add(v_idx, t, "SOE bounds", v.soe_min_kwh - stock)
+            if stock > v.soe_max_kwh + FEAS_TOL:
+                add(v_idx, t, "SOE bounds", stock - v.soe_max_kwh)
+            balance = (
+                prev
+                + sch * v.eta_sch
+                + fch * v.eta_fch
+                - dch / v.eta_dch
+                - float(s.trips.energy_kwh[v_idx, t]) / v.eta_run
+            )
+            if abs(stock - balance) > FEAS_TOL:
+                add(v_idx, t, "balance", abs(stock - balance))
+            p1, p2 = plane_values(v, max(dch, 0.0), min(max(stock, 0.0), cap))
+            short = max(p1, p2) - fs.c_deg[v_idx, t]
+            if short > FEAS_TOL:
+                add(v_idx, t, "degradation", short)
+            if sch > 1e-6 and dch > 1e-6:
+                rep.flags.append(
+                    f"vehicle {v.id!r} step {t}: simultaneous charge {sch:.4f} kWh "
+                    f"and discharge {dch:.4f} kWh"
+                )
+            prev = stock
+        if fs.soe[v_idx, T - 1] < v.soe_initial_kwh - FEAS_TOL:
+            add(v_idx, T - 1, "terminal SOE", v.soe_initial_kwh - fs.soe[v_idx, T - 1])
+    return rep

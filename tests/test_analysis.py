@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import json
 import os
 import sys
@@ -32,7 +34,8 @@ from evdispatch.domain import (
     example_scenario_path,
 )
 from evdispatch.evba import PowerMode, cost_toggles_for, solve_evba
-from evdispatch.evca import HIGH_SOE
+from evdispatch.evca import HIGH_SOE, solve_evca
+from oracles import check_schedule_by_steps
 from scen import flat_scenario, random_scenario
 
 OF1 = cost_toggles_for("of1")
@@ -146,6 +149,50 @@ def test_audit_flags_simultaneous_charge_discharge():
     rep = check_schedule(s, fs)
     assert rep.ok
     assert any("simultaneous" in f for f in rep.flags)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["e_sch", "e_dch", "e_fch", "soe", "c_deg"])
+def test_audit_rejects_a_non_finite_entry_naming_array_vehicle_and_step(example_with_high, field, value):
+    fs = solve_evba(example_with_high, OF5)
+    getattr(fs, field)[1, 5] = value
+    with pytest.raises(ValueError, match=rf"^schedule {field}: vehicle 'ev2' step 5 holds {value}$"):
+        check_schedule(example_with_high, fs)
+
+
+def _perturbed(fs, seed: int):
+    """``fs`` with noise on about a tenth of each array's entries, and a
+    charge and discharge together at a few steps."""
+    rng = np.random.default_rng(seed)
+    arrays = {}
+    for name in ("e_sch", "e_dch", "e_fch", "soe", "c_deg"):
+        a = getattr(fs, name).copy()
+        hit = rng.random(a.shape) < 0.1
+        a[hit] += rng.normal(0.0, 3.0, int(hit.sum()))
+        arrays[name] = a
+    both = rng.random(fs.e_sch.shape) < 0.05
+    arrays["e_sch"][both] = arrays["e_dch"][both] = 0.5
+    return dataclasses.replace(fs, **arrays)
+
+
+def test_array_auditor_matches_the_step_by_step_reference(example_scenario):
+    schedules = []
+    for level, ct, power in itertools.product(("low", "medium", "high"), (OF1, OF5), PowerMode):
+        s = example_scenario.with_prices(generate_price_set(level, seed=3))
+        schedules.append((s, solve_evba(s, ct, power)))
+    for seed in range(10):
+        s = random_scenario(seed).with_prices(generate_price_set("high", seed=seed))
+        schedules += [(s, solve_evba(s, OF5)), (s, solve_evca(s, HIGH_SOE))]
+    schedules += [(s, _perturbed(fs, seed)) for seed, (s, fs) in enumerate(schedules)]
+    seen = set()
+    for s, fs in schedules:
+        got, ref = check_schedule(s, fs), check_schedule_by_steps(s, fs)
+        rows = [(v.vehicle, v.step, v.constraint, repr(v.magnitude)) for v in got.violations]
+        assert rows == [(v.vehicle, v.step, v.constraint, repr(v.magnitude)) for v in ref.violations]
+        assert got.flags == ref.flags
+        seen |= {v.constraint for v in got.violations} | {"flag" for _ in got.flags[:1]}
+    assert seen == {"nonnegative", "CP limit", "OBC limit", "CV taper", "SOE bounds", "balance",
+                    "degradation", "terminal SOE", "flag"}
 
 
 # ---------------------------------------------------------------------------

@@ -26,11 +26,13 @@ from evdispatch.evba import (
     OBJECTIVE_VARIANTS,
     AssemblyError,
     PowerMode,
+    _build_vehicle_lp,
     _build_window_lp,
     _FloorUnreachable,
     _infeasibility_hint,
     build_evba,
     cost_toggles_for,
+    _slice_window,
     extract_schedule,
     solve_evba,
 )
@@ -459,3 +461,73 @@ def test_window_lp_matches_the_row_by_row_reference(seed):
                 assert _same_problem(got, ref), (v.id, steps[0], label, power, floor, maximize)
                 built += 1
     assert built == (2 * 5 * 4 + 2) * len(windows)
+
+
+@pytest.mark.parametrize("seed", [*range(12), "example"])
+def test_session_slices_match_the_row_by_row_reference(seed, example_scenario):
+    if seed == "example":
+        s = example_scenario.with_prices(generate_price_set("high", seed=1))
+    else:
+        s = random_scenario(seed).with_prices(generate_price_set(("low", "medium", "high")[seed % 3], seed=seed))
+    sessions = evca.derive_sessions(s)
+    built = 0
+    for (label, ct), power in itertools.product(OBJECTIVE_VARIANTS.items(), PowerMode):
+        for v_idx, v in enumerate(s.vehicles):
+            vl = _build_vehicle_lp(s, v_idx, ct, power)  # one build for all of its sessions
+            for k, session in enumerate(sessions[v_idx]):
+                arrival = v.soe_min_kwh + (k + 1) / (len(sessions[v_idx]) + 1) * (v.soe_max_kwh - v.soe_min_kwh)
+                post_trips = float(s.trips.energy_kwh[v_idx, session.depart_step + 1:].sum())
+                # the policy floor, the end-of-day floor and the best-effort
+                # relaxation; the ceiling and one floor out of reach move
+                # only the last SOE bound
+                cases = [(evca.HIGH_SOE.floor_kwh(v), False), (v.soe_initial_kwh + post_trips / v.eta_run, False),
+                         (v.soe_min_kwh, True)]
+                if label == "of5" and power is PowerMode.BOTH:
+                    cases += [(v.soe_max_kwh, False), (v.soe_max_kwh + 1.0, False)]
+                for floor, maximize in cases:
+                    args = (arrival, floor)
+                    try:
+                        got = _slice_window(vl, session.arrive_step, session.depart_step, *args,
+                                            maximize_departure=maximize)
+                    except _FloorUnreachable:
+                        got = _FloorUnreachable
+                    try:
+                        ref = window_lp_by_rows(s, v_idx, session.steps, *args, ct, power,
+                                                maximize_departure=maximize)
+                    except _FloorUnreachable:
+                        assert got is _FloorUnreachable
+                        continue
+                    assert _same_problem(got, ref), (v.id, session.arrive_step, label, power, floor, maximize)
+                    built += 1
+    assert built >= (3 * 5 * 4 + 1) * sum(map(len, sessions))
+
+
+@pytest.mark.parametrize("arrival", [np.nan, np.inf])
+def test_a_non_finite_arrival_stock_is_rejected_as_the_row_by_row_build_rejects_it(arrival, example_scenario):
+    s = example_scenario.with_prices(generate_price_set("high", seed=1))
+    session = evca.derive_sessions(s)[0][1]
+    v = s.vehicles[0]
+    vl = _build_vehicle_lp(s, 0, OF5, PowerMode.BOTH)
+    with pytest.raises(lp.LpError) as ref:
+        window_lp_by_rows(s, 0, session.steps, arrival, v.soe_min_kwh, OF5, PowerMode.BOTH)
+    with pytest.raises(lp.LpError) as got:
+        _slice_window(vl, session.arrive_step, session.depart_step, arrival, v.soe_min_kwh)
+    assert str(got.value) == str(ref.value) == (
+        f"constraint 'bal[ev1,{session.arrive_step}]': non-finite right-hand side {arrival}"
+    )
+
+
+def test_a_non_finite_coefficient_is_rejected_as_the_row_by_row_build_rejects_it(example_scenario):
+    # a valid efficiency whose reciprocal, the balance row's discharge
+    # coefficient, overflows
+    s = example_scenario.with_prices(generate_price_set("high", seed=1))
+    s = dataclasses.replace(s, vehicles=(dataclasses.replace(s.vehicles[0], eta_dch=5e-324), *s.vehicles[1:]))
+    session = evca.derive_sessions(s)[0][1]
+    vl = _build_vehicle_lp(s, 0, OF5, PowerMode.BOTH)
+    with pytest.raises(lp.LpError) as ref:
+        window_lp_by_rows(s, 0, session.steps, 10.0, 12.0, OF5, PowerMode.BOTH)
+    with pytest.raises(lp.LpError) as got:
+        _slice_window(vl, session.arrive_step, session.depart_step, 10.0, 12.0)
+    assert str(got.value) == str(ref.value) == (
+        f"constraint 'bal[ev1,{session.arrive_step}]': non-finite coefficient inf on variable 1"
+    )
