@@ -229,12 +229,6 @@ class Scenario:
     tariff_calendar: TariffCalendar = field(default_factory=TariffCalendar)
     prices: PriceSeries | None = None
 
-    def vehicle_index(self, vid: str) -> int:
-        for i, v in enumerate(self.vehicles):
-            if v.id == vid:
-                return i
-        raise KeyError(f"unknown vehicle id {vid!r}")
-
     def cp_at(self, v: int, t: int) -> ChargingPoint | None:
         """The charging point vehicle v is plugged into at step t, if any."""
         idx = self.connectivity.index[v, t]

@@ -7,7 +7,7 @@ and easy to verify.
 
 Problems are built in bulk: ``LpProblem.add_variables`` and
 ``add_constraints`` take arrays and store the rows in compressed sparse row
-form, which the crash and the tableau set-up read directly;
+form, which the crash, the tableau set-up and the residuals read directly;
 ``add_variable`` and ``add_constraint`` add one item through the same path,
 and ``LpProblem.from_csr`` takes rows already in that form.
 
@@ -31,13 +31,16 @@ Algorithm notes:
   bounds, nonbasic values, the basis) by variable. Set-up scatters the
   sparse rows straight into ``T``;
 - the tableau ``T = B^-1 A`` is stored column-major, and a pivot updates
-  only the columns where the normalised pivot row is nonzero: every other
-  column is unchanged by the rank-1 update. Each updated column is one
+  only the columns where the normalised pivot row is nonzero and, in them,
+  only the rows from the first to the last nonzero of the entering column
+  (none when that column is nonzero in the pivot row alone): every other
+  entry is unchanged by the rank-1 update. Each updated column is one
   contiguous row of the C-ordered view ``T.T``, and the outer product is
   one BLAS matrix product with an inner dimension of 1, so each updated
   entry gets one rounded multiply and one subtract, as in a full update.
-  BLAS may write ``+0.0`` where an elementwise product gives ``-0.0``, so
-  an exact zero of ``T`` may differ in sign from a full update's; no pivot
+  A full update subtracts a signed zero from the entries it skips, and BLAS
+  may write ``+0.0`` where an elementwise product gives ``-0.0``, so an
+  exact zero of ``T`` may differ in sign from a full update's; no pivot
   decision reads the sign of a zero;
 - in reverse order every crash pivot row is an original row, so its
   nonzero entries are its sparse entries in columns that can enter: a crash
@@ -60,7 +63,10 @@ Algorithm notes:
   before a solution is declared optimal: structurals and the implied slacks
   ``b - A x`` must be within ``FEAS_TOL`` of their bounds, and a NaN
   anywhere fails the check; on drift the tableau is rebuilt from the current
-  basis and both phases run again.
+  basis and both phases run again;
+- there is no dense copy of ``A``: the start's residual ``b - A x`` and the
+  implied slacks are summed from the sparse rows, each row in column order,
+  and only a refactorization builds ``[A | I]`` densely, for that rebuild.
 
 Deterministic by construction: same problem, same pivots, same answer.
 """
@@ -220,26 +226,6 @@ class LpProblem:
         p._senses, p._rhs, p._row_names = senses.astype("<U2"), rhs, row_names
         return p
 
-    def to_lp_text(self) -> str:
-        """Debug dump in LP text format for cross-checking with other tools."""
-        names = self._var_names
-        out = [f"\\ {self.name}", "Minimize", " obj:"]
-        terms = [f" {c:+.12g} {nm}" for c, nm in zip(self._cost.tolist(), names) if c != 0.0]
-        out.append("".join(terms) if terms else " 0 " + (names[0] if names else "x0"))
-        out.append("Subject To")
-        idx, val, ptr = self._indices.tolist(), self._data.tolist(), self._indptr.tolist()
-        for i, (sense, rhs, name) in enumerate(zip(self._senses.tolist(), self._rhs.tolist(), self._row_names)):
-            body = "".join(f" {coef:+.12g} {names[var]}"
-                           for var, coef in zip(idx[ptr[i]:ptr[i + 1]], val[ptr[i]:ptr[i + 1]]))
-            out.append(f" {name}:{body} {sense} {rhs:.12g}")
-        out.append("Bounds")
-        for lo, hi, name in zip(self._lb.tolist(), self._ub.tolist(), names):
-            lo_s = "-inf" if lo == -INF else f"{lo:.12g}"
-            hi_s = "+inf" if hi == INF else f"{hi:.12g}"
-            out.append(f" {lo_s} <= {name} <= {hi_s}")
-        out.append("End")
-        return "\n".join(out) + "\n"
-
 
 def _check_variables(lb: np.ndarray, ub: np.ndarray, cost: np.ndarray, names: list[str] | None,
                      first: int) -> None:
@@ -320,10 +306,9 @@ class _Simplex:
         self.n_struct = n
         self.m = m
 
-        # the structural block; the slacks' columns are the identity
+        # the structural block stays in the problem's sparse rows; the slacks'
+        # columns are the identity
         self.row_of = np.repeat(np.arange(m), np.diff(p._indptr))  # row of each sparse entry
-        self.A = np.zeros((m, n))
-        self.A[self.row_of, p._indices] = p._data
         self.b = p._rhs.copy()
 
         # the slack bounds are the one place the row sense is encoded
@@ -356,7 +341,7 @@ class _Simplex:
         self.status = status
         self.nb_value = np.where(status == _AT_LB, self.lb, np.where(status == _AT_UB, self.ub, 0.0))
         self.basis = n + np.arange(m)
-        self.xB = self.b - self.A @ self.nb_value[:n]
+        self.xB = self.b - self._row_products(self.nb_value[:n])
         # B = I, so T is [A | I] on the columns that can enter
         self.T = np.zeros((m, len(self.cols)), order="F")
         at = self.pos[self.p._indices]  # the tableau column of each sparse entry
@@ -425,10 +410,16 @@ class _Simplex:
     def _reduced_costs(self) -> np.ndarray:
         return self.cost[self.cols] - self.T.T @ self.cost[self.basis]
 
+    def _row_products(self, x: np.ndarray) -> np.ndarray:
+        """``A x`` from the sparse rows, each row summed in column order."""
+        p = self.p
+        return np.bincount(self.row_of, weights=p._data * x[p._indices], minlength=self.m)
+
     def _refactorize(self) -> None:
         """Rebuild the tableau and basic values from the original columns."""
         self.refactorizations += 1
-        A = np.hstack([self.A, np.eye(self.m)])
+        A = np.hstack([np.zeros((self.m, self.n_struct)), np.eye(self.m)])  # [A | I]
+        A[self.row_of, self.p._indices] = self.p._data
         B = A[:, self.basis]
         nb_mask = self.status != _BASIC
         contrib = A[:, nb_mask] @ self.nb_value[nb_mask]
@@ -453,7 +444,7 @@ class _Simplex:
         slack bounds; ``np.max`` propagates NaN, so a NaN point never passes.
         """
         n = self.n_struct
-        xs = np.concatenate([x[:n], self.b - self.A @ x[:n]])
+        xs = np.concatenate([x[:n], self.b - self._row_products(x[:n])])
         return float(np.max(np.maximum(self.lb - xs, xs - self.ub), initial=0.0))
 
     # -- core iteration ----------------------------------------------------
@@ -483,11 +474,15 @@ class _Simplex:
         self.T[r] = row
         col = self.T[:, k].copy()
         col[r] = 0.0
-        # only columns with a nonzero pivot-row entry change; each updated
-        # column is one contiguous row of the C-ordered view T.T
-        nz = row.nonzero()[0]
-        Tt = self.T.T
-        Tt[nz] -= np.dot(row[nz][:, None], col[None, :])
+        # only columns with a nonzero pivot-row entry change, and in them only
+        # the rows from the first to the last nonzero of the entering column;
+        # each updated column is one contiguous row of the C-ordered view T.T
+        span = col.nonzero()[0]
+        if span.size:
+            a, b = span[0], span[-1] + 1
+            nz = row.nonzero()[0]
+            Tt = self.T.T
+            Tt[nz, a:b] -= np.dot(row[nz][:, None], col[None, a:b])
         self.basis[r] = q
         self.status[q] = _BASIC
         self.sign[k] = 0.0

@@ -154,6 +154,30 @@ def random_bounded_lp(rng: np.random.Generator):
     return c, lb, ub, A, senses, b
 
 
+def random_banded_lp(rng: np.random.Generator):
+    """A feasible LP with finite variable bounds whose every column is
+    nonzero on at most three consecutive rows, as in a window LP, so the
+    tableau's columns stay narrow where ``random_bounded_lp``'s are dense.
+
+    Feasibility holds by construction, as in ``random_bounded_lp``.
+    """
+    m = int(rng.integers(6, 25))
+    n = int(rng.integers(m, 2 * m + 1))
+    A = np.zeros((m, n))
+    for j in range(n):
+        top = int(rng.integers(0, m))
+        rows = slice(top, min(top + int(rng.integers(1, 4)), m))
+        A[rows, j] = rng.uniform(-2.0, 2.0, rows.stop - top)
+    lb = rng.uniform(-3.0, 0.0, n)
+    ub = lb + rng.uniform(0.5, 4.0, n)
+    c = rng.uniform(-2.0, 2.0, n)
+    act = A @ rng.uniform(lb, ub)
+    u = rng.random(m)
+    senses = np.where(u < 0.4, "<=", np.where(u < 0.8, ">=", "=")).tolist()
+    b = act + np.where(u < 0.4, rng.uniform(0.0, 2.0, m), np.where(u < 0.8, -rng.uniform(0.0, 2.0, m), 0.0))
+    return c, lb, ub, A, senses, b
+
+
 def build_problem(c, lb, ub, A, senses, b) -> lp.LpProblem:
     p = lp.LpProblem("random")
     ids = [p.add_variable(lb[j], ub[j], c[j], f"x{j}") for j in range(c.size)]
@@ -354,6 +378,14 @@ def _degradation_rows_by_step(
     return r1, r2
 
 
+def dense_A(sim: lp._Simplex) -> np.ndarray:
+    """The structural block ``A`` of a solver's problem as a dense array,
+    scattered from its sparse rows."""
+    A = np.zeros((sim.m, sim.n_struct))
+    A[sim.row_of, sim.p._indices] = sim.p._data
+    return A
+
+
 class DenseSimplex(lp._Simplex):
     """The simplex with its plain dense kernel, as the reference for the
     solver's sparse one: a row-major tableau, a rank-1 update of every
@@ -366,8 +398,9 @@ class DenseSimplex(lp._Simplex):
     are the exception, equal to 1e-12: the solver sums them in one BLAS
     matrix-vector product, in another order than this kernel's row-vector
     product. Its tableau is full width, one column per variable, fixed ones
-    included; it shares only the problem's arrays, the ``run`` loop and the
-    final verification with the solver.
+    included; it shares only the problem's arrays, the set-up residual
+    ``b - A x`` from the sparse rows, the ``run`` loop and the final
+    verification with the solver.
     """
 
     def _setup(self) -> None:
@@ -375,14 +408,14 @@ class DenseSimplex(lp._Simplex):
         takes the widest-range structural column nonzero in it and zero in
         every row taken before it (ties to the lowest index)."""
         n, m = self.n_struct, self.m
-        self.full = np.hstack([self.A, np.eye(m)])  # [A | I]
+        self.full = np.hstack([dense_A(self), np.eye(m)])  # [A | I]
         self.status = np.where(np.isfinite(self.lb), lp._AT_LB,
                                np.where(np.isfinite(self.ub), lp._AT_UB, lp._FREE)).astype(np.int8)
         self.status[n:] = lp._BASIC
         self.nb_value = np.where(self.status == lp._AT_LB, self.lb,
                                  np.where(self.status == lp._AT_UB, self.ub, 0.0))
         self.basis = n + np.arange(m)
-        self.xB = self.b - self.full[:, :n] @ self.nb_value[:n]
+        self.xB = self.b - self._row_products(self.nb_value[:n])
         self.T = self.full.copy()
         self._buf = np.empty(self.T.shape)
         width = self.ub[:n] - self.lb[:n]

@@ -77,7 +77,7 @@ def refine(s: Scenario, vehicle: str, factor: int) -> Scenario:
     the sub-steps of its step, and per-step energy ratings shrink with the
     step. Prices are dropped: attach a series of the refined length.
     """
-    v_idx = s.vehicle_index(vehicle)
+    v_idx = [v.id for v in s.vehicles].index(vehicle)
     v = s.vehicles[v_idx]
     one = slice(v_idx, v_idx + 1)
     return Scenario(

@@ -284,7 +284,7 @@ def test_session_trace_contents(example_with_high):
     by_ev = {}
     for tr in fs.sessions:
         by_ev.setdefault(tr.vehicle, []).append(tr)
-    for v in example_with_high.vehicles:
+    for v_idx, v in enumerate(example_with_high.vehicles):
         trs = by_ev[v.id]
         assert trs[0].arrival_soe_kwh == pytest.approx(v.soe_initial_kwh)
         assert trs[-1].note == "end-of-day floor"
@@ -292,7 +292,7 @@ def test_session_trace_contents(example_with_high):
         # chained arrivals equal previous departure minus the trip drain
         for prev, nxt in zip(trs, trs[1:]):
             gap = example_with_high.trips.energy_kwh[
-                example_with_high.vehicle_index(v.id),
+                v_idx,
                 prev.depart_step + 1 : nxt.arrive_step,
             ].sum()
             assert nxt.arrival_soe_kwh == pytest.approx(

@@ -13,6 +13,8 @@ from oracles import (
     DenseSimplex,
     block_diagonal_scipy_optimum,
     build_problem,
+    dense_A,
+    random_banded_lp,
     random_bounded_lp,
     vertex_enumeration_optimum,
 )
@@ -98,9 +100,12 @@ def test_bulk_adds_match_one_at_a_time():
     ids = bulk.add_constraints([0, 1, 0, 0, 0], [0, 1, 2, 0, 0], [0.1, -1.0, 1.5, 0.2, -0.3],
                                ["<=", "=="], [4.0, -2.0], ["a", ""])
     assert ids.tolist() == [0, 1]
-    assert bulk.to_lp_text() == one.to_lp_text()
+    for field in ("_lb", "_ub", "_cost", "_indptr", "_indices", "_data", "_senses", "_rhs"):
+        got, want = getattr(bulk, field), getattr(one, field)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
     assert bulk._rows == one._rows == [{0: 0.1 + 0.2 - 0.3, 2: 1.5}, {1: -1.0}]
-    assert bulk._row_names == ["a", "r1"]
+    assert bulk._var_names == one._var_names == ["x0", "x1", "x2"]
+    assert bulk._row_names == one._row_names == ["a", "r1"]
 
 
 def test_bulk_add_rejects_the_first_faulty_row_and_adds_nothing():
@@ -232,7 +237,7 @@ def _crash_basis_by_rows(sim):
     before it (ties to the lowest index). Returns the basis and the taken
     rows."""
     n, m = sim.n_struct, sim.m
-    A, width = sim.A[:, :n], sim.ub[:n] - sim.lb[:n]
+    A, width = dense_A(sim), sim.ub[:n] - sim.lb[:n]
     basis, taken = list(range(n, n + m)), []
     for i in range(m):
         if sim.lb[n + i] != sim.ub[n + i]:
@@ -268,7 +273,7 @@ def test_crash_basis_matches_row_by_row_reference():
         assert sim.crash_columns == len(taken)
         # every other basic column is a slack's unit column, so the start
         # basis is triangular when its crash block is
-        A = np.hstack([sim.A, np.eye(sim.m)])
+        A = np.hstack([dense_A(sim), np.eye(sim.m)])
         B = A[:, sim.basis]
         block = B[np.ix_(taken, taken)]
         assert np.all(np.triu(block, 1) == 0.0) and np.all(np.diag(block) != 0.0)
@@ -299,7 +304,7 @@ def test_tableau_holds_one_column_per_variable_that_can_enter(example_scenario):
         assert sim.T.shape == (p.num_constraints, live.size) and sim.T.flags.f_contiguous
         assert np.array_equal(sim.pos[live], np.arange(live.size))
         assert np.all(sim.pos[sim.ub <= sim.lb] == -1)
-        A = np.hstack([sim.A, np.eye(sim.m)])
+        A = np.hstack([dense_A(sim), np.eye(sim.m)])
         np.testing.assert_allclose(sim.T, np.linalg.solve(A[:, sim.basis], A)[:, live], rtol=0.0, atol=1e-12)
         assert lp.solve(p).stats.tableau_columns == live.size
     # the 15-minute window: 480 structurals and 376 slacks, less 112 fixed
@@ -368,14 +373,6 @@ def test_solving_twice_gives_the_same_bits_and_leaves_the_problem_unchanged(exam
             (second.status, second.iterations, repr(second.stats), repr(second.objective))
         assert first.x.tobytes() == second.x.tobytes()
         assert snapshot(p) == before
-
-
-def test_lp_text_dump_mentions_rows_and_bounds():
-    p = lp.LpProblem("demo")
-    x = p.add_variable(0.0, 4.0, 1.5, "spend")
-    p.add_constraint([(x, 2.0)], "<=", 6.0, "capacity")
-    text = p.to_lp_text()
-    assert "Minimize" in text and "capacity" in text and "spend" in text
 
 
 def _residuals_ok(data, sol, tol=1e-6) -> bool:
@@ -463,10 +460,89 @@ def test_pivots_match_dense_reference_on_a_15_minute_vehicle(example_scenario):
     assert sol.iterations <= 120 and sol.stats.phase1_pivots <= 10
 
 
+def _record_spans(monkeypatch) -> list[tuple[int, int, int]]:
+    """Record each loop pivot of the solver as (rows, first, last): the
+    first and last row off the pivot row where the entering column is
+    nonzero, the rows its update touches, or (rows, -1, -1) when it has none."""
+    spans = []
+    pivot = lp._Simplex._pivot
+
+    def recording(self, r, k, entering_val, leaving_status):
+        off = np.flatnonzero(self.T[:, k])
+        off = off[off != r]
+        spans.append((self.m, *((int(off[0]), int(off[-1])) if off.size else (-1, -1))))
+        return pivot(self, r, k, entering_val, leaving_status)
+
+    monkeypatch.setattr(lp._Simplex, "_pivot", recording)
+    return spans
+
+
+@pytest.mark.parametrize("columns, pivot_row, span", [
+    # x is nonzero only in its pivot row: the update touches no row
+    ({"x": [0, 1, 0], "y": [1, 0, 1], "z": [1, 0, -1]}, 1, (3, -1, -1)),
+    # x is nonzero in row 0 besides its pivot row
+    ({"x": [1, 0, 1, 0], "y": [1, 0, 0, 0], "z": [0, 1, 0, 0], "w": [0, 0, 0, 1]}, 2, (4, 0, 0)),
+    # x is nonzero in the last row besides its pivot row
+    ({"x": [0, 1, 0, 1], "y": [0, 0, 0, 1], "z": [1, 0, 0, 0], "w": [0, 0, 1, 0]}, 1, (4, 3, 3)),
+    # x's span runs from row 0 to the last, over its pivot row and a zero row
+    ({"x": [1, 1, 0, 1], "y": [1, 0, 0, 0], "z": [0, 0, 1, 0], "w": [0, 0, 0, -1]}, 1, (4, 0, 3)),
+])
+def test_restricted_update_matches_dense_reference_at_the_span_edges(columns, pivot_row, span, monkeypatch):
+    # maximise x alone under <= rows; x's pivot row is the tightest
+    spans = _record_spans(monkeypatch)
+    A = np.array(list(columns.values()), dtype=float).T
+    m, n = A.shape
+    b = np.full(m, 5.0)
+    b[pivot_row] = 2.0
+    c = np.zeros(n)
+    c[0] = -1.0
+    sol = _assert_same_as_dense_reference(build_problem(c, np.zeros(n), np.full(n, 10.0), A, ["<="] * m, b))
+    assert sol.status == lp.OPTIMAL and sol.x[0] == 2.0
+    assert spans == [span]
+
+
+def test_restricted_update_matches_dense_reference_on_banded_lps(monkeypatch):
+    # columns nonzero on at most three consecutive rows keep the tableau's
+    # columns narrow, so most updates touch a few rows, some none, and
+    # some reach the first or the last row
+    spans = _record_spans(monkeypatch)
+    for seed in range(200):
+        sol = _assert_same_as_dense_reference(build_problem(*random_banded_lp(np.random.default_rng(seed))))
+        assert sol.status == lp.OPTIMAL
+    widths = [(last - first + 1) / m for m, first, last in spans if first >= 0]
+    assert len(spans) > 1000 and np.median(widths) < 0.5
+    assert any(first < 0 for _, first, _ in spans)
+    assert any(first == 0 and last < m - 1 for m, first, last in spans)
+    assert any(first > 0 and last == m - 1 for m, first, last in spans)
+
+
+def test_setup_holds_no_dense_copy_of_the_rows(example_scenario):
+    # the tableau is the one 2-D array; the rows stay in the problem's CSR
+    problems = [build_problem(*random_bounded_lp(np.random.default_rng(seed))) for seed in range(20)]
+    problems.append(_fifteen_minute_lp(example_scenario))
+    for p in problems:
+        sim = lp._Simplex(p)
+        sim._setup()
+        assert [name for name, v in vars(sim).items() if np.ndim(v) >= 2] == ["T"]
+
+
+def test_set_up_residuals_from_the_rows_equal_the_dense_product_on_window_lps(example_with_high):
+    # the start's basic values b - A x, from which every pivot follows; at
+    # the final point the two sums may differ in the last bits, which moves
+    # only the reported max_violation
+    for ct in evba.OBJECTIVE_VARIANTS.values():
+        for power in evba.PowerMode:
+            for p in evba.build_evba(example_with_high, ct, power):
+                sim = lp._Simplex(p)
+                sim._setup()  # the crash moves no structural's nonbasic value
+                x = sim.nb_value[:sim.n_struct]
+                assert (sim.b - sim._row_products(x)).tobytes() == (sim.b - dense_A(sim) @ x).tobytes()
+
+
 def _reduced_costs_by_linear_algebra(sim: lp._Simplex) -> np.ndarray:
     """``c_N - A^T B^-T c_B`` on the tableau's columns, from the original
     rows and the current basis alone."""
-    full = np.hstack([sim.A, np.eye(sim.m)])
+    full = np.hstack([dense_A(sim), np.eye(sim.m)])
     y = np.linalg.solve(full[:, sim.basis].T, sim.cost[sim.basis])
     return sim.cost[sim.cols] - full[:, sim.cols].T @ y
 
