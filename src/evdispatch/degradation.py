@@ -9,9 +9,15 @@ battery capital cost:
 where dch_pct is the step's grid discharge as a percentage of capacity and
 dod_pct is the depth of discharge ((capacity - soe) / capacity * 100). plane1
 drives the cost at deep discharge; plane2 takes over near full charge, where
-plane1 drops to zero or below. In the LP the cost appears as an epigraph
-variable bounded below by both planes, so a positive objective weight makes
-it equal the envelope at the optimum.
+plane1 drops to zero or below.
+
+plane2 passes through zero at zero discharge, so the LP prices it as a
+linear discharge cost ``s * dch`` with ``s = max(d4', 0)``, where d4' is d4
+scaled to EUR per kWh; the clamp keeps a negative d4 exact, as plane2 then
+never rises above the zero floor of the wear cost. What plane1 adds on top
+is an excess variable ``u >= 0`` with objective weight 1, bounded by one row
+per step, ``u >= plane1 - s * dch``, so at the optimum ``s * dch + u``
+equals ``max(plane1, plane2, 0)``.
 
 Pure functions throughout; freely concurrent.
 """
@@ -52,26 +58,37 @@ def degradation_cost(v: Vehicle, e_dch_kwh: float, soe_kwh: float) -> float:
     return np.where(p2 > p1, p2, p1)[()]
 
 
+def _scale(v: Vehicle) -> float:
+    """EUR per percent of capacity, per kWh: the factor from d2..d4 to the
+    LP's per-kWh coefficients."""
+    return v.battery_cost_eur * 100.0 / v.capacity_kwh
+
+
+def discharge_wear_slope(v: Vehicle) -> float:
+    """``s = max(d4', 0)``: plane2 as a cost per kWh discharged (EUR/kWh),
+    which the LP adds to the discharge variable's objective coefficient."""
+    return max(v.degradation.d4 * _scale(v), 0.0)
+
+
 def degradation_rows(
-    v: Vehicle, c_deg, e_dch, soe, t
+    v: Vehicle, excess, e_dch, soe, t
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
-    """The two epigraph rows ``c_deg >= plane`` of each vehicle-step, as a
-    block for ``LpProblem.add_constraints``: ``(row, var, coef, senses,
-    rhs, names)``, with plane1 in row 2i and plane2 in row 2i + 1 for the
-    i-th step. The variable ids and steps are scalars or arrays of one length.
+    """The wear row ``s * e_dch + excess >= plane1`` of each vehicle-step, as
+    a block for ``LpProblem.add_constraints``: ``(row, var, coef, senses,
+    rhs, names)``, with the i-th step in row i. The variable ids and steps
+    are scalars or arrays of one length. ``excess`` needs bounds ``[0, inf)``
+    and objective weight 1, and ``e_dch`` the cost ``discharge_wear_slope``,
+    for ``s * e_dch + excess`` to be the envelope at the optimum.
     """
-    c_deg, e_dch, soe, t = (np.atleast_1d(a) for a in (c_deg, e_dch, soe, t))
+    excess, e_dch, soe, t = (np.atleast_1d(a) for a in (excess, e_dch, soe, t))
     k = len(t)
     d = v.degradation
-    scale = v.battery_cost_eur * 100.0 / v.capacity_kwh
-    plane1 = 2 * np.arange(k)
-    # plane1: c_deg - d2' * e_dch + d3' * soe >= C_bat * (d1 + 100 * d3)
-    # plane2: c_deg - d4' * e_dch >= 0
-    row = np.concatenate([plane1, plane1, plane1, plane1 + 1, plane1 + 1])
-    var = np.concatenate([c_deg, e_dch, soe, c_deg, e_dch])
-    coef = np.repeat([1.0, -d.d2 * scale, d.d3 * scale, 1.0, -d.d4 * scale], k)
-    rhs = np.zeros(2 * k)
-    rhs[0::2] = v.battery_cost_eur * (d.d1 + d.d3 * 100.0)
-    heads = (f"deg1[{v.id},", f"deg2[{v.id},")  # joined, not formatted whole: much cheaper
-    names = [head + tail for tail in [f"{step}]" for step in t.tolist()] for head in heads]
-    return row, var, coef, np.full(2 * k, ">="), rhs, names
+    scale = _scale(v)
+    # excess + (s - d2') * e_dch + d3' * soe >= C_bat * (d1 + 100 * d3)
+    row = np.tile(np.arange(k), 3)
+    var = np.concatenate([excess, e_dch, soe])
+    coef = np.repeat([1.0, discharge_wear_slope(v) - d.d2 * scale, d.d3 * scale], k)
+    rhs = np.full(k, v.battery_cost_eur * (d.d1 + d.d3 * 100.0))
+    head = f"deg[{v.id},"  # joined, not formatted whole: much cheaper
+    names = [head + f"{step}]" for step in t.tolist()]
+    return row, var, coef, np.full(k, ">="), rhs, names

@@ -300,10 +300,13 @@ def validate_scenario(s: Scenario) -> list[str]:
         elif v.capacity_kwh > 0 and np.all(np.isfinite(
             [v.battery_cost_eur, v.capacity_kwh, d.d1, d.d2, d.d3, d.d4]
         )):
-            # the wear rows' coefficients, as degradation_rows derives them
+            # the wear coefficients the LP derives: the discharge slope s
+            # (degradation.discharge_wear_slope), and the wear row's
+            # coefficients and right-hand side (degradation_rows)
             with np.errstate(over="ignore", invalid="ignore"):
                 scale = v.battery_cost_eur * 100.0 / v.capacity_kwh
-                derived = (d.d2 * scale, d.d3 * scale, d.d4 * scale,
+                slope = max(d.d4 * scale, 0.0)
+                derived = (slope, slope - d.d2 * scale, d.d3 * scale,
                            v.battery_cost_eur * (d.d1 + d.d3 * 100.0))
             if not np.all(np.isfinite(derived)):
                 out.append(

@@ -1,7 +1,7 @@
 """Fleet-level day-ahead scheduler: every vehicle's whole-day plan.
 
 The fleet LP separates per vehicle. Every row (charge taper, energy balance,
-wear epigraph) and every cap involves one vehicle only, so no row couples two
+wear) and every cap involves one vehicle only, so no row couples two
 vehicles and the fleet optimum is the sum of the per-vehicle optima: the
 block-separable case of Dantzig & Wolfe (Oper. Res. 8(1), 1960) with no
 master problem. build_evba therefore returns one LP per vehicle, solve_evba
@@ -18,7 +18,8 @@ a shorter window.
 
 Decision variables per vehicle and step: slow charge, grid discharge, fast
 charge (all kWh, grid side) and state of energy (kWh). When the wear term is
-priced, an epigraph variable per step carries the degradation cost.
+priced, discharge also pays the wear slope and an excess variable per step
+carries the rest of the degradation cost (see degradation).
 
 Power caps are folded into variable bounds wherever they involve a single
 variable (plug limit, on-board-charger limit, zero flow while unplugged);
@@ -38,7 +39,7 @@ from enum import Enum
 import numpy as np
 
 from . import lp
-from .degradation import degradation_cost, degradation_rows
+from .degradation import degradation_cost, degradation_rows, discharge_wear_slope
 from .domain import FAST, SLOW, ChargingPoint, Scenario, ScenarioError, Vehicle, grid_fee, validate_scenario
 
 FIXED_POWER_KW = 4.0
@@ -232,11 +233,14 @@ def _build_vehicle_lp(s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode
     no floor; _slice_window cuts each window LP out of it.
 
     Variables run per step in the order sch, dch, fch, soe and, when wear is
-    priced, cdeg, so a solution vector reshapes to one row per step (see
-    _window_schedule). Rows run per step in the order cv (where the taper
-    applies), bal and, when wear is priced, deg1 and deg2. The balance row of
-    a step after the first has the previous step's soe as its first term.
-    Nothing is validated here: each window LP checks what it takes.
+    priced, udeg (the wear above the discharge slope's share), so a solution
+    vector reshapes to one row per step (see _window_schedule). Rows run per
+    step in the order cv (where the taper applies), bal and, when wear is
+    priced, deg: a step has ``has_cv + 2`` rows with wear priced and
+    ``has_cv + 1`` without. With wear priced dch's cost includes the slope
+    ``discharge_wear_slope``. The balance row of a step after the first has
+    the previous step's soe as its first term. Nothing is validated here:
+    each window LP checks what it takes.
     """
     v = s.vehicles[v_idx]
     cap = v.capacity_kwh
@@ -246,21 +250,22 @@ def _build_vehicle_lp(s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode
     slow_cap, fast_cap = np.array([_caps(s, v, cp, power) for cp in (*s.charging_points, None)])[plug].T
 
     # variables: one row of these tables per step
-    kinds = ["sch", "dch", "fch", "soe", "cdeg"][: 5 if ct.include_degradation else 4]
+    kinds = ["sch", "dch", "fch", "soe", "udeg"][: 5 if ct.include_degradation else 4]
     lb, ub, cost = np.zeros((k, len(kinds))), np.empty((k, len(kinds))), np.zeros((k, len(kinds)))
     ub[:, 0] = ub[:, 1] = slow_cap
     ub[:, 2] = fast_cap
     lb[:, 3], ub[:, 3] = v.soe_min_kwh, v.soe_max_kwh
     cost[:, 0], cost[:, 1], cost[:, 2] = _flow_costs(s, ct, plug, steps)
     if ct.include_degradation:
+        cost[:, 1] += discharge_wear_slope(v)
         ub[:, 4], cost[:, 4] = lp.INF, 1.0
     tails = [f"{t}]" for t in steps.tolist()]
-    sch, dch, fch, soe, *cdeg = np.arange(k * len(kinds)).reshape(k, len(kinds)).T
+    sch, dch, fch, soe, *udeg = np.arange(k * len(kinds)).reshape(k, len(kinds)).T
 
     # rows: each step's rows follow those of earlier steps
     taper = v.soe_cv_frac < 1.0 - 1e-12 and power is not PowerMode.CP_ONLY
     has_cv = (slow_cap > 0.0) & taper  # charge taper above the CC/CV breakpoint; slow charging only
-    start = np.concatenate([[0], (has_cv + (3 if ct.include_degradation else 1)).cumsum()])
+    start = np.concatenate([[0], (has_cv + (2 if ct.include_degradation else 1)).cumsum()])
     bal = start[:-1] + has_cv
     cv = np.flatnonzero(has_cv)
     taper_k = v.obc_max_kwh_per_step / (cap * (1.0 - v.soe_cv_frac)) if taper else 0.0
@@ -274,8 +279,8 @@ def _build_vehicle_lp(s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode
     rhs = [np.full(n_cv, taper_k * cap), -s.trips.energy_kwh[v_idx] / v.eta_run]
     names = _step_names(["cv"], v.id, [tails[i] for i in cv.tolist()]) + _step_names(["bal"], v.id, tails)
     if ct.include_degradation:
-        d_row, d_var, d_coef, d_senses, d_rhs, d_names = degradation_rows(v, cdeg[0], dch, soe, steps)
-        deg_at = (bal[:, None] + [1, 2]).ravel()
+        d_row, d_var, d_coef, d_senses, d_rhs, d_names = degradation_rows(v, udeg[0], dch, soe, steps)
+        deg_at = bal + 1
         rows.append(deg_at[d_row])
         terms.append(d_var)
         coefs.append(d_coef)
@@ -401,13 +406,17 @@ def _implied_wear(v: Vehicle, e_dch: np.ndarray, soe: np.ndarray) -> np.ndarray:
 def _window_schedule(v: Vehicle, sol: lp.LpSolution, ct: CostToggles) -> tuple[np.ndarray, ...]:
     """Per-step (e_sch, e_dch, e_fch, soe, c_deg) of a window LP's solution.
 
-    ``c_deg`` is the LP's wear variable when the wear term is priced, and
-    otherwise the wear the trajectory implies.
+    ``c_deg`` is the wear the LP priced when the wear term is priced: the
+    discharge slope's share ``s * e_dch`` plus the excess variable. Otherwise
+    it is the wear the trajectory implies.
     """
     cols = sol.x.reshape(-1, 5 if ct.include_degradation else 4)
     e_sch, e_dch, e_fch = (_nonneg(cols[:, j]) for j in range(3))
     soe = cols[:, 3]
-    c_deg = cols[:, 4] if ct.include_degradation else _implied_wear(v, e_dch, soe)
+    if ct.include_degradation:
+        c_deg = discharge_wear_slope(v) * e_dch + cols[:, 4]
+    else:
+        c_deg = _implied_wear(v, e_dch, soe)
     return e_sch, e_dch, e_fch, soe, c_deg
 
 

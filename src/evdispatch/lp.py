@@ -458,7 +458,7 @@ class _Simplex:
         if not score.size:
             return -1
         # the first eligible column is the one Bland's rule takes
-        q = int(np.argmax(score > self.opt_tol if bland else score))
+        q = int((score > self.opt_tol if bland else score).argmax())
         return q if score[q] > self.opt_tol else -1
 
     def _pivot(self, r: int, k: int, entering_val: float, leaving_status: int) -> np.ndarray:
@@ -571,7 +571,7 @@ class _Simplex:
                 cand = np.flatnonzero(blocking)
                 r = int(cand[np.argmin(self.basis[cand])])
             else:
-                r = int(np.argmax(np.where(blocking, aw, -1.0)))
+                r = int(np.where(blocking, aw, -1.0).argmax())
 
             self.phase1_pivots += phase1
             entering_val = self.nb_value[q] + sigma * delta

@@ -5,7 +5,9 @@ brute-force vertex enumeration, and the three-step arbitrage case against a
 discharge-grid scan with the recharge amount resolved exactly. The
 exceptions are ``DenseSimplex``, the reference kernel the solver must match
 pivot for pivot, ``window_lp_by_rows``, the reference for the window LP
-that ``evba`` builds from arrays, and ``check_schedule_by_steps``, the
+that ``evba`` builds from arrays (with ``two_plane``, the same LP with the
+wear cost as an epigraph variable over both planes, against which the
+one-row wear model is checked), and ``check_schedule_by_steps``, the
 reference for the auditor that ``analysis`` runs in array passes.
 """
 
@@ -276,14 +278,19 @@ def window_lp_by_rows(
     power: evba.PowerMode,
     *,
     maximize_departure: bool = False,
+    two_plane: bool = False,
 ) -> lp.LpProblem:
     """Row-by-row reference for ``evba._build_window_lp``: one vehicle's LP
     over a window of steps, built one variable and one row at a time.
 
     ``init_soe`` is the stock entering the first window step; ``floor`` the
     minimum stock at the last one. Variables run per step in the order
-    sch, dch, fch, soe and, when wear is priced, cdeg, so a solution vector
-    reshapes to one row per step (see _window_schedule). With
+    sch, dch, fch, soe and, when wear is priced, udeg, so a solution vector
+    reshapes to one row per step (see _window_schedule). When wear is priced,
+    dch pays the wear slope ``s`` and udeg, the excess over ``s * dch``, has
+    one row per step. With ``two_plane`` the fifth variable is cdeg instead,
+    the wear cost itself, bounded below by both planes in two rows per step,
+    and dch pays no slope: the wear model before the one-row form. With
     ``maximize_departure`` the feasible set is the same and the objective is
     the negated stock at the last step.
     """
@@ -304,6 +311,8 @@ def window_lp_by_rows(
             c_sch = c_dch = c_fch = 0.0
         else:
             c_sch, c_dch, c_fch = _flow_costs_by_step(s, ct, cp, t)
+            if ct.include_degradation and not two_plane:
+                c_dch += _wear_slope(v)
         slow_cap, fast_cap = evba._caps(s, v, cp, power)
         sch_id = p.add_variable(0.0, slow_cap, c_sch, f"sch[{v.id},{t}]")
         dch_id = p.add_variable(0.0, slow_cap, c_dch, f"dch[{v.id},{t}]")
@@ -322,7 +331,7 @@ def window_lp_by_rows(
         deg_id = None
         if ct.include_degradation:
             deg_cost = 0.0 if maximize_departure else 1.0
-            deg_id = p.add_variable(0.0, lp.INF, deg_cost, f"cdeg[{v.id},{t}]")
+            deg_id = p.add_variable(0.0, lp.INF, deg_cost, f"{'cdeg' if two_plane else 'udeg'}[{v.id},{t}]")
 
         # charge taper above the CC/CV breakpoint; slow charging only
         if taper_k is not None and slow_cap > 0.0 and power is not evba.PowerMode.CP_ONLY:
@@ -345,12 +354,30 @@ def window_lp_by_rows(
             rhs += init_soe
         p.add_constraint(terms, "=", rhs, name=f"bal[{v.id},{t}]")
         if deg_id is not None:
-            _degradation_rows_by_step(p, deg_id, dch_id, soe_id, v, t)
+            (_two_plane_rows_by_step if two_plane else _wear_row_by_step)(p, deg_id, dch_id, soe_id, v, t)
         prev_id = soe_id
     return p
 
 
-def _degradation_rows_by_step(
+def _wear_slope(v) -> float:
+    """plane2 per kWh discharged, ``d4 * C_bat * 100 / cap``, clamped at 0."""
+    return max(v.degradation.d4 * (v.battery_cost_eur * 100.0 / v.capacity_kwh), 0.0)
+
+
+def _wear_row_by_step(p: lp.LpProblem, excess: int, e_dch: int, soe: int, v, t: int) -> int:
+    """Add the wear row ``s * e_dch + excess >= plane1`` for one vehicle-step."""
+    d = v.degradation
+    scale = v.battery_cost_eur * 100.0 / v.capacity_kwh
+    # excess + (s - d2') * e_dch + d3' * soe >= C_bat * (d1 + 100 * d3)
+    return p.add_constraint(
+        [(excess, 1.0), (e_dch, _wear_slope(v) - d.d2 * scale), (soe, d.d3 * scale)],
+        ">=",
+        v.battery_cost_eur * (d.d1 + d.d3 * 100.0),
+        name=f"deg[{v.id},{t}]",
+    )
+
+
+def _two_plane_rows_by_step(
     p: lp.LpProblem, c_deg: int, e_dch: int, soe: int, v, t: int
 ) -> tuple[int, int]:
     """Add the two epigraph rows ``c_deg >= plane`` for one vehicle-step.

@@ -1,6 +1,8 @@
-"""Wear-cost tests: plane arithmetic, the epigraph rows, LP tightness."""
+"""Wear-cost tests: plane arithmetic, the discharge slope and wear row, LP tightness."""
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from evdispatch import lp
-from evdispatch.degradation import degradation_cost, degradation_rows, plane_values
+from evdispatch.degradation import degradation_cost, degradation_rows, discharge_wear_slope, plane_values
 from evdispatch.domain import Vehicle
 
 V40 = Vehicle(id="v", capacity_kwh=40.0, obc_max_kwh_per_step=10.0, battery_cost_eur=1000.0)
@@ -35,8 +37,6 @@ def test_hand_computed_planes():
     soe=st.floats(min_value=0.0, max_value=40.0),
 )
 def test_homogeneity_in_battery_cost(factor, e, soe):
-    from dataclasses import replace
-
     scaled = replace(V40, battery_cost_eur=V40.battery_cost_eur * factor)
     p1, p2 = plane_values(V40, e, soe)
     q1, q2 = plane_values(scaled, e, soe)
@@ -74,14 +74,21 @@ def test_crossover_threshold_for_small_discharges():
         assert p1 < p2
 
 
-def test_emit_rows_adds_two_constraints():
+def _wear_lp(e_bounds, e_cost, soe_bounds):
+    """minimize s * e + u + e_cost * e over the wear row of one step; returns
+    the problem and the ids of u, e and soe."""
     p = lp.LpProblem()
-    cdeg = p.add_variable(0.0, lp.INF, 1.0, "cdeg")
-    e = p.add_variable(0.0, 10.0, 0.0, "e")
-    soe = p.add_variable(8.0, 40.0, 0.0, "soe")
-    before = p.num_constraints
-    p.add_constraints(*degradation_rows(V40, cdeg, e, soe, 0))
-    assert p.num_constraints == before + 2
+    u = p.add_variable(0.0, lp.INF, 1.0, "u")
+    e = p.add_variable(*e_bounds, e_cost + discharge_wear_slope(V40), "e")
+    soe = p.add_variable(*soe_bounds, 0.0, "soe")
+    p.add_constraints(*degradation_rows(V40, u, e, soe, 0))
+    return p, u, e, soe
+
+
+def test_emit_rows_adds_one_constraint():
+    p, *_ = _wear_lp((0.0, 10.0), 0.0, (8.0, 40.0))
+    assert p.num_constraints == 1
+    assert p._row_names == ["deg[v,0]"]
 
 
 def test_emit_rows_counts_scale_with_fleet(example_with_high):
@@ -89,33 +96,32 @@ def test_emit_rows_counts_scale_with_fleet(example_with_high):
 
     problems = build_evba(example_with_high, CostToggles())
     deg_rows = [n for p in problems for n in p._row_names if n.startswith("deg")]
-    assert len(deg_rows) == 2 * 3 * 24  # two rows per vehicle-step
+    assert len(deg_rows) == 3 * 24  # one row per vehicle-step
+
+
+def test_discharge_wear_slope_is_plane2_per_kwh_clamped_at_zero():
+    assert discharge_wear_slope(V40) * 4.0 == pytest.approx(plane_values(V40, 4.0, 20.0)[1], rel=1e-12)
+    for d4 in (0.0, -0.01):
+        v = replace(V40, degradation=replace(V40.degradation, d4=d4))
+        assert discharge_wear_slope(v) == 0.0
 
 
 def test_lp_epigraph_matches_evaluator_at_optimum():
-    # minimize cdeg subject to the two planes at fixed (e, soe): optimum is the envelope
+    # minimize s * e + u at fixed (e, soe): the optimum is the envelope
     for e_val, soe_val in ((0.0, 40.0), (4.0, 20.0), (0.4, 38.0), (2.0, 8.0)):
-        p = lp.LpProblem()
-        cdeg = p.add_variable(0.0, lp.INF, 1.0, "cdeg")
-        e = p.add_variable(e_val, e_val, 0.0, "e")
-        soe = p.add_variable(soe_val, soe_val, 0.0, "soe")
-        p.add_constraints(*degradation_rows(V40, cdeg, e, soe, 0))
+        p, u, e, soe = _wear_lp((e_val, e_val), 0.0, (soe_val, soe_val))
         sol = lp.solve(p)
         assert sol.status == lp.OPTIMAL
         expected = max(degradation_cost(V40, e_val, soe_val), 0.0)
-        assert sol.value(cdeg) == pytest.approx(expected, abs=1e-9)
+        assert discharge_wear_slope(V40) * e_val + sol.value(u) == pytest.approx(expected, abs=1e-9)
 
 
 def test_variable_plane1_coefficients_match_rows():
     # the emitted row must agree with the evaluator on which plane binds;
     # the discharge reward must beat the plane-1 slope (~85 EUR/kWh here)
-    p = lp.LpProblem()
-    cdeg = p.add_variable(0.0, lp.INF, 1.0, "cdeg")
-    e = p.add_variable(0.0, 10.0, -100.0, "e")
-    soe = p.add_variable(20.0, 20.0, 0.0, "soe")
-    p.add_constraints(*degradation_rows(V40, cdeg, e, soe, 0))
+    p, u, e, soe = _wear_lp((0.0, 10.0), -100.0, (20.0, 20.0))
     sol = lp.solve(p)
     assert sol.value(e) == pytest.approx(10.0, abs=1e-9)
     p1, p2 = plane_values(V40, sol.value(e), 20.0)
-    assert sol.value(cdeg) == pytest.approx(max(p1, p2), abs=1e-8)
+    assert discharge_wear_slope(V40) * sol.value(e) + sol.value(u) == pytest.approx(max(p1, p2), abs=1e-8)
     assert p1 > p2  # deep-discharge plane binds at this depth

@@ -64,8 +64,8 @@ def test_variable_and_degradation_row_counts():
     problems = build_evba(s, cost_toggles_for("of2"))
     assert len(problems) == 1
     assert sum(p.num_variables for p in problems) == 5 * 24
-    assert sum(1 for p in problems for n in p._row_names if n.startswith("deg")) == 2 * 24
-    assert sum(len(_var_ids(p, "cdeg[")) for p in problems) == 24
+    assert sum(1 for p in problems for n in p._row_names if n.startswith("deg")) == 24  # one wear row per step
+    assert sum(len(_var_ids(p, "udeg[")) for p in problems) == 24
 
 
 def test_disconnected_steps_force_zero_flow():

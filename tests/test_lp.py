@@ -307,9 +307,9 @@ def test_tableau_holds_one_column_per_variable_that_can_enter(example_scenario):
         A = np.hstack([dense_A(sim), np.eye(sim.m)])
         np.testing.assert_allclose(sim.T, np.linalg.solve(A[:, sim.basis], A)[:, live], rtol=0.0, atol=1e-12)
         assert lp.solve(p).stats.tableau_columns == live.size
-    # the 15-minute window: 480 structurals and 376 slacks, less 112 fixed
+    # the 15-minute window: 480 structurals and 280 slacks, less 112 fixed
     # structurals and the 96 equality slacks
-    assert (p.num_variables + p.num_constraints, sim.T.shape[1]) == (856, 648)
+    assert (p.num_variables + p.num_constraints, sim.T.shape[1]) == (760, 552)
 
 
 def _edge_lps():
@@ -447,7 +447,7 @@ def _fifteen_minute_lp(example_scenario) -> lp.LpProblem:
     s = refine(example_scenario, "ev1", 4)
     s = s.with_prices(generate_price_set("high", seed=1, step_count=96, step_hours=0.25))
     (p,) = evba.build_evba(s, evba.cost_toggles_for("of5"))
-    assert (p.num_variables, p.num_constraints) == (480, 376)
+    assert (p.num_variables, p.num_constraints) == (480, 280)
     return p
 
 
@@ -583,7 +583,7 @@ def test_long_horizon_lp_matches_highs(example_scenario):
     s = refine(example_scenario, "ev1", 16)
     s = s.with_prices(generate_price_set("high", seed=1, step_count=384, step_hours=0.0625))
     (p,) = evba.build_evba(s, evba.cost_toggles_for("of5"))
-    assert (p.num_variables, p.num_constraints) == (1920, 1504)
+    assert (p.num_variables, p.num_constraints) == (1920, 1120)
     sol = lp.solve(p)
     assert sol.status == lp.OPTIMAL
     assert sol.objective == pytest.approx(block_diagonal_scipy_optimum([p]), rel=1e-9, abs=1e-9)
