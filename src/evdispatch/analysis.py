@@ -186,20 +186,25 @@ def generate_price_set(
     The same seed produces the same normalized shape for every volatility
     level; the level only scales the standard deviation (1x/3x/6x of the
     base). The mean is exactly PRICE_MEAN by construction; a one-step series,
-    which has no spread to scale, is flat at PRICE_MEAN.
+    which has no spread to scale, is flat at PRICE_MEAN. Each argument is
+    checked before use; a bad one raises ValueError naming it.
     """
     try:
         scale = _VOLATILITY_SCALE[volatility]
     except KeyError:
         raise ValueError(f"volatility must be one of {sorted(_VOLATILITY_SCALE)}, got {volatility!r}") from None
+    if not (isinstance(step_count, (int, np.integer)) and step_count >= 1):
+        raise ValueError(f"step_count must be an integer >= 1, got {step_count}")
+    if not (np.isfinite(step_hours) and step_hours > 0):
+        raise ValueError(f"step_hours must be finite and > 0, got {step_hours}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     hour = np.arange(step_count, dtype=float) * step_hours
     shape = (
         0.9 * np.exp(-(((hour - 8.5) / 2.0) ** 2))
         + 1.1 * np.exp(-(((hour - 18.5) / 2.2) ** 2))
         - 0.8 * np.exp(-(((hour - 3.0) / 2.5) ** 2))
     )
-    if seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed}")
     rng = np.random.default_rng(seed)
     z = shape + rng.normal(0.0, 0.35, step_count)
     z = z - z.mean()

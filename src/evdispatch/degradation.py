@@ -74,11 +74,12 @@ def degradation_rows(
     v: Vehicle, excess, e_dch, soe, t
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
     """The wear row ``s * e_dch + excess >= plane1`` of each vehicle-step, as
-    a block for ``LpProblem.add_constraints``: ``(row, var, coef, senses,
-    rhs, names)``, with the i-th step in row i. The variable ids and steps
-    are scalars or arrays of one length. ``excess`` needs bounds ``[0, inf)``
-    and objective weight 1, and ``e_dch`` the cost ``discharge_wear_slope``,
-    for ``s * e_dch + excess`` to be the envelope at the optimum.
+    a block of terms: ``(row, var, coef, senses, rhs, names)``, where term
+    k puts ``coef[k]`` on variable ``var[k]`` in row ``row[k]`` and the i-th
+    step is in row i. The variable ids and steps are scalars or arrays of
+    one length. ``excess`` needs bounds ``[0, inf)`` and objective weight 1,
+    and ``e_dch`` the cost ``discharge_wear_slope``, for
+    ``s * e_dch + excess`` to be the envelope at the optimum.
     """
     excess, e_dch, soe, t = (np.atleast_1d(a) for a in (excess, e_dch, soe, t))
     k = len(t)

@@ -289,8 +289,8 @@ def _build_vehicle_lp(s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode
         rhs.append(d_rhs)
         names += d_names
     # the row blocks, scattered into step order; the terms sorted by row,
-    # then variable, with the bits LpProblem.add_constraints stores (no term
-    # repeats, and its sum turns -0.0 into 0.0)
+    # then variable (no term repeats), and + 0.0 turns -0.0 into 0.0, as
+    # summing duplicate terms from 0.0 would
     order = np.argsort(np.concatenate(at))
     row, var = np.concatenate(rows), np.concatenate(terms)
     by_row = np.lexsort((var, row))
@@ -339,29 +339,11 @@ def _slice_window(
         indptr[b0 - r0 + 1:] -= 1
     rhs = vl.rhs[r0:r1].copy()
     rhs[b0 - r0] += init_soe
-    return lp.LpProblem.from_csr(
+    return lp.LpProblem(
         f"window[{v.id},{first}..{last}]", lb.ravel(), vl.ub[steps].ravel(), cost.ravel(),
         vl.var_names[first * width:(last + 1) * width], indptr, vl.indices[terms] - first * width,
         vl.data[terms], vl.senses[r0:r1], rhs, vl.row_names[r0:r1],
     )
-
-
-def _build_window_lp(
-    s: Scenario,
-    v_idx: int,
-    steps: np.ndarray,
-    init_soe: float,
-    floor: float,
-    ct: CostToggles,
-    power: PowerMode,
-    *,
-    maximize_departure: bool = False,
-) -> lp.LpProblem:
-    """One vehicle's LP over a contiguous, non-empty window of steps: the
-    window's slice of the vehicle's whole-horizon LP (see _build_vehicle_lp
-    for the layout and _slice_window for the arguments)."""
-    return _slice_window(_build_vehicle_lp(s, v_idx, ct, power), int(steps[0]), int(steps[-1]),
-                         init_soe, floor, maximize_departure=maximize_departure)
 
 
 def _require_solvable(s: Scenario) -> None:
@@ -382,10 +364,10 @@ def build_evba(
     the sum of their optima.
     """
     _require_solvable(s)
-    steps = np.arange(s.horizon.step_count)
+    last = s.horizon.step_count - 1
     # the end-of-day stock floor is the initial stock
     return [
-        _build_window_lp(s, v_idx, steps, v.soe_initial_kwh, v.soe_initial_kwh, ct, power)
+        _slice_window(_build_vehicle_lp(s, v_idx, ct, power), 0, last, v.soe_initial_kwh, v.soe_initial_kwh)
         for v_idx, v in enumerate(s.vehicles)
     ]
 

@@ -5,11 +5,9 @@ variables and sparse linear rows. Built for the sizes this package produces
 (a few hundred rows and columns), where a dense tableau is both fast enough
 and easy to verify.
 
-Problems are built in bulk: ``LpProblem.add_variables`` and
-``add_constraints`` take arrays and store the rows in compressed sparse row
-form, which the crash, the tableau set-up and the residuals read directly;
-``add_variable`` and ``add_constraint`` add one item through the same path,
-and ``LpProblem.from_csr`` takes rows already in that form.
+A problem is given whole: ``LpProblem`` takes the variables' bounds and
+costs and the rows in compressed sparse row form, which the crash, the
+tableau set-up and the residuals read directly.
 
 Algorithm notes:
 - every row gets a slack variable whose bounds are the only encoding of the
@@ -88,6 +86,8 @@ ITERATION_LIMIT = "iteration_limit"
 #: 1 cannot bring within it is infeasible. The schedule auditor uses it too.
 FEAS_TOL = 1e-6
 
+_SENSES = ("<=", ">=", "=")
+
 # nonbasic/basic status codes
 _AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
 # pricing score per unit reduced cost, indexed by status: a column at its
@@ -97,32 +97,32 @@ _SCORE_SIGN = np.array([-1.0, 1.0, 0.0, 0.0])
 
 
 class LpError(ValueError):
-    """Raised for malformed problems (inverted bounds, non-finite data, unknown variable ids)."""
+    """Raised by ``LpProblem`` for a malformed problem: inverted or unusable
+    bounds, a non-finite number, an unknown row sense or variable id."""
 
 
 class LpProblem:
-    """A minimization LP under construction.
+    """A minimization LP, given whole.
 
-    Variables carry bounds and an objective coefficient; constraints are
-    sparse coefficient lists with a sense and right-hand side. Both are added
-    in bulk from arrays, and ``add_variable``/``add_constraint`` add one
-    through the same path. Duplicate terms on one variable within a
-    constraint are summed in the order given. Rows are stored in compressed
-    sparse row form, columns ascending within a row.
+    Variables carry bounds and an objective coefficient, one name each. The
+    rows are in compressed sparse row form: row ``i`` puts ``data[k]`` on
+    variable ``indices[k]`` for ``k`` in ``indptr[i]:indptr[i + 1]``, and has
+    a sense (``<=``, ``>=`` or ``=``), a right-hand side and a name. The
+    caller keeps each row's columns ascending and distinct. The inputs go
+    through ``np.asarray``, so arrays of the right dtype are kept, not
+    copied, and lists work. Every variable and row is checked: the first
+    faulty variable, else the first faulty row, raises an LpError naming it.
     """
 
-    def __init__(self, name: str = ""):
-        self.name = name
-        self._lb = np.zeros(0)
-        self._ub = np.zeros(0)
-        self._cost = np.zeros(0)
-        self._var_names: list[str] = []
-        self._indptr = np.zeros(1, dtype=np.intp)
-        self._indices = np.zeros(0, dtype=np.intp)
-        self._data = np.zeros(0)
-        self._senses = np.zeros(0, dtype="<U2")
-        self._rhs = np.zeros(0)
-        self._row_names: list[str] = []
+    def __init__(self, name: str, lb, ub, cost, var_names: list[str], indptr, indices, data,
+                 senses, rhs, row_names: list[str]):
+        self.name, self._var_names, self._row_names = name, var_names, row_names
+        self._lb, self._ub, self._cost = (np.asarray(a, dtype=float) for a in (lb, ub, cost))
+        self._indptr, self._indices = (np.asarray(a, dtype=np.intp) for a in (indptr, indices))
+        self._data, self._rhs = (np.asarray(a, dtype=float) for a in (data, rhs))
+        self._senses = np.asarray(senses, dtype=str)
+        _check_variables(self._lb, self._ub, self._cost, var_names)
+        _check_rows(self._indptr, self._indices, self._data, self._senses, self._rhs, row_names, len(self._lb))
 
     @property
     def num_variables(self) -> int:
@@ -138,112 +138,38 @@ class LpProblem:
         idx, val, ptr = self._indices.tolist(), self._data.tolist(), self._indptr.tolist()
         return [dict(zip(idx[a:b], val[a:b])) for a, b in zip(ptr[:-1], ptr[1:])]
 
-    def add_variable(self, lb: float = 0.0, ub: float = INF, cost: float = 0.0, name: str = "") -> int:
-        return int(self.add_variables(lb, ub, cost, [name])[0])
 
-    def add_variables(self, lb, ub, cost, names: list[str] | None = None) -> np.ndarray:
-        """Add one variable per entry of ``lb``, ``ub`` and ``cost`` (arrays of
-        one length, or scalars); returns their ids. Adds nothing if any entry
-        is invalid."""
-        lb, ub, cost = (np.asarray(a, dtype=float).reshape(-1) for a in (lb, ub, cost))
-        if not len(lb) == len(ub) == len(cost):
-            lb, ub, cost = np.broadcast_arrays(lb, ub, cost)
-        first, k = len(self._lb), len(lb)
-        _check_variables(lb, ub, cost, names, first)
-        self._lb = np.concatenate([self._lb, lb])
-        self._ub = np.concatenate([self._ub, ub])
-        self._cost = np.concatenate([self._cost, cost])
-        self._var_names += names if names and all(names) else \
-            [nm or f"x{i}" for nm, i in zip(names or [""] * k, range(first, first + k))]
-        return np.arange(first, first + k)
-
-    def add_constraint(
-        self, terms: list[tuple[int, float]], sense: str, rhs: float, name: str = ""
-    ) -> int:
-        var, coef = zip(*terms) if terms else ((), ())
-        return int(self.add_constraints(np.zeros(len(var), dtype=np.intp), var, coef, [sense], [rhs], [name])[0])
-
-    def add_constraints(self, row, var, coef, senses, rhs, names: list[str] | None = None) -> np.ndarray:
-        """Add one row per entry of ``senses`` and ``rhs``; term k puts
-        ``coef[k]`` on variable ``var[k]`` in new row ``row[k]`` (counted
-        from 0 among the new rows), terms in any order. Returns the row ids.
-        Adds nothing if any row is invalid."""
-        row, var = np.asarray(row, dtype=np.intp), np.asarray(var, dtype=np.intp)
-        coef, rhs = np.asarray(coef, dtype=float), np.asarray(rhs, dtype=float)
-        senses = np.asarray(senses, dtype=str)
-        senses = np.where(senses == "==", "=", senses)
-        n, first, k = len(self._lb), len(self._rhs), len(senses)
-        if row.size and not (0 <= row.min() and row.max() < k):
-            raise LpError(f"constraint terms refer to rows outside the {k} new ones")
-        known = (senses == "<=") | (senses == ">=") | (senses == "=")
-        if not (known.all() and np.isfinite(rhs).all() and np.isfinite(coef).all()
-                and (not var.size or 0 <= var.min() and var.max() < n)):
-            bad_term = ~((0 <= var) & (var < n) & np.isfinite(coef))
-            i = min(np.flatnonzero(~known | ~np.isfinite(rhs))[:1].tolist() + row[bad_term].tolist())
-            _reject(names[i] if names else "", str(senses[i]), rhs[i], var[row == i], coef[row == i], n)
-        # sort the terms by row, then column, keeping the given order among
-        # duplicates, which are summed in that order as 0.0 + c1 + c2 + ...
-        key = row * max(n, 1) + var
-        order = np.argsort(key, kind="stable")
-        key, row, var, coef = key[order], row[order], var[order], coef[order]
-        lead = np.ones(len(key), dtype=bool)
-        lead[1:] = key[1:] != key[:-1]
-        if lead.all():
-            merged = coef + 0.0
-        else:
-            merged = np.zeros(int(lead.sum()))
-            np.add.at(merged, lead.cumsum() - 1, coef)
-        self._indices = np.concatenate([self._indices, var[lead]])
-        self._data = np.concatenate([self._data, merged])
-        ends = self._indptr[-1] + np.bincount(row[lead], minlength=k).cumsum()
-        self._indptr = np.concatenate([self._indptr, ends])
-        self._senses = np.concatenate([self._senses, senses.astype("<U2")])
-        self._rhs = np.concatenate([self._rhs, rhs])
-        self._row_names += names if names and all(names) else \
-            [nm or f"r{i}" for nm, i in zip(names or [""] * k, range(first, first + k))]
-        return np.arange(first, first + k)
-
-    @classmethod
-    def from_csr(cls, name: str, lb, ub, cost, var_names: list[str], indptr, indices, data,
-                 senses, rhs, row_names: list[str]) -> "LpProblem":
-        """A problem given whole, its arrays kept, not copied: float arrays of
-        variable bounds and costs with one name each, and the rows in
-        compressed sparse row form, each with its name. The caller keeps
-        the structure: each row's columns are variables, ascending and
-        distinct, and its sense is ``<=``, ``>=`` or ``=``. The numbers are
-        checked: the first faulty variable or row raises the LpError that
-        ``add_variables``, then ``add_constraints``, would raise."""
-        _check_variables(lb, ub, cost, var_names, 0)
-        if not (np.isfinite(rhs).all() and np.isfinite(data).all()):
-            bad = ~np.isfinite(rhs)
-            bad[np.repeat(np.arange(len(rhs)), np.diff(indptr))[~np.isfinite(data)]] = True
-            i = int(np.argmax(bad))
-            terms = slice(indptr[i], indptr[i + 1])
-            _reject(row_names[i], str(senses[i]), rhs[i], indices[terms], data[terms], len(lb))
-        p = cls(name)
-        p._lb, p._ub, p._cost, p._var_names = lb, ub, cost, var_names
-        p._indptr, p._indices, p._data = indptr, indices, data
-        p._senses, p._rhs, p._row_names = senses.astype("<U2"), rhs, row_names
-        return p
-
-
-def _check_variables(lb: np.ndarray, ub: np.ndarray, cost: np.ndarray, names: list[str] | None,
-                     first: int) -> None:
+def _check_variables(lb: np.ndarray, ub: np.ndarray, cost: np.ndarray, names: list[str]) -> None:
     """Raise the LpError for the first variable with inverted or unusable
-    bounds or a non-finite cost; ``first`` is the id of the first one."""
+    bounds or a non-finite cost."""
     ok = (lb <= ub) & (lb < INF) & (ub > -INF) & np.isfinite(cost)
     if not ok.all():
         j = int(np.argmin(ok))
-        label = (names[j] if names else "") or first + j
         if not lb[j] <= ub[j]:
-            raise LpError(f"variable {label}: inverted bounds lb={lb[j]} > ub={ub[j]}")
-        raise LpError(f"variable {label}: unusable bounds or cost")
+            raise LpError(f"variable {names[j]}: inverted bounds lb={lb[j]} > ub={ub[j]}")
+        raise LpError(f"variable {names[j]}: unusable bounds or cost")
+
+
+def _check_rows(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, senses: np.ndarray,
+                rhs: np.ndarray, names: list[str], n: int) -> None:
+    """Raise the LpError for the first row with an unknown sense, a non-finite
+    right-hand side or a faulty term; ``n`` is the number of variables."""
+    # a negative id reads as a huge unsigned one
+    if (set(senses.tolist()).issubset(_SENSES) and np.isfinite(rhs).all() and np.isfinite(data).all()
+            and (not indices.size or indices.view(np.uintp).max() < n)):
+        return
+    bad = ~np.isin(senses, _SENSES) | ~np.isfinite(rhs)
+    bad_term = ~np.isfinite(data) | (indices < 0) | (indices >= n)
+    bad[np.repeat(np.arange(len(rhs)), np.diff(indptr))[bad_term]] = True
+    i = int(np.argmax(bad))
+    terms = slice(indptr[i], indptr[i + 1])
+    _reject(names[i], str(senses[i]), rhs[i], indices[terms], data[terms], n)
 
 
 def _reject(name: str, sense: str, rhs: float, var: np.ndarray, coef: np.ndarray, n: int) -> None:
     """Raise the LpError for the first fault of one row: its sense, its
     right-hand side, then its terms in the order given."""
-    if sense not in ("<=", ">=", "="):
+    if sense not in _SENSES:
         raise LpError(f"constraint {name!r}: unknown sense {sense!r}")
     if not np.isfinite(rhs):
         raise LpError(f"constraint {name!r}: non-finite right-hand side {rhs}")
@@ -280,11 +206,6 @@ class LpSolution:
     x: np.ndarray | None
     iterations: int
     stats: SolveStats | None = None
-
-    def value(self, var: int) -> float:
-        if self.x is None:
-            raise ValueError(f"no solution values (status={self.status})")
-        return float(self.x[var])
 
 
 def solve(p: LpProblem) -> LpSolution:

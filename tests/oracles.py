@@ -180,15 +180,43 @@ def random_banded_lp(rng: np.random.Generator):
     return c, lb, ub, A, senses, b
 
 
+class RowBuilder:
+    """Row-by-row reference for building an ``LpProblem``, sharing no code
+    with the package: ``var`` adds a variable and returns its id, ``row``
+    adds a row, summing its duplicate terms in the order given, as
+    ``0.0 + c1 + c2``, and sorting its columns; ``problem`` hands the CSR
+    arrays to ``LpProblem``."""
+
+    def __init__(self, name: str = ""):
+        self.name, self.vars, self.rows = name, [], []
+
+    def var(self, lb: float = 0.0, ub: float = lp.INF, cost: float = 0.0, name: str = "") -> int:
+        self.vars.append((lb, ub, cost, name))
+        return len(self.vars) - 1
+
+    def row(self, terms, sense: str, rhs: float, name: str = "") -> None:
+        merged: dict[int, float] = {}
+        for j, c in terms:
+            merged[j] = merged.get(j, 0.0) + c
+        self.rows.append((sorted(merged.items()), sense, rhs, name))
+
+    def problem(self) -> lp.LpProblem:
+        lb, ub, cost, var_names = map(list, zip(*self.vars)) if self.vars else ([], [], [], [])
+        terms, senses, rhs, row_names = map(list, zip(*self.rows)) if self.rows else ([], [], [], [])
+        return lp.LpProblem(self.name, lb, ub, cost, var_names, np.cumsum([0] + [len(t) for t in terms]),
+                            [j for t in terms for j, _ in t], [c for t in terms for _, c in t],
+                            senses, rhs, row_names)
+
+
 def build_problem(c, lb, ub, A, senses, b) -> lp.LpProblem:
-    p = lp.LpProblem("random")
-    ids = [p.add_variable(lb[j], ub[j], c[j], f"x{j}") for j in range(c.size)]
+    p = RowBuilder("random")
+    ids = [p.var(lb[j], ub[j], c[j], f"x{j}") for j in range(c.size)]
     for i in range(A.shape[0]):
         terms = [(ids[j], A[i, j]) for j in range(c.size) if A[i, j] != 0.0]
         if not terms:
             terms = [(ids[0], 0.0)]
-        p.add_constraint(terms, senses[i], b[i], f"r{i}")
-    return p
+        p.row(terms, senses[i], b[i], f"r{i}")
+    return p.problem()
 
 
 def micro_case_grid_optimum(resolution: float = 1e-3) -> float:
@@ -280,8 +308,8 @@ def window_lp_by_rows(
     maximize_departure: bool = False,
     two_plane: bool = False,
 ) -> lp.LpProblem:
-    """Row-by-row reference for ``evba._build_window_lp``: one vehicle's LP
-    over a window of steps, built one variable and one row at a time.
+    """Row-by-row reference for a window LP that ``evba._slice_window`` cuts out
+    of ``evba._build_vehicle_lp``, built one variable and one row at a time.
 
     ``init_soe`` is the stock entering the first window step; ``floor`` the
     minimum stock at the last one. Variables run per step in the order
@@ -299,7 +327,7 @@ def window_lp_by_rows(
     soe_lb = v.soe_min_kwh
     soe_ub = v.soe_max_kwh
     last = int(steps[-1])
-    p = lp.LpProblem(f"window[{v.id},{int(steps[0])}..{last}]")
+    p = RowBuilder(f"window[{v.id},{int(steps[0])}..{last}]")
     taper_k = None
     if v.soe_cv_frac < 1.0 - 1e-12:
         taper_k = v.obc_max_kwh_per_step / (cap * (1.0 - v.soe_cv_frac))
@@ -314,9 +342,9 @@ def window_lp_by_rows(
             if ct.include_degradation and not two_plane:
                 c_dch += _wear_slope(v)
         slow_cap, fast_cap = evba._caps(s, v, cp, power)
-        sch_id = p.add_variable(0.0, slow_cap, c_sch, f"sch[{v.id},{t}]")
-        dch_id = p.add_variable(0.0, slow_cap, c_dch, f"dch[{v.id},{t}]")
-        fch_id = p.add_variable(0.0, fast_cap, c_fch, f"fch[{v.id},{t}]")
+        sch_id = p.var(0.0, slow_cap, c_sch, f"sch[{v.id},{t}]")
+        dch_id = p.var(0.0, slow_cap, c_dch, f"dch[{v.id},{t}]")
+        fch_id = p.var(0.0, fast_cap, c_fch, f"fch[{v.id},{t}]")
         lb_t = soe_lb
         if t == last:
             lb_t = max(lb_t, floor)
@@ -327,15 +355,15 @@ def window_lp_by_rows(
                 )
             lb_t = min(lb_t, soe_ub)
         soe_cost = -1.0 if maximize_departure and t == last else 0.0
-        soe_id = p.add_variable(lb_t, soe_ub, soe_cost, f"soe[{v.id},{t}]")
+        soe_id = p.var(lb_t, soe_ub, soe_cost, f"soe[{v.id},{t}]")
         deg_id = None
         if ct.include_degradation:
             deg_cost = 0.0 if maximize_departure else 1.0
-            deg_id = p.add_variable(0.0, lp.INF, deg_cost, f"{'cdeg' if two_plane else 'udeg'}[{v.id},{t}]")
+            deg_id = p.var(0.0, lp.INF, deg_cost, f"{'cdeg' if two_plane else 'udeg'}[{v.id},{t}]")
 
         # charge taper above the CC/CV breakpoint; slow charging only
         if taper_k is not None and slow_cap > 0.0 and power is not evba.PowerMode.CP_ONLY:
-            p.add_constraint(
+            p.row(
                 [(sch_id, 1.0), (soe_id, taper_k)],
                 "<=",
                 taper_k * cap,
@@ -352,11 +380,11 @@ def window_lp_by_rows(
             terms.append((prev_id, -1.0))
         else:
             rhs += init_soe
-        p.add_constraint(terms, "=", rhs, name=f"bal[{v.id},{t}]")
+        p.row(terms, "=", rhs, name=f"bal[{v.id},{t}]")
         if deg_id is not None:
             (_two_plane_rows_by_step if two_plane else _wear_row_by_step)(p, deg_id, dch_id, soe_id, v, t)
         prev_id = soe_id
-    return p
+    return p.problem()
 
 
 def _wear_slope(v) -> float:
@@ -364,12 +392,12 @@ def _wear_slope(v) -> float:
     return max(v.degradation.d4 * (v.battery_cost_eur * 100.0 / v.capacity_kwh), 0.0)
 
 
-def _wear_row_by_step(p: lp.LpProblem, excess: int, e_dch: int, soe: int, v, t: int) -> int:
+def _wear_row_by_step(p: RowBuilder, excess: int, e_dch: int, soe: int, v, t: int) -> None:
     """Add the wear row ``s * e_dch + excess >= plane1`` for one vehicle-step."""
     d = v.degradation
     scale = v.battery_cost_eur * 100.0 / v.capacity_kwh
     # excess + (s - d2') * e_dch + d3' * soe >= C_bat * (d1 + 100 * d3)
-    return p.add_constraint(
+    p.row(
         [(excess, 1.0), (e_dch, _wear_slope(v) - d.d2 * scale), (soe, d.d3 * scale)],
         ">=",
         v.battery_cost_eur * (d.d1 + d.d3 * 100.0),
@@ -378,31 +406,30 @@ def _wear_row_by_step(p: lp.LpProblem, excess: int, e_dch: int, soe: int, v, t: 
 
 
 def _two_plane_rows_by_step(
-    p: lp.LpProblem, c_deg: int, e_dch: int, soe: int, v, t: int
-) -> tuple[int, int]:
+    p: RowBuilder, c_deg: int, e_dch: int, soe: int, v, t: int
+) -> None:
     """Add the two epigraph rows ``c_deg >= plane`` for one vehicle-step.
 
     ``c_deg`` must carry a +1 objective coefficient for the epigraph to be
-    tight at the optimum. Returns the two constraint ids.
+    tight at the optimum.
     """
     cap = v.capacity_kwh
     d = v.degradation
     scale = v.battery_cost_eur * 100.0 / cap
     # plane1: c_deg - d2' * e_dch + d3' * soe >= C_bat * (d1 + 100 * d3)
-    r1 = p.add_constraint(
+    p.row(
         [(c_deg, 1.0), (e_dch, -d.d2 * scale), (soe, d.d3 * scale)],
         ">=",
         v.battery_cost_eur * (d.d1 + d.d3 * 100.0),
         name=f"deg1[{v.id},{t}]",
     )
     # plane2: c_deg - d4' * e_dch >= 0
-    r2 = p.add_constraint(
+    p.row(
         [(c_deg, 1.0), (e_dch, -d.d4 * scale)],
         ">=",
         0.0,
         name=f"deg2[{v.id},{t}]",
     )
-    return r1, r2
 
 
 def dense_A(sim: lp._Simplex) -> np.ndarray:

@@ -222,6 +222,20 @@ def test_negative_price_seed_is_named_in_the_error():
         generate_price_set("high", seed=-1)
 
 
+@pytest.mark.parametrize("arg, value, rule", [
+    ("step_count", 0, "an integer >= 1"),
+    ("step_count", -3, "an integer >= 1"),
+    ("step_count", 2.0, "an integer >= 1"),
+    ("step_hours", float("nan"), "finite and > 0"),
+    ("step_hours", float("inf"), "finite and > 0"),
+    ("step_hours", 0.0, "finite and > 0"),
+    ("seed", 1.5, "a non-negative integer"),
+])
+def test_price_arguments_are_checked_before_use(arg, value, rule):
+    with pytest.raises(ValueError, match=f"^{arg} must be {rule}, got {value}$"):
+        generate_price_set("high", **{arg: value})
+
+
 def test_hourly_price_shape_is_laid_out_in_steps_as_before():
     # reference: the shape in step units, which equal hours at hourly steps
     t = np.arange(24, dtype=float)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from evdispatch import lp
 from evdispatch.degradation import degradation_cost, degradation_rows, discharge_wear_slope, plane_values
 from evdispatch.domain import Vehicle
+from oracles import RowBuilder
 
 V40 = Vehicle(id="v", capacity_kwh=40.0, obc_max_kwh_per_step=10.0, battery_cost_eur=1000.0)
 
@@ -77,12 +78,13 @@ def test_crossover_threshold_for_small_discharges():
 def _wear_lp(e_bounds, e_cost, soe_bounds):
     """minimize s * e + u + e_cost * e over the wear row of one step; returns
     the problem and the ids of u, e and soe."""
-    p = lp.LpProblem()
-    u = p.add_variable(0.0, lp.INF, 1.0, "u")
-    e = p.add_variable(*e_bounds, e_cost + discharge_wear_slope(V40), "e")
-    soe = p.add_variable(*soe_bounds, 0.0, "soe")
-    p.add_constraints(*degradation_rows(V40, u, e, soe, 0))
-    return p, u, e, soe
+    p = RowBuilder()
+    u = p.var(0.0, lp.INF, 1.0, "u")
+    e = p.var(*e_bounds, e_cost + discharge_wear_slope(V40), "e")
+    soe = p.var(*soe_bounds, 0.0, "soe")
+    _, var, coef, (sense,), (rhs,), (name,) = degradation_rows(V40, u, e, soe, 0)  # one row
+    p.row(zip(var, coef), sense, rhs, name)
+    return p.problem(), u, e, soe
 
 
 def test_emit_rows_adds_one_constraint():
@@ -113,7 +115,7 @@ def test_lp_epigraph_matches_evaluator_at_optimum():
         sol = lp.solve(p)
         assert sol.status == lp.OPTIMAL
         expected = max(degradation_cost(V40, e_val, soe_val), 0.0)
-        assert discharge_wear_slope(V40) * e_val + sol.value(u) == pytest.approx(expected, abs=1e-9)
+        assert discharge_wear_slope(V40) * e_val + sol.x[u] == pytest.approx(expected, abs=1e-9)
 
 
 def test_variable_plane1_coefficients_match_rows():
@@ -121,7 +123,7 @@ def test_variable_plane1_coefficients_match_rows():
     # the discharge reward must beat the plane-1 slope (~85 EUR/kWh here)
     p, u, e, soe = _wear_lp((0.0, 10.0), -100.0, (20.0, 20.0))
     sol = lp.solve(p)
-    assert sol.value(e) == pytest.approx(10.0, abs=1e-9)
-    p1, p2 = plane_values(V40, sol.value(e), 20.0)
-    assert discharge_wear_slope(V40) * sol.value(e) + sol.value(u) == pytest.approx(max(p1, p2), abs=1e-8)
+    assert sol.x[e] == pytest.approx(10.0, abs=1e-9)
+    p1, p2 = plane_values(V40, sol.x[e], 20.0)
+    assert discharge_wear_slope(V40) * sol.x[e] + sol.x[u] == pytest.approx(max(p1, p2), abs=1e-8)
     assert p1 > p2  # deep-discharge plane binds at this depth

@@ -27,7 +27,6 @@ from evdispatch.evba import (
     AssemblyError,
     PowerMode,
     _build_vehicle_lp,
-    _build_window_lp,
     _FloorUnreachable,
     _infeasibility_hint,
     build_evba,
@@ -422,13 +421,18 @@ def _same_problem(got: lp.LpProblem, ref: lp.LpProblem) -> bool:
     )
 
 
-def _build_both(*args, **kwargs):
-    """The window LP from the array builder and from the row-by-row
-    reference, or the exception type each raised."""
+def _build_both(s, v_idx, steps, init_soe, floor, ct, power, **kwargs):
+    """The window LP sliced from the vehicle's array build and from the
+    row-by-row reference, or the exception type each raised."""
+    builds = (
+        lambda: _slice_window(_build_vehicle_lp(s, v_idx, ct, power), int(steps[0]), int(steps[-1]),
+                              init_soe, floor, **kwargs),
+        lambda: window_lp_by_rows(s, v_idx, steps, init_soe, floor, ct, power, **kwargs),
+    )
     out = []
-    for build in (_build_window_lp, window_lp_by_rows):
+    for build in builds:
         try:
-            out.append(build(*args, **kwargs))
+            out.append(build())
         except _FloorUnreachable as exc:
             out.append(type(exc))
     return out

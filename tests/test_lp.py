@@ -1,4 +1,4 @@
-"""LP kernel tests: construction contracts, status classification, oracle checks."""
+"""LP kernel tests: the constructor's checks, status classification, oracle checks."""
 
 from __future__ import annotations
 
@@ -11,6 +11,7 @@ from evdispatch import evba, lp
 from evdispatch.analysis import generate_price_set
 from oracles import (
     DenseSimplex,
+    RowBuilder,
     block_diagonal_scipy_optimum,
     build_problem,
     dense_A,
@@ -21,58 +22,72 @@ from oracles import (
 from scen import refine
 
 
-def test_add_variable_first_id_is_zero():
-    p = lp.LpProblem()
-    assert p.add_variable(0.0, lp.INF, 1.0, "x") == 0
-    assert p.num_variables == 1
+def _problem(lb=(), ub=(), cost=(), indptr=(0,), indices=(), data=(), senses=(), rhs=()):
+    """A problem given to the constructor as sequences, with names x<j> and r<i>."""
+    return lp.LpProblem("p", lb, ub, cost, [f"x{j}" for j in range(len(lb))], indptr, indices, data,
+                        senses, rhs, [f"r{i}" for i in range(len(rhs))])
+
+
+def test_constructor_takes_lists_and_keeps_arrays_of_its_dtypes():
+    p = _problem([0.0, -1.0], [1.0, 2.0], [0.5, 0.0], [0, 2, 3], [0, 1, 1], [1.0, -2.0, 3.0], ["<=", "="], [4.0, 1.0])
+    assert p._rows == [{0: 1.0, 1: -2.0}, {1: 3.0}] and p._senses.tolist() == ["<=", "="]
+    given = [np.zeros(1), np.ones(1), np.zeros(1), np.array([0, 1], dtype=np.intp), np.zeros(1, dtype=np.intp),
+             np.ones(1), np.array(["<="]), np.ones(1)]
+    q = _problem(*given)
+    kept = (q._lb, q._ub, q._cost, q._indptr, q._indices, q._data, q._senses, q._rhs)
+    assert all(a is b for a, b in zip(kept, given))
 
 
 def test_add_variable_inverted_bounds_rejected():
-    p = lp.LpProblem()
-    with pytest.raises(lp.LpError):
-        p.add_variable(2.0, 1.0)
+    with pytest.raises(lp.LpError, match="variable x0: inverted bounds"):
+        _problem([2.0], [1.0], [0.0])
 
 
 @pytest.mark.parametrize("cost", [lp.INF, -lp.INF, float("nan")])
 def test_add_variable_non_finite_cost_rejected(cost):
-    p = lp.LpProblem()
-    with pytest.raises(lp.LpError):
-        p.add_variable(0.0, 1.0, cost, "x")
-    assert p.num_variables == 0
+    with pytest.raises(lp.LpError, match="variable x0: unusable bounds or cost"):
+        _problem([0.0], [1.0], [cost])
 
 
 def test_add_variable_fixed_interval_accepted():
-    p = lp.LpProblem()
-    x = p.add_variable(3.0, 3.0, 5.0, "x")
-    sol = lp.solve(p)
+    p = RowBuilder()
+    x = p.var(3.0, 3.0, 5.0, "x")
+    sol = lp.solve(p.problem())
     assert sol.status == lp.OPTIMAL
-    assert sol.value(x) == pytest.approx(3.0)
+    assert sol.x[x] == pytest.approx(3.0)
     assert sol.objective == pytest.approx(15.0)
 
 
 def test_add_constraint_simple_lower_bound():
-    p = lp.LpProblem()
-    x = p.add_variable(0.0, lp.INF, 1.0, "x")
-    p.add_constraint([(x, 1.0)], ">=", 1.0, "r")
-    sol = lp.solve(p)
+    p = RowBuilder()
+    x = p.var(0.0, lp.INF, 1.0, "x")
+    p.row([(x, 1.0)], ">=", 1.0, "r")
+    sol = lp.solve(p.problem())
     assert sol.status == lp.OPTIMAL
     assert sol.objective == pytest.approx(1.0, abs=1e-9)
-    assert sol.value(x) == pytest.approx(1.0, abs=1e-9)
+    assert sol.x[x] == pytest.approx(1.0, abs=1e-9)
 
 
 def test_add_constraint_merges_duplicate_terms():
-    p = lp.LpProblem()
-    x = p.add_variable(0.0, 10.0, -1.0, "x")
-    p.add_constraint([(x, 1.0), (x, 1.0)], "<=", 4.0, "r")  # stored as 2x <= 4
-    sol = lp.solve(p)
-    assert sol.value(x) == pytest.approx(2.0, abs=1e-9)
+    p = RowBuilder()
+    x = p.var(0.0, 10.0, -1.0, "x")
+    p.row([(x, 1.0), (x, 1.0)], "<=", 4.0, "r")  # stored as 2x <= 4
+    sol = lp.solve(p.problem())
+    assert sol.x[x] == pytest.approx(2.0, abs=1e-9)
 
 
 def test_add_constraint_unknown_id_rejected():
-    p = lp.LpProblem()
-    p.add_variable()
-    with pytest.raises(lp.LpError):
-        p.add_constraint([(99, 1.0)], "<=", 4.0)
+    with pytest.raises(lp.LpError, match="constraint 'r0': unknown variable id 99"):
+        _problem([0.0], [1.0], [0.0], [0, 1], [99], [1.0], ["<="], [4.0])
+
+
+@pytest.mark.parametrize("j, sense, fault", [
+    (5, ">=", "unknown variable id 5"), (-1, ">=", "unknown variable id -1"),
+    (0, "!!", "unknown sense '!!'"), (0, "==", "unknown sense '=='"), (0, "", "unknown sense ''"),
+])
+def test_a_faulty_row_of_finite_numbers_is_rejected(j, sense, fault):
+    with pytest.raises(lp.LpError, match=f"^constraint 'r1': {fault}$"):
+        _problem([0.0], [1.0], [0.0], [0, 1, 2], [0, j], [1.0, 2.0], ["<=", sense], [4.0, 0.0])
 
 
 @pytest.mark.parametrize("coef, rhs", [
@@ -80,86 +95,60 @@ def test_add_constraint_unknown_id_rejected():
     (1.0, float("nan")), (1.0, lp.INF), (1.0, -lp.INF),
 ])
 def test_add_constraint_non_finite_data_rejected(coef, rhs):
-    p = lp.LpProblem()
-    x = p.add_variable()
-    with pytest.raises(lp.LpError):
-        p.add_constraint([(x, coef)], "<=", rhs, "r")
-    assert p.num_constraints == 0
+    with pytest.raises(lp.LpError, match="constraint 'r0': non-finite"):
+        _problem([0.0], [lp.INF], [0.0], [0, 1], [0], [coef], ["<="], [rhs])
 
 
-def test_bulk_adds_match_one_at_a_time():
-    # the same rows in one call, terms shuffled across rows, with a duplicate
-    # term on x summed in the order given
-    one = lp.LpProblem("p")
-    for j in range(3):
-        one.add_variable(-1.0, 2.0 + j, 0.5 * j, f"x{j}")
-    one.add_constraint([(2, 1.5), (0, 0.1), (0, 0.2), (0, -0.3)], "<=", 4.0, "a")
-    one.add_constraint([(1, -1.0)], "==", -2.0)
-    bulk = lp.LpProblem("p")
-    assert bulk.add_variables(-1.0, [2.0, 3.0, 4.0], [0.0, 0.5, 1.0], ["x0", "x1", "x2"]).tolist() == [0, 1, 2]
-    ids = bulk.add_constraints([0, 1, 0, 0, 0], [0, 1, 2, 0, 0], [0.1, -1.0, 1.5, 0.2, -0.3],
-                               ["<=", "=="], [4.0, -2.0], ["a", ""])
-    assert ids.tolist() == [0, 1]
-    for field in ("_lb", "_ub", "_cost", "_indptr", "_indices", "_data", "_senses", "_rhs"):
-        got, want = getattr(bulk, field), getattr(one, field)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), field
-    assert bulk._rows == one._rows == [{0: 0.1 + 0.2 - 0.3, 2: 1.5}, {1: -1.0}]
-    assert bulk._var_names == one._var_names == ["x0", "x1", "x2"]
-    assert bulk._row_names == one._row_names == ["a", "r1"]
-
-
-def test_bulk_add_rejects_the_first_faulty_row_and_adds_nothing():
-    p = lp.LpProblem()
-    p.add_variables(0.0, 1.0, 0.0)
-    with pytest.raises(lp.LpError, match="constraint 'b': unknown variable id 3"):
-        p.add_constraints([0, 1, 1, 2], [0, 3, 0, 0], [1.0, 1.0, float("nan"), 1.0],
-                          ["<=", ">=", "<"], [1.0, 1.0, 1.0], ["a", "b", "c"])
-    with pytest.raises(lp.LpError, match="variable 2: inverted bounds"):
-        p.add_variables([0.0, 2.0, 0.0], [1.0, 1.0, -1.0], 0.0)
-    assert (p.num_variables, p.num_constraints) == (1, 0)
+def test_the_first_faulty_variable_then_the_first_faulty_row_is_named():
+    rows = dict(indptr=[0, 1, 3, 4], indices=[0, 3, 0, 0], data=[1.0, 1.0, float("nan"), 1.0],
+                senses=["<=", ">=", "<"], rhs=[1.0, 1.0, 1.0])
+    with pytest.raises(lp.LpError, match="constraint 'r1': unknown variable id 3"):
+        _problem([0.0], [1.0], [0.0], **rows)
+    with pytest.raises(lp.LpError, match="variable x1: inverted bounds"):
+        _problem([0.0, 2.0, 0.0], [1.0, 1.0, -1.0], [0.0] * 3, **rows)
 
 
 def test_unbounded_detection():
-    p = lp.LpProblem()
-    p.add_variable(0.0, lp.INF, -1.0, "x")
-    assert lp.solve(p).status == lp.UNBOUNDED
+    p = RowBuilder()
+    p.var(0.0, lp.INF, -1.0, "x")
+    assert lp.solve(p.problem()).status == lp.UNBOUNDED
 
 
 def test_infeasible_detection():
-    p = lp.LpProblem()
-    x = p.add_variable(0.0, 1.0, 1.0, "x")
-    p.add_constraint([(x, 1.0)], ">=", 2.0, "r")
-    assert lp.solve(p).status == lp.INFEASIBLE
+    p = RowBuilder()
+    x = p.var(0.0, 1.0, 1.0, "x")
+    p.row([(x, 1.0)], ">=", 2.0, "r")
+    assert lp.solve(p.problem()).status == lp.INFEASIBLE
 
 
 def test_arbitrage_core_two_variable_lp():
     # min 0.1c - 0.5d  s.t. 0.95c - d/0.85 >= 0, 0 <= c, 0 <= d <= 4
-    p = lp.LpProblem()
-    c = p.add_variable(0.0, lp.INF, 0.1, "c")
-    d = p.add_variable(0.0, 4.0, -0.5, "d")
-    p.add_constraint([(c, 0.95), (d, -1.0 / 0.85)], ">=", 0.0, "bal")
-    sol = lp.solve(p)
+    p = RowBuilder()
+    c = p.var(0.0, lp.INF, 0.1, "c")
+    d = p.var(0.0, 4.0, -0.5, "d")
+    p.row([(c, 0.95), (d, -1.0 / 0.85)], ">=", 0.0, "bal")
+    sol = lp.solve(p.problem())
     assert sol.status == lp.OPTIMAL
     assert sol.objective == pytest.approx(-1.5046439628, abs=1e-6)
-    assert sol.value(d) == pytest.approx(4.0, abs=1e-6)
-    assert sol.value(c) == pytest.approx(4.9535603715, abs=1e-6)
+    assert sol.x[d] == pytest.approx(4.0, abs=1e-6)
+    assert sol.x[c] == pytest.approx(4.9535603715, abs=1e-6)
 
 
 def test_equality_constraint():
-    p = lp.LpProblem()
-    x = p.add_variable(0.0, 10.0, 1.0, "x")
-    y = p.add_variable(0.0, 10.0, 3.0, "y")
-    p.add_constraint([(x, 1.0), (y, 1.0)], "=", 5.0, "r")
-    sol = lp.solve(p)
+    p = RowBuilder()
+    x = p.var(0.0, 10.0, 1.0, "x")
+    y = p.var(0.0, 10.0, 3.0, "y")
+    p.row([(x, 1.0), (y, 1.0)], "=", 5.0, "r")
+    sol = lp.solve(p.problem())
     assert sol.status == lp.OPTIMAL
     assert sol.objective == pytest.approx(5.0, abs=1e-9)
 
 
 def test_free_variable():
-    p = lp.LpProblem()
-    x = p.add_variable(-lp.INF, lp.INF, 1.0, "x")
-    p.add_constraint([(x, 1.0)], ">=", -3.0, "r")
-    sol = lp.solve(p)
+    p = RowBuilder()
+    x = p.var(-lp.INF, lp.INF, 1.0, "x")
+    p.row([(x, 1.0)], ">=", -3.0, "r")
+    sol = lp.solve(p.problem())
     assert sol.objective == pytest.approx(-3.0, abs=1e-9)
 
 
@@ -171,10 +160,10 @@ def test_iteration_limit_is_distinct_status(monkeypatch):
         self.max_iter = 0
 
     monkeypatch.setattr(lp._Simplex, "__init__", no_iterations)
-    p = lp.LpProblem()
-    x = p.add_variable(0.0, 10.0, -1.0, "x")
-    p.add_constraint([(x, 1.0)], "<=", 4.0, "r")
-    sol = lp.solve(p)
+    p = RowBuilder()
+    x = p.var(0.0, 10.0, -1.0, "x")
+    p.row([(x, 1.0)], "<=", 4.0, "r")
+    sol = lp.solve(p.problem())
     assert sol.status == lp.ITERATION_LIMIT
     assert sol.objective is None
 
@@ -184,13 +173,13 @@ def test_phase_one_and_the_final_check_share_one_feasibility_rule():
     # phase 1's infeasibility threshold to 5e-4: a leftover violation above
     # FEAS_TOL is infeasible whatever the size of the other rows
     for delta, status in ((1e-7, lp.OPTIMAL), (1e-5, lp.INFEASIBLE), (1e-4, lp.INFEASIBLE)):
-        p = lp.LpProblem("band")
-        x = p.add_variable(0.0, lp.INF, 1.0, "x")
-        y = p.add_variable(0.0, lp.INF, 1.0, "y")
-        p.add_constraint([(x, 1.0)], "<=", 1.0, "cap")
-        p.add_constraint([(x, 1.0)], ">=", 1.0 + delta, "need")
-        p.add_constraint([(y, 1.0)], "<=", 500.0, "wide")
-        sol = _assert_same_as_dense_reference(p)
+        p = RowBuilder("band")
+        x = p.var(0.0, lp.INF, 1.0, "x")
+        y = p.var(0.0, lp.INF, 1.0, "y")
+        p.row([(x, 1.0)], "<=", 1.0, "cap")
+        p.row([(x, 1.0)], ">=", 1.0 + delta, "need")
+        p.row([(y, 1.0)], "<=", 500.0, "wide")
+        sol = _assert_same_as_dense_reference(p.problem())
         assert sol.status == status
         if status == lp.OPTIMAL:
             assert sol.stats.max_violation <= lp.FEAS_TOL
@@ -198,7 +187,7 @@ def test_phase_one_and_the_final_check_share_one_feasibility_rule():
 
 
 def test_empty_problem():
-    sol = lp.solve(lp.LpProblem())
+    sol = lp.solve(_problem())
     assert sol.status == lp.OPTIMAL
     assert sol.objective == 0.0
 
@@ -210,9 +199,7 @@ def test_empty_problem():
     ("=", 1.0, lp.INFEASIBLE),
 ])
 def test_problem_without_variables(sense, rhs, status):
-    p = lp.LpProblem()
-    p.add_constraint([], sense, rhs, "r")
-    sol = lp.solve(p)
+    sol = lp.solve(_problem(indptr=[0, 0], senses=[sense], rhs=[rhs]))
     assert sol.status == status
     if status == lp.OPTIMAL:
         assert sol.objective == 0.0
@@ -335,10 +322,9 @@ def _edge_lps():
         lb[1] = ub[1] = x0[1]
         b = A @ x0 + np.select([np.array(senses) == "<=", np.array(senses) == ">="], [1.0, -1.0], 0.0)
         free = np.arange(c.size) % 2 == 0
-        p = build_problem(c, np.where(free, -lp.INF, lb), np.where(free, lp.INF, ub), A, senses, b)
-        for j in np.flatnonzero(free).tolist():
-            p.add_constraint([(j, 1.0)], ">=", lb[j], f"lb{j}")
-            p.add_constraint([(j, 1.0)], "<=", ub[j], f"ub{j}")
+        unit = np.eye(c.size)[np.repeat(np.flatnonzero(free), 2)]
+        p = build_problem(c, np.where(free, -lp.INF, lb), np.where(free, lp.INF, ub), np.vstack([A, unit]),
+                          senses + [">=", "<="] * int(free.sum()), np.append(b, np.c_[lb, ub][free]))
         yield p, (c, lb, ub, A, senses, b)
 
 
@@ -590,12 +576,12 @@ def test_long_horizon_lp_matches_highs(example_scenario):
 
 
 def test_singular_basis_raises_naming_the_problem():
-    p = lp.LpProblem("twin-columns")
-    x = p.add_variable(0.0, 1.0)
-    y = p.add_variable(0.0, 1.0)
-    p.add_constraint([(x, 1.0), (y, 1.0)], "<=", 1.0)
-    p.add_constraint([(x, 2.0), (y, 2.0)], "<=", 3.0)
-    sim = lp._Simplex(p)
+    p = RowBuilder("twin-columns")
+    x = p.var(0.0, 1.0)
+    y = p.var(0.0, 1.0)
+    p.row([(x, 1.0), (y, 1.0)], "<=", 1.0)
+    p.row([(x, 2.0), (y, 2.0)], "<=", 3.0)
+    sim = lp._Simplex(p.problem())
     sim._setup()
     sim.basis[:] = [x, y]
     with pytest.raises(ArithmeticError, match="twin-columns"):
