@@ -15,6 +15,13 @@ Algorithm notes:
   zero). There are no artificial columns: every slack starts basic at its
   row residual, even outside its bounds, and a triangular crash makes one
   structural column basic per equality row (Bixby, ORSA J. Comput. 4(3), 1992);
+- between the crash and phase 1 the start is priced once: each nonbasic
+  column with two finite bounds whose reduced cost favours its other bound
+  (``sign * d > opt_tol``) moves there, best score first with ties to the
+  lower tableau column, unless the move takes a basic variable further
+  outside its bounds than it already is (beyond ``pivot_tol``). The basis
+  does not change, so neither do the reduced costs; ``start_flips`` counts
+  the moves, which are not iterations (Bixby, 1992, section 4);
 - phase 1 is Wolfe's composite method in the same pivot loop: it minimises
   the sum of the basic variables' bound violations, prices from the
   infeasible rows only, and lets an infeasible basic variable block at the
@@ -97,8 +104,9 @@ _SCORE_SIGN = np.array([-1.0, 1.0, 0.0, 0.0])
 
 
 class LpError(ValueError):
-    """Raised by ``LpProblem`` for a malformed problem: inverted or unusable
-    bounds, a non-finite number, an unknown row sense or variable id."""
+    """Raised by ``LpProblem`` for a malformed problem: sequences that do not
+    fit together, inverted or unusable bounds, a non-finite number, an
+    unknown row sense or variable id, or a row's column ids out of order."""
 
 
 class LpProblem:
@@ -107,11 +115,13 @@ class LpProblem:
     Variables carry bounds and an objective coefficient, one name each. The
     rows are in compressed sparse row form: row ``i`` puts ``data[k]`` on
     variable ``indices[k]`` for ``k`` in ``indptr[i]:indptr[i + 1]``, and has
-    a sense (``<=``, ``>=`` or ``=``), a right-hand side and a name. The
-    caller keeps each row's columns ascending and distinct. The inputs go
-    through ``np.asarray``, so arrays of the right dtype are kept, not
-    copied, and lists work. Every variable and row is checked: the first
-    faulty variable, else the first faulty row, raises an LpError naming it.
+    a sense (``<=``, ``>=`` or ``=``), a right-hand side and a name; each
+    row's columns are ascending and distinct. The inputs go through
+    ``np.asarray``, so arrays of the right dtype are kept, not copied, and
+    lists work. The shapes are checked first: sequences that differ in
+    length or offsets that do not fit raise an LpError saying which. Then
+    every variable and row is: the first faulty variable, else the first
+    faulty row, raises an LpError naming it.
     """
 
     def __init__(self, name: str, lb, ub, cost, var_names: list[str], indptr, indices, data,
@@ -121,8 +131,11 @@ class LpProblem:
         self._indptr, self._indices = (np.asarray(a, dtype=np.intp) for a in (indptr, indices))
         self._data, self._rhs = (np.asarray(a, dtype=float) for a in (data, rhs))
         self._senses = np.asarray(senses, dtype=str)
+        self._row_of = _check_shapes(self._lb, self._ub, self._cost, var_names, self._indptr, self._indices,
+                                     self._data, self._senses, self._rhs, row_names)  # row of each term
         _check_variables(self._lb, self._ub, self._cost, var_names)
-        _check_rows(self._indptr, self._indices, self._data, self._senses, self._rhs, row_names, len(self._lb))
+        _check_rows(self._row_of, self._indptr, self._indices, self._data, self._senses, self._rhs, row_names,
+                    len(self._lb))
 
     @property
     def num_variables(self) -> int:
@@ -150,17 +163,52 @@ def _check_variables(lb: np.ndarray, ub: np.ndarray, cost: np.ndarray, names: li
         raise LpError(f"variable {names[j]}: unusable bounds or cost")
 
 
-def _check_rows(indptr: np.ndarray, indices: np.ndarray, data: np.ndarray, senses: np.ndarray,
-                rhs: np.ndarray, names: list[str], n: int) -> None:
+def _check_shapes(lb: np.ndarray, ub: np.ndarray, cost: np.ndarray, var_names: list[str], indptr: np.ndarray,
+                  indices: np.ndarray, data: np.ndarray, senses: np.ndarray, rhs: np.ndarray,
+                  row_names: list[str]) -> np.ndarray:
+    """Raise an LpError when the arrays do not fit together: the variables'
+    four sequences or the rows' three differ in length, or ``indptr`` is not
+    ``len(rhs) + 1`` offsets that start at 0, never decrease and end at
+    ``len(indices) == len(data)``. Returns the row of each term."""
+    n, m, nnz = len(lb), len(rhs), len(indices)
+    if not len(ub) == len(cost) == len(var_names) == n:
+        raise LpError(f"variables: lb, ub, cost and var_names differ in length "
+                      f"({n}, {len(ub)}, {len(cost)}, {len(var_names)})")
+    if not len(senses) == len(row_names) == m:
+        raise LpError(f"rows: rhs, senses and row_names differ in length ({m}, {len(senses)}, {len(row_names)})")
+    if len(data) != nnz:
+        raise LpError(f"terms: indices and data differ in length ({nnz}, {len(data)})")
+    if len(indptr) != m + 1:
+        raise LpError(f"indptr has {len(indptr)} offsets for {m} rows, not {m + 1}")
+    if indptr[0] != 0 or indptr[-1] != nnz:
+        raise LpError(f"indptr runs from {indptr[0]} to {indptr[-1]}, not from 0 to {nnz}")
+    step = np.diff(indptr)
+    if (step < 0).any():
+        i = int(np.argmax(step < 0))
+        raise LpError(f"constraint {row_names[i]!r}: indptr falls from {indptr[i]} to {indptr[i + 1]}")
+    return np.repeat(np.arange(m), step)
+
+
+def _check_rows(row_of: np.ndarray, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
+                senses: np.ndarray, rhs: np.ndarray, names: list[str], n: int) -> None:
     """Raise the LpError for the first row with an unknown sense, a non-finite
-    right-hand side or a faulty term; ``n`` is the number of variables."""
+    right-hand side or a faulty term: an unknown variable id, a non-finite
+    coefficient or a column id not above the one before it. ``row_of``
+    holds each term's row and ``n`` is the number of variables."""
+    # offset by n per row, valid column ids rise strictly across the rows
+    # exactly when they do within each; a term whose key does not rise is
+    # out of order, unless a term's id is unknown, which is a fault anyway
+    key = row_of * n
+    key += indices
+    unordered = key[1:] <= key[:-1]
     # a negative id reads as a huge unsigned one
     if (set(senses.tolist()).issubset(_SENSES) and np.isfinite(rhs).all() and np.isfinite(data).all()
-            and (not indices.size or indices.view(np.uintp).max() < n)):
+            and (not indices.size or indices.view(np.uintp).max() < n) and not unordered.any()):
         return
     bad = ~np.isin(senses, _SENSES) | ~np.isfinite(rhs)
     bad_term = ~np.isfinite(data) | (indices < 0) | (indices >= n)
-    bad[np.repeat(np.arange(len(rhs)), np.diff(indptr))[bad_term]] = True
+    bad_term[1:] |= unordered
+    bad[row_of[bad_term]] = True
     i = int(np.argmax(bad))
     terms = slice(indptr[i], indptr[i + 1])
     _reject(names[i], str(senses[i]), rhs[i], indices[terms], data[terms], n)
@@ -173,22 +221,29 @@ def _reject(name: str, sense: str, rhs: float, var: np.ndarray, coef: np.ndarray
         raise LpError(f"constraint {name!r}: unknown sense {sense!r}")
     if not np.isfinite(rhs):
         raise LpError(f"constraint {name!r}: non-finite right-hand side {rhs}")
+    prev = -1
     for j, c in zip(var.tolist(), coef.tolist()):
         if not 0 <= j < n:
             raise LpError(f"constraint {name!r}: unknown variable id {j}")
         if not np.isfinite(c):
             raise LpError(f"constraint {name!r}: non-finite coefficient {c} on variable {j}")
+        if j <= prev:
+            raise LpError(f"constraint {name!r}: variable id {j} "
+                          + ("repeats" if j == prev else f"follows the larger id {prev}"))
+        prev = j
 
 
 @dataclass(frozen=True)
 class SolveStats:
-    """What one solve did; the crash pivots of set-up are not iterations,
-    the phase-1 and phase-2 pivots and the bound flips are."""
+    """What one solve did; the crash pivots of set-up and the start's bound
+    moves are not iterations, the phase-1 and phase-2 pivots and the bound
+    flips are."""
 
     n: int  # structural columns
     m: int  # rows
     tableau_columns: int  # columns that can enter (ub > lb), the width of the tableau
     crash_columns: int
+    start_flips: int  # nonbasic columns moved to their other bound before phase 1
     phase1_pivots: int
     phase2_pivots: int
     bound_flips: int
@@ -229,7 +284,7 @@ class _Simplex:
 
         # the structural block stays in the problem's sparse rows; the slacks'
         # columns are the identity
-        self.row_of = np.repeat(np.arange(m), np.diff(p._indptr))  # row of each sparse entry
+        self.row_of = p._row_of  # row of each sparse entry
         self.b = p._rhs.copy()
 
         # the slack bounds are the one place the row sense is encoded
@@ -244,7 +299,7 @@ class _Simplex:
         self.pos[self.cols] = np.arange(len(self.cols))
         self.max_iter = 200 * (m + n + 20)
         self.iterations = 0
-        self.crash_columns = self.phase1_pivots = self.flips = self.refactorizations = 0
+        self.crash_columns = self.start_flips = self.phase1_pivots = self.flips = self.refactorizations = 0
         self.bland_from: int | None = None
 
     # -- setup -------------------------------------------------------------
@@ -316,6 +371,31 @@ class _Simplex:
         self.status[picks] = _BASIC
         self._sync()
         self.crash_columns = len(crash)
+
+    def _place_bounds(self) -> None:
+        """Move nonbasic columns with two finite bounds to the bound their
+        reduced cost favours, best score first (ties to the lower tableau
+        column), each unless it takes a basic variable further outside its
+        bounds than it already is. The basis is unchanged, so one pass of
+        reduced costs prices every move."""
+        score = self.sign * self._reduced_costs()
+        width = (self.ub - self.lb)[self.cols]
+        cand = np.flatnonzero((score > self.opt_tol) & (width < INF))
+        tol = self.pivot_tol
+        # where each basic variable may go: its bounds, widened to where it is
+        lo, hi = np.minimum(self.lbB, self.xB) - tol, np.maximum(self.ubB, self.xB) + tol
+        for k in cand[np.argsort(-score[cand], kind="stable")].tolist():
+            q = self.cols[k]
+            sigma = -self.sign[k]  # +1 up from the lower bound, -1 down from the upper
+            xB = self.xB - self.T[:, k] * (sigma * width[k])
+            if ((xB < lo) | (xB > hi)).any():
+                continue
+            self.xB = xB
+            lo, hi = np.minimum(self.lbB, xB) - tol, np.maximum(self.ubB, xB) + tol
+            self.status[q] = _AT_UB if sigma > 0.0 else _AT_LB
+            self.nb_value[q] = self.ub[q] if sigma > 0.0 else self.lb[q]
+            self.sign[k] = sigma
+            self.start_flips += 1
 
     def _sync(self) -> None:
         """Derive the pricing sign of every tableau column and the bounds of
@@ -419,7 +499,7 @@ class _Simplex:
         d = None if phase1 else self._reduced_costs()
         stall = 0
         stall_limit = 50 + 2 * (self.m + self.n_struct)
-        verified = False
+        verified = not phase1  # reduced costs just derived need no second derivation
         while True:
             bland = self.bland_from is not None
             lbB, ubB = self.lbB, self.ubB
@@ -506,6 +586,7 @@ class _Simplex:
 
     def run(self) -> LpSolution:
         self._setup()
+        self._place_bounds()
         for attempt in range(4):
             status = self._iterate(phase1=True)
             if status == OPTIMAL:
@@ -521,7 +602,7 @@ class _Simplex:
             )
         n = self.n_struct
         stats = SolveStats(
-            n, self.m, len(self.cols), self.crash_columns, self.phase1_pivots,
+            n, self.m, len(self.cols), self.crash_columns, self.start_flips, self.phase1_pivots,
             self.iterations - self.phase1_pivots - self.flips, self.flips,
             self.bland_from, self.refactorizations, violation,
         )

@@ -237,20 +237,15 @@ def micro_case_grid_optimum(resolution: float = 1e-3) -> float:
     return float(cost[feasible].min())
 
 
-def block_diagonal_scipy_optimum(problems: list[lp.LpProblem]) -> float:
+def block_diagonal_scipy_optimum(problems: list[lp.LpProblem], method: str = "highs") -> float:
     """Optimum of the joint LP that stacks ``problems`` block-diagonally,
-    solved by scipy's HiGHS. Callers skip when scipy is missing."""
+    solved by scipy's HiGHS (``method`` as ``linprog`` takes it). Callers
+    skip when scipy is missing."""
     from scipy.optimize import linprog
-    from scipy.sparse import block_diag
+    from scipy.sparse import block_diag, csr_matrix
 
-    def dense(p: lp.LpProblem) -> np.ndarray:
-        A = np.zeros((p.num_constraints, p.num_variables))
-        for i, row in enumerate(p._rows):
-            for j, coef in row.items():
-                A[i, j] = coef
-        return A
-
-    A = block_diag([dense(p) for p in problems], format="csr")
+    A = block_diag([csr_matrix((p._data, p._indices, p._indptr), shape=(p.num_constraints, p.num_variables))
+                    for p in problems], format="csr")
     senses = np.array([s for p in problems for s in p._senses])
     b = np.array([r for p in problems for r in p._rhs])
     c = np.array([x for p in problems for x in p._cost])
@@ -264,7 +259,7 @@ def block_diagonal_scipy_optimum(problems: list[lp.LpProblem]) -> float:
         A_eq=A[~ineq],
         b_eq=b[~ineq],
         bounds=bounds,
-        method="highs",
+        method=method,
     )
     if res.status != 0:
         raise AssertionError(f"scipy could not solve the joint LP: {res.message}")
@@ -451,10 +446,11 @@ class DenseSimplex(lp._Simplex):
     pivots, iterations, ``x``, objective and tableau entries. Reduced costs
     are the exception, equal to 1e-12: the solver sums them in one BLAS
     matrix-vector product, in another order than this kernel's row-vector
-    product. Its tableau is full width, one column per variable, fixed ones
-    included; it shares only the problem's arrays, the set-up residual
-    ``b - A x`` from the sparse rows, the ``run`` loop and the final
-    verification with the solver.
+    product, so the start's bound moves, which order by reduced cost, match
+    unless two scores tie to within those bits. Its tableau is full width,
+    one column per variable, fixed ones included; it shares only the
+    problem's arrays, the set-up residual ``b - A x`` from the sparse rows,
+    the ``run`` loop and the final verification with the solver.
     """
 
     def _setup(self) -> None:
@@ -486,6 +482,26 @@ class DenseSimplex(lp._Simplex):
             self.xB = self.xB - self.T[:, q] * delta
             self._pivot(r, q, self.nb_value[q] + delta, lp._AT_LB)
         self.crash_columns = len(crash)
+
+    def _place_bounds(self) -> None:
+        """Each nonbasic variable with two finite bounds whose reduced cost
+        favours its other bound, best score first (ties to the lower index),
+        moves there unless a basic variable would end further outside its
+        bounds than it is."""
+        d = self._reduced_costs()
+        score = np.where(self.status == lp._AT_LB, -d, np.where(self.status == lp._AT_UB, d, 0.0))
+        boxed = np.isfinite(self.lb) & np.isfinite(self.ub) & (self.ub > self.lb)
+        for q in sorted(np.flatnonzero(boxed & (score > self.opt_tol)).tolist(), key=lambda j: -score[j]):
+            sigma = 1.0 if self.status[q] == lp._AT_LB else -1.0
+            xB = self.xB - self.T[:, q] * (sigma * (self.ub[q] - self.lb[q]))
+            lbB, ubB = self.lb[self.basis], self.ub[self.basis]
+            if np.any(xB < np.minimum(lbB, self.xB) - self.pivot_tol) or \
+                    np.any(xB > np.maximum(ubB, self.xB) + self.pivot_tol):
+                continue
+            self.xB = xB
+            self.status[q] = lp._AT_UB if sigma > 0.0 else lp._AT_LB
+            self.nb_value[q] = self.ub[q] if sigma > 0.0 else self.lb[q]
+            self.start_flips += 1
 
     def _refactorize(self) -> None:
         self.refactorizations += 1

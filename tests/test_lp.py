@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib.util
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,6 +108,42 @@ def test_the_first_faulty_variable_then_the_first_faulty_row_is_named():
         _problem([0.0], [1.0], [0.0], **rows)
     with pytest.raises(lp.LpError, match="variable x1: inverted bounds"):
         _problem([0.0, 2.0, 0.0], [1.0, 1.0, -1.0], [0.0] * 3, **rows)
+
+
+_ONE_ROW = dict(lb=[0.0, 0.0], ub=[1.0, 1.0], cost=[0.0, 0.0], var_names=["x0", "x1"], indptr=[0, 2],
+                indices=[0, 1], data=[1.0, 1.0], senses=["<="], rhs=[1.0], row_names=["r0"])
+
+
+@pytest.mark.parametrize("change, fault", [
+    (dict(indptr=[0]), "indptr has 1 offsets for 1 rows, not 2"),
+    (dict(indptr=[0, 1]), "indptr runs from 0 to 1, not from 0 to 2"),
+    (dict(indptr=[1, 2]), "indptr runs from 1 to 2, not from 0 to 2"),
+    (dict(indptr=[0, 2, 1, 2], senses=["<="] * 3, rhs=[1.0] * 3, row_names=["r0", "r1", "r2"]),
+     "constraint 'r1': indptr falls from 2 to 1"),
+    (dict(data=[1.0, 1.0, 1.0]), r"terms: indices and data differ in length \(2, 3\)"),
+    (dict(lb=[0.0, 0.0, 0.0]), r"variables: lb, ub, cost and var_names differ in length \(3, 2, 2, 2\)"),
+    (dict(cost=[0.0]), r"variables: lb, ub, cost and var_names differ in length \(2, 2, 1, 2\)"),
+    (dict(var_names=["x0"]), r"variables: lb, ub, cost and var_names differ in length \(2, 2, 2, 1\)"),
+    (dict(senses=["<=", "<="]), r"rows: rhs, senses and row_names differ in length \(1, 2, 1\)"),
+    (dict(row_names=[]), r"rows: rhs, senses and row_names differ in length \(1, 1, 0\)"),
+    (dict(indices=[0, 0]), "constraint 'r0': variable id 0 repeats"),
+    (dict(indices=[1, 0]), "constraint 'r0': variable id 0 follows the larger id 1"),
+], ids=["indptr-short", "indptr-end", "indptr-start", "indptr-falls", "data-long", "lb-long", "cost-short",
+        "var-names-short", "senses-long", "row-names-short", "id-repeats", "ids-descend"])
+def test_malformed_compressed_rows_are_rejected_naming_the_fault(change, fault):
+    with pytest.raises(lp.LpError, match=f"^{fault}$"):
+        lp.LpProblem("p", **{**_ONE_ROW, **change})
+
+
+def test_column_order_is_checked_within_rows_not_across_them():
+    # row 1 restarts at a lower id, and the fault is named in the first
+    # faulty row, before a later row's unknown sense
+    two_rows = {**_ONE_ROW, "indptr": [0, 2, 3], "data": [1.0, 1.0, 1.0], "rhs": [1.0, 0.0],
+                "row_names": ["r0", "r1"]}
+    p = lp.LpProblem("p", **{**two_rows, "indices": [0, 1, 0], "senses": ["<=", ">="]})
+    assert lp.solve(p).status == lp.OPTIMAL
+    with pytest.raises(lp.LpError, match="^constraint 'r0': variable id 1 repeats$"):
+        lp.LpProblem("p", **{**two_rows, "indices": [1, 1, 0], "senses": ["<=", "!"]})
 
 
 def test_unbounded_detection():
@@ -279,6 +317,44 @@ def test_crash_basis_matches_row_by_row_reference():
     assert n_crash > 0  # the sample must exercise the crash
 
 
+def _violations(sim) -> np.ndarray:
+    """Each basic variable's distance outside its bounds, 0 inside them."""
+    lbB, ubB = sim.lb[sim.basis], sim.ub[sim.basis]
+    return np.maximum(np.maximum(lbB - sim.xB, sim.xB - ubB), 0.0)
+
+
+def test_start_moves_columns_to_the_bound_their_cost_favours_and_worsens_no_basic_violation(
+        example_with_high, example_scenario):
+    problems = [build_problem(*random_bounded_lp(np.random.default_rng(seed))) for seed in range(100)]
+    problems += [build_problem(*random_banded_lp(np.random.default_rng(seed))) for seed in range(100)]
+    problems += [p for ct in evba.OBJECTIVE_VARIANTS.values() for p in evba.build_evba(example_with_high, ct)]
+    problems.append(_fifteen_minute_lp(example_scenario))
+    n_moved = n_held = 0
+    for p in problems:
+        sim = lp._Simplex(p)
+        sim._setup()
+        basis, status, before, d = sim.basis.copy(), sim.status.copy(), _violations(sim), sim._reduced_costs()
+        sim._place_bounds()
+        assert np.array_equal(sim.basis, basis)
+        assert np.all(_violations(sim) <= before + sim.pivot_tol)
+        moved = np.flatnonzero(sim.status != status)
+        assert sim.start_flips == moved.size
+        # a negative reduced cost favours the upper bound, a positive one the lower
+        at_lb = status[moved] == lp._AT_LB
+        assert np.all(np.where(at_lb, d[sim.pos[moved]] < -sim.opt_tol, d[sim.pos[moved]] > sim.opt_tol))
+        assert np.array_equal(sim.status[moved], np.where(at_lb, lp._AT_UB, lp._AT_LB))
+        assert np.array_equal(sim.nb_value[moved], np.where(at_lb, sim.ub[moved], sim.lb[moved]))
+        # the basic values are those of the moved nonbasic point
+        A = np.hstack([dense_A(sim), np.eye(sim.m)])
+        x_n = np.where(sim.status == lp._BASIC, 0.0, sim.nb_value)
+        np.testing.assert_allclose(sim.xB, np.linalg.solve(A[:, sim.basis], sim.b - A @ x_n), rtol=0.0, atol=1e-9)
+        favoured = np.flatnonzero((sim.sign * d > sim.opt_tol) & (sim.ub - sim.lb < lp.INF)[sim.cols])
+        n_moved += moved.size
+        n_held += favoured.size  # columns the guard kept where they were
+    # the corpus must exercise both the moves and the guard
+    assert n_moved > 100 and n_held > 10
+
+
 def test_tableau_holds_one_column_per_variable_that_can_enter(example_scenario):
     s = refine(example_scenario, "ev1", 4)
     s = s.with_prices(generate_price_set("high", seed=1, step_count=96, step_hours=0.25))
@@ -429,9 +505,9 @@ def test_pivots_match_dense_reference_on_random_lps():
         _assert_same_as_dense_reference(build_problem(*random_bounded_lp(np.random.default_rng(seed))))
 
 
-def _fifteen_minute_lp(example_scenario) -> lp.LpProblem:
+def _fifteen_minute_lp(example_scenario, seed: int = 1) -> lp.LpProblem:
     s = refine(example_scenario, "ev1", 4)
-    s = s.with_prices(generate_price_set("high", seed=1, step_count=96, step_hours=0.25))
+    s = s.with_prices(generate_price_set("high", seed=seed, step_count=96, step_hours=0.25))
     (p,) = evba.build_evba(s, evba.cost_toggles_for("of5"))
     assert (p.num_variables, p.num_constraints) == (480, 280)
     return p
@@ -573,6 +649,31 @@ def test_long_horizon_lp_matches_highs(example_scenario):
     sol = lp.solve(p)
     assert sol.status == lp.OPTIMAL
     assert sol.objective == pytest.approx(block_diagonal_scipy_optimum([p]), rel=1e-9, abs=1e-9)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_fifteen_minute_window_lp_takes_at_most_two_iterations(example_scenario, seed):
+    # 13 and 17 iterations when every boxed column started at its lower bound
+    sol = lp.solve(_fifteen_minute_lp(example_scenario, seed))
+    assert sol.status == lp.OPTIMAL and sol.iterations <= 2
+    assert sol.stats.start_flips > 0
+
+
+def test_horizon_ladder_takes_at_most_two_iterations_per_rung_and_matches_highs(example_scenario):
+    # ev1 under of5 and high prices at 15, 7.5, 3.75 and 1.875 minutes a
+    # step; the comparison with HiGHS needs scipy, the iteration bound not
+    has_scipy = importlib.util.find_spec("scipy") is not None
+    for factor in (4, 8, 16, 32):
+        T = 24 * factor
+        s = refine(example_scenario, "ev1", factor)
+        s = s.with_prices(generate_price_set("high", seed=7, step_count=T, step_hours=1.0 / factor))
+        (p,) = evba.build_evba(s, evba.cost_toggles_for("of5"))
+        assert (p.num_variables, p.num_constraints) == (120 * factor, 70 * factor)
+        sol = lp.solve(p)
+        assert sol.status == lp.OPTIMAL and sol.iterations <= 2, (T, sol.stats)
+        if has_scipy:
+            highs = block_diagonal_scipy_optimum([p], method="highs-ds")
+            assert sol.objective == pytest.approx(highs, rel=1e-9, abs=1e-9), T
 
 
 def test_singular_basis_raises_naming_the_problem():
