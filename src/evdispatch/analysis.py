@@ -157,9 +157,11 @@ def check_schedule(s: Scenario, fs: FleetSchedule) -> ViolationReport:
         for t, c in zip(*np.nonzero(hit.T)):  # by step, then check
             rep.violations.append(Violation(v.id, int(t), checks[c][0], float(magnitude[c, t])))
         for t in np.flatnonzero((sch > 1e-6) & (dch > 1e-6)).tolist():
+            # rounded to 9 decimals first, so a value on a half prints the
+            # same digits whichever way its last bit falls
             rep.flags.append(
-                f"vehicle {v.id!r} step {t}: simultaneous charge {sch[t]:.4f} kWh "
-                f"and discharge {dch[t]:.4f} kWh"
+                f"vehicle {v.id!r} step {t}: simultaneous charge {round(sch[t], 9):.4f} kWh "
+                f"and discharge {round(dch[t], 9):.4f} kWh"
             )
         if stock[T - 1] < v.soe_initial_kwh - FEAS_TOL:
             shortfall = float(v.soe_initial_kwh - stock[T - 1])

@@ -12,6 +12,12 @@ def _fmt(x: float) -> str:
     return f"{x:.2f}"
 
 
+def _label(v: float) -> str:
+    """A value caption to 3 decimals, rounded to 9 first, so a value on a
+    half prints the same digits whichever way its last bit falls."""
+    return f"{round(v, 9):.3f}"
+
+
 def _scale(vals_min: float, vals_max: float, span: float, offset: float):
     lo, hi = vals_min, vals_max
     if hi - lo < 1e-12:
@@ -51,7 +57,7 @@ def line_chart(series: list[tuple[str, list[float]]], *, title: str, y_label: st
         v = lo + (hi - lo) * k / 4
         y = to_y(v)
         body.append(f'<line x1="{_ML - 4}" y1="{_fmt(y)}" x2="{_ML}" y2="{_fmt(y)}" stroke="black"/>')
-        body.append(f'<text x="{_ML - 8}" y="{_fmt(y + 4)}" text-anchor="end">{v:.3f}</text>')
+        body.append(f'<text x="{_ML - 8}" y="{_fmt(y + 4)}" text-anchor="end">{_label(v)}</text>')
     for i in range(0, n, max(1, n // 8)):
         x = to_x(i)
         body.append(f'<line x1="{_fmt(x)}" y1="{_H - _MB}" x2="{_fmt(x)}" y2="{_H - _MB + 4}" stroke="black"/>')
@@ -84,7 +90,7 @@ def bar_chart(labels: list[str], values: list[float | None], *, title: str, y_la
         v = lo + (hi - lo) * k / 4
         y = to_y(v)
         body.append(f'<line x1="{_ML - 4}" y1="{_fmt(y)}" x2="{_ML}" y2="{_fmt(y)}" stroke="black"/>')
-        body.append(f'<text x="{_ML - 8}" y="{_fmt(y + 4)}" text-anchor="end">{v:.3f}</text>')
+        body.append(f'<text x="{_ML - 8}" y="{_fmt(y + 4)}" text-anchor="end">{_label(v)}</text>')
     for i, (label, v) in enumerate(zip(labels, values)):
         x = _ML + slot * i + slot * 0.2
         w = slot * 0.6
@@ -101,6 +107,6 @@ def bar_chart(labels: list[str], values: list[float | None], *, title: str, y_la
         )
         body.append(label_text)
         body.append(
-            f'<text x="{_fmt(x + w / 2)}" y="{_fmt(top - 4)}" text-anchor="middle">{v:.3f}</text>'
+            f'<text x="{_fmt(x + w / 2)}" y="{_fmt(top - 4)}" text-anchor="middle">{_label(v)}</text>'
         )
     return _frame(title, y_label, body)

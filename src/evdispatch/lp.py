@@ -1,13 +1,14 @@
-"""Bounded-variable linear programming with a dense simplex.
+"""Bounded-variable linear programming with a revised simplex.
 
 Self-contained minimization solver for problems with box-constrained
-variables and sparse linear rows. Built for the sizes this package produces
-(a few hundred rows and columns), where a dense tableau is both fast enough
-and easy to verify.
+variables and sparse linear rows, built for the sizes this package produces
+(tens to a few thousand rows). The basis is held as a product-form factor,
+so no array of rows by columns is built unless numerical drift forces a
+rebuild.
 
 A problem is given whole: ``LpProblem`` takes the variables' bounds and
 costs and the rows in compressed sparse row form, which the crash, the
-tableau set-up and the residuals read directly.
+transforms and the residuals read directly.
 
 Algorithm notes:
 - every row gets a slack variable whose bounds are the only encoding of the
@@ -15,47 +16,39 @@ Algorithm notes:
   zero). There are no artificial columns: every slack starts basic at its
   row residual, even outside its bounds, and a triangular crash makes one
   structural column basic per equality row (Bixby, ORSA J. Comput. 4(3), 1992);
+- the factor is a product of etas (Dantzig & Orchard-Hays, MTAC 8(46),
+  1954). The crash needs no pivots: a pick is zero in every row taken
+  before it, so in pick order each picked sparse column is its own eta.
+  Each pivot adds one eta ``I - u e_r^T``; the pivots' etas are kept
+  multiplied out as ``I - U^T Z`` (one row of ``U`` and of ``Z`` each), so
+  they apply in two matrix-vector products however many there are;
+- FTRAN (``B^-1 v``) runs the crash etas in pick order, skipping each whose
+  row of ``v`` is zero, then the pivots' product; BTRAN (``y^T B^-1``) runs
+  them the other way round and returns a zero ``y`` as it is. The basic
+  values are one FTRAN of ``b - A x_N``, every start move and entering
+  column reads one FTRAN, and reduced costs are ``c - [A | I]^T y`` summed
+  from the sparse rows, with ``y`` one BTRAN of the basic costs. They are
+  derived afresh after every pivot, so optimality needs no re-derivation;
 - between the crash and phase 1 the start is priced once: each nonbasic
   column with two finite bounds whose reduced cost favours its other bound
   (``sign * d > opt_tol``) moves there, best score first with ties to the
-  lower tableau column, unless the move takes a basic variable further
+  lower candidate column, unless the move takes a basic variable further
   outside its bounds than it already is (beyond ``pivot_tol``). The basis
-  does not change, so neither do the reduced costs; ``start_flips`` counts
-  the moves, which are not iterations (Bixby, 1992, section 4);
+  does not change, so neither do the reduced costs: phase 2 starts from
+  them when phase 1 makes no pivot. ``start_flips`` counts the moves, which
+  are not iterations (Bixby, 1992, section 4);
 - phase 1 is Wolfe's composite method in the same pivot loop: it minimises
   the sum of the basic variables' bound violations, prices from the
-  infeasible rows only, and lets an infeasible basic variable block at the
-  bound it violates (SIAM Rev. 7(1), 1965); it ends infeasible when a basic
-  violation above ``FEAS_TOL`` remains;
-- the tableau holds only columns that can enter: fixed columns (equality
-  slacks and ``lb == ub`` structurals) never enter and are left out, which
-  on window LPs is about a quarter of all columns. Tableau column ``k`` is
-  variable ``cols[k]`` and ``pos`` maps a variable back (-1 when fixed);
-  everything per column (pricing signs, reduced costs, the ratio test's
-  column) is indexed by tableau column, everything per variable (status,
-  bounds, nonbasic values, the basis) by variable. Set-up scatters the
-  sparse rows straight into ``T``;
-- the tableau ``T = B^-1 A`` is stored column-major, and a pivot updates
-  only the columns where the normalised pivot row is nonzero and, in them,
-  only the rows from the first to the last nonzero of the entering column
-  (none when that column is nonzero in the pivot row alone): every other
-  entry is unchanged by the rank-1 update. Each updated column is one
-  contiguous row of the C-ordered view ``T.T``, and the outer product is
-  one BLAS matrix product with an inner dimension of 1, so each updated
-  entry gets one rounded multiply and one subtract, as in a full update.
-  A full update subtracts a signed zero from the entries it skips, and BLAS
-  may write ``+0.0`` where an elementwise product gives ``-0.0``, so an
-  exact zero of ``T`` may differ in sign from a full update's; no pivot
-  decision reads the sign of a zero;
-- in reverse order every crash pivot row is an original row, so its
-  nonzero entries are its sparse entries in columns that can enter: a crash
-  pivot updates those columns alone, without a scan of the row, and the
-  status, pricing signs and basic bounds are derived once after the crash;
-- reduced costs are one BLAS matrix-vector product, ``T.T @ cost[basis]``,
-  on the C-ordered view of ``T``; phase 1's prices are the same product
-  with a vector of -1 above the upper bound, +1 below the lower bound and
-  0 elsewhere. BLAS sums in its own order, so these may differ from a
-  row-vector product in the last bits;
+  infeasible rows only (one BTRAN of -1 above the upper bound, +1 below the
+  lower bound and 0 elsewhere), and lets an infeasible basic variable block
+  at the bound it violates (SIAM Rev. 7(1), 1965); it ends infeasible when
+  a basic violation above ``FEAS_TOL`` remains;
+- only columns that can enter are priced: fixed columns (equality slacks
+  and ``lb == ub`` structurals) never enter, which on window LPs is about a
+  quarter of all columns. Candidate column ``k`` is variable ``cols[k]`` and
+  ``pos`` maps a variable back (-1 when fixed); everything per column
+  (pricing signs, reduced costs) is indexed by candidate column, everything
+  per variable (status, bounds, nonbasic values, the basis) by variable;
 - pricing is Dantzig (most negative reduced cost) with a permanent switch to
   Bland's rule after a stall, which guarantees termination. Each column
   keeps its pricing sign (-1 at a lower bound, +1 at an upper bound, 0 when
@@ -67,11 +60,9 @@ Algorithm notes:
 - optimality and primal feasibility are re-verified from the original data
   before a solution is declared optimal: structurals and the implied slacks
   ``b - A x`` must be within ``FEAS_TOL`` of their bounds, and a NaN
-  anywhere fails the check; on drift the tableau is rebuilt from the current
-  basis and both phases run again;
-- there is no dense copy of ``A``: the start's residual ``b - A x`` and the
-  implied slacks are summed from the sparse rows, each row in column order,
-  and only a refactorization builds ``[A | I]`` densely, for that rebuild.
+  anywhere fails the check; on drift the factor is rebuilt as a dense
+  inverse of the current basis, the one place ``[A | I]`` is built densely,
+  and both phases run again.
 
 Deterministic by construction: same problem, same pivots, same answer.
 """
@@ -241,7 +232,7 @@ class SolveStats:
 
     n: int  # structural columns
     m: int  # rows
-    tableau_columns: int  # columns that can enter (ub > lb), the width of the tableau
+    tableau_columns: int  # columns that can enter (ub > lb), the ones priced
     crash_columns: int
     start_flips: int  # nonbasic columns moved to their other bound before phase 1
     phase1_pivots: int
@@ -292,8 +283,8 @@ class _Simplex:
         self.lb = np.concatenate([p._lb, np.where(sense == ">=", -INF, 0.0)])
         self.ub = np.concatenate([p._ub, np.where(sense == "<=", INF, 0.0)])
         self.cost = np.concatenate([p._cost, np.zeros(m)])
-        # tableau column k is variable cols[k]; fixed variables never enter
-        # and have no column (pos -1)
+        # candidate column k is variable cols[k]; fixed variables never enter
+        # and have no candidate column (pos -1)
         self.cols = np.flatnonzero(self.ub - self.lb > 0.0)
         self.pos = np.full(n + m, -1, dtype=np.intp)
         self.pos[self.cols] = np.arange(len(self.cols))
@@ -308,77 +299,62 @@ class _Simplex:
         """Slack basis, then a triangular crash: each equality row in order
         takes the structural column with the widest nonzero bound range
         (ties to the lowest index) among those nonzero in it and zero in
-        every row taken before it."""
-        n, m = self.n_struct, self.m
-        status = np.full(n + m, _FREE, dtype=np.int8)
-        status[np.isfinite(self.ub)] = _AT_UB
-        status[np.isfinite(self.lb)] = _AT_LB  # prefer the lower bound when both are finite
-        status[n:] = _BASIC
-        self.status = status
-        self.nb_value = np.where(status == _AT_LB, self.lb, np.where(status == _AT_UB, self.ub, 0.0))
-        self.basis = n + np.arange(m)
-        self.xB = self.b - self._row_products(self.nb_value[:n])
-        # B = I, so T is [A | I] on the columns that can enter
-        self.T = np.zeros((m, len(self.cols)), order="F")
-        at = self.pos[self.p._indices]  # the tableau column of each sparse entry
-        keep = at >= 0
-        self.T[self.row_of[keep], at[keep]] = self.p._data[keep]
-        slack = np.flatnonzero(self.pos[n:] >= 0)
-        self.T[slack, self.pos[n + slack]] = 1.0
+        every row taken before it. The factor is one eta per pick, in pick
+        order, and the basic values are one FTRAN of ``b - A x_N``."""
+        n, m, p = self.n_struct, self.m, self.p
+        # the structural columns, each in row order
+        order = np.argsort(p._indices, kind="stable")
+        self.col_ptr = np.concatenate([[0], np.cumsum(np.bincount(p._indices, minlength=n))]).tolist()
+        self.col_row, self.col_val = self.row_of[order].tolist(), p._data[order].tolist()
         # each equality row's nonzero columns, in pick order: those with a
         # nonzero range first, widest first, ties to the lowest index
-        eq = (self.pos[n:] < 0)[self.row_of] & (self.p._data != 0.0)
-        row, col = self.row_of[eq], self.p._indices[eq]
+        eq = (self.pos[n:] < 0)[self.row_of] & (p._data != 0.0)
+        row, col = self.row_of[eq], p._indices[eq]
         width = self.ub[col] - self.lb[col]
         order = np.lexsort((col, -width, width <= 0.0, row))
         row, col, width = row[order], col[order], width[order]
         start = np.flatnonzero(np.diff(row, prepend=-1))
         n_cand = np.add.reduceat(width > 0.0, start) if start.size else start
-        cols, blocked, crash = col.tolist(), set(), []
+        # the picks are triangular: a pick is zero in every row taken before
+        # it, so in pick order each picked column is its own eta
+        self.inverse = None  # a refactorization's dense B^-1, in place of the crash etas
+        self.etas = []
+        self._clear_updates()
+        cols, blocked, picks = col.tolist(), set(), []
         for i, a, b, c in zip(row[start].tolist(), start.tolist(), [*start[1:].tolist(), len(cols)],
                               (start + n_cand).tolist()):
             for j in cols[a:c]:
                 if j not in blocked:
-                    crash.append((i, j))
                     blocked.update(cols[a:b])
+                    picks.append(j)
+                    lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
+                    pairs = list(zip(self.col_row[lo:hi], self.col_val[lo:hi]))
+                    self.etas.append((i, pairs.pop(self.col_row.index(i, lo, hi) - lo)[1], pairs))
                     break
-        # the picks are triangular, so in reverse order every pivot row is an
-        # original row: its nonzero tableau entries are its sparse entries in
-        # columns that can enter, and every other entry is 0.0. Each pivot
-        # moves its column until the slack is zero, with the arithmetic of
-        # _pivot on those entries alone
-        live = keep & (self.p._data != 0.0)
-        first = np.concatenate([[0], live.cumsum()])[self.p._indptr].tolist()
-        live_at, live_val = at[live], self.p._data[live]
-        T, xB = self.T, self.xB
-        for r, q in reversed(crash):
-            k = self.pos[q]
-            nz = live_at[first[r]:first[r + 1]]
-            piv = T[r, k]
-            delta = xB[r] / piv
-            col = T[:, k].copy()
-            xB -= col * delta
-            xB[r] = self.nb_value[q] + delta
-            col[r] = 0.0
-            row = live_val[first[r]:first[r + 1]] / piv
-            T[r, nz] = row
-            T.T[nz] -= np.dot(row[:, None], col[None, :])
-        rows = n + np.array([r for r, _ in crash], dtype=np.intp)
-        picks = np.array([q for _, q in crash], dtype=np.intp)
-        self.status[rows] = _AT_LB
-        self.nb_value[rows] = self.lb[rows]
-        self.basis[rows - n] = picks
-        self.status[picks] = _BASIC
+        rows = np.array([r for r, _, _ in self.etas], dtype=np.intp)
+        status = np.full(n + m, _FREE, dtype=np.int8)
+        status[np.isfinite(self.ub)] = _AT_UB
+        status[np.isfinite(self.lb)] = _AT_LB  # prefer the lower bound when both are finite
+        status[n + rows] = _AT_LB
+        self.basis = n + np.arange(m)
+        self.basis[rows] = picks
+        status[self.basis] = _BASIC
+        self.status = status
+        self.nb_value = np.where(status == _AT_LB, self.lb, np.where(status == _AT_UB, self.ub, 0.0))
+        self.xB = self._ftran((self.b - self._row_products(self.nb_value[:n])).tolist())
+        self.d = None  # reduced costs of the current basis, once derived
         self._sync()
-        self.crash_columns = len(crash)
+        self.crash_columns = len(picks)
 
     def _place_bounds(self) -> None:
         """Move nonbasic columns with two finite bounds to the bound their
-        reduced cost favours, best score first (ties to the lower tableau
+        reduced cost favours, best score first (ties to the lower candidate
         column), each unless it takes a basic variable further outside its
         bounds than it already is. The basis is unchanged, so one pass of
-        reduced costs prices every move."""
-        score = self.sign * self._reduced_costs()
+        reduced costs prices every move, and phase 2 starts from it when
+        phase 1 makes no pivot."""
+        self.d = self._reduced_costs()
+        score = self.sign * self.d
         width = (self.ub - self.lb)[self.cols]
         cand = np.flatnonzero((score > self.opt_tol) & (width < INF))
         tol = self.pivot_tol
@@ -387,7 +363,7 @@ class _Simplex:
         for k in cand[np.argsort(-score[cand], kind="stable")].tolist():
             q = self.cols[k]
             sigma = -self.sign[k]  # +1 up from the lower bound, -1 down from the upper
-            xB = self.xB - self.T[:, k] * (sigma * width[k])
+            xB = self.xB - self._ftran(self._column(q)) * (sigma * width[k])
             if ((xB < lo) | (xB > hi)).any():
                 continue
             self.xB = xB
@@ -398,18 +374,78 @@ class _Simplex:
             self.start_flips += 1
 
     def _sync(self) -> None:
-        """Derive the pricing sign of every tableau column and the bounds of
-        the basic variables from the status and the basis; pivots then keep
-        both up to date."""
+        """Derive the pricing sign of every candidate column and the bounds
+        of the basic variables from the status and the basis; pivots then
+        keep both up to date."""
         self.sign = _SCORE_SIGN[self.status[self.cols]]
         self.has_free = bool((self.status == _FREE).any())
         self.lbB = self.lb[self.basis]
         self.ubB = self.ub[self.basis]
 
+    # -- the factor --------------------------------------------------------
+
+    def _column(self, q: int) -> list[float]:
+        """Column ``q`` of ``[A | I]``, dense, as a list."""
+        v = [0.0] * self.m
+        if q < self.n_struct:
+            a, b = self.col_ptr[q], self.col_ptr[q + 1]
+            for i, x in zip(self.col_row[a:b], self.col_val[a:b]):
+                v[i] = x
+        else:
+            v[q - self.n_struct] = 1.0
+        return v
+
+    def _clear_updates(self) -> None:
+        """Empty the pivots' etas: ``U`` and ``Z`` hold their rows in the
+        first ``updates`` rows, and grow when full."""
+        self.U, self.Z, self.updates = np.empty((0, self.m)), np.empty((0, self.m)), 0
+
+    def _ftran(self, v: list[float]) -> np.ndarray:
+        """``B^-1 v``, overwriting the list ``v``: the crash etas in pick
+        order, each skipped when its row of ``v`` is zero, then the pivots'
+        etas in two products."""
+        if self.inverse is not None:
+            v = (self.inverse @ v).tolist()
+        for r, piv, pairs in self.etas:
+            t = v[r]
+            if t:
+                t /= piv
+                v[r] = t
+                for i, x in pairs:
+                    v[i] -= x * t
+        v = np.fromiter(v, float, self.m)
+        if self.updates:
+            k = self.updates
+            v -= (self.Z[:k] @ v) @ self.U[:k]
+        return v
+
+    def _btran(self, y: np.ndarray) -> np.ndarray:
+        """``B^-T y``, that is ``y^T B^-1``: the pivots' etas in two
+        products, then the crash etas in reverse pick order, skipped when
+        ``y`` is zero."""
+        if self.updates:
+            k = self.updates
+            y = y - (self.U[:k] @ y) @ self.Z[:k]
+        y = y.tolist()
+        for r, piv, pairs in reversed(self.etas if any(y) else ()):
+            t = y[r]
+            for i, x in pairs:
+                t -= x * y[i]
+            y[r] = t / piv
+        y = np.fromiter(y, float, self.m)
+        return y if self.inverse is None else y @ self.inverse
+
+    def _prices(self, y: np.ndarray) -> np.ndarray:
+        """``y^T [A | I]`` on the candidate columns, summed from the sparse
+        rows."""
+        p = self.p
+        yA = np.bincount(p._indices, weights=p._data * y[self.row_of], minlength=self.n_struct)
+        return np.concatenate([yA, y])[self.cols]
+
     # -- helpers -----------------------------------------------------------
 
     def _reduced_costs(self) -> np.ndarray:
-        return self.cost[self.cols] - self.T.T @ self.cost[self.basis]
+        return self.cost[self.cols] - self._prices(self._btran(self.cost[self.basis]))
 
     def _row_products(self, x: np.ndarray) -> np.ndarray:
         """``A x`` from the sparse rows, each row summed in column order."""
@@ -417,20 +453,21 @@ class _Simplex:
         return np.bincount(self.row_of, weights=p._data * x[p._indices], minlength=self.m)
 
     def _refactorize(self) -> None:
-        """Rebuild the tableau and basic values from the original columns."""
+        """Rebuild the factor and basic values from the original columns: a
+        dense inverse of the basis, with an empty eta file after it."""
         self.refactorizations += 1
         A = np.hstack([np.zeros((self.m, self.n_struct)), np.eye(self.m)])  # [A | I]
         A[self.row_of, self.p._indices] = self.p._data
-        B = A[:, self.basis]
         nb_mask = self.status != _BASIC
         contrib = A[:, nb_mask] @ self.nb_value[nb_mask]
         try:
-            # solved for every column, so the kept ones get the bits a
-            # full-width tableau would hold
-            self.T = np.asfortranarray(np.linalg.solve(B, A)[:, self.cols])
-            self.xB = np.linalg.solve(B, self.b - contrib)
+            self.inverse = np.linalg.inv(A[:, self.basis])
         except np.linalg.LinAlgError as exc:
             raise ArithmeticError(f"singular basis in {self.p.name!r}: {exc}") from exc
+        self.etas = []
+        self._clear_updates()
+        self.xB = self.inverse @ (self.b - contrib)
+        self.d = None
         self._sync()
 
     def _assemble_x(self) -> np.ndarray:
@@ -451,7 +488,7 @@ class _Simplex:
     # -- core iteration ----------------------------------------------------
 
     def _price(self, d: np.ndarray, bland: bool) -> int:
-        """Pick the entering tableau column, or -1 when none is eligible (optimality)."""
+        """Pick the entering candidate column, or -1 when none is eligible (optimality)."""
         score = self.sign * d
         if self.has_free:
             free = self.status[self.cols] == _FREE
@@ -462,44 +499,41 @@ class _Simplex:
         q = int((score > self.opt_tol if bland else score).argmax())
         return q if score[q] > self.opt_tol else -1
 
-    def _pivot(self, r: int, k: int, entering_val: float, leaving_status: int) -> np.ndarray:
-        """Exchange basic row ``r`` for tableau column ``k``; the leaver rests
-        at a bound. Returns the normalised pivot row."""
+    def _pivot(self, r: int, k: int, w: np.ndarray, entering_val: float, leaving_status: int) -> None:
+        """Exchange basic row ``r`` for candidate column ``k``, whose FTRAN is
+        ``w``, by appending its eta; the leaver rests at a bound."""
         leaving, q = self.basis[r], self.cols[k]
         self.status[leaving] = leaving_status
         self.nb_value[leaving] = self.lb[leaving] if leaving_status == _AT_LB else self.ub[leaving]
         if self.pos[leaving] >= 0:
             self.sign[self.pos[leaving]] = _SCORE_SIGN[leaving_status]
-        # the row is strided in T, so it is read once into a contiguous copy
-        row = self.T[r] / self.T[r, k]
-        self.T[r] = row
-        col = self.T[:, k].copy()
-        col[r] = 0.0
-        # only columns with a nonzero pivot-row entry change, and in them only
-        # the rows from the first to the last nonzero of the entering column;
-        # each updated column is one contiguous row of the C-ordered view T.T
-        span = col.nonzero()[0]
-        if span.size:
-            a, b = span[0], span[-1] + 1
-            nz = row.nonzero()[0]
-            Tt = self.T.T
-            Tt[nz, a:b] -= np.dot(row[nz][:, None], col[None, a:b])
+        # the eta E^-1 = I - u e_r^T, with u = (w - e_r) / w_r, joins the
+        # product P = I - U^T Z of the pivots' etas as a row u of U and the
+        # row e_r^T P of Z
+        j = self.updates
+        if j == len(self.U):  # full: room for as many again and four more
+            self.U, self.Z = (np.vstack([a, np.empty((j + 4, self.m))]) for a in (self.U, self.Z))
+        u, z = self.U[j], self.Z[j]
+        np.divide(w, w[r], out=u)
+        u[r] = 1.0 - 1.0 / w[r]
+        np.dot(-self.U[:j, r], self.Z[:j], out=z)
+        z[r] += 1.0
+        self.updates = j + 1
         self.basis[r] = q
         self.status[q] = _BASIC
         self.sign[k] = 0.0
         self.lbB[r] = self.lb[q]
         self.ubB[r] = self.ub[q]
         self.xB[r] = entering_val
-        return row
+        self.d = None
 
     def _iterate(self, phase1: bool) -> str:
         """Pivot until no column improves the phase's objective: the sum of
         bound violations in phase 1, which ends infeasible when a violation
-        above ``FEAS_TOL`` remains; the cost in phase 2."""
-        d = None if phase1 else self._reduced_costs()
+        above ``FEAS_TOL`` remains; the cost in phase 2, whose reduced costs
+        are derived from the basis after every pivot."""
         stall = 0
         stall_limit = 50 + 2 * (self.m + self.n_struct)
-        verified = not phase1  # reduced costs just derived need no second derivation
         while True:
             bland = self.bland_from is not None
             lbB, ubB = self.lbB, self.ubB
@@ -511,20 +545,18 @@ class _Simplex:
                 # a basic variable costs -1 below its lower bound, +1 above its
                 # upper, and blocks only at the bound it violates
                 above = out & (self.xB > ubB)
-                d = self.T.T @ np.where(above, -1.0, np.where(out, 1.0, 0.0))
+                d = self._prices(self._btran(np.where(above, -1.0, np.where(out, 1.0, 0.0))))
                 lbB, ubB = (np.where(above, ubB, np.where(out, -INF, lbB)),
                             np.where(above, INF, np.where(out, lbB, ubB)))
+            else:
+                if self.d is None:
+                    self.d = self._reduced_costs()
+                d = self.d
             k = self._price(d, bland)
             if k < 0:
                 if phase1:
                     return INFEASIBLE if gap.max() > FEAS_TOL else OPTIMAL
-                if verified:
-                    return OPTIMAL
-                # re-derive reduced costs from scratch to rule out drift
-                d = self._reduced_costs()
-                verified = True
-                continue
-            verified = False
+                return OPTIMAL
             if self.iterations >= self.max_iter:
                 return ITERATION_LIMIT
             self.iterations += 1
@@ -536,7 +568,7 @@ class _Simplex:
                 sigma = 1.0
             # ratio test: a row whose |w| exceeds pivot_tol blocks where its
             # basic variable, moving by -sigma * w per unit, meets a bound
-            w = self.T[:, k]
+            w = self._ftran(self._column(q))
             falls = w > 0.0 if sigma > 0.0 else w < 0.0  # sigma * w > 0
             aw = np.abs(w)
             room = np.where(falls, self.xB - lbB, ubB - self.xB)
@@ -580,9 +612,7 @@ class _Simplex:
             # a feasible leaver rests at the bound it moves toward, an
             # infeasible one at the bound it violated, on the other side
             infeasible = phase1 and bool(out[r])
-            row = self._pivot(r, k, entering_val, _AT_LB if falls[r] != infeasible else _AT_UB)
-            if not phase1:
-                d -= d[k] * row
+            self._pivot(r, k, w, entering_val, _AT_LB if falls[r] != infeasible else _AT_UB)
 
     def run(self) -> LpSolution:
         self._setup()

@@ -437,20 +437,19 @@ def dense_A(sim: lp._Simplex) -> np.ndarray:
 
 class DenseSimplex(lp._Simplex):
     """The simplex with its plain dense kernel, as the reference for the
-    solver's sparse one: a row-major tableau, a rank-1 update of every
+    solver's revised one: a row-major tableau, a rank-1 update of every
     column through a scratch buffer, pricing by one mask per status, and a
     pivot loop that reads the basic bounds from the basis and runs its ratio
     test by boolean masks.
 
-    The solver's kernel must reproduce this one bit for bit: the same
-    pivots, iterations, ``x``, objective and tableau entries. Reduced costs
-    are the exception, equal to 1e-12: the solver sums them in one BLAS
-    matrix-vector product, in another order than this kernel's row-vector
-    product, so the start's bound moves, which order by reduced cost, match
-    unless two scores tie to within those bits. Its tableau is full width,
-    one column per variable, fixed ones included; it shares only the
-    problem's arrays, the set-up residual ``b - A x`` from the sparse rows,
-    the ``run`` loop and the final verification with the solver.
+    In exact arithmetic the solver takes this kernel's pivots. It sums
+    reduced costs in another order, from its factor, so where two columns
+    tie to the last bits it may pivot otherwise and end at another optimal
+    vertex; the two agree on statuses and on objectives to 1e-9 relative.
+    Its tableau is full width, one column per variable, fixed ones
+    included; it shares only the problem's arrays, the set-up residual
+    ``b - A x`` from the sparse rows, the ``run`` loop and the final
+    verification with the solver.
     """
 
     def _setup(self) -> None:
@@ -702,8 +701,8 @@ def check_schedule_by_steps(s, fs) -> ViolationReport:
                 add(v_idx, t, "degradation", short)
             if sch > 1e-6 and dch > 1e-6:
                 rep.flags.append(
-                    f"vehicle {v.id!r} step {t}: simultaneous charge {sch:.4f} kWh "
-                    f"and discharge {dch:.4f} kWh"
+                    f"vehicle {v.id!r} step {t}: simultaneous charge {round(sch, 9):.4f} kWh "
+                    f"and discharge {round(dch, 9):.4f} kWh"
                 )
             prev = stock
         if fs.soe[v_idx, T - 1] < v.soe_initial_kwh - FEAS_TOL:

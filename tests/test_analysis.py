@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from evdispatch import analysis, cli
+from evdispatch import analysis, charts, cli
 from evdispatch.analysis import (
     AblationStudy,
     OrderingError,
@@ -149,6 +149,32 @@ def test_audit_flags_simultaneous_charge_discharge():
     rep = check_schedule(s, fs)
     assert rep.ok
     assert any("simultaneous" in f for f in rep.flags)
+
+
+def _last_bit_neighbours(value: float) -> list[float]:
+    return [float(np.nextafter(value, -np.inf)), value, float(np.nextafter(value, np.inf))]
+
+
+@pytest.mark.parametrize("value", [52.4675, 55.7775, 52.3825])
+def test_a_chart_prints_a_value_on_a_half_the_same_whichever_way_its_last_bit_falls(value):
+    # cp_only's discharge totals on the long-horizon inputs at seeds 0, 1 and
+    # 7, which sit on a half at 3 decimals
+    svgs = {charts.bar_chart(["both", "cp_only"], [50.0, v], title="discharge", y_label="kWh")
+            for v in _last_bit_neighbours(value)}
+    svgs |= {charts.line_chart([("cp_only", [0.0, v])], title="discharge", y_label="kWh")
+             for v in _last_bit_neighbours(value)}
+    assert len(svgs) == 2
+
+
+def test_a_simultaneous_flow_flag_prints_a_value_on_a_half_the_same_whichever_way_its_last_bit_falls():
+    # a 2.01875-kWh burn step, on a half at 4 decimals
+    s = flat_scenario(n_vehicles=1)
+    fs = solve_evba(s, OF1)
+    flags = set()
+    for e in _last_bit_neighbours(2.01875):
+        fs.e_sch[0, 4] = fs.e_dch[0, 4] = e
+        flags.add(tuple(check_schedule(s, fs).flags))
+    assert flags == {("vehicle 'ev0' step 4: simultaneous charge 2.0187 kWh and discharge 2.0187 kWh",)}
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])
