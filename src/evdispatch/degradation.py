@@ -72,9 +72,9 @@ def discharge_wear_slope(v: Vehicle) -> float:
 
 def degradation_rows(
     v: Vehicle, excess, e_dch, soe, t
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, list[str]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The wear row ``s * e_dch + excess >= plane1`` of each vehicle-step, as
-    a block of terms: ``(row, var, coef, senses, rhs, names)``, where term
+    a block of terms: ``(row, var, coef, senses, rhs)``, where term
     k puts ``coef[k]`` on variable ``var[k]`` in row ``row[k]`` and the i-th
     step is in row i. The variable ids and steps are scalars or arrays of
     one length. ``excess`` needs bounds ``[0, inf)`` and objective weight 1,
@@ -86,10 +86,8 @@ def degradation_rows(
     d = v.degradation
     scale = _scale(v)
     # excess + (s - d2') * e_dch + d3' * soe >= C_bat * (d1 + 100 * d3)
-    row = np.tile(np.arange(k), 3)
+    row = np.concatenate([np.arange(k)] * 3)
     var = np.concatenate([excess, e_dch, soe])
     coef = np.repeat([1.0, discharge_wear_slope(v) - d.d2 * scale, d.d3 * scale], k)
     rhs = np.full(k, v.battery_cost_eur * (d.d1 + d.d3 * 100.0))
-    head = f"deg[{v.id},"  # joined, not formatted whole: much cheaper
-    names = [head + f"{step}]" for step in t.tolist()]
-    return row, var, coef, np.full(k, ">="), rhs, names
+    return row, var, coef, np.full(k, ">="), rhs

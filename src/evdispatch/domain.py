@@ -14,6 +14,7 @@ concurrent solver runs.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from importlib import resources
 from pathlib import Path
@@ -252,11 +253,11 @@ def grid_fee(cp: ChargingPoint, t: int, cal: TariffCalendar, step_hours: float) 
 # ---------------------------------------------------------------------------
 # Validation
 
-def _unusable(loc: str, fields: tuple[tuple[str, float], ...], limit: float = np.inf) -> list[str]:
+def _unusable(loc: str, fields: tuple[tuple[str, float], ...], limit: float = math.inf) -> list[str]:
     """One diagnostic per field that is not finite or, in kWh, exceeds ``limit``."""
-    return [f"{loc}: {name} must be finite, got {val}" if not np.isfinite(val)
+    return [f"{loc}: {name} must be finite, got {val}" if not math.isfinite(val)
             else f"{loc}: {name} {val:g} exceeds the {limit:g} kWh limit"
-            for name, val in fields if not (np.isfinite(val) and val <= limit)]
+            for name, val in fields if not (math.isfinite(val) and val <= limit)]
 
 
 def validate_scenario(s: Scenario) -> list[str]:
@@ -274,7 +275,7 @@ def validate_scenario(s: Scenario) -> list[str]:
     h = s.horizon
     if h.step_count < 1:
         out.append(f"horizon: step_count must be >= 1, got {h.step_count}")
-    if not (h.step_hours > 0 and np.isfinite(h.step_hours)):
+    if not (h.step_hours > 0 and math.isfinite(h.step_hours)):
         out.append(f"horizon: step_hours must be finite and > 0, got {h.step_hours}")
 
     seen_vids: set[str] = set()
@@ -297,9 +298,8 @@ def validate_scenario(s: Scenario) -> list[str]:
             out.append(f"{loc}: obc_max must be >= 0")
         if not v.battery_cost_eur >= 0:
             out.append(f"{loc}: battery_cost_eur must be >= 0")
-        elif v.capacity_kwh > 0 and np.all(np.isfinite(
-            [v.battery_cost_eur, v.capacity_kwh, d.d1, d.d2, d.d3, d.d4]
-        )):
+        elif v.capacity_kwh > 0 and all(map(math.isfinite, (v.battery_cost_eur, v.capacity_kwh,
+                                                            d.d1, d.d2, d.d3, d.d4))):
             # the wear coefficients the LP derives: the discharge slope s
             # (degradation.discharge_wear_slope), and the wear row's
             # coefficients and right-hand side (degradation_rows)
@@ -308,7 +308,7 @@ def validate_scenario(s: Scenario) -> list[str]:
                 slope = max(d.d4 * scale, 0.0)
                 derived = (slope, slope - d.d2 * scale, d.d3 * scale,
                            v.battery_cost_eur * (d.d1 + d.d3 * 100.0))
-            if not np.all(np.isfinite(derived)):
+            if not all(map(math.isfinite, derived)):
                 out.append(
                     f"{loc}: battery_cost_eur {v.battery_cost_eur:g} is too large: the "
                     f"wear-cost coefficients it scales must be finite"

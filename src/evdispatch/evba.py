@@ -33,6 +33,7 @@ concurrently; analysis solves the cells of its studies in forked children.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -40,7 +41,7 @@ import numpy as np
 
 from . import lp
 from .degradation import degradation_cost, degradation_rows, discharge_wear_slope
-from .domain import FAST, SLOW, ChargingPoint, Scenario, ScenarioError, Vehicle, grid_fee, validate_scenario
+from .domain import FAST, SLOW, ChargingPoint, Scenario, ScenarioError, Vehicle, validate_scenario
 
 FIXED_POWER_KW = 4.0
 
@@ -195,11 +196,34 @@ def _caps(s: Scenario, v: Vehicle, cp: ChargingPoint | None, power: PowerMode) -
     return min(cp.power_limit_kwh_per_step, v.obc_max_kwh_per_step), 0.0
 
 
-def _step_names(kinds: list[str], vid: str, tails: list[str]) -> list[str]:
-    """``kind[vid,t]`` for each tail ``t]`` and kind, kinds varying fastest."""
-    # joining two parts is much cheaper than formatting every name whole
-    heads = [f"{kind}[{vid}," for kind in kinds]
-    return [head + tail for tail in tails for head in heads]
+class _StepNames(Sequence):
+    """Names ``kind[vid,t]``, formatted only when one is read: name ``i``
+    joins the head ``heads[head[i]]`` (``kind[vid,``) and ``step[i]``. A
+    slice is another such view, and the names equal any sequence of the
+    same strings."""
+
+    def __init__(self, heads: list[str], head: np.ndarray, step: np.ndarray):
+        self._heads, self._head, self._step = heads, head, step
+
+    def __len__(self) -> int:
+        return len(self._step)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return _StepNames(self._heads, self._head[i], self._step[i])
+        return f"{self._heads[self._head[i]]}{int(self._step[i])}]"
+
+    def __iter__(self):
+        heads = self._heads
+        return (f"{heads[h]}{t}]" for h, t in zip(self._head.tolist(), self._step.tolist()))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence) or isinstance(other, str):
+            return NotImplemented
+        return list(self) == list(other)
+
+    def __repr__(self) -> str:
+        return repr(list(self))
 
 
 @dataclass(frozen=True)
@@ -217,13 +241,13 @@ class _VehicleLp:
     lb: np.ndarray
     ub: np.ndarray
     cost: np.ndarray
-    var_names: list[str]
+    var_names: _StepNames
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
     senses: np.ndarray
     rhs: np.ndarray
-    row_names: list[str]
+    row_names: _StepNames
     start: np.ndarray
     bal: np.ndarray
 
@@ -259,7 +283,6 @@ def _build_vehicle_lp(s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode
     if ct.include_degradation:
         cost[:, 1] += discharge_wear_slope(v)
         ub[:, 4], cost[:, 4] = lp.INF, 1.0
-    tails = [f"{t}]" for t in steps.tolist()]
     sch, dch, fch, soe, *udeg = np.arange(k * len(kinds)).reshape(k, len(kinds)).T
 
     # rows: each step's rows follow those of earlier steps
@@ -277,9 +300,10 @@ def _build_vehicle_lp(s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode
     at = [bal[cv] - 1, bal]  # where the block rows below go
     senses = [np.full(n_cv, "<="), np.full(k, "=")]
     rhs = [np.full(n_cv, taper_k * cap), -s.trips.energy_kwh[v_idx] / v.eta_run]
-    names = _step_names(["cv"], v.id, [tails[i] for i in cv.tolist()]) + _step_names(["bal"], v.id, tails)
+    # each row block's kind (0 cv, 1 bal, 2 deg) and step, which name its rows
+    row_kind, row_step = [np.zeros(n_cv, dtype=np.intp), np.ones(k, dtype=np.intp)], [cv, steps]
     if ct.include_degradation:
-        d_row, d_var, d_coef, d_senses, d_rhs, d_names = degradation_rows(v, udeg[0], dch, soe, steps)
+        d_row, d_var, d_coef, d_senses, d_rhs = degradation_rows(v, udeg[0], dch, soe, steps)
         deg_at = bal + 1
         rows.append(deg_at[d_row])
         terms.append(d_var)
@@ -287,19 +311,23 @@ def _build_vehicle_lp(s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode
         at.append(deg_at)
         senses.append(d_senses)
         rhs.append(d_rhs)
-        names += d_names
+        row_kind.append(np.full(k, 2))
+        row_step.append(steps)
     # the row blocks, scattered into step order; the terms sorted by row,
     # then variable (no term repeats), and + 0.0 turns -0.0 into 0.0, as
     # summing duplicate terms from 0.0 would
     order = np.argsort(np.concatenate(at))
     row, var = np.concatenate(rows), np.concatenate(terms)
     by_row = np.lexsort((var, row))
+    ids = np.arange(k * len(kinds))  # kinds vary fastest
+    var_names = _StepNames([f"{kind}[{v.id}," for kind in kinds], ids % len(kinds), ids // len(kinds))
+    row_names = _StepNames([f"{kind}[{v.id}," for kind in ("cv", "bal", "deg")], np.concatenate(row_kind)[order],
+                           np.concatenate(row_step)[order])
     return _VehicleLp(
-        v, lb, ub, cost, _step_names(kinds, v.id, tails),
+        v, lb, ub, cost, var_names,
         np.concatenate([[0], np.bincount(row, minlength=start[-1]).cumsum()]),
         var[by_row], np.concatenate(coefs)[by_row] + 0.0,
-        np.concatenate(senses)[order], np.concatenate(rhs)[order], [names[i] for i in order.tolist()],
-        start, bal,
+        np.concatenate(senses)[order], np.concatenate(rhs)[order], row_names, start, bal,
     )
 
 
@@ -416,30 +444,24 @@ def _cost_breakdown(
     (zeros when the wear term is toggled off).
     """
     prices = s.prices.values
-    cal = s.tariff_calendar
-    h = s.horizon.step_hours
+    steps = np.arange(s.horizon.step_count)
+    low_band = s.tariff_calendar.is_low_band(steps, s.horizon.step_hours)
+    # each charging point's grid and CP fee per step, then the unplugged
+    # step's zero fees that index -1 picks
+    cps = s.charging_points
+    grid_fees = np.array([np.where(low_band, cp.grid_fee_low_eur_per_kwh, cp.grid_fee_high_eur_per_kwh)
+                          for cp in cps] + [np.zeros(len(steps))])
+    cp_fees = np.array([cp.cp_fee_eur_per_kwh for cp in cps] + [0.0])
     out = []
     for v_idx, v in enumerate(s.vehicles):
-        purchase = float(prices @ (e_sch[v_idx] + e_fch[v_idx]))
+        flow = e_sch[v_idx] + e_fch[v_idx]
+        purchase = float(prices @ flow)
         revenue = float(prices @ e_dch[v_idx])
-        grid = 0.0
-        cp_fee = 0.0
-        for t in range(s.horizon.step_count):
-            flow = e_sch[v_idx, t] + e_fch[v_idx, t]
-            if flow == 0.0:
-                continue
-            cp = s.cp_at(v_idx, t)
-            if cp is None:
-                continue
-            grid += grid_fee(cp, t, cal, h) * flow
-            cp_fee += cp.cp_fee_eur_per_kwh * flow
-        if not ct.include_grid_tariff:
-            grid = 0.0
-        if not ct.include_cp_tariff:
-            cp_fee = 0.0
+        plug = s.connectivity.index[v_idx]
+        # each fee sums in step order from 0.0, as a loop over the steps would
+        grid = float(0.0 + np.cumsum(grid_fees[plug, steps] * flow)[-1]) if ct.include_grid_tariff else 0.0
+        cp_fee = float(0.0 + np.cumsum(cp_fees[plug] * flow)[-1]) if ct.include_cp_tariff else 0.0
         deg = float(deg_priced[v_idx].sum())
-        grid = float(grid)
-        cp_fee = float(cp_fee)
         energy = purchase - revenue
         out.append(
             VehicleCosts(

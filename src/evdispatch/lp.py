@@ -29,6 +29,21 @@ Algorithm notes:
   column reads one FTRAN, and reduced costs are ``c - [A | I]^T y`` summed
   from the sparse rows, with ``y`` one BTRAN of the basic costs. They are
   derived afresh after every pivot, so optimality needs no re-derivation;
+- the crash's factor splits in two: its core, each pick's entries in later
+  picks' rows, and its sinks, the entries in rows no pick takes, which no
+  eta reads. In a window LP the crash picks soe[t] for balance row t, with
+  pivot 1 and -1 in row t + 1, so the core is a unit chain: a first-order
+  recurrence that one prefix sum evaluates (Blelloch, CMU-CS-90-190, 1990).
+  Where it has at least ``_CHAIN_MIN`` links, FTRAN applies it as one
+  ``cumsum`` and the sinks as one unbuffered subtraction, and BTRAN
+  subtracts each pick's sink terms slot by slot and applies the chain as a
+  reversed ``cumsum``. FTRAN keeps the eta loop's order of operations, so
+  its result is the loop's to the bit, and so is BTRAN's where each pick's
+  sink entries precede its link in its column, as in window LPs. On this
+  path the crash runs in arrays and columns are read as sparse scatters.
+  ``_CHAIN_MIN`` is the measured crossover: on a shorter chain, such as a
+  station session's, the eta loop and the loop crash cost less than the
+  arrays' fixed calls;
 - between the crash and phase 1 the start is priced once: each nonbasic
   column with two finite bounds whose reduced cost favours its other bound
   (``sign * d > opt_tol``) moves there, best score first with ties to the
@@ -69,7 +84,9 @@ Deterministic by construction: same problem, same pivots, same answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, field
+from time import perf_counter
 
 import numpy as np
 
@@ -93,6 +110,12 @@ _AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
 # d; basic columns score 0 and free columns are overwritten with |d|
 _SCORE_SIGN = np.array([-1.0, 1.0, 0.0, 0.0])
 
+#: The fewest links a crash's unit chain needs for the prefix-sum path: the
+#: measured crossover, at which a window LP solves as fast on either path.
+#: A shorter chain keeps the eta loop, whose Python costs less than the
+#: array path's fixed numpy calls on a few rows.
+_CHAIN_MIN = 15
+
 
 class LpError(ValueError):
     """Raised by ``LpProblem`` for a malformed problem: sequences that do not
@@ -112,11 +135,12 @@ class LpProblem:
     lists work. The shapes are checked first: sequences that differ in
     length or offsets that do not fit raise an LpError saying which. Then
     every variable and row is: the first faulty variable, else the first
-    faulty row, raises an LpError naming it.
+    faulty row, raises an LpError naming it. The two name sequences are kept
+    as given, and the solver reads a name only to report a fault.
     """
 
-    def __init__(self, name: str, lb, ub, cost, var_names: list[str], indptr, indices, data,
-                 senses, rhs, row_names: list[str]):
+    def __init__(self, name: str, lb, ub, cost, var_names: Sequence[str], indptr, indices, data,
+                 senses, rhs, row_names: Sequence[str]):
         self.name, self._var_names, self._row_names = name, var_names, row_names
         self._lb, self._ub, self._cost = (np.asarray(a, dtype=float) for a in (lb, ub, cost))
         self._indptr, self._indices = (np.asarray(a, dtype=np.intp) for a in (indptr, indices))
@@ -143,7 +167,7 @@ class LpProblem:
         return [dict(zip(idx[a:b], val[a:b])) for a, b in zip(ptr[:-1], ptr[1:])]
 
 
-def _check_variables(lb: np.ndarray, ub: np.ndarray, cost: np.ndarray, names: list[str]) -> None:
+def _check_variables(lb: np.ndarray, ub: np.ndarray, cost: np.ndarray, names: Sequence[str]) -> None:
     """Raise the LpError for the first variable with inverted or unusable
     bounds or a non-finite cost."""
     ok = (lb <= ub) & (lb < INF) & (ub > -INF) & np.isfinite(cost)
@@ -154,9 +178,9 @@ def _check_variables(lb: np.ndarray, ub: np.ndarray, cost: np.ndarray, names: li
         raise LpError(f"variable {names[j]}: unusable bounds or cost")
 
 
-def _check_shapes(lb: np.ndarray, ub: np.ndarray, cost: np.ndarray, var_names: list[str], indptr: np.ndarray,
+def _check_shapes(lb: np.ndarray, ub: np.ndarray, cost: np.ndarray, var_names: Sequence[str], indptr: np.ndarray,
                   indices: np.ndarray, data: np.ndarray, senses: np.ndarray, rhs: np.ndarray,
-                  row_names: list[str]) -> np.ndarray:
+                  row_names: Sequence[str]) -> np.ndarray:
     """Raise an LpError when the arrays do not fit together: the variables'
     four sequences or the rows' three differ in length, or ``indptr`` is not
     ``len(rhs) + 1`` offsets that start at 0, never decrease and end at
@@ -181,7 +205,7 @@ def _check_shapes(lb: np.ndarray, ub: np.ndarray, cost: np.ndarray, var_names: l
 
 
 def _check_rows(row_of: np.ndarray, indptr: np.ndarray, indices: np.ndarray, data: np.ndarray,
-                senses: np.ndarray, rhs: np.ndarray, names: list[str], n: int) -> None:
+                senses: np.ndarray, rhs: np.ndarray, names: Sequence[str], n: int) -> None:
     """Raise the LpError for the first row with an unknown sense, a non-finite
     right-hand side or a faulty term: an unknown variable id, a non-finite
     coefficient or a column id not above the one before it. ``row_of``
@@ -224,11 +248,94 @@ def _reject(name: str, sense: str, rhs: float, var: np.ndarray, coef: np.ndarray
         prev = j
 
 
+def _crash_entries(row_of: np.ndarray, indices: np.ndarray, data: np.ndarray, fixed: np.ndarray,
+                   width: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The equality rows' nonzero entries in the crash's order: by row, then
+    those whose column has a nonzero bound range (the candidates), widest
+    first, ties to the lowest index. ``fixed`` marks the rows whose slack
+    is fixed (the equality rows) and ``width`` holds each structural's bound
+    range. Returns each entry's row and column and whether it is a
+    candidate."""
+    eq = fixed[row_of] & (data != 0.0)
+    row, col = row_of[eq], indices[eq]
+    w = width[col]
+    order = np.lexsort((col, -w, w <= 0.0, row))
+    return row[order], col[order], w[order] > 0.0
+
+
+def _crash_picks(row: np.ndarray, col: np.ndarray, cand: np.ndarray, m: int, n: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """The triangular crash over ``_crash_entries``, in arrays: each equality
+    row in order takes its first candidate that is zero in every row taken
+    before it. Returns the taken rows, ascending, and their picks.
+
+    The rule is sequential, since a row left without a pick blocks nothing,
+    so it is evaluated in rounds: every row with a candidate is assumed
+    taken, which decides each row's pick at once, and the first assumed row
+    left without one is dropped for the next round. Up to that row the
+    assumption held, so every round agrees with the sequential rule there,
+    and a round that drops nothing agrees everywhere; window LPs take one
+    round."""
+    live = np.zeros(m, dtype=bool)  # the rows assumed taken
+    live[row[cand]] = True
+    while True:
+        # the first live row nonzero in each column blocks it for the rows after
+        first = np.full(n, m)
+        held = live[row]
+        np.minimum.at(first, col[held], row[held])
+        free = np.flatnonzero(cand & (first[col] >= row))
+        first_free = np.ones(len(free), dtype=bool)  # each row's first free candidate is its pick
+        first_free[1:] = row[free[1:]] != row[free[:-1]]
+        take = free[first_free]
+        missing = live.copy()
+        missing[row[take]] = False
+        if not missing.any():
+            return row[take], col[take]
+        live[np.argmax(missing)] = False
+
+
+def _chain(rows: np.ndarray, picks: np.ndarray, col_ptr: np.ndarray, col_row: np.ndarray, col_val: np.ndarray,
+           m: int):
+    """The crash's factor on the chain path, or None when its picks do not
+    form a unit chain of at least ``_CHAIN_MIN`` links. ``rows`` and
+    ``picks`` are the crash's, in pick order, and the columns are in
+    compressed sparse column form over ``m`` rows.
+
+    Each picked column splits into its pivot, its core entries (in rows of
+    later picks) and its sink entries (in rows no pick takes, which no eta
+    reads). The core is a unit chain when each pick but the last has pivot
+    1 and one core entry, -1 in the next pick's row, as soe[t] has in
+    bal[t + 1]. The factor is then the pick rows, the last pivot, the sink
+    entries as (pick, row, value) arrays in pick order and, for BTRAN, the
+    same entries grouped in slots: a pick's n-th sink entry is in slot n."""
+    count = col_ptr[picks + 1] - col_ptr[picks]
+    k = np.repeat(np.arange(len(picks)), count)  # the pick of each entry
+    at = np.arange(len(k)) + np.repeat(col_ptr[picks] - np.cumsum(count) + count, count)
+    e_row, e_val = col_row[at], col_val[at]
+    own = e_row == rows[k]
+    taken = np.zeros(m, dtype=bool)
+    taken[rows] = True
+    core = taken[e_row] & ~own
+    pivot = e_val[own]
+    link = k[core]
+    if not (len(picks) > _CHAIN_MIN and len(link) == len(picks) - 1 and (link == np.arange(len(link))).all()
+            and (e_row[core] == rows[1:]).all() and (e_val[core] == -1.0).all() and (pivot[:-1] == 1.0).all()):
+        return None
+    sink = ~taken[e_row]
+    k, e_row, e_val = k[sink], e_row[sink], e_val[sink]
+    slot = np.arange(len(k)) - np.searchsorted(k, k)
+    by_slot = np.argsort(slot, kind="stable")
+    ends = np.cumsum(np.bincount(slot)).tolist()
+    slots = [(k[by_slot[a:b]], e_row[by_slot[a:b]], e_val[by_slot[a:b]]) for a, b in zip([0, *ends], ends)]
+    return rows, float(pivot[-1]), k, e_row, e_val, slots
+
+
 @dataclass(frozen=True)
 class SolveStats:
     """What one solve did; the crash pivots of set-up and the start's bound
     moves are not iterations, the phase-1 and phase-2 pivots and the bound
-    flips are."""
+    flips are. The stage wall times (seconds) are left out of comparisons
+    and of the repr, so two solves of one problem compare and print equal."""
 
     n: int  # structural columns
     m: int  # rows
@@ -241,6 +348,10 @@ class SolveStats:
     bland_from: int | None  # iteration at which Bland's rule took over, if it did
     refactorizations: int
     max_violation: float  # worst bound or row violation of the final point
+    setup_s: float = field(default=0.0, compare=False, repr=False)  # crash and factor
+    start_s: float = field(default=0.0, compare=False, repr=False)  # the start's bound moves
+    phase1_s: float = field(default=0.0, compare=False, repr=False)
+    phase2_s: float = field(default=0.0, compare=False, repr=False)  # and the final checks
 
 
 @dataclass
@@ -299,39 +410,45 @@ class _Simplex:
         """Slack basis, then a triangular crash: each equality row in order
         takes the structural column with the widest nonzero bound range
         (ties to the lowest index) among those nonzero in it and zero in
-        every row taken before it. The factor is one eta per pick, in pick
-        order, and the basic values are one FTRAN of ``b - A x_N``."""
+        every row taken before it. An LP with more than ``_CHAIN_MIN``
+        equality rows runs the crash in arrays and keeps its picks when
+        they form a unit chain of that many links (see ``_chain``); every
+        other LP runs it as a Python loop that makes each pick its own eta,
+        in pick order. The basic values are one FTRAN of ``b - A x_N``."""
         n, m, p = self.n_struct, self.m, self.p
         # the structural columns, each in row order
         order = np.argsort(p._indices, kind="stable")
-        self.col_ptr = np.concatenate([[0], np.cumsum(np.bincount(p._indices, minlength=n))]).tolist()
-        self.col_row, self.col_val = self.row_of[order].tolist(), p._data[order].tolist()
-        # each equality row's nonzero columns, in pick order: those with a
-        # nonzero range first, widest first, ties to the lowest index
-        eq = (self.pos[n:] < 0)[self.row_of] & (p._data != 0.0)
-        row, col = self.row_of[eq], p._indices[eq]
-        width = self.ub[col] - self.lb[col]
-        order = np.lexsort((col, -width, width <= 0.0, row))
-        row, col, width = row[order], col[order], width[order]
-        start = np.flatnonzero(np.diff(row, prepend=-1))
-        n_cand = np.add.reduceat(width > 0.0, start) if start.size else start
-        # the picks are triangular: a pick is zero in every row taken before
-        # it, so in pick order each picked column is its own eta
-        self.inverse = None  # a refactorization's dense B^-1, in place of the crash etas
-        self.etas = []
+        col_ptr = np.concatenate([[0], np.cumsum(np.bincount(p._indices, minlength=n))])
+        col_row, col_val = self.row_of[order], p._data[order]
+        fixed = self.pos[n:] < 0
+        row, col, cand = _crash_entries(self.row_of, p._indices, p._data, fixed, self.ub[:n] - self.lb[:n])
+        self.inverse = None  # a refactorization's dense B^-1, in place of the crash's factor
+        self.chain = None
         self._clear_updates()
-        cols, blocked, picks = col.tolist(), set(), []
-        for i, a, b, c in zip(row[start].tolist(), start.tolist(), [*start[1:].tolist(), len(cols)],
-                              (start + n_cand).tolist()):
-            for j in cols[a:c]:
-                if j not in blocked:
-                    blocked.update(cols[a:b])
-                    picks.append(j)
-                    lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
-                    pairs = list(zip(self.col_row[lo:hi], self.col_val[lo:hi]))
-                    self.etas.append((i, pairs.pop(self.col_row.index(i, lo, hi) - lo)[1], pairs))
-                    break
-        rows = np.array([r for r, _, _ in self.etas], dtype=np.intp)
+        if np.count_nonzero(fixed) > _CHAIN_MIN:
+            rows, picks = _crash_picks(row, col, cand, m, n)
+            self.chain = _chain(rows, picks, col_ptr, col_row, col_val, m)
+        if self.chain is not None:
+            self.col_ptr, self.col_row, self.col_val = col_ptr, col_row, col_val
+        else:
+            self.col_ptr, self.col_row, self.col_val = col_ptr.tolist(), col_row.tolist(), col_val.tolist()
+            start = np.flatnonzero(np.diff(row, prepend=-1))
+            n_cand = np.add.reduceat(cand, start) if start.size else start
+            # the picks are triangular: a pick is zero in every row taken
+            # before it, so in pick order each picked column is its own eta
+            self.etas = []
+            cols, blocked, picks = col.tolist(), set(), []
+            for i, a, b, c in zip(row[start].tolist(), start.tolist(), [*start[1:].tolist(), len(cols)],
+                                  (start + n_cand).tolist()):
+                for j in cols[a:c]:
+                    if j not in blocked:
+                        blocked.update(cols[a:b])
+                        picks.append(j)
+                        lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
+                        pairs = list(zip(self.col_row[lo:hi], self.col_val[lo:hi]))
+                        self.etas.append((i, pairs.pop(self.col_row.index(i, lo, hi) - lo)[1], pairs))
+                        break
+            rows = np.array([r for r, _, _ in self.etas], dtype=np.intp)
         status = np.full(n + m, _FREE, dtype=np.int8)
         status[np.isfinite(self.ub)] = _AT_UB
         status[np.isfinite(self.lb)] = _AT_LB  # prefer the lower bound when both are finite
@@ -341,7 +458,8 @@ class _Simplex:
         status[self.basis] = _BASIC
         self.status = status
         self.nb_value = np.where(status == _AT_LB, self.lb, np.where(status == _AT_UB, self.ub, 0.0))
-        self.xB = self._ftran((self.b - self._row_products(self.nb_value[:n])).tolist())
+        residual = self.b - self._row_products(self.nb_value[:n])
+        self.xB = self._ftran(residual if self.chain is not None else residual.tolist())
         self.d = None  # reduced costs of the current basis, once derived
         self._sync()
         self.crash_columns = len(picks)
@@ -384,8 +502,17 @@ class _Simplex:
 
     # -- the factor --------------------------------------------------------
 
-    def _column(self, q: int) -> list[float]:
-        """Column ``q`` of ``[A | I]``, dense, as a list."""
+    def _column(self, q: int):
+        """Column ``q`` of ``[A | I]``, dense: an array on the chain path, a
+        list for the eta loop."""
+        if self.chain is not None:
+            v = np.zeros(self.m)
+            if q < self.n_struct:
+                a, b = self.col_ptr[q], self.col_ptr[q + 1]
+                v[self.col_row[a:b]] = self.col_val[a:b]
+            else:
+                v[q - self.n_struct] = 1.0
+            return v
         v = [0.0] * self.m
         if q < self.n_struct:
             a, b = self.col_ptr[q], self.col_ptr[q + 1]
@@ -400,20 +527,29 @@ class _Simplex:
         first ``updates`` rows, and grow when full."""
         self.U, self.Z, self.updates = np.empty((0, self.m)), np.empty((0, self.m)), 0
 
-    def _ftran(self, v: list[float]) -> np.ndarray:
-        """``B^-1 v``, overwriting the list ``v``: the crash etas in pick
-        order, each skipped when its row of ``v`` is zero, then the pivots'
-        etas in two products."""
+    def _ftran(self, v) -> np.ndarray:
+        """``B^-1 v``, overwriting ``v`` (a ``_column``): the crash's factor,
+        then the pivots' etas in two products. On the chain path the chain
+        is one prefix sum and the sinks one product; the eta loop runs the
+        crash etas in pick order, each skipped when its row of ``v`` is
+        zero."""
         if self.inverse is not None:
-            v = (self.inverse @ v).tolist()
-        for r, piv, pairs in self.etas:
-            t = v[r]
-            if t:
-                t /= piv
-                v[r] = t
-                for i, x in pairs:
-                    v[i] -= x * t
-        v = np.fromiter(v, float, self.m)
+            v = self.inverse @ v
+        elif self.chain is not None:
+            rows, pivot, k, sink_row, sink_val, _ = self.chain
+            t = v[rows].cumsum()
+            t[-1] /= pivot
+            v[rows] = t
+            np.subtract.at(v, sink_row, sink_val * t[k])
+        else:
+            for r, piv, pairs in self.etas:
+                t = v[r]
+                if t:
+                    t /= piv
+                    v[r] = t
+                    for i, x in pairs:
+                        v[i] -= x * t
+            v = np.fromiter(v, float, self.m)
         if self.updates:
             k = self.updates
             v -= (self.Z[:k] @ v) @ self.U[:k]
@@ -421,19 +557,34 @@ class _Simplex:
 
     def _btran(self, y: np.ndarray) -> np.ndarray:
         """``B^-T y``, that is ``y^T B^-1``: the pivots' etas in two
-        products, then the crash etas in reverse pick order, skipped when
-        ``y`` is zero."""
+        products, then the crash's factor the other way round, skipped
+        when ``y`` is zero. On the chain path each pick's sink terms are
+        subtracted in its entries' order, one slot at a time, and the chain
+        is one reversed prefix sum; the eta loop runs the crash etas in
+        reverse pick order."""
         if self.updates:
             k = self.updates
             y = y - (self.U[:k] @ y) @ self.Z[:k]
+        if self.inverse is not None:
+            return y @ self.inverse
+        if self.chain is not None:
+            if not y.any():
+                return y
+            rows, pivot, _, _, _, slots = self.chain
+            t = y[rows]
+            for k, sink_row, sink_val in slots:
+                t[k] -= sink_val * y[sink_row]
+            t[-1] /= pivot
+            y = y.copy()
+            y[rows] = t[::-1].cumsum()[::-1]
+            return y
         y = y.tolist()
         for r, piv, pairs in reversed(self.etas if any(y) else ()):
             t = y[r]
             for i, x in pairs:
                 t -= x * y[i]
             y[r] = t / piv
-        y = np.fromiter(y, float, self.m)
-        return y if self.inverse is None else y @ self.inverse
+        return np.fromiter(y, float, self.m)
 
     def _prices(self, y: np.ndarray) -> np.ndarray:
         """``y^T [A | I]`` on the candidate columns, summed from the sparse
@@ -464,7 +615,7 @@ class _Simplex:
             self.inverse = np.linalg.inv(A[:, self.basis])
         except np.linalg.LinAlgError as exc:
             raise ArithmeticError(f"singular basis in {self.p.name!r}: {exc}") from exc
-        self.etas = []
+        self.etas, self.chain = [], None
         self._clear_updates()
         self.xB = self.inverse @ (self.b - contrib)
         self.d = None
@@ -615,10 +766,16 @@ class _Simplex:
             self._pivot(r, k, w, entering_val, _AT_LB if falls[r] != infeasible else _AT_UB)
 
     def run(self) -> LpSolution:
+        t0 = perf_counter()
         self._setup()
+        t1 = perf_counter()
         self._place_bounds()
+        t2 = perf_counter()
+        phase1_s = 0.0
         for attempt in range(4):
+            t = perf_counter()
             status = self._iterate(phase1=True)
+            phase1_s += perf_counter() - t
             if status == OPTIMAL:
                 status = self._iterate(phase1=False)
             x = self._assemble_x()
@@ -630,11 +787,13 @@ class _Simplex:
             raise ArithmeticError(
                 f"simplex failed to reach a verified solution for {self.p.name!r}"
             )
+        t3 = perf_counter()
         n = self.n_struct
         stats = SolveStats(
             n, self.m, len(self.cols), self.crash_columns, self.start_flips, self.phase1_pivots,
             self.iterations - self.phase1_pivots - self.flips, self.flips,
             self.bland_from, self.refactorizations, violation,
+            t1 - t0, t2 - t1, phase1_s, t3 - t2 - phase1_s,
         )
         if status != OPTIMAL:
             return LpSolution(status, None, None, self.iterations, stats)

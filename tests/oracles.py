@@ -7,8 +7,11 @@ exceptions are ``DenseSimplex``, the reference kernel the solver must match
 pivot for pivot, ``window_lp_by_rows``, the reference for the window LP
 that ``evba`` builds from arrays (with ``two_plane``, the same LP with the
 wear cost as an epigraph variable over both planes, against which the
-one-row wear model is checked), and ``check_schedule_by_steps``, the
-reference for the auditor that ``analysis`` runs in array passes.
+one-row wear model is checked), ``crash_by_rows``, the reference for the
+crash that ``lp`` runs in arrays on long window LPs,
+``cost_breakdown_by_steps``, the reference for the cost breakdown that
+``evba`` sums from arrays, and ``check_schedule_by_steps``, the reference
+for the auditor that ``analysis`` runs in array passes.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ import numpy as np
 from evdispatch import evba, lp
 from evdispatch.analysis import Violation, ViolationReport
 from evdispatch.degradation import plane_values
-from evdispatch.domain import FAST, SLOW
+from evdispatch.domain import FAST, SLOW, grid_fee
 from evdispatch.lp import FEAS_TOL
 
 
@@ -178,6 +181,21 @@ def random_banded_lp(rng: np.random.Generator):
     senses = np.where(u < 0.4, "<=", np.where(u < 0.8, ">=", "=")).tolist()
     b = act + np.where(u < 0.4, rng.uniform(0.0, 2.0, m), np.where(u < 0.8, -rng.uniform(0.0, 2.0, m), 0.0))
     return c, lb, ub, A, senses, b
+
+
+def random_free_bound_lp(rng: np.random.Generator):
+    """A random LP whose columns are boxed, free or bounded below only and
+    whose rows need not meet, so it may be optimal, infeasible or unbounded."""
+    n, m = int(rng.integers(2, 7)), int(rng.integers(1, 7))
+    A = rng.uniform(-2.0, 2.0, (m, n))
+    A[rng.random((m, n)) < 0.25] = 0.0
+    lb = rng.uniform(-5.0, 0.0, n)
+    ub = lb + rng.uniform(0.5, 6.0, n)
+    kind = rng.integers(0, 3, n)  # boxed, free, bounded below
+    lb[kind == 1] = -lp.INF
+    ub[kind > 0] = lp.INF
+    senses = rng.choice(["<=", ">=", "="], m, p=[0.45, 0.45, 0.1]).tolist()
+    return rng.uniform(-2.0, 2.0, n), lb, ub, A, senses, rng.uniform(-3.0, 3.0, m)
 
 
 class RowBuilder:
@@ -427,6 +445,30 @@ def _two_plane_rows_by_step(
     )
 
 
+def crash_by_rows(sim: lp._Simplex) -> tuple[list[int], list[int]]:
+    """Row-by-row reference for the crash ``_Simplex._setup`` runs: the
+    slack basis, in which each equality row in turn takes the widest-range
+    structural column that is nonzero in it and zero in every row taken
+    before it (ties to the lowest index). Returns the basis and the taken
+    rows."""
+    n, m = sim.n_struct, sim.m
+    A, width = dense_A(sim), sim.ub[:n] - sim.lb[:n]
+    basis, taken = list(range(n, n + m)), []
+    for i in range(m):
+        if sim.lb[n + i] != sim.ub[n + i]:
+            continue
+        best = None
+        for j in range(n):
+            if A[i, j] == 0.0 or width[j] <= 0.0 or np.any(A[taken, j] != 0.0):
+                continue
+            if best is None or width[j] > width[best]:
+                best = j
+        if best is not None:
+            basis[i] = best
+            taken.append(i)
+    return basis, taken
+
+
 def dense_A(sim: lp._Simplex) -> np.ndarray:
     """The structural block ``A`` of a solver's problem as a dense array,
     scattered from its sparse rows."""
@@ -632,6 +674,30 @@ class DenseSimplex(lp._Simplex):
             self._pivot(r, q, entering_val, lp._AT_LB if (sw[r] > 0) != out[r] else lp._AT_UB)
             if not phase1:
                 d = d - d[q] * self.T[r, :]
+
+
+def cost_breakdown_by_steps(s, ct: evba.CostToggles, e_sch, e_dch, e_fch, deg_priced) -> list[evba.VehicleCosts]:
+    """Step-by-step reference for ``evba._cost_breakdown``: each vehicle's
+    fees summed over its steps with flow, one step at a time."""
+    prices = s.prices.values
+    out = []
+    for v_idx, v in enumerate(s.vehicles):
+        purchase = float(prices @ (e_sch[v_idx] + e_fch[v_idx]))
+        revenue = float(prices @ e_dch[v_idx])
+        grid = cp_fee = 0.0
+        for t in range(s.horizon.step_count):
+            flow = e_sch[v_idx, t] + e_fch[v_idx, t]
+            cp = s.cp_at(v_idx, t)
+            if flow == 0.0 or cp is None:
+                continue
+            grid += grid_fee(cp, t, s.tariff_calendar, s.horizon.step_hours) * flow
+            cp_fee += cp.cp_fee_eur_per_kwh * flow
+        grid = float(grid) if ct.include_grid_tariff else 0.0
+        cp_fee = float(cp_fee) if ct.include_cp_tariff else 0.0
+        deg = float(deg_priced[v_idx].sum())
+        energy = purchase - revenue
+        out.append(evba.VehicleCosts(v.id, energy, grid, cp_fee, deg, revenue, energy + grid + cp_fee + deg))
+    return out
 
 
 def check_schedule_by_steps(s, fs) -> ViolationReport:

@@ -82,8 +82,8 @@ def _wear_lp(e_bounds, e_cost, soe_bounds):
     u = p.var(0.0, lp.INF, 1.0, "u")
     e = p.var(*e_bounds, e_cost + discharge_wear_slope(V40), "e")
     soe = p.var(*soe_bounds, 0.0, "soe")
-    _, var, coef, (sense,), (rhs,), (name,) = degradation_rows(V40, u, e, soe, 0)  # one row
-    p.row(zip(var, coef), sense, rhs, name)
+    _, var, coef, (sense,), (rhs,) = degradation_rows(V40, u, e, soe, 0)  # one row
+    p.row(zip(var, coef), sense, rhs, "deg[v,0]")
     return p.problem(), u, e, soe
 
 

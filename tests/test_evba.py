@@ -27,6 +27,7 @@ from evdispatch.evba import (
     AssemblyError,
     PowerMode,
     _build_vehicle_lp,
+    _cost_breakdown,
     _FloorUnreachable,
     _infeasibility_hint,
     build_evba,
@@ -35,7 +36,7 @@ from evdispatch.evba import (
     extract_schedule,
     solve_evba,
 )
-from oracles import block_diagonal_scipy_optimum, micro_case_grid_optimum, window_lp_by_rows
+from oracles import block_diagonal_scipy_optimum, cost_breakdown_by_steps, micro_case_grid_optimum, window_lp_by_rows
 from scen import micro_scenario, random_scenario, refine
 
 OF1 = cost_toggles_for("of1")
@@ -535,3 +536,34 @@ def test_a_non_finite_coefficient_is_rejected_as_the_row_by_row_build_rejects_it
     assert str(got.value) == str(ref.value) == (
         f"constraint 'bal[ev1,{session.arrive_step}]': non-finite coefficient inf on variable 1"
     )
+
+
+def test_names_read_one_at_a_time_equal_the_row_by_row_references(example_with_high):
+    # the build formats no name; each one read is formatted then
+    s = example_with_high
+    for ct in (OF1, OF5):
+        for v_idx, v in enumerate(s.vehicles):
+            for steps in (np.arange(24), np.arange(8, 15)):
+                got, ref = _build_both(s, v_idx, steps, v.soe_initial_kwh, v.soe_min_kwh, ct, PowerMode.BOTH)
+                for names, want in ((got._var_names, ref._var_names), (got._row_names, ref._row_names)):
+                    assert isinstance(want, list) and not isinstance(names, list)
+                    assert len(names) == len(want)
+                    assert [names[i] for i in range(len(names))] == want
+                    assert [names[i] for i in range(-len(names), 0)] == want
+                    assert names[np.intp(3)] == want[3]
+                    assert list(names[2:9:3]) == want[2:9:3] and names[3:][1:4] == want[4:7]
+                    assert names == want and want == names and names != want[::-1]
+                    assert list(names) == want and repr(names) == repr(want)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_cost_breakdown_from_arrays_equals_the_step_loop_bit_for_bit(seed):
+    s = random_scenario(seed).with_prices(generate_price_set(("low", "medium", "high")[seed % 3], seed=seed))
+    for ct in OBJECTIVE_VARIANTS.values():
+        for fs in (solve_evba(s, ct), evca.solve_evca(s, evca.SoePolicy(0.95), ct)):
+            assert fs.status == "optimal"
+            deg_priced = fs.c_deg if ct.include_degradation else np.zeros(fs.c_deg.shape)
+            args = (s, ct, fs.e_sch, fs.e_dch, fs.e_fch, deg_priced)
+            got, ref = _cost_breakdown(*args), cost_breakdown_by_steps(*args)
+            assert repr(got) == repr(ref) and repr(fs.per_vehicle) == repr(ref)
+            assert any(c.grid_fee_eur > 0.0 for c in ref) == ct.include_grid_tariff

@@ -38,7 +38,7 @@ from evdispatch import (
     solve_evca,
 )
 from evdispatch.analysis import generate_price_set
-from oracles import DenseSimplex, build_problem, random_banded_lp, random_bounded_lp
+from oracles import DenseSimplex, build_problem, random_banded_lp, random_bounded_lp, random_free_bound_lp
 from scen import random_scenario
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -129,23 +129,8 @@ def test_random_scenarios_give_the_dense_kernels_answers(dense_kernel):
         _assert_same_answers(_schedules(s, prices, MODELS), dense_kernel(_schedules, s, prices, MODELS))
 
 
-def _free_bound_lp(rng: np.random.Generator):
-    """A random LP whose columns are boxed, free or bounded below only and
-    whose rows need not meet, so it may be optimal, infeasible or unbounded."""
-    n, m = int(rng.integers(2, 7)), int(rng.integers(1, 7))
-    A = rng.uniform(-2.0, 2.0, (m, n))
-    A[rng.random((m, n)) < 0.25] = 0.0
-    lb = rng.uniform(-5.0, 0.0, n)
-    ub = lb + rng.uniform(0.5, 6.0, n)
-    kind = rng.integers(0, 3, n)  # boxed, free, bounded below
-    lb[kind == 1] = -lp.INF
-    ub[kind > 0] = lp.INF
-    senses = rng.choice(["<=", ">=", "="], m, p=[0.45, 0.45, 0.1]).tolist()
-    return rng.uniform(-2.0, 2.0, n), lb, ub, A, senses, rng.uniform(-3.0, 3.0, m)
-
-
 def test_random_lps_give_the_dense_kernels_statuses_and_objectives():
-    corpus = [random_bounded_lp, random_banded_lp, _free_bound_lp]
+    corpus = [random_bounded_lp, random_banded_lp, random_free_bound_lp]
     statuses = set()
     for make in corpus:
         for seed in range(200):

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import dataclasses
 import importlib.util
 import tracemalloc
+from time import perf_counter
 
 import numpy as np
 import pytest
@@ -17,9 +19,11 @@ from oracles import (
     RowBuilder,
     block_diagonal_scipy_optimum,
     build_problem,
+    crash_by_rows,
     dense_A,
     random_banded_lp,
     random_bounded_lp,
+    random_free_bound_lp,
     vertex_enumeration_optimum,
 )
 from scen import refine
@@ -256,30 +260,6 @@ def test_determinism_same_problem_same_values():
     assert np.array_equal(s1.x, s2.x)
 
 
-def _crash_basis_by_rows(sim):
-    """Row-by-row reference for the start ``_Simplex._setup`` builds: the
-    slack basis, in which each equality row in turn takes the widest-range
-    structural column that is nonzero in it and zero in every row taken
-    before it (ties to the lowest index). Returns the basis and the taken
-    rows."""
-    n, m = sim.n_struct, sim.m
-    A, width = dense_A(sim), sim.ub[:n] - sim.lb[:n]
-    basis, taken = list(range(n, n + m)), []
-    for i in range(m):
-        if sim.lb[n + i] != sim.ub[n + i]:
-            continue
-        best = None
-        for j in range(n):
-            if A[i, j] == 0.0 or width[j] <= 0.0 or np.any(A[taken, j] != 0.0):
-                continue
-            if best is None or width[j] > width[best]:
-                best = j
-        if best is not None:
-            basis[i] = best
-            taken.append(i)
-    return basis, taken
-
-
 def _random_lps_with_tied_ranges():
     """The 60 random LPs, each also with its bound ranges rounded up to whole
     numbers, so the crash meets ties; x0 stays feasible, as ranges only grow."""
@@ -294,7 +274,7 @@ def test_crash_basis_matches_row_by_row_reference():
     for p in _random_lps_with_tied_ranges():
         sim = lp._Simplex(p)
         sim._setup()
-        basis, taken = _crash_basis_by_rows(sim)
+        basis, taken = crash_by_rows(sim)
         assert sim.basis.tolist() == basis
         assert sim.crash_columns == len(taken)
         # every other basic column is a slack's unit column, so the start
@@ -817,3 +797,155 @@ def test_pivots_match_dense_reference_through_a_refactorization(example_with_hig
         sol = _assert_agrees_with_dense_reference(p)
         assert sol.status == lp.OPTIMAL and sol.stats.refactorizations == 1
     assert rebuilds == [lp._Simplex, DenseSimplex] * len(problems)
+
+
+# -- the chain path: the crash's state-of-energy chain as prefix sums --------
+
+
+def _on_both_paths(p: lp.LpProblem, stage, monkeypatch) -> tuple[lp._Simplex, lp._Simplex]:
+    """Two solvers of ``p`` taken through ``stage``: one with the solver's
+    chain threshold and one with the threshold out of reach, so on the eta
+    loop."""
+    sims = []
+    for chain_min in (lp._CHAIN_MIN, p.num_constraints + 1):
+        with monkeypatch.context() as m:
+            m.setattr(lp, "_CHAIN_MIN", chain_min)
+            sim = lp._Simplex(p)
+            stage(sim)
+        sims.append(sim)
+    return sims[0], sims[1]
+
+
+_STAGES = {
+    "set-up": lambda sim: sim._setup(),
+    "start": lambda sim: (sim._setup(), sim._place_bounds()),
+    "solve": lambda sim: sim.run(),
+}
+
+
+def test_prefix_sums_equal_the_eta_loop_bit_for_bit_on_the_ladder(example_scenario, monkeypatch):
+    # the bench's long-horizon LP and every rung from T=96 to T=768, after
+    # set-up, after the start's moves and after a solve; a stride of the
+    # columns keeps the Python eta loop's share of the test short
+    problems = [_fifteen_minute_lp(example_scenario, 7)] + [_ladder_rung(example_scenario, f) for f in (4, 8, 16, 32)]
+    for p in problems:
+        for stage, run in _STAGES.items():
+            chain, loop = _on_both_paths(p, run, monkeypatch)
+            assert chain.chain is not None and loop.chain is None, (p.name, stage)
+            assert np.array_equal(chain.basis, loop.basis) and chain.xB.tobytes() == loop.xB.tobytes()
+            for q in chain.cols[::max(1, len(chain.cols) // 300)].tolist():
+                assert chain._ftran(chain._column(q)).tobytes() == loop._ftran(loop._column(q)).tobytes()
+            # each pick's sink terms precede its link in the column, so
+            # BTRAN's slot-wise sums keep the loop's order too
+            for y in (chain.cost[chain.basis], np.random.default_rng(0).uniform(-1.0, 1.0, chain.m)):
+                assert chain._btran(y).tobytes() == loop._btran(y).tobytes()
+
+
+def test_the_chain_path_matches_linear_algebra_through_a_solve(example_scenario):
+    # T=768 is left out: its dense [A | I] alone would take 109 MB
+    for p in [_fifteen_minute_lp(example_scenario, 7), _ladder_rung(example_scenario, 8),
+              _ladder_rung(example_scenario, 16)]:
+        sim = lp._Simplex(p)
+        sim._setup()
+        assert sim.chain is not None
+        assert _assert_factor_holds_through_a_solve(p).status == lp.OPTIMAL
+
+
+def test_solves_on_the_chain_path_equal_the_eta_loops_bit_for_bit(example_with_high, example_scenario,
+                                                                   monkeypatch):
+    # the whole-day windows of every objective and power mode (24 steps, 23
+    # links) and the 15-minute day: the same pivots, point and objective
+    problems = [p for ct in evba.OBJECTIVE_VARIANTS.values() for power in evba.PowerMode
+                for p in evba.build_evba(example_with_high, ct, power)]
+    problems += [_fifteen_minute_lp(example_scenario, seed) for seed in (1, 7)]
+    on_chain = 0
+    for p in problems:
+        solved = [sim.run() for sim in _on_both_paths(p, lambda sim: None, monkeypatch)]
+        got, ref = solved
+        assert (got.status, got.iterations, got.stats) == (ref.status, ref.iterations, ref.stats)
+        assert repr(got.objective) == repr(ref.objective) and got.x.tobytes() == ref.x.tobytes()
+        on_chain += got.stats.crash_columns > lp._CHAIN_MIN
+    assert on_chain == len(problems)
+
+
+def _window(example_scenario, steps: int) -> lp.LpProblem:
+    """ev1's window over its first ``steps`` 15-minute steps, of5, high prices."""
+    s = refine(example_scenario, "ev1", 4)
+    s = s.with_prices(generate_price_set("high", seed=7, step_count=96, step_hours=0.25))
+    v = s.vehicles[0]
+    vl = evba._build_vehicle_lp(s, 0, evba.cost_toggles_for("of5"), evba.PowerMode.BOTH)
+    return evba._slice_window(vl, 0, steps - 1, v.soe_initial_kwh, v.soe_min_kwh)
+
+
+def test_a_session_window_keeps_the_eta_loop_and_a_long_window_takes_the_chain(example_with_high,
+                                                                                example_scenario):
+    v = example_with_high.vehicles[0]
+    vl = evba._build_vehicle_lp(example_with_high, 0, evba.cost_toggles_for("of5"), evba.PowerMode.BOTH)
+    session = evba._slice_window(vl, 8, 14, v.soe_initial_kwh, v.soe_min_kwh)  # 7 steps, 6 links
+    cases = [(session, False), (_fifteen_minute_lp(example_scenario, 7), True),
+             # the crossover: a chain of _CHAIN_MIN links takes the prefix sums
+             (_window(example_scenario, lp._CHAIN_MIN), False), (_window(example_scenario, lp._CHAIN_MIN + 1), True)]
+    for p, chain in cases:
+        sim = lp._Simplex(p)
+        sim._setup()
+        assert (sim.chain is not None) == chain, p.name
+        # one pick per balance row: a link per pick but the last
+        assert sim.crash_columns == (sim.chain[0].size if chain else len(sim.etas)) == (p._senses == "=").sum()
+
+
+def _all_equality_lp(rng: np.random.Generator):
+    """``random_bounded_lp`` with every row an equality met by an interior
+    point: with more rows than columns some row is left without a pick."""
+    c, lb, ub, A, _, _ = random_bounded_lp(rng)
+    return c, lb, ub, A, ["="] * len(A), A @ rng.uniform(lb, ub)
+
+
+def test_the_array_crash_takes_the_row_loops_picks(example_with_high, example_scenario):
+    problems = list(_random_lps_with_tied_ranges())
+    for make in (random_banded_lp, random_free_bound_lp, _all_equality_lp):
+        problems += [build_problem(*make(np.random.default_rng(seed))) for seed in range(200)]
+    problems += [p for ct in evba.OBJECTIVE_VARIANTS.values() for power in evba.PowerMode
+                 for p in evba.build_evba(example_with_high, ct, power)]
+    problems += [_fifteen_minute_lp(example_scenario, 7), _ladder_rung(example_scenario, 8)]
+    left = 0  # equality rows with a candidate but no pick
+    for p in problems:
+        sim = lp._Simplex(p)
+        n = sim.n_struct
+        row, col, cand = lp._crash_entries(sim.row_of, p._indices, p._data, sim.pos[n:] < 0, sim.ub[:n] - sim.lb[:n])
+        rows, picks = lp._crash_picks(row, col, cand, sim.m, n)
+        basis, taken = crash_by_rows(sim)
+        assert rows.tolist() == taken and picks.tolist() == [basis[i] for i in taken], p.name
+        left += len(set(row[cand].tolist()) - set(taken))
+    assert left > 20
+
+
+def test_the_array_set_up_agrees_with_the_dense_reference_on_random_lps(monkeypatch):
+    # with no chain threshold every LP with an equality row runs the array
+    # crash, and keeps its picks as a chain whenever they link up; the
+    # others fall back to the loop crash and its etas
+    monkeypatch.setattr(lp, "_CHAIN_MIN", 0)
+    kinds = set()
+    for make in (random_bounded_lp, random_banded_lp, random_free_bound_lp, _all_equality_lp):
+        for seed in range(100):
+            p = build_problem(*make(np.random.default_rng(seed)))
+            got, ref = lp.solve(p), DenseSimplex(p).run()
+            assert got.status == ref.status and got.stats.crash_columns == ref.stats.crash_columns
+            if got.status == lp.OPTIMAL:
+                assert got.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
+                _assert_factor_holds_through_a_solve(p)
+            sim = lp._Simplex(p)
+            sim._setup()
+            kinds.add("chain" if sim.chain is not None else "etas" if sim.etas else "none")
+    assert kinds == {"chain", "etas", "none"}
+
+
+def test_solve_stats_time_each_stage_outside_comparisons(example_scenario):
+    p = _fifteen_minute_lp(example_scenario, 7)
+    start = perf_counter()
+    sol = lp.solve(p)
+    wall = perf_counter() - start
+    st = sol.stats
+    stages = (st.setup_s, st.start_s, st.phase1_s, st.phase2_s)
+    assert all(t >= 0.0 for t in stages) and st.setup_s > 0.0 and sum(stages) <= wall
+    timed_otherwise = dataclasses.replace(st, setup_s=1.0, start_s=2.0, phase1_s=3.0, phase2_s=4.0)
+    assert timed_otherwise == st and repr(timed_otherwise) == repr(st)
