@@ -2,9 +2,9 @@
 
 Self-contained minimization solver for problems with box-constrained
 variables and sparse linear rows, built for the sizes this package produces
-(tens to a few thousand rows). The basis is held as a product-form factor,
-so no array of rows by columns is built unless numerical drift forces a
-rebuild.
+(tens to a few thousand rows). A small LP holds its basis inverse as a
+dense array; a large one holds the basis as a product-form factor, so no
+array of rows by columns is built unless numerical drift forces a rebuild.
 
 A problem is given whole: ``LpProblem`` takes the variables' bounds and
 costs and the rows in compressed sparse row form, which the crash, the
@@ -16,41 +16,45 @@ Algorithm notes:
   zero). There are no artificial columns: every slack starts basic at its
   row residual, even outside its bounds, and a triangular crash makes one
   structural column basic per equality row (Bixby, ORSA J. Comput. 4(3), 1992);
-- the factor is a product of etas (Dantzig & Orchard-Hays, MTAC 8(46),
-  1954). The crash needs no pivots: a pick is zero in every row taken
-  before it, so in pick order each picked sparse column is its own eta.
-  Each pivot adds one eta ``I - u e_r^T``; the pivots' etas are kept
-  multiplied out as ``I - U^T Z`` (one row of ``U`` and of ``Z`` each), so
-  they apply in two matrix-vector products however many there are;
-- FTRAN (``B^-1 v``) runs the crash etas in pick order, skipping each whose
-  row of ``v`` is zero, then the pivots' product; BTRAN (``y^T B^-1``) runs
-  them the other way round and returns a zero ``y`` as it is. The basic
-  values are one FTRAN of ``b - A x_N``, every start move and entering
-  column reads one FTRAN, and reduced costs are ``c - [A | I]^T y`` summed
-  from the sparse rows, with ``y`` one BTRAN of the basic costs. They are
-  derived afresh after every pivot, so optimality needs no re-derivation;
-- the crash's factor splits in two: its core, each pick's entries in later
-  picks' rows, and its sinks, the entries in rows no pick takes, which no
-  eta reads. In a window LP the crash picks soe[t] for balance row t, with
-  pivot 1 and -1 in row t + 1, so the core is a unit chain: a first-order
-  recurrence that one prefix sum evaluates (Blelloch, CMU-CS-90-190, 1990).
-  Where it has at least ``_CHAIN_MIN`` links, FTRAN applies it as one
-  ``cumsum`` and the sinks as one unbuffered subtraction, and BTRAN
-  subtracts each pick's sink terms slot by slot and applies the chain as a
-  reversed ``cumsum``. FTRAN keeps the eta loop's order of operations, so
-  its result is the loop's to the bit, and so is BTRAN's where each pick's
-  sink entries precede its link in its column, as in window LPs. On this
-  path the crash runs in arrays and columns are read as sparse scatters.
-  ``_CHAIN_MIN`` is the measured crossover: on a shorter chain, such as a
-  station session's, the eta loop and the loop crash cost less than the
-  arrays' fixed calls;
+- the crash needs no pivots: a pick is zero in every row taken before it,
+  so in pick order the picks' square block is triangular. In a window LP
+  the crash picks soe[t] for balance row t, with pivot 1 and -1 in row
+  t + 1, so the picks form a unit chain: a first-order recurrence that one
+  prefix sum evaluates (Blelloch, CMU-CS-90-190, 1990);
+- an LP of more than ``_DENSE_ROWS`` rows whose crash is a unit chain
+  keeps it as a product-form factor (Dantzig & Orchard-Hays, MTAC 8(46),
+  1954). The chain's sinks are its entries in rows no pick takes. FTRAN
+  applies the chain as one ``cumsum`` and the sinks as one unbuffered
+  subtraction; BTRAN subtracts each pick's sink terms slot by slot and
+  applies the chain as a reversed ``cumsum``. Each pivot adds an eta
+  ``I - u e_r^T``, kept multiplied out as ``I - U^T Z`` (a row of ``U`` and
+  of ``Z`` each), so the pivots apply in two matrix-vector products.
+  Columns are sparse scatters, and reduced costs are ``c - [A | I]^T y``
+  summed from the sparse rows, ``y`` one BTRAN of the basic costs, derived
+  afresh after every pivot;
+- every other LP holds ``B^-1`` densely, with ``[A | I]`` on the columns
+  that can enter. The slacks' unit columns make the crash basis block
+  triangular, so set-up inverts only the picks' block; FTRAN and BTRAN are
+  one product each (the start's, of all its candidates, too), and each
+  pivot is one rank-1 update in place. Phase 2 updates its reduced costs
+  from the pivot row, ``d -= d_q alpha_r / alpha_rq``, and derives them
+  afresh once when they price no column, so drift in the updates cannot
+  end a solve;
+- ``_DENSE_ROWS`` is the measured crossover. Windows of ev1 at 15-minute
+  steps (24 to 280 rows, at most two iterations each) solved as fast on
+  either path (within 1%) from 78 to 92 rows. Below, the dense path won by
+  up to 13%; above, it lost by 6% at 98 rows, 25% at 104 and 4.3x at 280,
+  as its work grows with the square of the rows. Whole-day LPs with more
+  pivots favour it longer (0.71x at 46-70 rows, about 10 iterations;
+  0.83x at 92-140, 23);
 - between the crash and phase 1 the start is priced once: each nonbasic
   column with two finite bounds whose reduced cost favours its other bound
   (``sign * d > opt_tol``) moves there, best score first with ties to the
   lower candidate column, unless the move takes a basic variable further
   outside its bounds than it already is (beyond ``pivot_tol``). The basis
-  does not change, so neither do the reduced costs: phase 2 starts from
-  them when phase 1 makes no pivot. ``start_flips`` counts the moves, which
+  does not change, so neither do the reduced costs, from which phase 2
+  starts when phase 1 makes no pivot, nor the candidates' FTRANs, which the
+  dense path takes in one product. ``start_flips`` counts the moves, which
   are not iterations (Bixby, 1992, section 4);
 - phase 1 is Wolfe's composite method in the same pivot loop: it minimises
   the sum of the basic variables' bound violations, prices from the
@@ -76,8 +80,8 @@ Algorithm notes:
   before a solution is declared optimal: structurals and the implied slacks
   ``b - A x`` must be within ``FEAS_TOL`` of their bounds, and a NaN
   anywhere fails the check; on drift the factor is rebuilt as a dense
-  inverse of the current basis, the one place ``[A | I]`` is built densely,
-  and both phases run again.
+  inverse of the current basis, from all of ``[A | I]`` built densely, and
+  both phases run again on it.
 
 Deterministic by construction: same problem, same pivots, same answer.
 """
@@ -110,11 +114,10 @@ _AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
 # d; basic columns score 0 and free columns are overwritten with |d|
 _SCORE_SIGN = np.array([-1.0, 1.0, 0.0, 0.0])
 
-#: The fewest links a crash's unit chain needs for the prefix-sum path: the
-#: measured crossover, at which a window LP solves as fast on either path.
-#: A shorter chain keeps the eta loop, whose Python costs less than the
-#: array path's fixed numpy calls on a few rows.
-_CHAIN_MIN = 15
+#: The most rows of an LP that holds a dense basis inverse even when its crash
+#: is a unit chain: the measured crossover, at which a window LP solves as
+#: fast on either path (see the notes above).
+_DENSE_ROWS = 96
 
 
 class LpError(ValueError):
@@ -297,9 +300,9 @@ def _crash_picks(row: np.ndarray, col: np.ndarray, cand: np.ndarray, m: int, n: 
 def _chain(rows: np.ndarray, picks: np.ndarray, col_ptr: np.ndarray, col_row: np.ndarray, col_val: np.ndarray,
            m: int):
     """The crash's factor on the chain path, or None when its picks do not
-    form a unit chain of at least ``_CHAIN_MIN`` links. ``rows`` and
-    ``picks`` are the crash's, in pick order, and the columns are in
-    compressed sparse column form over ``m`` rows.
+    form a unit chain. ``rows`` and ``picks`` are the crash's, in pick
+    order, and the columns are in compressed sparse column form over ``m``
+    rows.
 
     Each picked column splits into its pivot, its core entries (in rows of
     later picks) and its sink entries (in rows no pick takes, which no eta
@@ -318,7 +321,7 @@ def _chain(rows: np.ndarray, picks: np.ndarray, col_ptr: np.ndarray, col_row: np
     core = taken[e_row] & ~own
     pivot = e_val[own]
     link = k[core]
-    if not (len(picks) > _CHAIN_MIN and len(link) == len(picks) - 1 and (link == np.arange(len(link))).all()
+    if not (len(link) == len(picks) - 1 and (link == np.arange(len(link))).all()
             and (e_row[core] == rows[1:]).all() and (e_val[core] == -1.0).all() and (pivot[:-1] == 1.0).all()):
         return None
     sink = ~taken[e_row]
@@ -407,48 +410,35 @@ class _Simplex:
     # -- setup -------------------------------------------------------------
 
     def _setup(self) -> None:
-        """Slack basis, then a triangular crash: each equality row in order
-        takes the structural column with the widest nonzero bound range
-        (ties to the lowest index) among those nonzero in it and zero in
-        every row taken before it. An LP with more than ``_CHAIN_MIN``
-        equality rows runs the crash in arrays and keeps its picks when
-        they form a unit chain of that many links (see ``_chain``); every
-        other LP runs it as a Python loop that makes each pick its own eta,
-        in pick order. The basic values are one FTRAN of ``b - A x_N``."""
+        """Slack basis, then a triangular crash (see ``_crash_picks``), kept
+        as the factor of an LP of more than ``_DENSE_ROWS`` rows when its
+        picks form a unit chain (see ``_chain``); every other LP holds the
+        dense inverse of its crash basis. The basic values are one FTRAN of
+        ``b - A x_N``."""
         n, m, p = self.n_struct, self.m, self.p
-        # the structural columns, each in row order
-        order = np.argsort(p._indices, kind="stable")
-        col_ptr = np.concatenate([[0], np.cumsum(np.bincount(p._indices, minlength=n))])
-        col_row, col_val = self.row_of[order], p._data[order]
-        fixed = self.pos[n:] < 0
-        row, col, cand = _crash_entries(self.row_of, p._indices, p._data, fixed, self.ub[:n] - self.lb[:n])
-        self.inverse = None  # a refactorization's dense B^-1, in place of the crash's factor
-        self.chain = None
+        row, col, cand = _crash_entries(self.row_of, p._indices, p._data, self.pos[n:] < 0,
+                                        self.ub[:n] - self.lb[:n])
+        rows, picks = _crash_picks(row, col, cand, m, n)
+        self.inverse = self.chain = None  # the dense B^-1, or the chain's factor
         self._clear_updates()
-        if np.count_nonzero(fixed) > _CHAIN_MIN:
-            rows, picks = _crash_picks(row, col, cand, m, n)
-            self.chain = _chain(rows, picks, col_ptr, col_row, col_val, m)
-        if self.chain is not None:
-            self.col_ptr, self.col_row, self.col_val = col_ptr, col_row, col_val
-        else:
-            self.col_ptr, self.col_row, self.col_val = col_ptr.tolist(), col_row.tolist(), col_val.tolist()
-            start = np.flatnonzero(np.diff(row, prepend=-1))
-            n_cand = np.add.reduceat(cand, start) if start.size else start
-            # the picks are triangular: a pick is zero in every row taken
-            # before it, so in pick order each picked column is its own eta
-            self.etas = []
-            cols, blocked, picks = col.tolist(), set(), []
-            for i, a, b, c in zip(row[start].tolist(), start.tolist(), [*start[1:].tolist(), len(cols)],
-                                  (start + n_cand).tolist()):
-                for j in cols[a:c]:
-                    if j not in blocked:
-                        blocked.update(cols[a:b])
-                        picks.append(j)
-                        lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
-                        pairs = list(zip(self.col_row[lo:hi], self.col_val[lo:hi]))
-                        self.etas.append((i, pairs.pop(self.col_row.index(i, lo, hi) - lo)[1], pairs))
-                        break
-            rows = np.array([r for r, _, _ in self.etas], dtype=np.intp)
+        if m > _DENSE_ROWS:
+            # the structural columns, each in row order
+            order = np.argsort(p._indices, kind="stable")
+            self.col_ptr = np.concatenate([[0], np.cumsum(np.bincount(p._indices, minlength=n))])
+            self.col_row, self.col_val = self.row_of[order], p._data[order]
+            self.chain = _chain(rows, picks, self.col_ptr, self.col_row, self.col_val, m)
+        if self.chain is None:
+            # with P the picks' columns and L = P[rows], B^-1 is the identity
+            # but in columns rows, which hold -P L^-1, and L^-1 in rows rows;
+            # P, L and X below are the transposes of these
+            self.columns = self._dense_columns(self.pos, len(self.cols))
+            P = self.columns[self.pos[picks]]
+            L_inv = np.linalg.inv(P[:, rows])
+            X = L_inv @ P
+            np.negative(X, out=X)
+            X[:, rows] = L_inv
+            self.inverse = np.eye(m)
+            self.inverse[:, rows] = X.T
         status = np.full(n + m, _FREE, dtype=np.int8)
         status[np.isfinite(self.ub)] = _AT_UB
         status[np.isfinite(self.lb)] = _AT_LB  # prefer the lower bound when both are finite
@@ -458,8 +448,7 @@ class _Simplex:
         status[self.basis] = _BASIC
         self.status = status
         self.nb_value = np.where(status == _AT_LB, self.lb, np.where(status == _AT_UB, self.ub, 0.0))
-        residual = self.b - self._row_products(self.nb_value[:n])
-        self.xB = self._ftran(residual if self.chain is not None else residual.tolist())
+        self.xB = self._ftran(self.b - self._row_products(self.nb_value[:n]))
         self.d = None  # reduced costs of the current basis, once derived
         self._sync()
         self.crash_columns = len(picks)
@@ -475,13 +464,17 @@ class _Simplex:
         score = self.sign * self.d
         width = (self.ub - self.lb)[self.cols]
         cand = np.flatnonzero((score > self.opt_tol) & (width < INF))
+        cand = cand[np.argsort(-score[cand], kind="stable")]
         tol = self.pivot_tol
         # where each basic variable may go: its bounds, widened to where it is
         lo, hi = np.minimum(self.lbB, self.xB) - tol, np.maximum(self.ubB, self.xB) + tol
-        for k in cand[np.argsort(-score[cand], kind="stable")].tolist():
+        # the FTRANs of the candidates' columns, on the dense inverse in one product
+        moves = (self.columns[cand] @ self.inverse.T if self.inverse is not None
+                 else (self._ftran(self._column(q)) for q in self.cols[cand].tolist()))
+        for k, w in zip(cand.tolist(), moves):
             q = self.cols[k]
             sigma = -self.sign[k]  # +1 up from the lower bound, -1 down from the upper
-            xB = self.xB - self._ftran(self._column(q)) * (sigma * width[k])
+            xB = self.xB - w * (sigma * width[k])
             if ((xB < lo) | (xB > hi)).any():
                 continue
             self.xB = xB
@@ -502,22 +495,24 @@ class _Simplex:
 
     # -- the factor --------------------------------------------------------
 
-    def _column(self, q: int):
-        """Column ``q`` of ``[A | I]``, dense: an array on the chain path, a
-        list for the eta loop."""
-        if self.chain is not None:
-            v = np.zeros(self.m)
-            if q < self.n_struct:
-                a, b = self.col_ptr[q], self.col_ptr[q + 1]
-                v[self.col_row[a:b]] = self.col_val[a:b]
-            else:
-                v[q - self.n_struct] = 1.0
-            return v
-        v = [0.0] * self.m
+    def _dense_columns(self, at: np.ndarray, count: int) -> np.ndarray:
+        """``count`` columns of ``[A | I]`` as the rows of a dense array,
+        variable ``j``'s in row ``at[j]`` unless that is -1."""
+        out = np.zeros((count, self.m))
+        j, s = at[self.p._indices], at[self.n_struct:]
+        out[j[j >= 0], self.row_of[j >= 0]] = self.p._data[j >= 0]
+        out[s[s >= 0], np.flatnonzero(s >= 0)] = 1.0
+        return out
+
+    def _column(self, q: int) -> np.ndarray:
+        """Column ``q`` of ``[A | I]``, dense; on the dense inverse ``q``
+        must be able to enter."""
+        if self.inverse is not None:
+            return self.columns[self.pos[q]]
+        v = np.zeros(self.m)
         if q < self.n_struct:
             a, b = self.col_ptr[q], self.col_ptr[q + 1]
-            for i, x in zip(self.col_row[a:b], self.col_val[a:b]):
-                v[i] = x
+            v[self.col_row[a:b]] = self.col_val[a:b]
         else:
             v[q - self.n_struct] = 1.0
         return v
@@ -527,68 +522,50 @@ class _Simplex:
         first ``updates`` rows, and grow when full."""
         self.U, self.Z, self.updates = np.empty((0, self.m)), np.empty((0, self.m)), 0
 
-    def _ftran(self, v) -> np.ndarray:
-        """``B^-1 v``, overwriting ``v`` (a ``_column``): the crash's factor,
-        then the pivots' etas in two products. On the chain path the chain
-        is one prefix sum and the sinks one product; the eta loop runs the
-        crash etas in pick order, each skipped when its row of ``v`` is
-        zero."""
+    def _ftran(self, v: np.ndarray) -> np.ndarray:
+        """``B^-1 v``: one product with the dense inverse, or, overwriting
+        ``v`` (a ``_column``), the chain's factor and then the pivots' etas
+        in two products: the chain is one prefix sum and the sinks one
+        unbuffered subtraction."""
         if self.inverse is not None:
-            v = self.inverse @ v
-        elif self.chain is not None:
-            rows, pivot, k, sink_row, sink_val, _ = self.chain
-            t = v[rows].cumsum()
-            t[-1] /= pivot
-            v[rows] = t
-            np.subtract.at(v, sink_row, sink_val * t[k])
-        else:
-            for r, piv, pairs in self.etas:
-                t = v[r]
-                if t:
-                    t /= piv
-                    v[r] = t
-                    for i, x in pairs:
-                        v[i] -= x * t
-            v = np.fromiter(v, float, self.m)
+            return self.inverse @ v
+        rows, pivot, k, sink_row, sink_val, _ = self.chain
+        t = v[rows].cumsum()
+        t[-1] /= pivot
+        v[rows] = t
+        np.subtract.at(v, sink_row, sink_val * t[k])
         if self.updates:
             k = self.updates
             v -= (self.Z[:k] @ v) @ self.U[:k]
         return v
 
     def _btran(self, y: np.ndarray) -> np.ndarray:
-        """``B^-T y``, that is ``y^T B^-1``: the pivots' etas in two
-        products, then the crash's factor the other way round, skipped
-        when ``y`` is zero. On the chain path each pick's sink terms are
-        subtracted in its entries' order, one slot at a time, and the chain
-        is one reversed prefix sum; the eta loop runs the crash etas in
-        reverse pick order."""
+        """``B^-T y``, that is ``y^T B^-1``: one product with the dense
+        inverse, or the pivots' etas in two products and then the chain's
+        factor the other way round, skipped when ``y`` is zero: each pick's
+        sink terms are subtracted in its entries' order, one slot at a time,
+        and the chain is one reversed prefix sum."""
+        if self.inverse is not None:
+            return y @ self.inverse
         if self.updates:
             k = self.updates
             y = y - (self.U[:k] @ y) @ self.Z[:k]
-        if self.inverse is not None:
-            return y @ self.inverse
-        if self.chain is not None:
-            if not y.any():
-                return y
-            rows, pivot, _, _, _, slots = self.chain
-            t = y[rows]
-            for k, sink_row, sink_val in slots:
-                t[k] -= sink_val * y[sink_row]
-            t[-1] /= pivot
-            y = y.copy()
-            y[rows] = t[::-1].cumsum()[::-1]
+        if not y.any():
             return y
-        y = y.tolist()
-        for r, piv, pairs in reversed(self.etas if any(y) else ()):
-            t = y[r]
-            for i, x in pairs:
-                t -= x * y[i]
-            y[r] = t / piv
-        return np.fromiter(y, float, self.m)
+        rows, pivot, _, _, _, slots = self.chain
+        t = y[rows]
+        for k, sink_row, sink_val in slots:
+            t[k] -= sink_val * y[sink_row]
+        t[-1] /= pivot
+        y = y.copy()
+        y[rows] = t[::-1].cumsum()[::-1]
+        return y
 
     def _prices(self, y: np.ndarray) -> np.ndarray:
         """``y^T [A | I]`` on the candidate columns, summed from the sparse
         rows."""
+        if self.inverse is not None:
+            return self.columns @ y
         p = self.p
         yA = np.bincount(p._indices, weights=p._data * y[self.row_of], minlength=self.n_struct)
         return np.concatenate([yA, y])[self.cols]
@@ -605,17 +582,16 @@ class _Simplex:
 
     def _refactorize(self) -> None:
         """Rebuild the factor and basic values from the original columns: a
-        dense inverse of the basis, with an empty eta file after it."""
+        dense inverse of the basis, on which the solve goes on."""
         self.refactorizations += 1
-        A = np.hstack([np.zeros((self.m, self.n_struct)), np.eye(self.m)])  # [A | I]
-        A[self.row_of, self.p._indices] = self.p._data
+        full = self._dense_columns(np.arange(self.n_struct + self.m), self.n_struct + self.m)
         nb_mask = self.status != _BASIC
-        contrib = A[:, nb_mask] @ self.nb_value[nb_mask]
+        contrib = self.nb_value[nb_mask] @ full[nb_mask]
         try:
-            self.inverse = np.linalg.inv(A[:, self.basis])
+            self.inverse = np.linalg.inv(full[self.basis].T)
         except np.linalg.LinAlgError as exc:
             raise ArithmeticError(f"singular basis in {self.p.name!r}: {exc}") from exc
-        self.etas, self.chain = [], None
+        self.columns, self.chain = full[self.cols], None
         self._clear_updates()
         self.xB = self.inverse @ (self.b - contrib)
         self.d = None
@@ -652,39 +628,45 @@ class _Simplex:
 
     def _pivot(self, r: int, k: int, w: np.ndarray, entering_val: float, leaving_status: int) -> None:
         """Exchange basic row ``r`` for candidate column ``k``, whose FTRAN is
-        ``w``, by appending its eta; the leaver rests at a bound."""
+        ``w``, by a rank-1 update of the dense inverse or by appending its
+        eta; the leaver rests at a bound."""
         leaving, q = self.basis[r], self.cols[k]
         self.status[leaving] = leaving_status
         self.nb_value[leaving] = self.lb[leaving] if leaving_status == _AT_LB else self.ub[leaving]
         if self.pos[leaving] >= 0:
             self.sign[self.pos[leaving]] = _SCORE_SIGN[leaving_status]
-        # the eta E^-1 = I - u e_r^T, with u = (w - e_r) / w_r, joins the
-        # product P = I - U^T Z of the pivots' etas as a row u of U and the
-        # row e_r^T P of Z
-        j = self.updates
-        if j == len(self.U):  # full: room for as many again and four more
-            self.U, self.Z = (np.vstack([a, np.empty((j + 4, self.m))]) for a in (self.U, self.Z))
-        u, z = self.U[j], self.Z[j]
-        np.divide(w, w[r], out=u)
-        u[r] = 1.0 - 1.0 / w[r]
-        np.dot(-self.U[:j, r], self.Z[:j], out=z)
-        z[r] += 1.0
-        self.updates = j + 1
+        if self.inverse is not None:  # (I - (w - e_r) e_r^T / w_r) B^-1
+            row = self.inverse[r] / w[r]
+            self.inverse -= w[:, None] * row
+            self.inverse[r] = row
+        else:
+            # the eta E^-1 = I - u e_r^T, with u = (w - e_r) / w_r, joins the
+            # product P = I - U^T Z of the pivots' etas as a row u of U and
+            # the row e_r^T P of Z
+            j = self.updates
+            if j == len(self.U):  # full: room for as many again and four more
+                self.U, self.Z = (np.vstack([a, np.empty((j + 4, self.m))]) for a in (self.U, self.Z))
+            u, z = self.U[j], self.Z[j]
+            np.divide(w, w[r], out=u)
+            u[r] = 1.0 - 1.0 / w[r]
+            np.dot(-self.U[:j, r], self.Z[:j], out=z)
+            z[r] += 1.0
+            self.updates = j + 1
         self.basis[r] = q
         self.status[q] = _BASIC
         self.sign[k] = 0.0
         self.lbB[r] = self.lb[q]
         self.ubB[r] = self.ub[q]
         self.xB[r] = entering_val
-        self.d = None
 
     def _iterate(self, phase1: bool) -> str:
         """Pivot until no column improves the phase's objective: the sum of
         bound violations in phase 1, which ends infeasible when a violation
         above ``FEAS_TOL`` remains; the cost in phase 2, whose reduced costs
-        are derived from the basis after every pivot."""
+        are updated or derived afresh after every pivot."""
         stall = 0
         stall_limit = 50 + 2 * (self.m + self.n_struct)
+        updated = False
         while True:
             bland = self.bland_from is not None
             lbB, ubB = self.lbB, self.ubB
@@ -707,6 +689,9 @@ class _Simplex:
             if k < 0:
                 if phase1:
                     return INFEASIBLE if gap.max() > FEAS_TOL else OPTIMAL
+                if updated:
+                    self.d, updated = None, False
+                    continue
                 return OPTIMAL
             if self.iterations >= self.max_iter:
                 return ITERATION_LIMIT
@@ -764,6 +749,11 @@ class _Simplex:
             # infeasible one at the bound it violated, on the other side
             infeasible = phase1 and bool(out[r])
             self._pivot(r, k, w, entering_val, _AT_LB if falls[r] != infeasible else _AT_UB)
+            if phase1 or self.inverse is None:
+                self.d = None
+            else:  # row r of the updated inverse prices alpha_r / alpha_rq
+                d -= d[k] * self._prices(self.inverse[r])
+                d[k], updated = 0.0, True
 
     def run(self) -> LpSolution:
         t0 = perf_counter()

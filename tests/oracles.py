@@ -8,7 +8,8 @@ pivot for pivot, ``window_lp_by_rows``, the reference for the window LP
 that ``evba`` builds from arrays (with ``two_plane``, the same LP with the
 wear cost as an epigraph variable over both planes, against which the
 one-row wear model is checked), ``crash_by_rows``, the reference for the
-crash that ``lp`` runs in arrays on long window LPs,
+crash that ``lp`` runs in arrays, ``EtaLoopSimplex``, the bit-for-bit
+reference for the prefix sums of ``lp``'s chain path,
 ``cost_breakdown_by_steps``, the reference for the cost breakdown that
 ``evba`` sums from arrays, and ``check_schedule_by_steps``, the reference
 for the auditor that ``analysis`` runs in array passes.
@@ -674,6 +675,99 @@ class DenseSimplex(lp._Simplex):
             self._pivot(r, q, entering_val, lp._AT_LB if (sw[r] > 0) != out[r] else lp._AT_UB)
             if not phase1:
                 d = d - d[q] * self.T[r, :]
+
+
+class EtaLoopSimplex(lp._Simplex):
+    """The solver on the crash's factor as a Python loop of etas, the
+    bit-for-bit reference for the chain path's prefix sums, on LPs of any
+    size: the crash runs as a loop over the equality rows, making each pick
+    its own eta in pick order; FTRAN runs the crash etas in pick order,
+    skipping each whose row of the column is zero, and BTRAN runs them the
+    other way round. The start, the pivots' etas, the pricing, the ratio
+    test and the drift path are the solver's."""
+
+    def _setup(self) -> None:
+        n, m, p = self.n_struct, self.m, self.p
+        order = np.argsort(p._indices, kind="stable")
+        self.col_ptr = np.concatenate([[0], np.cumsum(np.bincount(p._indices, minlength=n))]).tolist()
+        self.col_row, self.col_val = self.row_of[order].tolist(), p._data[order].tolist()
+        row, col, cand = lp._crash_entries(self.row_of, p._indices, p._data, self.pos[n:] < 0,
+                                           self.ub[:n] - self.lb[:n])
+        self.inverse = self.chain = None
+        self._clear_updates()
+        start = np.flatnonzero(np.diff(row, prepend=-1))
+        n_cand = np.add.reduceat(cand, start) if start.size else start
+        # each equality row takes its first candidate that no row taken
+        # before it blocks, and then blocks every column nonzero in it
+        self.etas = []
+        cols, blocked, picks = col.tolist(), set(), []
+        for i, a, b, c in zip(row[start].tolist(), start.tolist(), [*start[1:].tolist(), len(cols)],
+                              (start + n_cand).tolist()):
+            for j in cols[a:c]:
+                if j not in blocked:
+                    blocked.update(cols[a:b])
+                    picks.append(j)
+                    lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
+                    pairs = list(zip(self.col_row[lo:hi], self.col_val[lo:hi]))
+                    self.etas.append((i, pairs.pop(self.col_row.index(i, lo, hi) - lo)[1], pairs))
+                    break
+        rows = np.array([r for r, _, _ in self.etas], dtype=np.intp)
+        status = np.full(n + m, lp._FREE, dtype=np.int8)
+        status[np.isfinite(self.ub)] = lp._AT_UB
+        status[np.isfinite(self.lb)] = lp._AT_LB
+        status[n + rows] = lp._AT_LB
+        self.basis = n + np.arange(m)
+        self.basis[rows] = picks
+        status[self.basis] = lp._BASIC
+        self.status = status
+        self.nb_value = np.where(status == lp._AT_LB, self.lb, np.where(status == lp._AT_UB, self.ub, 0.0))
+        self.xB = self._ftran((self.b - self._row_products(self.nb_value[:n])).tolist())
+        self.d = None
+        self._sync()
+        self.crash_columns = len(picks)
+
+    def _column(self, q: int):
+        """Column ``q`` of ``[A | I]`` as a list, the eta loop's operand."""
+        if self.inverse is not None:
+            return super()._column(q)
+        v = [0.0] * self.m
+        if q < self.n_struct:
+            a, b = self.col_ptr[q], self.col_ptr[q + 1]
+            for i, x in zip(self.col_row[a:b], self.col_val[a:b]):
+                v[i] = x
+        else:
+            v[q - self.n_struct] = 1.0
+        return v
+
+    def _ftran(self, v) -> np.ndarray:
+        if self.inverse is not None:
+            return super()._ftran(v)
+        for r, piv, pairs in self.etas:
+            t = v[r]
+            if t:
+                t /= piv
+                v[r] = t
+                for i, x in pairs:
+                    v[i] -= x * t
+        v = np.fromiter(v, float, self.m)
+        if self.updates:
+            k = self.updates
+            v -= (self.Z[:k] @ v) @ self.U[:k]
+        return v
+
+    def _btran(self, y: np.ndarray) -> np.ndarray:
+        if self.inverse is not None:
+            return super()._btran(y)
+        if self.updates:
+            k = self.updates
+            y = y - (self.U[:k] @ y) @ self.Z[:k]
+        y = y.tolist()
+        for r, piv, pairs in reversed(self.etas if any(y) else ()):
+            t = y[r]
+            for i, x in pairs:
+                t -= x * y[i]
+            y[r] = t / piv
+        return np.fromiter(y, float, self.m)
 
 
 def cost_breakdown_by_steps(s, ct: evba.CostToggles, e_sch, e_dch, e_fch, deg_priced) -> list[evba.VehicleCosts]:

@@ -602,6 +602,38 @@ def test_report_bytes_are_deterministic(example_scenario, high_prices, tmp_path)
         assert (a / name).read_bytes() == (b / name).read_bytes()
 
 
+def test_rewriting_over_longer_files_leaves_exactly_the_new_bytes(example_scenario, high_prices, tmp_path):
+    study = run_cost_ablation(example_scenario, high_prices)
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    names = [p.name for p in write_report(study, fresh)]
+    reused.mkdir()
+    for name in names:
+        (reused / name).write_bytes(b"x" * (2 * (fresh / name).stat().st_size + 100))
+    assert [p.name for p in write_report(study, reused)] == names
+    for name in names:
+        assert (reused / name).read_bytes() == (fresh / name).read_bytes()
+
+
+def test_a_symlinked_report_file_keeps_its_link(example_scenario, high_prices, tmp_path):
+    study = run_cost_ablation(example_scenario, high_prices)
+    out, target = tmp_path / "out", tmp_path / "kept.json"
+    out.mkdir()
+    target.write_text("old " * 10_000)
+    (out / "cost_ablation.json").symlink_to(target)
+    write_report(study, out)
+    assert (out / "cost_ablation.json").is_symlink()
+    write_report(study, tmp_path / "plain")
+    assert target.read_bytes() == (tmp_path / "plain" / "cost_ablation.json").read_bytes()
+
+
+def test_an_unwritable_report_file_raises_naming_it(example_scenario, high_prices, tmp_path):
+    # a directory where the report file goes cannot be opened for writing
+    study = run_cost_ablation(example_scenario, high_prices)
+    (tmp_path / "cost_ablation.csv").mkdir()
+    with pytest.raises(OSError, match=r"^cannot write report file .*cost_ablation\.csv: "):
+        write_report(study, tmp_path)
+
+
 def test_random_scenarios_have_clean_audits():
     for seed in (21, 22):
         s = random_scenario(seed).with_prices(generate_price_set("medium", seed=seed))

@@ -16,6 +16,7 @@ from evdispatch import evba, lp
 from evdispatch.analysis import generate_price_set
 from oracles import (
     DenseSimplex,
+    EtaLoopSimplex,
     RowBuilder,
     block_diagonal_scipy_optimum,
     build_problem,
@@ -599,25 +600,44 @@ def test_restricted_update_matches_dense_reference_on_banded_lps(monkeypatch):
     assert any(first > 0 and last == m - 1 for m, first, last in spans)
 
 
-def test_setup_holds_no_dense_copy_of_the_rows(example_scenario):
-    # the rows stay in the problem's CSR and the crash etas in lists; the
-    # pivots' etas are the one 2-D pair, with a row per pivot and a little
-    # room to grow, so no array of rows by columns is built
-    def arrays_2d(sim):
-        return [name for name, v in vars(sim).items() if isinstance(v, np.ndarray) and v.ndim >= 2 and v.size]
+def _arrays_2d(sim) -> dict[str, tuple[int, ...]]:
+    """The shape of each 2-D array a solver holds that is not empty."""
+    return {name: v.shape for name, v in vars(sim).items() if isinstance(v, np.ndarray) and v.ndim >= 2 and v.size}
 
-    problems = [build_problem(*random_bounded_lp(np.random.default_rng(seed))) for seed in range(20)]
-    problems.append(_fifteen_minute_lp(example_scenario))
+
+def test_setup_holds_no_dense_copy_of_the_rows(example_scenario):
+    # above the crossover the rows stay in the problem's CSR and the chain
+    # in 1-D arrays; the pivots' etas are the one 2-D pair, with a row per
+    # pivot and a little room to grow, so no array of rows by columns is built
+    problems = [_fifteen_minute_lp(example_scenario), _ladder_rung(example_scenario, 8)]
     for p in problems:
+        assert p.num_constraints > lp._DENSE_ROWS
         sim = lp._Simplex(p)
         sim._setup()
-        assert arrays_2d(sim) == []
+        assert _arrays_2d(sim) == {}
         sim = lp._Simplex(p)
         sol = sim.run()
         assert sol.stats.refactorizations == 0
-        assert arrays_2d(sim) in ([], ["U", "Z"])
+        assert set(_arrays_2d(sim)) in (set(), {"U", "Z"})
         pivots = sol.stats.phase1_pivots + sol.stats.phase2_pivots
         assert sim.updates == pivots and sim.U.shape == sim.Z.shape and len(sim.U) <= 2 * pivots + 4
+
+
+def test_the_dense_path_holds_at_most_the_crossovers_rows_by_all_columns(example_with_high):
+    # at or below the crossover an LP holds B^-1 and [A | I] on the columns
+    # that can enter, each at most _DENSE_ROWS x (n + m), and no etas
+    problems = [build_problem(*random_bounded_lp(np.random.default_rng(seed))) for seed in range(20)]
+    problems += _example_lps(example_with_high) + [_session(example_with_high)]
+    for p in problems:
+        n, m = p.num_variables, p.num_constraints
+        sims = [lp._Simplex(p), lp._Simplex(p)]
+        sims[0]._setup()
+        assert sims[1].run().stats.refactorizations == 0
+        for sim in sims:
+            shapes = _arrays_2d(sim)
+            assert shapes == {"inverse": (m, m), "columns": (len(sim.cols), m)}, p.name
+            assert m <= lp._DENSE_ROWS and all(a * b <= lp._DENSE_ROWS * (n + m) for a, b in shapes.values())
+            assert sim.updates == 0
 
 
 def test_set_up_residuals_from_the_rows_equal_the_dense_product_on_window_lps(example_with_high):
@@ -651,6 +671,57 @@ def test_reduced_costs_match_linear_algebra_after_setup_and_solve(example_scenar
         for sim in (crashed, solved):
             np.testing.assert_allclose(sim._reduced_costs(), _reduced_costs_by_linear_algebra(sim),
                                        rtol=1e-9, atol=1e-9)
+
+
+def test_phase_two_updates_its_reduced_costs_on_the_dense_path(example_with_high, monkeypatch):
+    # every phase-2 pricing reads reduced costs equal to those derived from
+    # the basis by linear algebra; they are derived at most three times per
+    # solve (the start, the end of phase 1, the check that ends phase 2),
+    # however many pivots phase 2 makes
+    derived, checked = [], []
+    reduced_costs, price = lp._Simplex._reduced_costs, lp._Simplex._price
+
+    def counting(self):
+        derived[-1] += 1
+        return reduced_costs(self)
+
+    def checking(self, d, bland):
+        if d is self.d:
+            np.testing.assert_allclose(d, _reduced_costs_by_linear_algebra(self), rtol=1e-9, atol=1e-9)
+            checked.append(1)
+        return price(self, d, bland)
+
+    monkeypatch.setattr(lp._Simplex, "_reduced_costs", counting)
+    monkeypatch.setattr(lp._Simplex, "_price", checking)
+    problems = [p for ct in evba.OBJECTIVE_VARIANTS.values() for p in evba.build_evba(example_with_high, ct)]
+    problems += [build_problem(*random_bounded_lp(np.random.default_rng(seed))) for seed in range(30)]
+    pivots = 0
+    for p in problems:
+        derived.append(0)
+        sol = lp.solve(p)
+        assert sol.status == lp.OPTIMAL and sol.stats.refactorizations == 0
+        assert derived[-1] <= 3, (p.name, derived[-1], sol.stats)
+        pivots += sol.stats.phase2_pivots
+    assert pivots > 150 and len(checked) > pivots
+
+
+def test_updated_reduced_costs_are_derived_afresh_before_phase_two_ends(example_with_high, monkeypatch):
+    # with the pivot-row updates priced as zero, phase 2 prices from stale
+    # reduced costs until they price no column; deriving them afresh then
+    # still takes every solve to the reference's optimum
+    prices = lp._Simplex._prices
+
+    def stale(self, y):
+        out = prices(self, y)
+        return np.zeros_like(out) if self.inverse is not None and np.shares_memory(y, self.inverse) else out
+
+    monkeypatch.setattr(lp._Simplex, "_prices", stale)
+    problems = _example_lps(example_with_high)
+    problems += [build_problem(*random_bounded_lp(np.random.default_rng(seed))) for seed in range(30)]
+    for p in problems:
+        got, ref = lp.solve(p), DenseSimplex(p).run()
+        assert got.status == ref.status == lp.OPTIMAL
+        assert got.objective == pytest.approx(ref.objective, rel=1e-9, abs=1e-9)
 
 
 def test_example_lps_take_few_pivots_and_account_for_each(example_with_high):
@@ -799,21 +870,7 @@ def test_pivots_match_dense_reference_through_a_refactorization(example_with_hig
     assert rebuilds == [lp._Simplex, DenseSimplex] * len(problems)
 
 
-# -- the chain path: the crash's state-of-energy chain as prefix sums --------
-
-
-def _on_both_paths(p: lp.LpProblem, stage, monkeypatch) -> tuple[lp._Simplex, lp._Simplex]:
-    """Two solvers of ``p`` taken through ``stage``: one with the solver's
-    chain threshold and one with the threshold out of reach, so on the eta
-    loop."""
-    sims = []
-    for chain_min in (lp._CHAIN_MIN, p.num_constraints + 1):
-        with monkeypatch.context() as m:
-            m.setattr(lp, "_CHAIN_MIN", chain_min)
-            sim = lp._Simplex(p)
-            stage(sim)
-        sims.append(sim)
-    return sims[0], sims[1]
+# -- the two factor paths: a dense inverse, or the crash's chain as prefix sums
 
 
 _STAGES = {
@@ -823,16 +880,19 @@ _STAGES = {
 }
 
 
-def test_prefix_sums_equal_the_eta_loop_bit_for_bit_on_the_ladder(example_scenario, monkeypatch):
+def test_prefix_sums_equal_the_eta_loop_bit_for_bit_on_the_ladder(example_scenario):
     # the bench's long-horizon LP and every rung from T=96 to T=768, after
     # set-up, after the start's moves and after a solve; a stride of the
     # columns keeps the Python eta loop's share of the test short
     problems = [_fifteen_minute_lp(example_scenario, 7)] + [_ladder_rung(example_scenario, f) for f in (4, 8, 16, 32)]
     for p in problems:
         for stage, run in _STAGES.items():
-            chain, loop = _on_both_paths(p, run, monkeypatch)
-            assert chain.chain is not None and loop.chain is None, (p.name, stage)
+            chain, loop = lp._Simplex(p), EtaLoopSimplex(p)
+            run(chain)
+            run(loop)
+            assert chain.chain is not None and chain.inverse is None, (p.name, stage)
             assert np.array_equal(chain.basis, loop.basis) and chain.xB.tobytes() == loop.xB.tobytes()
+            assert chain.start_flips == loop.start_flips
             for q in chain.cols[::max(1, len(chain.cols) // 300)].tolist():
                 assert chain._ftran(chain._column(q)).tobytes() == loop._ftran(loop._column(q)).tobytes()
             # each pick's sink terms precede its link in the column, so
@@ -851,21 +911,31 @@ def test_the_chain_path_matches_linear_algebra_through_a_solve(example_scenario)
         assert _assert_factor_holds_through_a_solve(p).status == lp.OPTIMAL
 
 
+def test_the_dense_path_matches_linear_algebra_through_a_solve(example_with_high):
+    # the example's whole-day LPs under every objective, and a session
+    problems = [p for ct in evba.OBJECTIVE_VARIANTS.values() for p in evba.build_evba(example_with_high, ct)]
+    for p in problems + [_session(example_with_high)]:
+        sim = lp._Simplex(p)
+        sim._setup()
+        assert sim.inverse is not None and sim.chain is None
+        assert _assert_factor_holds_through_a_solve(p).status == lp.OPTIMAL
+
+
 def test_solves_on_the_chain_path_equal_the_eta_loops_bit_for_bit(example_with_high, example_scenario,
                                                                    monkeypatch):
     # the whole-day windows of every objective and power mode (24 steps, 23
-    # links) and the 15-minute day: the same pivots, point and objective
+    # links), put on the chain path with the crossover at 0, and the
+    # 15-minute day: the same pivots, point and objective
+    monkeypatch.setattr(lp, "_DENSE_ROWS", 0)
     problems = [p for ct in evba.OBJECTIVE_VARIANTS.values() for power in evba.PowerMode
                 for p in evba.build_evba(example_with_high, ct, power)]
     problems += [_fifteen_minute_lp(example_scenario, seed) for seed in (1, 7)]
-    on_chain = 0
     for p in problems:
-        solved = [sim.run() for sim in _on_both_paths(p, lambda sim: None, monkeypatch)]
-        got, ref = solved
+        chain = lp._Simplex(p)
+        got, ref = chain.run(), EtaLoopSimplex(p).run()
+        assert chain.chain is not None, p.name
         assert (got.status, got.iterations, got.stats) == (ref.status, ref.iterations, ref.stats)
         assert repr(got.objective) == repr(ref.objective) and got.x.tobytes() == ref.x.tobytes()
-        on_chain += got.stats.crash_columns > lp._CHAIN_MIN
-    assert on_chain == len(problems)
 
 
 def _window(example_scenario, steps: int) -> lp.LpProblem:
@@ -877,20 +947,28 @@ def _window(example_scenario, steps: int) -> lp.LpProblem:
     return evba._slice_window(vl, 0, steps - 1, v.soe_initial_kwh, v.soe_min_kwh)
 
 
-def test_a_session_window_keeps_the_eta_loop_and_a_long_window_takes_the_chain(example_with_high,
-                                                                                example_scenario):
+def _session(example_with_high) -> lp.LpProblem:
+    """ev1's station session over steps 8..14 of the example (7 steps, 6 links)."""
     v = example_with_high.vehicles[0]
     vl = evba._build_vehicle_lp(example_with_high, 0, evba.cost_toggles_for("of5"), evba.PowerMode.BOTH)
-    session = evba._slice_window(vl, 8, 14, v.soe_initial_kwh, v.soe_min_kwh)  # 7 steps, 6 links
-    cases = [(session, False), (_fifteen_minute_lp(example_scenario, 7), True),
-             # the crossover: a chain of _CHAIN_MIN links takes the prefix sums
-             (_window(example_scenario, lp._CHAIN_MIN), False), (_window(example_scenario, lp._CHAIN_MIN + 1), True)]
-    for p, chain in cases:
+    return evba._slice_window(vl, 8, 14, v.soe_initial_kwh, v.soe_min_kwh)
+
+
+def test_small_lps_take_the_dense_inverse_and_long_windows_the_chain(example_with_high, example_scenario):
+    small = _example_lps(example_with_high) + [_session(example_with_high)]
+    assert max(p.num_constraints for p in small) == 70
+    long = [_fifteen_minute_lp(example_scenario, 7)] + [_ladder_rung(example_scenario, f) for f in (4, 8, 16, 32)]
+    # the crossover: 32 steps take 92 rows and 34 take 98
+    at_crossover = [_window(example_scenario, steps) for steps in (32, 34)]
+    assert [p.num_constraints for p in at_crossover] == [92, 98] and 92 <= lp._DENSE_ROWS < 98
+    for p, chain in [(p, False) for p in small + at_crossover[:1]] + [(p, True) for p in long + at_crossover[1:]]:
         sim = lp._Simplex(p)
         sim._setup()
-        assert (sim.chain is not None) == chain, p.name
+        assert (sim.chain is not None, sim.inverse is None) == (chain, chain), p.name
         # one pick per balance row: a link per pick but the last
-        assert sim.crash_columns == (sim.chain[0].size if chain else len(sim.etas)) == (p._senses == "=").sum()
+        assert sim.crash_columns == (p._senses == "=").sum()
+        if chain:
+            assert sim.chain[0].size == sim.crash_columns
 
 
 def _all_equality_lp(rng: np.random.Generator):
@@ -920,10 +998,9 @@ def test_the_array_crash_takes_the_row_loops_picks(example_with_high, example_sc
 
 
 def test_the_array_set_up_agrees_with_the_dense_reference_on_random_lps(monkeypatch):
-    # with no chain threshold every LP with an equality row runs the array
-    # crash, and keeps its picks as a chain whenever they link up; the
-    # others fall back to the loop crash and its etas
-    monkeypatch.setattr(lp, "_CHAIN_MIN", 0)
+    # with the crossover at 0 every LP whose crash is a unit chain takes the
+    # chain path, and every other one the dense inverse of its crash basis
+    monkeypatch.setattr(lp, "_DENSE_ROWS", 0)
     kinds = set()
     for make in (random_bounded_lp, random_banded_lp, random_free_bound_lp, _all_equality_lp):
         for seed in range(100):
@@ -935,8 +1012,8 @@ def test_the_array_set_up_agrees_with_the_dense_reference_on_random_lps(monkeypa
                 _assert_factor_holds_through_a_solve(p)
             sim = lp._Simplex(p)
             sim._setup()
-            kinds.add("chain" if sim.chain is not None else "etas" if sim.etas else "none")
-    assert kinds == {"chain", "etas", "none"}
+            kinds.add("chain" if sim.chain is not None else "dense")
+    assert kinds == {"chain", "dense"}
 
 
 def test_solve_stats_time_each_stage_outside_comparisons(example_scenario):
