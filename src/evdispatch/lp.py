@@ -16,6 +16,9 @@ Algorithm notes:
   zero). There are no artificial columns: every slack starts basic at its
   row residual, even outside its bounds, and a triangular crash makes one
   structural column basic per equality row (Bixby, ORSA J. Comput. 4(3), 1992);
+- every variable has a finite bound (``LpProblem`` rejects one without, as
+  no variable of a window LP lacks one), so a nonbasic variable always rests
+  at a bound: at the lower one when both are finite;
 - the crash needs no pivots: a pick is zero in every row taken before it,
   so in pick order the picks' square block is triangular. In a window LP
   the crash picks soe[t] for balance row t, with pivot 1 and -1 in row
@@ -33,13 +36,14 @@ Algorithm notes:
   summed from the sparse rows, ``y`` one BTRAN of the basic costs, derived
   afresh after every pivot;
 - every other LP holds ``B^-1`` densely, with ``[A | I]`` on the columns
-  that can enter. The slacks' unit columns make the crash basis block
-  triangular, so set-up inverts only the picks' block; FTRAN and BTRAN are
-  one product each (the start's, of all its candidates, too), and each
-  pivot is one rank-1 update in place. Phase 2 updates its reduced costs
-  from the pivot row, ``d -= d_q alpha_r / alpha_rq``, and derives them
-  afresh once when they price no column, so drift in the updates cannot
-  end a solve;
+  that can enter. The slacks' unit columns make any basis block triangular,
+  so ``B^-1`` follows from the inverse of the structural block over the
+  rows no basic slack covers, for the crash basis at set-up and for any
+  basis on the drift path; FTRAN and BTRAN are one product each (the
+  start's, of all its candidates, too), and each pivot is one rank-1 update
+  in place. Phase 2 updates its reduced costs from the pivot row,
+  ``d -= d_q alpha_r / alpha_rq``, and derives them afresh once when they
+  price no column, so drift in the updates cannot end a solve;
 - ``_DENSE_ROWS`` is the measured crossover. Windows of ev1 at 15-minute
   steps (24 to 280 rows, at most two iterations each) solved as fast on
   either path (within 1%) from 78 to 92 rows. Below, the dense path won by
@@ -54,8 +58,9 @@ Algorithm notes:
   outside its bounds than it already is (beyond ``pivot_tol``). The basis
   does not change, so neither do the reduced costs, from which phase 2
   starts when phase 1 makes no pivot, nor the candidates' FTRANs, which the
-  dense path takes in one product. ``start_flips`` counts the moves, which
-  are not iterations (Bixby, 1992, section 4);
+  dense path takes in one product and the chain path one per candidate.
+  ``start_flips`` counts the moves, which are not iterations (Bixby, 1992,
+  section 4);
 - phase 1 is Wolfe's composite method in the same pivot loop: it minimises
   the sum of the basic variables' bound violations, prices from the
   infeasible rows only (one BTRAN of -1 above the upper bound, +1 below the
@@ -71,7 +76,7 @@ Algorithm notes:
 - pricing is Dantzig (most negative reduced cost) with a permanent switch to
   Bland's rule after a stall, which guarantees termination. Each column
   keeps its pricing sign (-1 at a lower bound, +1 at an upper bound, 0 when
-  basic or free) and each basic variable its bounds; pivots keep both up to
+  basic) and each basic variable its bounds; pivots keep both up to
   date and a refactorization rebuilds them, so pricing is one multiply and
   one argmax and the ratio test reads the basic bounds without a gather;
 - a bound flip is taken when the entering variable hits its opposite bound
@@ -79,9 +84,11 @@ Algorithm notes:
 - optimality and primal feasibility are re-verified from the original data
   before a solution is declared optimal: structurals and the implied slacks
   ``b - A x`` must be within ``FEAS_TOL`` of their bounds, and a NaN
-  anywhere fails the check; on drift the factor is rebuilt as a dense
-  inverse of the current basis, from all of ``[A | I]`` built densely, and
-  both phases run again on it.
+  anywhere fails the check; on drift the factor is rebuilt as the dense
+  inverse of the current basis, the way set-up builds one, from the columns
+  that can enter alone, and both phases run again on it. Set-up and the
+  rebuild both take the basic values as one FTRAN of ``b - A x_N`` summed
+  from the sparse rows, since every finite slack bound is 0.
 
 Deterministic by construction: same problem, same pivots, same answer.
 """
@@ -108,11 +115,11 @@ FEAS_TOL = 1e-6
 _SENSES = ("<=", ">=", "=")
 
 # nonbasic/basic status codes
-_AT_LB, _AT_UB, _BASIC, _FREE = 0, 1, 2, 3
+_AT_LB, _AT_UB, _BASIC = 0, 1, 2
 # pricing score per unit reduced cost, indexed by status: a column at its
 # lower bound gains from a negative d, one at its upper bound from a positive
-# d; basic columns score 0 and free columns are overwritten with |d|
-_SCORE_SIGN = np.array([-1.0, 1.0, 0.0, 0.0])
+# d; basic columns score 0
+_SCORE_SIGN = np.array([-1.0, 1.0, 0.0])
 
 #: The most rows of an LP that holds a dense basis inverse even when its crash
 #: is a unit chain: the measured crossover, at which a window LP solves as
@@ -122,14 +129,16 @@ _DENSE_ROWS = 96
 
 class LpError(ValueError):
     """Raised by ``LpProblem`` for a malformed problem: sequences that do not
-    fit together, inverted or unusable bounds, a non-finite number, an
-    unknown row sense or variable id, or a row's column ids out of order."""
+    fit together, inverted or unusable bounds, a variable with no finite
+    bound, a non-finite number, an unknown row sense or variable id, or a
+    row's column ids out of order."""
 
 
 class LpProblem:
     """A minimization LP, given whole.
 
-    Variables carry bounds and an objective coefficient, one name each. The
+    Variables carry bounds, at least one of them finite, and an objective
+    coefficient, one name each. The
     rows are in compressed sparse row form: row ``i`` puts ``data[k]`` on
     variable ``indices[k]`` for ``k`` in ``indptr[i]:indptr[i + 1]``, and has
     a sense (``<=``, ``>=`` or ``=``), a right-hand side and a name; each
@@ -172,12 +181,14 @@ class LpProblem:
 
 def _check_variables(lb: np.ndarray, ub: np.ndarray, cost: np.ndarray, names: Sequence[str]) -> None:
     """Raise the LpError for the first variable with inverted or unusable
-    bounds or a non-finite cost."""
-    ok = (lb <= ub) & (lb < INF) & (ub > -INF) & np.isfinite(cost)
+    bounds, no finite bound or a non-finite cost."""
+    ok = (lb <= ub) & (lb < INF) & (ub > -INF) & ((lb > -INF) | (ub < INF)) & np.isfinite(cost)
     if not ok.all():
         j = int(np.argmin(ok))
         if not lb[j] <= ub[j]:
             raise LpError(f"variable {names[j]}: inverted bounds lb={lb[j]} > ub={ub[j]}")
+        if lb[j] == -INF and ub[j] == INF:
+            raise LpError(f"variable {names[j]}: no finite bound")
         raise LpError(f"variable {names[j]}: unusable bounds or cost")
 
 
@@ -413,12 +424,13 @@ class _Simplex:
         """Slack basis, then a triangular crash (see ``_crash_picks``), kept
         as the factor of an LP of more than ``_DENSE_ROWS`` rows when its
         picks form a unit chain (see ``_chain``); every other LP holds the
-        dense inverse of its crash basis. The basic values are one FTRAN of
-        ``b - A x_N``."""
+        dense inverse of its crash basis (see ``_invert``)."""
         n, m, p = self.n_struct, self.m, self.p
         row, col, cand = _crash_entries(self.row_of, p._indices, p._data, self.pos[n:] < 0,
                                         self.ub[:n] - self.lb[:n])
         rows, picks = _crash_picks(row, col, cand, m, n)
+        self.basis = n + np.arange(m)
+        self.basis[rows] = picks
         self.inverse = self.chain = None  # the dense B^-1, or the chain's factor
         self._clear_updates()
         if m > _DENSE_ROWS:
@@ -428,27 +440,15 @@ class _Simplex:
             self.col_row, self.col_val = self.row_of[order], p._data[order]
             self.chain = _chain(rows, picks, self.col_ptr, self.col_row, self.col_val, m)
         if self.chain is None:
-            # with P the picks' columns and L = P[rows], B^-1 is the identity
-            # but in columns rows, which hold -P L^-1, and L^-1 in rows rows;
-            # P, L and X below are the transposes of these
-            self.columns = self._dense_columns(self.pos, len(self.cols))
-            P = self.columns[self.pos[picks]]
-            L_inv = np.linalg.inv(P[:, rows])
-            X = L_inv @ P
-            np.negative(X, out=X)
-            X[:, rows] = L_inv
-            self.inverse = np.eye(m)
-            self.inverse[:, rows] = X.T
-        status = np.full(n + m, _FREE, dtype=np.int8)
-        status[np.isfinite(self.ub)] = _AT_UB
-        status[np.isfinite(self.lb)] = _AT_LB  # prefer the lower bound when both are finite
-        status[n + rows] = _AT_LB
-        self.basis = n + np.arange(m)
-        self.basis[rows] = picks
+            self.columns = self._dense_columns()
+            self._invert(rows, picks)
+        # a nonbasic variable rests at its lower bound, or at its upper one
+        # when the lower is -inf (``LpProblem`` requires a finite bound)
+        status = np.where(np.isfinite(self.lb), _AT_LB, _AT_UB).astype(np.int8)
         status[self.basis] = _BASIC
         self.status = status
         self.nb_value = np.where(status == _AT_LB, self.lb, np.where(status == _AT_UB, self.ub, 0.0))
-        self.xB = self._ftran(self.b - self._row_products(self.nb_value[:n]))
+        self.xB = self._basic_values()
         self.d = None  # reduced costs of the current basis, once derived
         self._sync()
         self.crash_columns = len(picks)
@@ -489,20 +489,47 @@ class _Simplex:
         of the basic variables from the status and the basis; pivots then
         keep both up to date."""
         self.sign = _SCORE_SIGN[self.status[self.cols]]
-        self.has_free = bool((self.status == _FREE).any())
         self.lbB = self.lb[self.basis]
         self.ubB = self.ub[self.basis]
 
     # -- the factor --------------------------------------------------------
 
-    def _dense_columns(self, at: np.ndarray, count: int) -> np.ndarray:
-        """``count`` columns of ``[A | I]`` as the rows of a dense array,
-        variable ``j``'s in row ``at[j]`` unless that is -1."""
-        out = np.zeros((count, self.m))
-        j, s = at[self.p._indices], at[self.n_struct:]
+    def _dense_columns(self) -> np.ndarray:
+        """The columns of ``[A | I]`` that can enter as the rows of a dense
+        array, candidate column ``k``'s in row ``k``."""
+        out = np.zeros((len(self.cols), self.m))
+        j, s = self.pos[self.p._indices], self.pos[self.n_struct:]
         out[j[j >= 0], self.row_of[j >= 0]] = self.p._data[j >= 0]
         out[s[s >= 0], np.flatnonzero(s >= 0)] = 1.0
         return out
+
+    def _invert(self, rows: np.ndarray, picks: np.ndarray) -> None:
+        """Set ``inverse`` to the dense ``B^-1`` of the basis, which holds
+        the structural columns ``picks`` (in basis order, each able to
+        enter) and the slacks of every row but ``rows``.
+
+        A slack's column is a unit vector, so only the structural block
+        ``L = P[rows]`` is inverted, with ``P`` the picks' columns: were
+        each basic slack in its own row's position and ``picks[j]`` in
+        ``rows[j]``'s, as in the crash basis, ``B^-1`` would be the identity
+        but in columns ``rows``, which hold ``-P L^-1``, and ``L^-1`` in rows
+        ``rows`` (``P``, ``L`` and ``X`` below are the transposes of these).
+        Its rows are then taken in the basis's order. A basis that holds a
+        column twice is singular: a structural twice makes ``L`` singular and
+        a slack twice makes it not square."""
+        P = self.columns[self.pos[picks]]
+        try:
+            L_inv = np.linalg.inv(P[:, rows])
+        except np.linalg.LinAlgError as exc:
+            raise ArithmeticError(f"singular basis in {self.p.name!r}: {exc}") from exc
+        X = L_inv @ P
+        np.negative(X, out=X)
+        X[:, rows] = L_inv
+        at = self.basis - self.n_struct  # the row of that inverse for each basic variable
+        at[at < 0] = rows
+        self.inverse = np.zeros((self.m, self.m))
+        self.inverse[np.arange(self.m), at] = 1.0
+        self.inverse[:, rows] = X.T[at]
 
     def _column(self, q: int) -> np.ndarray:
         """Column ``q`` of ``[A | I]``, dense; on the dense inverse ``q``
@@ -580,20 +607,23 @@ class _Simplex:
         p = self.p
         return np.bincount(self.row_of, weights=p._data * x[p._indices], minlength=self.m)
 
+    def _basic_values(self) -> np.ndarray:
+        """One FTRAN of ``b - A x_N``: every finite slack bound is 0, so only
+        the nonbasic structurals count."""
+        x = np.where(self.status[:self.n_struct] == _BASIC, 0.0, self.nb_value[:self.n_struct])
+        return self._ftran(self.b - self._row_products(x))
+
     def _refactorize(self) -> None:
         """Rebuild the factor and basic values from the original columns: a
-        dense inverse of the basis, on which the solve goes on."""
+        dense inverse of the basis (see ``_invert``), on which the solve goes
+        on."""
         self.refactorizations += 1
-        full = self._dense_columns(np.arange(self.n_struct + self.m), self.n_struct + self.m)
-        nb_mask = self.status != _BASIC
-        contrib = self.nb_value[nb_mask] @ full[nb_mask]
-        try:
-            self.inverse = np.linalg.inv(full[self.basis].T)
-        except np.linalg.LinAlgError as exc:
-            raise ArithmeticError(f"singular basis in {self.p.name!r}: {exc}") from exc
-        self.columns, self.chain = full[self.cols], None
+        slack = self.basis >= self.n_struct
+        uncovered = np.bincount(self.basis[slack] - self.n_struct, minlength=self.m) == 0
+        self.columns, self.chain = self._dense_columns(), None
         self._clear_updates()
-        self.xB = self.inverse @ (self.b - contrib)
+        self._invert(np.flatnonzero(uncovered), self.basis[~slack])
+        self.xB = self._basic_values()
         self.d = None
         self._sync()
 
@@ -617,9 +647,6 @@ class _Simplex:
     def _price(self, d: np.ndarray, bland: bool) -> int:
         """Pick the entering candidate column, or -1 when none is eligible (optimality)."""
         score = self.sign * d
-        if self.has_free:
-            free = self.status[self.cols] == _FREE
-            score[free] = np.abs(d[free])
         if not score.size:
             return -1
         # the first eligible column is the one Bland's rule takes
@@ -698,10 +725,7 @@ class _Simplex:
             self.iterations += 1
 
             q = self.cols[k]
-            if self.status[q] == _AT_UB or (self.status[q] == _FREE and d[k] > 0):
-                sigma = -1.0
-            else:
-                sigma = 1.0
+            sigma = -1.0 if self.status[q] == _AT_UB else 1.0
             # ratio test: a row whose |w| exceeds pivot_tol blocks where its
             # basic variable, moving by -sigma * w per unit, meets a bound
             w = self._ftran(self._column(q))

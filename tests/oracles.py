@@ -185,16 +185,17 @@ def random_banded_lp(rng: np.random.Generator):
 
 
 def random_free_bound_lp(rng: np.random.Generator):
-    """A random LP whose columns are boxed, free or bounded below only and
-    whose rows need not meet, so it may be optimal, infeasible or unbounded."""
+    """A random LP whose columns are boxed, bounded above only or bounded
+    below only and whose rows need not meet, so it may be optimal,
+    infeasible or unbounded."""
     n, m = int(rng.integers(2, 7)), int(rng.integers(1, 7))
     A = rng.uniform(-2.0, 2.0, (m, n))
     A[rng.random((m, n)) < 0.25] = 0.0
     lb = rng.uniform(-5.0, 0.0, n)
     ub = lb + rng.uniform(0.5, 6.0, n)
-    kind = rng.integers(0, 3, n)  # boxed, free, bounded below
+    kind = rng.integers(0, 3, n)  # boxed, bounded above, bounded below
     lb[kind == 1] = -lp.INF
-    ub[kind > 0] = lp.INF
+    ub[kind == 2] = lp.INF
     senses = rng.choice(["<=", ">=", "="], m, p=[0.45, 0.45, 0.1]).tolist()
     return rng.uniform(-2.0, 2.0, n), lb, ub, A, senses, rng.uniform(-3.0, 3.0, m)
 
@@ -501,8 +502,7 @@ class DenseSimplex(lp._Simplex):
         every row taken before it (ties to the lowest index)."""
         n, m = self.n_struct, self.m
         self.full = np.hstack([dense_A(self), np.eye(m)])  # [A | I]
-        self.status = np.where(np.isfinite(self.lb), lp._AT_LB,
-                               np.where(np.isfinite(self.ub), lp._AT_UB, lp._FREE)).astype(np.int8)
+        self.status = np.where(np.isfinite(self.lb), lp._AT_LB, lp._AT_UB).astype(np.int8)
         self.status[n:] = lp._BASIC
         self.nb_value = np.where(self.status == lp._AT_LB, self.lb,
                                  np.where(self.status == lp._AT_UB, self.ub, 0.0))
@@ -561,11 +561,9 @@ class DenseSimplex(lp._Simplex):
     def _price(self, d: np.ndarray, bland: bool) -> int:
         at_lb = self.status == lp._AT_LB
         at_ub = self.status == lp._AT_UB
-        free = self.status == lp._FREE
         score = np.zeros(d.size)
         score[at_lb] = -d[at_lb]
         score[at_ub] = d[at_ub]
-        score[free] = np.abs(d[free])
         score[self.ub - self.lb <= 0.0] = -lp.INF
         score[self.status == lp._BASIC] = -lp.INF
         eligible = score > self.opt_tol
@@ -625,10 +623,7 @@ class DenseSimplex(lp._Simplex):
                 return lp.ITERATION_LIMIT
             self.iterations += 1
 
-            if self.status[q] == lp._AT_UB or (self.status[q] == lp._FREE and d[q] > 0):
-                sigma = -1.0
-            else:
-                sigma = 1.0
+            sigma = -1.0 if self.status[q] == lp._AT_UB else 1.0
             w = self.T[:, q]
             sw = sigma * w
             ratios = np.full(self.m, lp.INF)
@@ -712,10 +707,7 @@ class EtaLoopSimplex(lp._Simplex):
                     self.etas.append((i, pairs.pop(self.col_row.index(i, lo, hi) - lo)[1], pairs))
                     break
         rows = np.array([r for r, _, _ in self.etas], dtype=np.intp)
-        status = np.full(n + m, lp._FREE, dtype=np.int8)
-        status[np.isfinite(self.ub)] = lp._AT_UB
-        status[np.isfinite(self.lb)] = lp._AT_LB
-        status[n + rows] = lp._AT_LB
+        status = np.where(np.isfinite(self.lb), lp._AT_LB, lp._AT_UB).astype(np.int8)
         self.basis = n + np.arange(m)
         self.basis[rows] = picks
         status[self.basis] = lp._BASIC

@@ -12,8 +12,8 @@ ablation runners raise on a broken ordering). The corpora:
 - the benchmark's inputs at seeds 0, 1 and 7, read through bench/inputs.py
   by path, as tests/test_bench_refs.py reads them;
 - ``random_scenario``;
-- ``random_bounded_lp``, ``random_banded_lp`` and random LPs with free and
-  one-sided bounds, whose statuses take all three values.
+- ``random_bounded_lp``, ``random_banded_lp`` and random LPs with columns
+  bounded on one side only, whose statuses take all three values.
 """
 
 from __future__ import annotations

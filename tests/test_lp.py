@@ -188,12 +188,17 @@ def test_equality_constraint():
     assert sol.objective == pytest.approx(5.0, abs=1e-9)
 
 
-def test_free_variable():
+def test_a_variable_with_no_finite_bound_is_rejected_by_name():
+    # no variable of a window LP lacks a finite bound, so the solver takes
+    # none that does; the first such variable is named
+    with pytest.raises(lp.LpError, match="^variable x1: no finite bound$"):
+        _problem([0.0, -lp.INF, -lp.INF], [1.0, lp.INF, lp.INF], [0.0] * 3)
+    # one finite bound is enough: x <= 3, and x >= -3 as a row
     p = RowBuilder()
-    x = p.var(-lp.INF, lp.INF, 1.0, "x")
+    x = p.var(-lp.INF, 3.0, 1.0, "x")
     p.row([(x, 1.0)], ">=", -3.0, "r")
     sol = lp.solve(p.problem())
-    assert sol.objective == pytest.approx(-3.0, abs=1e-9)
+    assert sol.status == lp.OPTIMAL and sol.objective == pytest.approx(-3.0, abs=1e-9)
 
 
 def test_iteration_limit_is_distinct_status(monkeypatch):
@@ -285,7 +290,7 @@ def test_crash_basis_matches_row_by_row_reference():
         block = B[np.ix_(taken, taken)]
         assert np.all(np.triu(block, 1) == 0.0) and np.all(np.diag(block) != 0.0)
         # nonbasic columns rest at the lower bound when it is finite, else the upper
-        status = np.where(np.isfinite(sim.lb), lp._AT_LB, np.where(np.isfinite(sim.ub), lp._AT_UB, lp._FREE))
+        status = np.where(np.isfinite(sim.lb), lp._AT_LB, lp._AT_UB)
         status[sim.basis] = lp._BASIC
         assert np.array_equal(sim.status, status)
         x_n = np.where(status == lp._AT_LB, sim.lb, np.where(status == lp._AT_UB, sim.ub, 0.0))
@@ -412,14 +417,14 @@ def _edge_lps():
         x0 = rng.uniform(lb, ub)
         data = (c, lb, ub, A, ["="] * len(b), A @ x0)
         yield build_problem(*data), data
-        # free columns, most of them after a fixed one, their bounds moved into rows
+        # columns bounded above only, most of them after a fixed one, their
+        # lower bounds moved into rows
         lb, ub = lb.copy(), ub.copy()
         lb[1] = ub[1] = x0[1]
         b = A @ x0 + np.select([np.array(senses) == "<=", np.array(senses) == ">="], [1.0, -1.0], 0.0)
-        free = np.arange(c.size) % 2 == 0
-        unit = np.eye(c.size)[np.repeat(np.flatnonzero(free), 2)]
-        p = build_problem(c, np.where(free, -lp.INF, lb), np.where(free, lp.INF, ub), np.vstack([A, unit]),
-                          senses + [">=", "<="] * int(free.sum()), np.append(b, np.c_[lb, ub][free]))
+        upper = np.arange(c.size) % 2 == 0
+        p = build_problem(c, np.where(upper, -lp.INF, lb), ub, np.vstack([A, np.eye(c.size)[upper]]),
+                          senses + [">="] * int(upper.sum()), np.append(b, lb[upper]))
         yield p, (c, lb, ub, A, senses, b)
 
 
@@ -813,16 +818,18 @@ def test_the_longest_ladder_rung_solves_in_little_memory(example_scenario):
 
 
 def test_singular_basis_raises_naming_the_problem():
+    # twin structural columns, a structural twice and a slack twice
     p = RowBuilder("twin-columns")
     x = p.var(0.0, 1.0)
     y = p.var(0.0, 1.0)
     p.row([(x, 1.0), (y, 1.0)], "<=", 1.0)
     p.row([(x, 2.0), (y, 2.0)], "<=", 3.0)
-    sim = lp._Simplex(p.problem())
-    sim._setup()
-    sim.basis[:] = [x, y]
-    with pytest.raises(ArithmeticError, match="twin-columns"):
-        sim._refactorize()
+    for basis in ([x, y], [x, x], [2, 2]):
+        sim = lp._Simplex(p.problem())
+        sim._setup()
+        sim.basis[:] = basis
+        with pytest.raises(ArithmeticError, match="^singular basis in 'twin-columns': "):
+            sim._refactorize()
 
 
 def test_pivots_match_dense_reference_under_blands_rule(example_with_high, monkeypatch):
@@ -851,23 +858,69 @@ def test_blands_rule_breaks_a_real_cycle_on_kuhns_example():
 
 
 def test_pivots_match_dense_reference_through_a_refactorization(example_with_high, monkeypatch):
-    # the first verification fails, so each solve rebuilds its tableau once
+    # the first verification fails, so each solve rebuilds its tableau once,
+    # on the day LPs and on random LPs, whose final bases mostly hold a
+    # slack outside its own row's position
     violation = lp._Simplex._violation
-    rebuilds = []
+    rebuilds, permuted = [], []
 
     def fail_once(self, x):
         if not hasattr(self, "failed_once"):
             self.failed_once = True
             rebuilds.append(type(self))
+            slack = self.basis >= self.n_struct
+            permuted.append(bool((self.basis[slack] - self.n_struct != np.flatnonzero(slack)).any()))
             return lp.INF
         return violation(self, x)
 
     monkeypatch.setattr(lp._Simplex, "_violation", fail_once)
     problems = _example_lps(example_with_high)
+    problems += [build_problem(*make(np.random.default_rng(seed)))
+                 for make in (random_bounded_lp, random_banded_lp) for seed in range(50)]
     for p in problems:
         sol = _assert_agrees_with_dense_reference(p)
         assert sol.status == lp.OPTIMAL and sol.stats.refactorizations == 1
     assert rebuilds == [lp._Simplex, DenseSimplex] * len(problems)
+    assert sum(permuted) > 50
+
+
+def test_a_refactorization_on_the_chain_path_builds_no_dense_copy_of_all_columns(example_scenario,
+                                                                                 monkeypatch):
+    # the 15-minute window fails its first verification, so its chain is
+    # rebuilt as a dense inverse of the basis; that holds B^-1 and the
+    # columns that can enter, and never an (n + m) x m array of all columns
+    p = _fifteen_minute_lp(example_scenario, 7)
+    n, m = p.num_variables, p.num_constraints
+    violation, refactorize = lp._Simplex._violation, lp._Simplex._refactorize
+    transient = []
+
+    def fail_once(self, x):
+        if not self.refactorizations:
+            return lp.INF
+        return violation(self, x)
+
+    def measured(self):
+        tracemalloc.start()
+        try:
+            refactorize(self)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        transient.append(peak - self.inverse.nbytes - self.columns.nbytes)
+
+    monkeypatch.setattr(lp._Simplex, "_violation", fail_once)
+    monkeypatch.setattr(lp._Simplex, "_refactorize", measured)
+    sim = lp._Simplex(p)
+    sim._setup()
+    assert sim.chain is not None
+    sol = _assert_agrees_with_dense_reference(p)
+    assert sol.status == lp.OPTIMAL and sol.stats.refactorizations == 1
+    sim = lp._Simplex(p)
+    sim.run()
+    assert sim.chain is None and _arrays_2d(sim) == {"inverse": (m, m), "columns": (len(sim.cols), m)}
+    # set aside what it keeps, a refactorization allocates well under one
+    # array of all n + m columns (1.7 MB here)
+    assert len(transient) == 2 and max(transient) < 8 * (n + m) * m / 2, transient
 
 
 # -- the two factor paths: a dense inverse, or the crash's chain as prefix sums
