@@ -38,7 +38,6 @@ from .domain import (
     TripPlan,
     Vehicle,
     example_scenario_path,
-    grid_fee,
     load_price_series,
     load_scenario,
     parse_scenario,
@@ -112,7 +111,6 @@ __all__ = [
     "example_scenario_path",
     "extract_schedule",
     "generate_price_set",
-    "grid_fee",
     "load_price_series",
     "load_scenario",
     "parse_scenario",

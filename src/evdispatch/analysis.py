@@ -2,7 +2,8 @@
 
 The auditor recomputes every model constraint from scratch, outside any
 solver, so it can certify solver output and expose what schedules produced
-under relaxed power assumptions would actually violate. The experiment
+under relaxed power assumptions would actually violate. Like the LP build,
+it reads each step's plug kind and power limit from ``Scenario.plugs``. The experiment
 runners cover the three studies this package ships:
 
 - compare_aggregators: fleet optimizer vs per-station optimizer under two
@@ -113,17 +114,12 @@ def check_schedule(s: Scenario, fs: FleetSchedule) -> ViolationReport:
                 f"{getattr(fs, name)[v_idx, t]}"
             )
     rep = ViolationReport()
-    cps = s.charging_points
-    slow_lims, fast_lims = np.array(
-        [(cp.power_limit_kwh_per_step if cp.kind == SLOW else 0.0,
-          cp.power_limit_kwh_per_step if cp.kind == FAST else 0.0) for cp in cps]
-        + [(0.0, 0.0)]  # unplugged, which index -1 picks
-    ).T
+    kind, limit = s.plugs.kind, s.plugs.limit
+    slow_lims, fast_lims = np.where(kind == SLOW, limit, 0.0), np.where(kind == FAST, limit, 0.0)
     for v_idx, v in enumerate(s.vehicles):
         cap, obc = v.capacity_kwh, v.obc_max_kwh_per_step
         sch, dch, fch, stock = fs.e_sch[v_idx], fs.e_dch[v_idx], fs.e_fch[v_idx], fs.soe[v_idx]
-        plug = s.connectivity.index[v_idx]
-        slow_lim, fast_lim = slow_lims[plug], fast_lims[plug]
+        slow_lim, fast_lim = slow_lims[v_idx], fast_lims[v_idx]
         # (constraint, violated at each step, magnitude) in the order checked
         checks = [
             ("nonnegative", sch < -FEAS_TOL, -sch),
@@ -496,13 +492,7 @@ def run_power_ablation(
     variants = [(mode.value, ct, mode) for mode in _POWER_ABLATION_ORDER]
     orderings = [("obc_only", "both"), ("cp_only", "both")]
     fixed_cap = FIXED_POWER_KW * s.horizon.step_hours
-    connected_limits = [
-        cp.power_limit_kwh_per_step
-        for v_idx in range(len(s.vehicles))
-        for t in range(s.horizon.step_count)
-        if (cp := s.cp_at(v_idx, t)) is not None and cp.kind == SLOW
-    ]
-    if all(fixed_cap <= lim for lim in connected_limits) and all(
+    if (fixed_cap <= s.plugs.limit[s.plugs.kind == SLOW]).all() and all(
         fixed_cap <= v.obc_max_kwh_per_step for v in s.vehicles
     ):
         orderings.append(("both", "fixed_4kw"))

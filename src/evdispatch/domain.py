@@ -9,6 +9,11 @@ Unit conventions used throughout the package:
 
 All types are immutable after construction and safe to share between
 concurrent solver runs.
+
+Per-step plug data comes from one place: ``Scenario.plugs`` resolves, once
+per scenario, the charging point each vehicle occupies at each step into its
+kind, power limit, band-resolved grid fee and CP fee. The LP build, the cost
+breakdown and the auditor all read it.
 """
 
 from __future__ import annotations
@@ -16,8 +21,10 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -218,6 +225,21 @@ class PriceSeries:
         return f"PriceSeries({self.label!r}, n={len(self)})"
 
 
+class Plugs(NamedTuple):
+    """What the charging point each vehicle occupies at each step offers.
+
+    Each array is read-only and (vehicles, steps): the plug's kind (``""``
+    while unplugged), power limit in kWh per step, grid fee in the tariff
+    band the step starts in, and CP fee, both EUR/kWh. An unplugged step has
+    a zero limit and zero fees.
+    """
+
+    kind: np.ndarray
+    limit: np.ndarray
+    grid_fee: np.ndarray
+    cp_fee: np.ndarray
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One complete problem instance shared by both scheduler models."""
@@ -230,10 +252,25 @@ class Scenario:
     tariff_calendar: TariffCalendar = field(default_factory=TariffCalendar)
     prices: PriceSeries | None = None
 
-    def cp_at(self, v: int, t: int) -> ChargingPoint | None:
-        """The charging point vehicle v is plugged into at step t, if any."""
-        idx = self.connectivity.index[v, t]
-        return None if idx < 0 else self.charging_points[idx]
+    @cached_property
+    def plugs(self) -> Plugs:
+        """Each vehicle-step's plug data, computed on first read (see Plugs).
+
+        A vehicle connected to two points at once occupies the first, as
+        ``ConnectivityMatrix.index`` reads it.
+        """
+        cps, index = self.charging_points, self.connectivity.index
+        # one row per charging point, then the unplugged one that index -1 picks
+        kind = np.array([cp.kind for cp in cps] + [""])[index]
+        limit, low, high, cp_fee = np.array(
+            [(cp.power_limit_kwh_per_step, cp.grid_fee_low_eur_per_kwh, cp.grid_fee_high_eur_per_kwh,
+              cp.cp_fee_eur_per_kwh) for cp in cps] + [(0.0, 0.0, 0.0, 0.0)]
+        ).T[:, index]
+        low_band = self.tariff_calendar.is_low_band(np.arange(self.horizon.step_count), self.horizon.step_hours)
+        plugs = Plugs(kind, limit, np.where(low_band, low, high), cp_fee)
+        for a in plugs:
+            a.flags.writeable = False
+        return plugs
 
     def with_prices(self, prices: PriceSeries) -> "Scenario":
         """Attach a price series, checking its length against the horizon."""
@@ -243,11 +280,6 @@ class Scenario:
                 f"horizon needs {self.horizon.step_count}"
             )
         return replace(self, prices=prices)
-
-
-def grid_fee(cp: ChargingPoint, t: int, cal: TariffCalendar, step_hours: float) -> float:
-    """Grid tariff (EUR/kWh) at charging point ``cp`` during step ``t``."""
-    return cp.grid_fee_low_eur_per_kwh if cal.is_low_band(t, step_hours) else cp.grid_fee_high_eur_per_kwh
 
 
 # ---------------------------------------------------------------------------
@@ -550,6 +582,7 @@ def parse_scenario(data: dict, *, check: bool = True) -> Scenario:
     trips_raw = top.child("trips", [])
     if not isinstance(trips_raw, list):
         raise ScenarioError("scenario.trips: expected a list")
+    seen_trips: set[tuple[str, int]] = set()
     for i, item in enumerate(trips_raw):
         o = _Obj(item, f"trips[{i}]")
         vid = o.string("vehicle")
@@ -560,8 +593,9 @@ def parse_scenario(data: dict, *, check: bool = True) -> Scenario:
             raise ScenarioError(f"trips[{i}]: unknown vehicle id {vid!r}")
         if not (0 <= step < T):
             raise ScenarioError(f"trips[{i}]: step {step} outside horizon 0..{T - 1}")
-        if trips[vid_index[vid], step] != 0.0:
+        if (vid, step) in seen_trips:
             raise ScenarioError(f"trips[{i}]: duplicate trip for vehicle {vid!r} at step {step}")
+        seen_trips.add((vid, step))
         trips[vid_index[vid], step] = energy
 
     cal_raw = top.child("tariff_calendar", None)

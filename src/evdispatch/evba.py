@@ -25,7 +25,9 @@ Power caps are folded into variable bounds wherever they involve a single
 variable (plug limit, on-board-charger limit, zero flow while unplugged);
 the charge taper above the CC/CV breakpoint and the energy balance are rows.
 Being plugged in is a prerequisite for any grid flow in every power mode;
-the modes only change which magnitude caps apply while plugged in.
+the modes only change which magnitude caps apply while plugged in. Each
+step's plug kind, power limit and fees are read from ``Scenario.plugs``, the
+table the cost breakdown reads too.
 
 build/solve are pure given an immutable scenario, so distinct solves may run
 concurrently; analysis solves the cells of its studies in forked children.
@@ -41,7 +43,7 @@ import numpy as np
 
 from . import lp
 from .degradation import degradation_cost, degradation_rows, discharge_wear_slope
-from .domain import FAST, SLOW, ChargingPoint, Scenario, ScenarioError, Vehicle, validate_scenario
+from .domain import FAST, SLOW, Scenario, ScenarioError, Vehicle, validate_scenario
 
 FIXED_POWER_KW = 4.0
 
@@ -161,39 +163,29 @@ class FleetSchedule:
 # ---------------------------------------------------------------------------
 # Assembly
 
-def _flow_costs(
-    s: Scenario, ct: CostToggles, plug: np.ndarray, steps: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Objective coefficients (slow charge, discharge, fast charge) per step,
-    where ``plug`` is the charging-point index per step (-1 when unplugged)."""
-    price = s.prices.values[steps]
-    zero = np.zeros(len(steps))
-    # one entry per charging point, then the unplugged one that index -1 picks
-    cps = s.charging_points
-    low, high, cp_fee = np.array(
-        [(cp.grid_fee_low_eur_per_kwh, cp.grid_fee_high_eur_per_kwh, cp.cp_fee_eur_per_kwh) for cp in cps]
-        + [(0.0, 0.0, 0.0)]
-    )[plug].T
-    kind = np.array([cp.kind for cp in cps] + [""])[plug]
-    in_low_band = s.tariff_calendar.is_low_band(steps, s.horizon.step_hours)
-    fee = (np.where(in_low_band, low, high) if ct.include_grid_tariff else zero) + (cp_fee if ct.include_cp_tariff else zero)
+def _flow_costs(s: Scenario, v_idx: int, ct: CostToggles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Objective coefficients (slow charge, discharge, fast charge) per step
+    of vehicle ``v_idx``, from its rows of ``Scenario.plugs``."""
+    price, plug = s.prices.values, s.plugs
+    kind, zero = plug.kind[v_idx], np.zeros(len(price))
+    fee = ((plug.grid_fee[v_idx] if ct.include_grid_tariff else zero)
+           + (plug.cp_fee[v_idx] if ct.include_cp_tariff else zero))
     return np.where(kind == SLOW, price + fee, price), -price, np.where(kind == FAST, price + fee, price)
 
 
-def _caps(s: Scenario, v: Vehicle, cp: ChargingPoint | None, power: PowerMode) -> tuple[float, float]:
-    """Upper bounds (slow charge/discharge, fast charge) on vehicle v's flows
-    on charging point ``cp`` (None when unplugged) under a power mode."""
-    if cp is None:
-        return 0.0, 0.0
-    if cp.kind == FAST:
-        return 0.0, cp.power_limit_kwh_per_step
-    if power is PowerMode.FIXED_4KW:
-        return FIXED_POWER_KW * s.horizon.step_hours, 0.0
-    if power is PowerMode.OBC_ONLY:
-        return v.obc_max_kwh_per_step, 0.0
-    if power is PowerMode.CP_ONLY:
-        return cp.power_limit_kwh_per_step, 0.0
-    return min(cp.power_limit_kwh_per_step, v.obc_max_kwh_per_step), 0.0
+def _caps(s: Scenario, v_idx: int, power: PowerMode) -> tuple[np.ndarray, np.ndarray]:
+    """Upper bounds (slow charge/discharge, fast charge) per step on vehicle
+    ``v_idx``'s flows under a power mode, from its rows of ``Scenario.plugs``:
+    zero while unplugged, and zero for the flows a plug's kind cannot carry."""
+    kind, limit = s.plugs.kind[v_idx], s.plugs.limit[v_idx]
+    obc = s.vehicles[v_idx].obc_max_kwh_per_step
+    slow = {
+        PowerMode.FIXED_4KW: FIXED_POWER_KW * s.horizon.step_hours,
+        PowerMode.OBC_ONLY: obc,
+        PowerMode.CP_ONLY: limit,
+        PowerMode.BOTH: np.where(obc < limit, obc, limit),  # min(limit, obc), as Python takes it
+    }[power]
+    return np.where(kind == SLOW, slow, 0.0), np.where(kind == FAST, limit, 0.0)
 
 
 class _StepNames(Sequence):
@@ -270,8 +262,7 @@ def _build_vehicle_lp(s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode
     cap = v.capacity_kwh
     steps = np.arange(s.horizon.step_count)
     k = len(steps)
-    plug = s.connectivity.index[v_idx]
-    slow_cap, fast_cap = np.array([_caps(s, v, cp, power) for cp in (*s.charging_points, None)])[plug].T
+    slow_cap, fast_cap = _caps(s, v_idx, power)
 
     # variables: one row of these tables per step
     kinds = ["sch", "dch", "fch", "soe", "udeg"][: 5 if ct.include_degradation else 4]
@@ -279,7 +270,7 @@ def _build_vehicle_lp(s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode
     ub[:, 0] = ub[:, 1] = slow_cap
     ub[:, 2] = fast_cap
     lb[:, 3], ub[:, 3] = v.soe_min_kwh, v.soe_max_kwh
-    cost[:, 0], cost[:, 1], cost[:, 2] = _flow_costs(s, ct, plug, steps)
+    cost[:, 0], cost[:, 1], cost[:, 2] = _flow_costs(s, v_idx, ct)
     if ct.include_degradation:
         cost[:, 1] += discharge_wear_slope(v)
         ub[:, 4], cost[:, 4] = lp.INF, 1.0
@@ -444,23 +435,15 @@ def _cost_breakdown(
     (zeros when the wear term is toggled off).
     """
     prices = s.prices.values
-    steps = np.arange(s.horizon.step_count)
-    low_band = s.tariff_calendar.is_low_band(steps, s.horizon.step_hours)
-    # each charging point's grid and CP fee per step, then the unplugged
-    # step's zero fees that index -1 picks
-    cps = s.charging_points
-    grid_fees = np.array([np.where(low_band, cp.grid_fee_low_eur_per_kwh, cp.grid_fee_high_eur_per_kwh)
-                          for cp in cps] + [np.zeros(len(steps))])
-    cp_fees = np.array([cp.cp_fee_eur_per_kwh for cp in cps] + [0.0])
+    plug = s.plugs
     out = []
     for v_idx, v in enumerate(s.vehicles):
         flow = e_sch[v_idx] + e_fch[v_idx]
         purchase = float(prices @ flow)
         revenue = float(prices @ e_dch[v_idx])
-        plug = s.connectivity.index[v_idx]
         # each fee sums in step order from 0.0, as a loop over the steps would
-        grid = float(0.0 + np.cumsum(grid_fees[plug, steps] * flow)[-1]) if ct.include_grid_tariff else 0.0
-        cp_fee = float(0.0 + np.cumsum(cp_fees[plug] * flow)[-1]) if ct.include_cp_tariff else 0.0
+        grid = float(0.0 + np.cumsum(plug.grid_fee[v_idx] * flow)[-1]) if ct.include_grid_tariff else 0.0
+        cp_fee = float(0.0 + np.cumsum(plug.cp_fee[v_idx] * flow)[-1]) if ct.include_cp_tariff else 0.0
         deg = float(deg_priced[v_idx].sum())
         energy = purchase - revenue
         out.append(
@@ -567,8 +550,8 @@ def _infeasibility_hint(s: Scenario, v_idx: int, power: PowerMode) -> str:
     """
     v = s.vehicles[v_idx]
     stock = v.soe_initial_kwh
-    for t in range(s.horizon.step_count):
-        slow, fast = _caps(s, v, s.cp_at(v_idx, t), power)
+    slow_cap, fast_cap = _caps(s, v_idx, power)
+    for t, (slow, fast) in enumerate(zip(slow_cap.tolist(), fast_cap.tolist())):
         stock = min(stock + slow * v.eta_sch + fast * v.eta_fch, v.soe_max_kwh)
         stock -= float(s.trips.energy_kwh[v_idx, t]) / v.eta_run
         if stock < v.soe_min_kwh - 1e-9:

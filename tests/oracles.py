@@ -12,7 +12,10 @@ crash that ``lp`` runs in arrays, ``EtaLoopSimplex``, the bit-for-bit
 reference for the prefix sums of ``lp``'s chain path,
 ``cost_breakdown_by_steps``, the reference for the cost breakdown that
 ``evba`` sums from arrays, and ``check_schedule_by_steps``, the reference
-for the auditor that ``analysis`` runs in array passes.
+for the auditor that ``analysis`` runs in array passes. These references
+look up each step's plug one step at a time, through ``cp_at``,
+``grid_fee`` and ``caps_by_step``, and never through ``Scenario.plugs``,
+the table the LP build, the cost breakdown and the auditor share.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import numpy as np
 from evdispatch import evba, lp
 from evdispatch.analysis import Violation, ViolationReport
 from evdispatch.degradation import plane_values
-from evdispatch.domain import FAST, SLOW, grid_fee
+from evdispatch.domain import FAST, SLOW
 from evdispatch.lp import FEAS_TOL
 
 
@@ -286,23 +289,49 @@ def block_diagonal_scipy_optimum(problems: list[lp.LpProblem], method: str = "hi
     return float(res.fun)
 
 
+def cp_at(s, v_idx: int, t: int):
+    """The charging point vehicle ``v_idx`` occupies at step ``t``, or None:
+    the first one its connectivity mask sets, read from the mask itself."""
+    hits = np.flatnonzero(s.connectivity.mask[v_idx, t])
+    return s.charging_points[hits[0]] if hits.size else None
+
+
+def grid_fee(cp, t: int, cal, step_hours: float) -> float:
+    """Grid tariff (EUR/kWh) at charging point ``cp`` during step ``t``: the
+    low fee when the step starts inside the night band, which runs from
+    ``night_start_hour`` up to ``night_end_hour`` and wraps past midnight."""
+    hour = (t * step_hours) % 24.0
+    start, end = cal.night_start_hour, cal.night_end_hour
+    low = start != end and (start <= hour < end if start < end else hour >= start or hour < end)
+    return cp.grid_fee_low_eur_per_kwh if low else cp.grid_fee_high_eur_per_kwh
+
+
+def caps_by_step(s, v, cp, power: evba.PowerMode) -> tuple[float, float]:
+    """Upper bounds (slow charge/discharge, fast charge) on vehicle v's flows
+    on charging point ``cp`` (None when unplugged) under a power mode."""
+    if cp is None:
+        return 0.0, 0.0
+    if cp.kind == FAST:
+        return 0.0, cp.power_limit_kwh_per_step
+    if power is evba.PowerMode.FIXED_4KW:
+        return evba.FIXED_POWER_KW * s.horizon.step_hours, 0.0
+    if power is evba.PowerMode.OBC_ONLY:
+        return v.obc_max_kwh_per_step, 0.0
+    if power is evba.PowerMode.CP_ONLY:
+        return cp.power_limit_kwh_per_step, 0.0
+    return min(cp.power_limit_kwh_per_step, v.obc_max_kwh_per_step), 0.0
+
+
 def _flow_costs_by_step(
     s, ct: evba.CostToggles, cp, t: int
 ) -> tuple[float, float, float]:
     """Objective coefficients (slow charge, discharge, fast charge) at step t
     on charging point ``cp`` (None when unplugged)."""
     price = float(s.prices.values[t])
-    cal = s.tariff_calendar
-    h = s.horizon.step_hours
     sch = price
     fch = price
     if cp is not None:
-        # the night band, as TariffCalendar.is_low_band reads it for one step
-        hour = (t * h) % 24.0
-        start, end = cal.night_start_hour, cal.night_end_hour
-        low = start != end and (start <= hour < end if start < end else hour >= start or hour < end)
-        fee = cp.grid_fee_low_eur_per_kwh if low else cp.grid_fee_high_eur_per_kwh
-        fee_grid = fee if ct.include_grid_tariff else 0.0
+        fee_grid = grid_fee(cp, t, s.tariff_calendar, s.horizon.step_hours) if ct.include_grid_tariff else 0.0
         fee_cp = cp.cp_fee_eur_per_kwh if ct.include_cp_tariff else 0.0
         if cp.kind == SLOW:
             sch += fee_grid + fee_cp
@@ -349,14 +378,14 @@ def window_lp_by_rows(
 
     prev_id = None
     for t in map(int, steps):
-        cp = s.cp_at(v_idx, t)
+        cp = cp_at(s, v_idx, t)
         if maximize_departure:
             c_sch = c_dch = c_fch = 0.0
         else:
             c_sch, c_dch, c_fch = _flow_costs_by_step(s, ct, cp, t)
             if ct.include_degradation and not two_plane:
                 c_dch += _wear_slope(v)
-        slow_cap, fast_cap = evba._caps(s, v, cp, power)
+        slow_cap, fast_cap = caps_by_step(s, v, cp, power)
         sch_id = p.var(0.0, slow_cap, c_sch, f"sch[{v.id},{t}]")
         dch_id = p.var(0.0, slow_cap, c_dch, f"dch[{v.id},{t}]")
         fch_id = p.var(0.0, fast_cap, c_fch, f"fch[{v.id},{t}]")
@@ -773,7 +802,7 @@ def cost_breakdown_by_steps(s, ct: evba.CostToggles, e_sch, e_dch, e_fch, deg_pr
         grid = cp_fee = 0.0
         for t in range(s.horizon.step_count):
             flow = e_sch[v_idx, t] + e_fch[v_idx, t]
-            cp = s.cp_at(v_idx, t)
+            cp = cp_at(s, v_idx, t)
             if flow == 0.0 or cp is None:
                 continue
             grid += grid_fee(cp, t, s.tariff_calendar, s.horizon.step_hours) * flow
@@ -813,7 +842,7 @@ def check_schedule_by_steps(s, fs) -> ViolationReport:
             dch = fs.e_dch[v_idx, t]
             fch = fs.e_fch[v_idx, t]
             stock = fs.soe[v_idx, t]
-            cp = s.cp_at(v_idx, t)
+            cp = cp_at(s, v_idx, t)
             slow_lim = cp.power_limit_kwh_per_step if cp is not None and cp.kind == SLOW else 0.0
             fast_lim = cp.power_limit_kwh_per_step if cp is not None and cp.kind == FAST else 0.0
 

@@ -330,6 +330,24 @@ def test_comparison_grid_complete(example_scenario):
             assert c.dominance_ok is True
 
 
+def test_the_stated_answers_hold_on_seeds_0_to_9(example_scenario):
+    # the directions the README states for the fleet-vs-station comparison
+    # on the bundled example; a change that moves one fails here
+    levels = ("low", "medium", "high")
+    evca_low_gaps = {level: [] for level in levels}
+    for seed in range(10):
+        rep = compare_aggregators(example_scenario, [generate_price_set(level, seed=seed) for level in levels])
+        gap = {(c.price_label, c.model): c.dominance_gap_eur for c in rep.cells}
+        assert all(c.status == "optimal" for c in rep.cells), seed
+        assert all(g >= -1e-6 for g in gap.values() if g is not None), seed
+        assert gap["low", "evca_high"] > gap["medium", "evca_high"] > gap["high", "evca_high"], seed
+        fleet = [rep.cell(level, "evba").total_cost_eur for level in levels]
+        assert fleet[0] >= fleet[1] - 1e-6 and fleet[1] >= fleet[2] - 1e-6, seed
+        for level in levels:
+            evca_low_gaps[level].append(gap[level, "evca_low"])
+    assert np.mean(evca_low_gaps["high"]) < np.mean(evca_low_gaps["low"])
+
+
 def test_comparison_flat_prices_zero_fees():
     s = flat_scenario(n_vehicles=2, price=0.05)
     rep = compare_aggregators(s, [s.prices])

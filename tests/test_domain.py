@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -19,11 +22,13 @@ from evdispatch.domain import (
     TripPlan,
     Vehicle,
     example_scenario_path,
-    grid_fee,
     load_price_series,
+    load_scenario,
     parse_scenario,
     validate_scenario,
 )
+from oracles import cp_at, grid_fee
+from scen import random_scenario, refine
 
 HOME = ChargingPoint("home", "slow", 4.0, 0.02284, 0.04704, 0.004)
 DCFAST = ChargingPoint("dcfast", "fast", 100.0, 0.01075, 0.02284, 0.2)
@@ -97,6 +102,14 @@ def test_unknown_cp_reference_rejected():
         parse_scenario(data)
 
 
+def test_a_repeated_trip_is_rejected_whichever_entry_comes_first():
+    data = json.loads(example_scenario_path().read_text())
+    zero = {"vehicle": "ev1", "step": 7, "energy_kwh": 0.0}  # a copy of ev1's 1.8-kWh trip
+    for trips in ([zero] + data["trips"], data["trips"] + [zero]):
+        with pytest.raises(ScenarioError, match=r"^trips\[\d\]: duplicate trip for vehicle 'ev1' at step 7$"):
+            parse_scenario({**data, "trips": trips})
+
+
 def test_power_kw_converted_with_step_hours():
     data = _minimal_dict()
     data["horizon"] = {"step_count": 8, "step_hours": 0.5}
@@ -106,16 +119,32 @@ def test_power_kw_converted_with_step_hours():
     assert s.vehicles[0].obc_max_kwh_per_step == pytest.approx(5.0)
 
 
-def test_grid_fee_table_values():
-    cal = TariffCalendar()
-    assert grid_fee(HOME, 3, cal, 1.0) == pytest.approx(0.02284)    # 03:00, night band
-    assert grid_fee(HOME, 12, cal, 1.0) == pytest.approx(0.04704)   # noon, day band
-    assert grid_fee(DCFAST, 12, cal, 1.0) == pytest.approx(0.02284)
+def _plugged(*points, steps: int = 24, cal: TariffCalendar = TariffCalendar()) -> Scenario:
+    """One vehicle per charging point, plugged into it at every step."""
+    mask = np.zeros((len(points), steps, len(points)), dtype=bool)
+    for k in range(len(points)):
+        mask[k, :, k] = True
+    vehicles = tuple(Vehicle(f"ev{k}", 20.0, 10.0, 3000.0) for k in range(len(points)))
+    return Scenario(Horizon(steps), vehicles, points, ConnectivityMatrix(mask),
+                    TripPlan(np.zeros((len(points), steps))), cal)
 
 
-def test_grid_fee_is_pure():
-    cal = TariffCalendar()
-    assert all(grid_fee(HOME, 7, cal, 1.0) == grid_fee(HOME, 7, cal, 1.0) for _ in range(5))
+def test_plugs_grid_fee_takes_the_band_each_step_starts_in():
+    plugs = _plugged(HOME, DCFAST).plugs
+    assert plugs.grid_fee[0, 3] == 0.02284    # 03:00, night band
+    assert plugs.grid_fee[0, 12] == 0.04704   # noon, day band
+    assert plugs.grid_fee[1, 12] == 0.02284
+    assert plugs.kind[:, 0].tolist() == ["slow", "fast"]
+    assert plugs.limit[:, 0].tolist() == [4.0, 100.0] and plugs.cp_fee[:, 0].tolist() == [0.004, 0.2]
+
+
+def test_plugs_are_read_only_and_computed_once():
+    s = _plugged(HOME, DCFAST)
+    assert s.plugs is s.plugs
+    for name, a in s.plugs._asdict().items():
+        assert a.shape == (2, 24), name
+        with pytest.raises(ValueError):
+            a[0, 0] = a[1, 1]
 
 
 def test_default_calendar_low_band_steps():
@@ -152,7 +181,7 @@ def test_validate_multiple_connections_diagnostic():
     assert any("multiple connections" in d for d in diags)
 
 
-def test_cp_at_returns_the_first_of_two_connections():
+def test_plugs_take_the_first_of_two_connections():
     mask = np.zeros((1, 4, 3), dtype=bool)
     mask[0, 1, 1:] = True     # step 1 at work and dcfast at once
     mask[0, 2, 0] = True
@@ -161,19 +190,51 @@ def test_cp_at_returns_the_first_of_two_connections():
         Horizon(4), (Vehicle("ev1", 20.0, 10.0, 3000.0),), (HOME, work, DCFAST),
         ConnectivityMatrix(mask), TripPlan(np.zeros((1, 4))),
     )
-    assert [s.cp_at(0, t) for t in range(4)] == [None, work, HOME, None]
+    assert s.plugs.kind.tolist() == [["", "slow", "slow", ""]]
+    assert s.plugs.limit.tolist() == [[0.0, 8.0, 4.0, 0.0]]
+    assert s.plugs.grid_fee.tolist() == [[0.0, 0.0, 0.02284, 0.0]]
+    assert s.plugs.cp_fee.tolist() == [[0.0, 0.0, 0.004, 0.0]]
     assert s.connectivity.index.tolist() == [[-1, 1, 0, -1]]
     with pytest.raises(ValueError):
         s.connectivity.index[0, 0] = 0
 
 
-def test_cp_at_without_charging_points():
+def test_plugs_without_charging_points():
     s = Scenario(
         Horizon(4), (Vehicle("ev1", 20.0, 10.0, 3000.0),), (),
         ConnectivityMatrix(np.zeros((1, 4, 0), dtype=bool)), TripPlan(np.zeros((1, 4))),
     )
     assert validate_scenario(s) == []
-    assert [s.cp_at(0, t) for t in range(4)] == [None] * 4
+    assert s.plugs.kind.tolist() == [[""] * 4]
+    assert [a.tolist() for a in s.plugs[1:]] == [[[0.0] * 4]] * 3
+
+
+def _scenarios_for_plugs():
+    """The random fleets, their 15-minute copies and the example, each under
+    a wrapping, a daytime and an empty night band, and two fleets on a fast point."""
+    hourly = [random_scenario(seed) for seed in range(12)] + [load_scenario(example_scenario_path())]
+    fine = [refine(s, s.vehicles[0].id, 4) for s in hourly]
+    for s in hourly + fine:
+        for cal in (TariffCalendar(22, 6), TariffCalendar(7, 19), TariffCalendar(9, 9)):
+            yield replace(s, tariff_calendar=cal)
+    yield _plugged(HOME, DCFAST, steps=96, cal=TariffCalendar(23, 1))
+    yield _plugged(DCFAST, HOME, steps=6, cal=TariffCalendar(0, 0))
+
+
+def test_plugs_equal_the_per_step_lookup_exactly():
+    for s in _scenarios_for_plugs():
+        V, T = len(s.vehicles), s.horizon.step_count
+        want = [[], [], [], []]
+        for v_idx in range(V):
+            for t in range(T):
+                cp = cp_at(s, v_idx, t)
+                want[0].append(cp.kind if cp else "")
+                want[1].append(cp.power_limit_kwh_per_step if cp else 0.0)
+                want[2].append(grid_fee(cp, t, s.tariff_calendar, s.horizon.step_hours) if cp else 0.0)
+                want[3].append(cp.cp_fee_eur_per_kwh if cp else 0.0)
+        assert [a.shape for a in s.plugs] == [(V, T)] * 4
+        # repr tells -0.0 from 0.0, so the floats match bit for bit
+        assert repr([a.reshape(-1).tolist() for a in s.plugs]) == repr(want)
 
 
 def test_validate_soe_ordering_diagnostic():

@@ -252,12 +252,7 @@ def test_power_mode_orderings_random(seed):
     assert costs[PowerMode.OBC_ONLY] <= costs[PowerMode.BOTH] + 1e-6
     assert costs[PowerMode.CP_ONLY] <= costs[PowerMode.BOTH] + 1e-6
     h = s.horizon.step_hours
-    limits = [
-        cp.power_limit_kwh_per_step
-        for v in range(len(s.vehicles))
-        for t in range(24)
-        if (cp := s.cp_at(v, t)) is not None
-    ]
+    limits = s.plugs.limit[s.plugs.kind != ""]
     if all(4.0 * h <= x for x in limits) and all(
         4.0 * h <= v.obc_max_kwh_per_step for v in s.vehicles
     ):

@@ -15,7 +15,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 LP = ROOT / "src" / "evdispatch" / "lp.py"
 # documented solver output that only tests read until the CLI's --stats and
-# the benchmark's per-layer metrics read it (ROADMAP items 1 and 5)
+# the benchmark's per-layer metrics read it (ROADMAP items 3 and 6)
 NOT_YET_READ = {"LpSolution.stats"}
 GONE = ("LpProblem.add_variable", "LpProblem.add_variables", "LpProblem.add_constraint",
         "LpProblem.add_constraints", "LpProblem.from_csr", "LpSolution.value")
