@@ -53,6 +53,7 @@ from .evba import (
     cost_toggles_for,
     extract_schedule,
     solve_evba,
+    solve_evba_series,
 )
 from .evca import (
     HIGH_SOE,
@@ -64,6 +65,7 @@ from .evca import (
     chain_arrival_soe,
     derive_sessions,
     solve_evca,
+    solve_evca_series,
 )
 from .lp import LpError, LpProblem, LpSolution, solve
 
@@ -119,7 +121,9 @@ __all__ = [
     "run_power_ablation",
     "solve",
     "solve_evba",
+    "solve_evba_series",
     "solve_evca",
+    "solve_evca_series",
     "validate_scenario",
     "write_report",
 ]

@@ -14,11 +14,12 @@ runners cover the three studies this package ships:
   discharge volumes.
 
 Experiment cells are independent (pure solves of immutable inputs), so the
-nine cells of compare_aggregators and the variants of both ablations run
-through _solve_cells. On Linux, with more than one CPU in the process's
-affinity set, more than one cell and no other thread running, it forks one
-child per extra CPU for each call and deals the cells out among them and
-this process; otherwise it runs the same loop here. Results are merged in
+three models of compare_aggregators, each over every price series, and the
+variants of both ablations run through _solve_cells. On Linux, with more
+than one CPU in the process's affinity set, more than one cell and no other
+thread running, it forks one child per extra CPU for each call and deals
+the cells out among them and this process; otherwise it runs the same loop
+here. Results are merged in
 cell order, and report assembly runs in this process, so reports are
 byte-for-byte identical either way and deterministic for identical inputs.
 """
@@ -49,8 +50,10 @@ from .evba import (
     PowerMode,
     cost_toggles_for,
     solve_evba,
+    solve_evba_series,
 )
-from .evca import HIGH_SOE, LOW_SOE, ItineraryError, SessionInfeasibleError, solve_evca
+from .evca import HIGH_SOE, LOW_SOE, solve_evca_series
+from .evca import solve_evca  # noqa: F401 - bench/tracing.py's TARGETS wraps this binding
 from .lp import FEAS_TOL
 
 #: Declared defaults surfaced in every report header.
@@ -374,25 +377,27 @@ def compare_aggregators(s: Scenario, price_sets: list[PriceSeries]) -> Compariso
     recorded with its status and message rather than raised, so a partially
     solvable grid still yields a report; any other exception propagates.
     Each station-model cell records its cost gap against the fleet model.
+    Each model solves every series in one call, the work that _solve_cells
+    deals out, so the series share its LP builds (see solve_evba_series and
+    solve_evca_series).
     """
     models = ["evba", "evca_high", "evca_low"]
     policies = {"evca_high": HIGH_SOE, "evca_low": LOW_SOE}
 
-    def solve(cell: tuple[Scenario, str]) -> tuple[str, str, FleetSchedule | None]:
-        sp, model = cell
-        try:
-            fs = solve_evba(sp) if model == "evba" else solve_evca(sp, policies[model])
-        except (ItineraryError, SessionInfeasibleError) as exc:
-            return "infeasible", str(exc), None
-        return fs.status, fs.message, fs
+    def solve(model: str) -> list[tuple[str, str, FleetSchedule | None]]:
+        if model == "evba":
+            fleets = solve_evba_series(s, price_sets)
+        else:
+            fleets = solve_evca_series(s, price_sets, policies[model])
+        return [("infeasible", str(fs), None) if isinstance(fs, Exception) else (fs.status, fs.message, fs)
+                for fs in fleets]
 
-    grid = [(sp, model) for sp in map(s.with_prices, price_sets) for model in models]
-    outcomes = iter(_solve_cells(solve, grid))
+    by_model = _solve_cells(solve, models)
     cells: list[ComparisonCell] = []
-    for ps in price_sets:
+    for i, ps in enumerate(price_sets):
         evba_cost: float | None = None
-        for model in models:
-            status, message, fs = next(outcomes)
+        for model, outcomes in zip(models, by_model):
+            status, message, fs = outcomes[i]
             if status != "optimal":
                 cells.append(ComparisonCell(ps.label, model, status, None, {}, None, None, {}, error=message))
                 continue

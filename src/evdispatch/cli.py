@@ -31,6 +31,7 @@ _POWER_FLAGS = {
     "both": PowerMode.BOTH,
 }
 _POLICY_FLAGS = {"high": HIGH_SOE, "low": LOW_SOE}
+_SEED = 1  # of generated prices, unless --seed is given
 
 
 def _default_out() -> str:
@@ -43,15 +44,19 @@ def _add_price_source(p: argparse.ArgumentParser) -> None:
     grp.add_argument(
         "--gen-prices", choices=("low", "medium", "high"), help="generate a seeded price series"
     )
-    p.add_argument("--seed", type=int, default=1, help="seed for generated prices")
+    p.add_argument("--seed", type=int, help=f"seed for generated prices (default {_SEED})")
 
 
 def _resolve_prices(args, h: Horizon):
     if args.prices:
         return load_price_series(args.prices, h.step_count)
     return generate_price_set(
-        args.gen_prices, seed=args.seed, step_count=h.step_count, step_hours=h.step_hours
+        args.gen_prices, seed=_seed(args), step_count=h.step_count, step_hours=h.step_hours
     )
+
+
+def _seed(args) -> int:
+    return _SEED if args.seed is None else args.seed
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -74,7 +79,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = sub.add_parser("compare", help="fleet vs per-station grid over three price series")
     p_cmp.add_argument("--scenario", required=True)
-    p_cmp.add_argument("--seed", type=int, default=1)
+    p_cmp.add_argument("--seed", type=int, help=f"seed for generated prices (default {_SEED})")
     p_cmp.add_argument("--prices", nargs=3, metavar="CSV",
                        help="three price CSV files instead of generated series")
     p_cmp.add_argument("--out")
@@ -124,7 +129,7 @@ def _cmd_compare(args) -> int:
     else:
         sets = [
             generate_price_set(
-                v, seed=args.seed, step_count=s.horizon.step_count, step_hours=s.horizon.step_hours
+                v, seed=_seed(args), step_count=s.horizon.step_count, step_hours=s.horizon.step_hours
             )
             for v in ("high", "medium", "low")
         ]
@@ -180,8 +185,13 @@ def main(argv: list[str] | None = None) -> int:
         args.out = _default_out()
     if args.command == "solve" and args.model == "evca" and not args.policy:
         parser.error("--model evca requires --policy high|low")
-    if getattr(args, "seed", 0) < 0:
-        parser.error(f"--seed must be a non-negative integer, got {args.seed}")
+    if args.command == "solve" and args.model == "evba" and (args.policy or args.best_effort):
+        parser.error(f"{'--policy' if args.policy else '--best-effort'} applies to --model evca only")
+    seed = getattr(args, "seed", None)
+    if seed is not None and getattr(args, "prices", None):
+        parser.error("--seed applies to generated prices only, not to --prices")
+    if seed is not None and seed < 0:
+        parser.error(f"--seed must be a non-negative integer, got {seed}")
     commands = {"solve": _cmd_solve, "compare": _cmd_compare, "ablate-power": _cmd_ablate_power,
                 "ablate-costs": _cmd_ablate_costs, "validate": _cmd_validate}
     try:

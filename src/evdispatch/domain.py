@@ -273,13 +273,18 @@ class Scenario:
         return plugs
 
     def with_prices(self, prices: PriceSeries) -> "Scenario":
-        """Attach a price series, checking its length against the horizon."""
+        """Attach a price series, checking its length against the horizon.
+        Prices do not change ``plugs``, so a table this scenario has already
+        computed is shared, not computed again."""
         if len(prices) != self.horizon.step_count:
             raise ScenarioError(
                 f"price series {prices.label!r} has {len(prices)} steps, "
                 f"horizon needs {self.horizon.step_count}"
             )
-        return replace(self, prices=prices)
+        out = replace(self, prices=prices)
+        if "plugs" in self.__dict__:  # where cached_property keeps it
+            out.__dict__["plugs"] = self.plugs
+        return out
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,11 @@ the modes only change which magnitude caps apply while plugged in. Each
 step's plug kind, power limit and fees are read from ``Scenario.plugs``, the
 table the cost breakdown reads too.
 
+solve_evba_series solves one scenario under several price series in one
+pass: the scenario is validated and each vehicle's whole-day LP built once,
+and every further series solves that LP derived with its own costs (see
+lp.LpProblem.derive), on the crash and factor of its first solve.
+
 build/solve are pure given an immutable scenario, so distinct solves may run
 concurrently; analysis solves the cells of its studies in forked children.
 """
@@ -43,7 +48,7 @@ import numpy as np
 
 from . import lp
 from .degradation import degradation_cost, degradation_rows, discharge_wear_slope
-from .domain import FAST, SLOW, Scenario, ScenarioError, Vehicle, validate_scenario
+from .domain import FAST, SLOW, PriceSeries, Scenario, ScenarioError, Vehicle, validate_scenario
 
 FIXED_POWER_KW = 4.0
 
@@ -163,14 +168,25 @@ class FleetSchedule:
 # ---------------------------------------------------------------------------
 # Assembly
 
-def _flow_costs(s: Scenario, v_idx: int, ct: CostToggles) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Objective coefficients (slow charge, discharge, fast charge) per step
-    of vehicle ``v_idx``, from its rows of ``Scenario.plugs``."""
+def _cost_table(s: Scenario, v_idx: int, ct: CostToggles) -> np.ndarray:
+    """Vehicle ``v_idx``'s objective coefficients under ``s``'s prices, one
+    row per step with a column per variable kind (see _build_vehicle_lp).
+    Each flow pays the price, discharge earns it, and a charge at a plug of
+    its own kind also pays the plug's priced fees, from the vehicle's rows
+    of ``Scenario.plugs``; with wear priced, discharge also pays the wear
+    slope and the excess wear variable (EUR) costs 1."""
     price, plug = s.prices.values, s.plugs
     kind, zero = plug.kind[v_idx], np.zeros(len(price))
     fee = ((plug.grid_fee[v_idx] if ct.include_grid_tariff else zero)
            + (plug.cp_fee[v_idx] if ct.include_cp_tariff else zero))
-    return np.where(kind == SLOW, price + fee, price), -price, np.where(kind == FAST, price + fee, price)
+    cost = np.zeros((len(price), 5 if ct.include_degradation else 4))
+    cost[:, 0] = np.where(kind == SLOW, price + fee, price)
+    cost[:, 1] = -price
+    cost[:, 2] = np.where(kind == FAST, price + fee, price)
+    if ct.include_degradation:
+        cost[:, 1] += discharge_wear_slope(s.vehicles[v_idx])
+        cost[:, 4] = 1.0
+    return cost
 
 
 def _caps(s: Scenario, v_idx: int, power: PowerMode) -> tuple[np.ndarray, np.ndarray]:
@@ -222,6 +238,7 @@ class _StepNames(Sequence):
 class _VehicleLp:
     """One vehicle's LP over the whole horizon, with no arrival stock and no
     floor: the arrays that every window LP of the vehicle is sliced from.
+    Only ``cost`` depends on the prices (see _cost_table).
 
     ``lb``, ``ub`` and ``cost`` hold one row per step, and the rows are in
     compressed sparse row form over the whole horizon's variables. Step
@@ -266,14 +283,12 @@ def _build_vehicle_lp(s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode
 
     # variables: one row of these tables per step
     kinds = ["sch", "dch", "fch", "soe", "udeg"][: 5 if ct.include_degradation else 4]
-    lb, ub, cost = np.zeros((k, len(kinds))), np.empty((k, len(kinds))), np.zeros((k, len(kinds)))
+    lb, ub = np.zeros((k, len(kinds))), np.empty((k, len(kinds)))
     ub[:, 0] = ub[:, 1] = slow_cap
     ub[:, 2] = fast_cap
     lb[:, 3], ub[:, 3] = v.soe_min_kwh, v.soe_max_kwh
-    cost[:, 0], cost[:, 1], cost[:, 2] = _flow_costs(s, v_idx, ct)
     if ct.include_degradation:
-        cost[:, 1] += discharge_wear_slope(v)
-        ub[:, 4], cost[:, 4] = lp.INF, 1.0
+        ub[:, 4] = lp.INF
     sch, dch, fch, soe, *udeg = np.arange(k * len(kinds)).reshape(k, len(kinds)).T
 
     # rows: each step's rows follow those of earlier steps
@@ -315,7 +330,7 @@ def _build_vehicle_lp(s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode
     row_names = _StepNames([f"{kind}[{v.id}," for kind in ("cv", "bal", "deg")], np.concatenate(row_kind)[order],
                            np.concatenate(row_step)[order])
     return _VehicleLp(
-        v, lb, ub, cost, var_names,
+        v, lb, ub, _cost_table(s, v_idx, ct), var_names,
         np.concatenate([[0], np.bincount(row, minlength=start[-1]).cumsum()]),
         var[by_row], np.concatenate(coefs)[by_row] + 0.0,
         np.concatenate(senses)[order], np.concatenate(rhs)[order], row_names, start, bal,
@@ -356,13 +371,20 @@ def _slice_window(
     if first:  # soe[first - 1] leaves: the first term of the first balance row
         terms = terms[terms != vl.indptr[b0]]
         indptr[b0 - r0 + 1:] -= 1
-    rhs = vl.rhs[r0:r1].copy()
-    rhs[b0 - r0] += init_soe
     return lp.LpProblem(
         f"window[{v.id},{first}..{last}]", lb.ravel(), vl.ub[steps].ravel(), cost.ravel(),
         vl.var_names[first * width:(last + 1) * width], indptr, vl.indices[terms] - first * width,
-        vl.data[terms], vl.senses[r0:r1], rhs, vl.row_names[r0:r1],
+        vl.data[terms], vl.senses[r0:r1], _window_rhs(vl, first, last, init_soe), vl.row_names[r0:r1],
     )
+
+
+def _window_rhs(vl: _VehicleLp, first: int, last: int, init_soe: float) -> np.ndarray:
+    """The right-hand side of ``vl``'s window LP over steps ``first..last``
+    whose arrival stock is ``init_soe`` (see _slice_window)."""
+    r0, b0 = vl.start[first], vl.bal[first]
+    rhs = vl.rhs[r0:vl.start[last + 1]].copy()
+    rhs[b0 - r0] += init_soe
+    return rhs
 
 
 def _require_solvable(s: Scenario) -> None:
@@ -590,13 +612,53 @@ def solve_evba(
     The first vehicle whose LP is not optimal makes the fleet status, and the
     message names that vehicle and why.
     """
-    sols = []
-    for v_idx, problem in enumerate(build_evba(s, ct, power)):
-        sol = lp.solve(problem)
-        if sol.status == lp.INFEASIBLE:
-            return FleetSchedule.empty(s, sol.status, _infeasibility_hint(s, v_idx, power))
-        if sol.status != lp.OPTIMAL:
-            message = f"vehicle {s.vehicles[v_idx].id!r}: {_numerics_hint(s, sol.status)}"
-            return FleetSchedule.empty(s, sol.status, message)
-        sols.append(sol)
-    return extract_schedule(sols, s, ct)
+    return _solve_evba(s, [s.prices], ct, power)[0]
+
+
+def solve_evba_series(
+    s: Scenario,
+    price_sets: Sequence[PriceSeries],
+    ct: CostToggles = CostToggles(),
+    power: PowerMode = PowerMode.BOTH,
+) -> list[FleetSchedule]:
+    """``[solve_evba(s.with_prices(ps), ct, power) for ps in price_sets]``,
+    bit for bit, with the scenario validated and each vehicle's LP built
+    once: only the objective differs between the series (see _solve_evba)."""
+    if not price_sets:
+        return []
+    return _solve_evba(s.with_prices(price_sets[0]), price_sets, ct, power)
+
+
+def _priced(s: Scenario, price_sets: Sequence[PriceSeries]) -> list[Scenario]:
+    """``s`` under each price series, ``s`` itself under the first, which
+    must be its own; once a vehicle's LP is built, all share ``s``'s plug
+    table (see Scenario.with_prices)."""
+    return [s, *(s.with_prices(ps) for ps in price_sets[1:])]
+
+
+def _solve_evba(s: Scenario, price_sets: Sequence[PriceSeries], ct: CostToggles,
+                power: PowerMode) -> list[FleetSchedule]:
+    """solve_evba of ``s`` under each price series, ``s``'s own first.
+
+    build_evba validates ``s`` and builds each vehicle's whole-day LP once,
+    under the first series; under every other series the LP is derived from
+    it with that series' costs (see lp.LpProblem.derive), so it reuses the
+    crash basis and factor of the LP's first solve."""
+    days = build_evba(s, ct, power)
+    out = []
+    for sp in _priced(s, price_sets):
+        sols = []
+        for v_idx, day in enumerate(days):
+            problem = day if sp is s else day.derive(_cost_table(sp, v_idx, ct).ravel())
+            sol = lp.solve(problem)
+            if sol.status == lp.INFEASIBLE:
+                out.append(FleetSchedule.empty(sp, sol.status, _infeasibility_hint(sp, v_idx, power)))
+                break
+            if sol.status != lp.OPTIMAL:
+                message = f"vehicle {sp.vehicles[v_idx].id!r}: {_numerics_hint(sp, sol.status)}"
+                out.append(FleetSchedule.empty(sp, sol.status, message))
+                break
+            sols.append(sol)
+        else:
+            out.append(extract_schedule(sols, sp, ct))
+    return out

@@ -9,7 +9,10 @@ optimizer at one plug is blind to prices elsewhere in the day.
 
 Each session LP is a slice of its vehicle's whole-horizon LP, which
 solve_evca builds once per vehicle per call (see evba._slice_window); the
-best-effort re-solves are slices of the same build.
+best-effort re-solves are slices of the same build. solve_evca_series solves
+one scenario under several price series in one pass: it builds each vehicle
+once and cuts each session's window once, and every further series solves
+that window derived with its own costs and arrival stock.
 
 Sessions of one vehicle are strictly sequential because state chains through
 them; different vehicles are independent.
@@ -17,13 +20,14 @@ them; different vehicles are independent.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Sequence
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import lp
 from .degradation import degradation_cost  # noqa: F401 - bench/tracing.py wraps this binding
-from .domain import Scenario, ScenarioError, Vehicle
+from .domain import PriceSeries, Scenario, ScenarioError, Vehicle
 from .domain import validate_scenario  # noqa: F401 - bench/tracing.py wraps this binding
 from .evba import (
     CostToggles,
@@ -33,10 +37,13 @@ from .evba import (
     _assemble,
     _build_vehicle_lp,
     _FloorUnreachable,
+    _cost_table,
     _numerics_hint,
+    _priced,
     _require_solvable,
     _slice_window,
     _VehicleLp,
+    _window_rhs,
     _window_schedule,
 )
 
@@ -111,6 +118,19 @@ def chain_arrival_soe(prev_depart_soe: float, trip_energy_kwh: float, v: Vehicle
     return arrival
 
 
+def _solve_session(s: Scenario, problem: lp.LpProblem, session: Session) -> lp.LpSolution | None:
+    """A session LP's optimal solution, or None when it is infeasible.
+
+    Any other non-optimal status raises ArithmeticError naming the session.
+    """
+    sol = lp.solve(problem)
+    if sol.status == lp.INFEASIBLE:
+        return None
+    if sol.status != lp.OPTIMAL:
+        raise ArithmeticError(f"{session.describe()}: {_numerics_hint(s, sol.status)}")
+    return sol
+
+
 def _solve_session_lp(
     s: Scenario,
     vl: _VehicleLp,
@@ -119,10 +139,8 @@ def _solve_session_lp(
     floor: float,
     maximize_departure: bool = False,
 ) -> lp.LpSolution | None:
-    """One session LP, sliced from its vehicle's LP ``vl``; None when infeasible.
-
-    Any other non-optimal status raises ArithmeticError naming the session.
-    """
+    """One session LP, sliced from its vehicle's LP ``vl``; None when
+    infeasible, its floor out of reach included (see _solve_session)."""
     try:
         problem = _slice_window(
             vl, session.arrive_step, session.depart_step, arrival, floor,
@@ -130,12 +148,7 @@ def _solve_session_lp(
         )
     except _FloorUnreachable:
         return None
-    sol = lp.solve(problem)
-    if sol.status == lp.INFEASIBLE:
-        return None
-    if sol.status != lp.OPTIMAL:
-        raise ArithmeticError(f"{session.describe()}: {_numerics_hint(s, sol.status)}")
-    return sol
+    return _solve_session(s, problem, session)
 
 
 def solve_evca(
@@ -154,6 +167,51 @@ def solve_evca(
     to the maximum reachable stock and recorded as a warning instead of
     raising SessionInfeasibleError.
     """
+    fs = _solve_evca(s, [s.prices], policy, ct, power, best_effort)[0]
+    if isinstance(fs, Exception):
+        raise fs
+    return fs
+
+
+def solve_evca_series(
+    s: Scenario,
+    price_sets: Sequence[PriceSeries],
+    policy: SoePolicy,
+    ct: CostToggles = CostToggles(),
+    power: PowerMode = PowerMode.BOTH,
+    *,
+    best_effort: bool = False,
+) -> list[FleetSchedule | ItineraryError | SessionInfeasibleError]:
+    """``solve_evca(s.with_prices(ps), ...)`` for each price series, bit for
+    bit, with the scenario validated, each vehicle's LP built and each
+    session window cut once (see _solve_evca). A series whose itinerary
+    fails or whose session is infeasible gets the exception that
+    solve_evca raises returned in its place, and the other series go on;
+    any other exception propagates."""
+    if not price_sets:
+        return []
+    return _solve_evca(s.with_prices(price_sets[0]), price_sets, policy, ct, power, best_effort)
+
+
+def _solve_evca(
+    s: Scenario,
+    price_sets: Sequence[PriceSeries],
+    policy: SoePolicy,
+    ct: CostToggles,
+    power: PowerMode,
+    best_effort: bool,
+) -> list[FleetSchedule | ItineraryError | SessionInfeasibleError]:
+    """solve_evca of ``s`` under each price series, ``s``'s own first, with a
+    failed series' exception in its place.
+
+    The series differ only in their costs and, through the sessions before,
+    in each session's arrival stock, which is its window's right-hand side.
+    So each session's window is cut once, for the first series that reaches
+    it, and every further series solves it derived with its own costs and
+    arrival stock (see lp.LpProblem.derive), reusing the crash basis and
+    factor of its first solve. A best-effort floor depends on the series'
+    arrival stock, so its window is cut for that series alone.
+    """
     _require_solvable(s)
     if not (policy.depart_min_frac >= 0.0):
         raise ScenarioError("policy floor must be a fraction >= 0")
@@ -164,71 +222,96 @@ def solve_evca(
                 f"minimum SOE fraction {v.soe_min_frac}"
             )
 
-    windows = []
-    traces: list[SessionResult] = []
-    warnings: list[str] = []
-    for v_idx, (v, sessions) in enumerate(zip(s.vehicles, derive_sessions(s))):
+    sessions = derive_sessions(s)
+    frames = [_build_vehicle_lp(s, v_idx, ct, power) if ses else None for v_idx, ses in enumerate(sessions)]
+    scenarios = _priced(s, price_sets)
+    failed: list[ItineraryError | SessionInfeasibleError | None] = [None] * len(scenarios)
+    windows: list[list] = [[] for _ in scenarios]
+    traces: list[list[SessionResult]] = [[] for _ in scenarios]
+    warnings: list[list[str]] = [[] for _ in scenarios]
+    for v_idx, (v, vl) in enumerate(zip(s.vehicles, frames)):
         trips_v = s.trips.energy_kwh[v_idx]
-        if not sessions:
+        live = [j for j, exc in enumerate(failed) if exc is None]
+        if vl is None:
             if trips_v.sum() > 0:
-                raise ItineraryError(
-                    f"vehicle {v.id!r}: has trips but no charging opportunity, "
-                    f"end-of-day stock floor cannot be met"
-                )
-            continue
-        vl = _build_vehicle_lp(s, v_idx, ct, power)
-        running = v.soe_initial_kwh
-        prev_end = -1
-        for k, session in enumerate(sessions):
-            gap_trips = float(trips_v[prev_end + 1 : session.arrive_step].sum())
-            try:
-                arrival = chain_arrival_soe(running, gap_trips, v)
-            except ItineraryError as exc:
-                raise ItineraryError(f"{exc} (before {session.describe()})") from None
-            arrival = min(arrival, v.soe_max_kwh)
-            is_last = k == len(sessions) - 1
-            if is_last:
-                post_trips = float(trips_v[session.depart_step + 1 :].sum())
-                floor = v.soe_initial_kwh + post_trips / v.eta_run
-                note = "end-of-day floor"
-            else:
-                floor = policy.floor_kwh(v)
-                note = ""
-
-            sol = _solve_session_lp(s, vl, session, arrival, floor)
-            if sol is None and best_effort:
-                relaxed = _solve_session_lp(s, vl, session, arrival, v.soe_min_kwh, maximize_departure=True)
-                if relaxed is not None:
-                    # the relaxed objective is minus the departure stock
-                    reachable = min(-relaxed.objective, v.soe_max_kwh)
-                    warnings.append(
-                        f"{session.describe()}: floor {floor:.3f} kWh unreachable, "
-                        f"lowered to {reachable:.3f} kWh"
+                for j in live:
+                    failed[j] = ItineraryError(
+                        f"vehicle {v.id!r}: has trips but no charging opportunity, "
+                        f"end-of-day stock floor cannot be met"
                     )
-                    note = (note + "; " if note else "") + "best-effort floor"
-                    floor = reachable - 1e-9
-                    sol = _solve_session_lp(s, vl, session, arrival, floor)
-            if sol is None:
-                raise SessionInfeasibleError(
-                    f"{session.describe()}: no feasible schedule reaches the departure "
-                    f"floor {floor:.3f} kWh from arrival stock {arrival:.3f} kWh"
+            continue
+        costs = {j: vl.cost if j == 0 else _cost_table(scenarios[j], v_idx, ct) for j in live}
+        running = dict.fromkeys(live, v.soe_initial_kwh)
+        prev_end = -1
+        for k, session in enumerate(sessions[v_idx]):
+            first, last = session.arrive_step, session.depart_step
+            gap_trips = float(trips_v[prev_end + 1 : first].sum())
+            if k == len(sessions[v_idx]) - 1:
+                post_trips = float(trips_v[last + 1 :].sum())
+                session_floor = v.soe_initial_kwh + post_trips / v.eta_run
+                session_note = "end-of-day floor"
+            else:
+                session_floor = policy.floor_kwh(v)
+                session_note = ""
+            shared: lp.LpProblem | None = None  # the window at the session floor
+            unreachable = False
+            for j in live:
+                sp = scenarios[j]
+                try:
+                    arrival = chain_arrival_soe(running[j], gap_trips, v)
+                except ItineraryError as exc:
+                    failed[j] = ItineraryError(f"{exc} (before {session.describe()})")
+                    continue
+                arrival = min(arrival, v.soe_max_kwh)
+                floor, note = session_floor, session_note
+                if shared is None and not unreachable:
+                    try:
+                        shared = _slice_window(vl, first, last, arrival, floor)
+                    except _FloorUnreachable:
+                        unreachable = True
+                sol = None
+                if not unreachable:
+                    problem = shared if j == 0 else shared.derive(costs[j][first:last + 1].ravel(),
+                                                                  _window_rhs(vl, first, last, arrival))
+                    sol = _solve_session(sp, problem, session)
+                if sol is None and best_effort:
+                    relaxed = _solve_session_lp(sp, vl, session, arrival, v.soe_min_kwh, maximize_departure=True)
+                    if relaxed is not None:
+                        # the relaxed objective is minus the departure stock
+                        reachable = min(-relaxed.objective, v.soe_max_kwh)
+                        warnings[j].append(
+                            f"{session.describe()}: floor {floor:.3f} kWh unreachable, "
+                            f"lowered to {reachable:.3f} kWh"
+                        )
+                        note = (note + "; " if note else "") + "best-effort floor"
+                        floor = reachable - 1e-9
+                        sol = _solve_session_lp(sp, replace(vl, cost=costs[j]), session, arrival, floor)
+                if sol is None:
+                    failed[j] = SessionInfeasibleError(
+                        f"{session.describe()}: no feasible schedule reaches the departure "
+                        f"floor {floor:.3f} kWh from arrival stock {arrival:.3f} kWh"
+                    )
+                    continue
+                arrays = _window_schedule(v, sol, ct)
+                windows[j].append((v_idx, session.steps, arrays, sol.objective))
+                depart_soe = float(arrays[3][-1])
+                traces[j].append(
+                    SessionResult(
+                        vehicle=v.id,
+                        cp=session.cp,
+                        arrive_step=first,
+                        depart_step=last,
+                        arrival_soe_kwh=arrival,
+                        depart_soe_kwh=depart_soe,
+                        floor_kwh=float(floor),
+                        cost_eur=float(sol.objective),
+                        note=note,
+                    )
                 )
-            arrays = _window_schedule(v, sol, ct)
-            windows.append((v_idx, session.steps, arrays, sol.objective))
-            depart_soe = float(arrays[3][-1])
-            traces.append(
-                SessionResult(
-                    vehicle=v.id,
-                    cp=session.cp,
-                    arrive_step=session.arrive_step,
-                    depart_step=session.depart_step,
-                    arrival_soe_kwh=arrival,
-                    depart_soe_kwh=depart_soe,
-                    floor_kwh=float(floor),
-                    cost_eur=float(sol.objective),
-                    note=note,
-                )
-            )
-            running = depart_soe
-            prev_end = session.depart_step
-    return _assemble(s, ct, windows, warnings=warnings, sessions=traces)
+                running[j] = depart_soe
+            live = [j for j in live if failed[j] is None]
+            prev_end = last
+    return [
+        _assemble(sp, ct, windows[j], warnings=warnings[j], sessions=traces[j]) if exc is None else exc
+        for j, (sp, exc) in enumerate(zip(scenarios, failed))
+    ]

@@ -8,7 +8,9 @@ array of rows by columns is built unless numerical drift forces a rebuild.
 
 A problem is given whole: ``LpProblem`` takes the variables' bounds and
 costs and the rows in compressed sparse row form, which the crash, the
-transforms and the residuals read directly.
+transforms and the residuals read directly. ``LpProblem.derive`` gives
+the problem another objective and right-hand side, the way one window LP
+is priced under several price series or entered with several stocks.
 
 Algorithm notes:
 - every row gets a slack variable whose bounds are the only encoding of the
@@ -16,6 +18,11 @@ Algorithm notes:
   zero). There are no artificial columns: every slack starts basic at its
   row residual, even outside its bounds, and a triangular crash makes one
   structural column basic per equality row (Bixby, ORSA J. Comput. 4(3), 1992);
+- the crash basis and its factor depend on the rows, senses and bounds
+  alone, not on the costs or the right-hand side, so a problem and those
+  derived from it share them (``_Start``): the first solve of any of them
+  builds them, and each solve copies what its pivots change. Every solve
+  takes the pivots that a solve of a freshly built problem takes;
 - every variable has a finite bound (``LpProblem`` rejects one without, as
   no variable of a window LP lacks one), so a nonbasic variable always rests
   at a bound: at the lower one when both are finite;
@@ -95,6 +102,7 @@ Deterministic by construction: same problem, same pivots, same answer.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from time import perf_counter
@@ -135,7 +143,7 @@ class LpError(ValueError):
 
 
 class LpProblem:
-    """A minimization LP, given whole.
+    """A minimization LP, given whole, or derived from another (see ``derive``).
 
     Variables carry bounds, at least one of them finite, and an objective
     coefficient, one name each. The
@@ -149,6 +157,11 @@ class LpProblem:
     every variable and row is: the first faulty variable, else the first
     faulty row, raises an LpError naming it. The two name sequences are kept
     as given, and the solver reads a name only to report a fault.
+
+    A problem's data is never changed after the checks. What a solve
+    derives from the rows, senses and bounds alone (see ``_Start``) is kept
+    with the problem by its first solve, for later solves of it and of every
+    problem derived from it.
     """
 
     def __init__(self, name: str, lb, ub, cost, var_names: Sequence[str], indptr, indices, data,
@@ -163,6 +176,31 @@ class LpProblem:
         _check_variables(self._lb, self._ub, self._cost, var_names)
         _check_rows(self._row_of, self._indptr, self._indices, self._data, self._senses, self._rhs, row_names,
                     len(self._lb))
+        self._start = _Start()
+
+    def derive(self, cost, rhs=None) -> LpProblem:
+        """This problem with the objective ``cost`` and, unless None, the
+        right-hand side ``rhs``: the same name, variables, bounds, rows and
+        senses, and the same ``_Start``, so a solve of either reuses the
+        crash basis and factor that the first solve of any of them built.
+        Only the new arrays are checked, in the constructor's order and with
+        its messages: a length that does not fit, then the first non-finite
+        cost, then the first non-finite right-hand side."""
+        cost = np.asarray(cost, dtype=float)
+        rhs = self._rhs if rhs is None else np.asarray(rhs, dtype=float)
+        n, m = len(self._lb), len(self._rhs)
+        if len(cost) != n:
+            raise LpError(f"variables: lb, ub, cost and var_names differ in length ({n}, {n}, {len(cost)}, {n})")
+        if len(rhs) != m:
+            raise LpError(f"rows: rhs, senses and row_names differ in length ({len(rhs)}, {m}, {m})")
+        if not np.isfinite(cost).all():
+            raise LpError(f"variable {self._var_names[int(np.argmin(np.isfinite(cost)))]}: unusable bounds or cost")
+        if not np.isfinite(rhs).all():
+            i = int(np.argmin(np.isfinite(rhs)))
+            raise LpError(f"constraint {self._row_names[i]!r}: non-finite right-hand side {rhs[i]}")
+        derived = copy.copy(self)
+        derived._cost, derived._rhs = cost, rhs
+        return derived
 
     @property
     def num_variables(self) -> int:
@@ -231,8 +269,9 @@ def _check_rows(row_of: np.ndarray, indptr: np.ndarray, indices: np.ndarray, dat
     key += indices
     unordered = key[1:] <= key[:-1]
     # a negative id reads as a huge unsigned one
-    if (set(senses.tolist()).issubset(_SENSES) and np.isfinite(rhs).all() and np.isfinite(data).all()
-            and (not indices.size or indices.view(np.uintp).max() < n) and not unordered.any()):
+    if (((senses == "=") | (senses == "<=") | (senses == ">=")).all() and np.isfinite(rhs).all()
+            and np.isfinite(data).all() and (not indices.size or indices.view(np.uintp).max() < n)
+            and not unordered.any()):
         return
     bad = ~np.isin(senses, _SENSES) | ~np.isfinite(rhs)
     bad_term = ~np.isfinite(data) | (indices < 0) | (indices >= n)
@@ -344,6 +383,25 @@ def _chain(rows: np.ndarray, picks: np.ndarray, col_ptr: np.ndarray, col_row: np
     return rows, float(pivot[-1]), k, e_row, e_val, slots
 
 
+class _Start:
+    """What a solve derives from a problem's rows, senses and bounds alone,
+    built by the first solve of the problem or of one it shares this with
+    (see ``LpProblem.derive``), and only read after that:
+
+    - ``bounds``: the bounds of the structurals and slacks, the candidate
+      columns and each variable's candidate column (see ``_Simplex``);
+    - ``crash``: the crash basis, its nonbasic statuses and values, its
+      number of picks, the columns of ``[A | I]`` that can enter and the
+      dense ``B^-1``, or the chain's factor with the structural columns in
+      compressed sparse column form (see ``_Simplex._crash``).
+
+    A solve copies the arrays its pivots change: the basis, the statuses,
+    the nonbasic values and the dense inverse."""
+
+    def __init__(self):
+        self.bounds = self.crash = None
+
+
 @dataclass(frozen=True)
 class SolveStats:
     """What one solve did; the crash pivots of set-up and the start's bound
@@ -403,16 +461,19 @@ class _Simplex:
         self.row_of = p._row_of  # row of each sparse entry
         self.b = p._rhs.copy()
 
-        # the slack bounds are the one place the row sense is encoded
-        sense = p._senses
-        self.lb = np.concatenate([p._lb, np.where(sense == ">=", -INF, 0.0)])
-        self.ub = np.concatenate([p._ub, np.where(sense == "<=", INF, 0.0)])
+        if p._start.bounds is None:
+            # the slack bounds are the one place the row sense is encoded
+            sense = p._senses
+            lb = np.concatenate([p._lb, np.where(sense == ">=", -INF, 0.0)])
+            ub = np.concatenate([p._ub, np.where(sense == "<=", INF, 0.0)])
+            # candidate column k is variable cols[k]; fixed variables never
+            # enter and have no candidate column (pos -1)
+            cols = np.flatnonzero(ub - lb > 0.0)
+            pos = np.full(n + m, -1, dtype=np.intp)
+            pos[cols] = np.arange(len(cols))
+            p._start.bounds = lb, ub, cols, pos
+        self.lb, self.ub, self.cols, self.pos = p._start.bounds
         self.cost = np.concatenate([p._cost, np.zeros(m)])
-        # candidate column k is variable cols[k]; fixed variables never enter
-        # and have no candidate column (pos -1)
-        self.cols = np.flatnonzero(self.ub - self.lb > 0.0)
-        self.pos = np.full(n + m, -1, dtype=np.intp)
-        self.pos[self.cols] = np.arange(len(self.cols))
         self.max_iter = 200 * (m + n + 20)
         self.iterations = 0
         self.crash_columns = self.start_flips = self.phase1_pivots = self.flips = self.refactorizations = 0
@@ -421,37 +482,50 @@ class _Simplex:
     # -- setup -------------------------------------------------------------
 
     def _setup(self) -> None:
+        """The crash basis and its factor (see ``_crash``), built by the
+        first solve that shares the problem's ``_Start`` and copied where
+        pivots change them, then the basic values of this right-hand side."""
+        start = self.p._start
+        if start.crash is None:
+            start.crash = self._crash()
+        basis, status, nb_value, self.crash_columns, self.columns, inverse, self.chain, csc = start.crash
+        self.basis, self.status, self.nb_value = basis.copy(), status.copy(), nb_value.copy()
+        self.inverse = None if inverse is None else inverse.copy()
+        if csc is not None:
+            self.col_ptr, self.col_row, self.col_val = csc
+        self._clear_updates()
+        self.xB = self._basic_values()
+        self.d = None  # reduced costs of the current basis, once derived
+        self._sync()
+
+    def _crash(self) -> tuple:
         """Slack basis, then a triangular crash (see ``_crash_picks``), kept
         as the factor of an LP of more than ``_DENSE_ROWS`` rows when its
         picks form a unit chain (see ``_chain``); every other LP holds the
-        dense inverse of its crash basis (see ``_invert``)."""
+        dense inverse of its crash basis (see ``_invert``). Returns what
+        ``_Start.crash`` holds."""
         n, m, p = self.n_struct, self.m, self.p
         row, col, cand = _crash_entries(self.row_of, p._indices, p._data, self.pos[n:] < 0,
                                         self.ub[:n] - self.lb[:n])
         rows, picks = _crash_picks(row, col, cand, m, n)
-        self.basis = n + np.arange(m)
-        self.basis[rows] = picks
-        self.inverse = self.chain = None  # the dense B^-1, or the chain's factor
-        self._clear_updates()
+        basis = n + np.arange(m)
+        basis[rows] = picks
+        chain = csc = columns = inverse = None  # the chain's factor, or the dense B^-1
         if m > _DENSE_ROWS:
             # the structural columns, each in row order
             order = np.argsort(p._indices, kind="stable")
-            self.col_ptr = np.concatenate([[0], np.cumsum(np.bincount(p._indices, minlength=n))])
-            self.col_row, self.col_val = self.row_of[order], p._data[order]
-            self.chain = _chain(rows, picks, self.col_ptr, self.col_row, self.col_val, m)
-        if self.chain is None:
-            self.columns = self._dense_columns()
-            self._invert(rows, picks)
+            csc = (np.concatenate([[0], np.cumsum(np.bincount(p._indices, minlength=n))]),
+                   self.row_of[order], p._data[order])
+            chain = _chain(rows, picks, *csc, m)
+        if chain is None:
+            csc, columns = None, self._dense_columns()
+            inverse = self._invert(columns, basis, rows, picks)
         # a nonbasic variable rests at its lower bound, or at its upper one
         # when the lower is -inf (``LpProblem`` requires a finite bound)
         status = np.where(np.isfinite(self.lb), _AT_LB, _AT_UB).astype(np.int8)
-        status[self.basis] = _BASIC
-        self.status = status
-        self.nb_value = np.where(status == _AT_LB, self.lb, np.where(status == _AT_UB, self.ub, 0.0))
-        self.xB = self._basic_values()
-        self.d = None  # reduced costs of the current basis, once derived
-        self._sync()
-        self.crash_columns = len(picks)
+        status[basis] = _BASIC
+        nb_value = np.where(status == _AT_LB, self.lb, np.where(status == _AT_UB, self.ub, 0.0))
+        return basis, status, nb_value, len(picks), columns, inverse, chain, csc
 
     def _place_bounds(self) -> None:
         """Move nonbasic columns with two finite bounds to the bound their
@@ -503,10 +577,11 @@ class _Simplex:
         out[s[s >= 0], np.flatnonzero(s >= 0)] = 1.0
         return out
 
-    def _invert(self, rows: np.ndarray, picks: np.ndarray) -> None:
-        """Set ``inverse`` to the dense ``B^-1`` of the basis, which holds
-        the structural columns ``picks`` (in basis order, each able to
-        enter) and the slacks of every row but ``rows``.
+    def _invert(self, columns: np.ndarray, basis: np.ndarray, rows: np.ndarray, picks: np.ndarray) -> np.ndarray:
+        """The dense ``B^-1`` of ``basis``, which holds the structural
+        columns ``picks`` (in basis order, each able to enter) and the
+        slacks of every row but ``rows``; ``columns`` are the candidate
+        columns of ``[A | I]`` (see ``_dense_columns``).
 
         A slack's column is a unit vector, so only the structural block
         ``L = P[rows]`` is inverted, with ``P`` the picks' columns: were
@@ -517,7 +592,7 @@ class _Simplex:
         Its rows are then taken in the basis's order. A basis that holds a
         column twice is singular: a structural twice makes ``L`` singular and
         a slack twice makes it not square."""
-        P = self.columns[self.pos[picks]]
+        P = columns[self.pos[picks]]
         try:
             L_inv = np.linalg.inv(P[:, rows])
         except np.linalg.LinAlgError as exc:
@@ -525,11 +600,12 @@ class _Simplex:
         X = L_inv @ P
         np.negative(X, out=X)
         X[:, rows] = L_inv
-        at = self.basis - self.n_struct  # the row of that inverse for each basic variable
+        at = basis - self.n_struct  # the row of that inverse for each basic variable
         at[at < 0] = rows
-        self.inverse = np.zeros((self.m, self.m))
-        self.inverse[np.arange(self.m), at] = 1.0
-        self.inverse[:, rows] = X.T[at]
+        inverse = np.zeros((self.m, self.m))
+        inverse[np.arange(self.m), at] = 1.0
+        inverse[:, rows] = X.T[at]
+        return inverse
 
     def _column(self, q: int) -> np.ndarray:
         """Column ``q`` of ``[A | I]``, dense; on the dense inverse ``q``
@@ -622,7 +698,7 @@ class _Simplex:
         uncovered = np.bincount(self.basis[slack] - self.n_struct, minlength=self.m) == 0
         self.columns, self.chain = self._dense_columns(), None
         self._clear_updates()
-        self._invert(np.flatnonzero(uncovered), self.basis[~slack])
+        self.inverse = self._invert(self.columns, self.basis, np.flatnonzero(uncovered), self.basis[~slack])
         self.xB = self._basic_values()
         self.d = None
         self._sync()

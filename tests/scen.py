@@ -1,5 +1,6 @@
 """Scenario builders for the tests: a tiny arbitrage case, seeded random
-fleets, and a finer-stepped copy of one vehicle.
+fleets, a finer-stepped copy of one vehicle, and a fleet whose station-model
+outcome depends on the price series; plus a bit-for-bit schedule comparison.
 
 Random scenarios are feasible by construction for both schedulers, including
 the 95% departure policy: sessions are long enough to recharge what the trips
@@ -192,3 +193,44 @@ def _try_random_scenario(rng: np.random.Generator, max_vehicles: int) -> Scenari
         trips=TripPlan(trips),
     )
     return s
+
+
+def series_outcome_scenario() -> tuple[Scenario, list[PriceSeries]]:
+    """Two vehicles and three price series, under which the station model at
+    ``LOW_SOE`` solves, fails an itinerary and fails a session floor.
+
+    A session LP with positive flat prices leaves at its floor, 24 kWh; one
+    with negative prices charges toward the ceiling. ev0's trip of 18 kWh
+    after steps 0..3 drains 24 kWh below its 8-kWh minimum, and ev1's trip
+    of 9 kWh after steps 4..7 leaves 14 kWh, which its one-step session of
+    at most 3.8 kWh cannot lift to its 24-kWh end-of-day floor. The series
+    ``ok`` is negative over steps 0..7, ``itinerary`` nowhere and ``floor``
+    over steps 0..3; with ``best_effort`` the last one's floor is lowered.
+    """
+    vehicles = (Vehicle("ev0", 40.0, 10.0, 6000.0), Vehicle("ev1", 40.0, 10.0, 6000.0))
+    cps = tuple(ChargingPoint(f"cp{i}", "slow", limit, 0.0, 0.0, 0.0) for i, limit in enumerate((10.0, 10.0, 10.0, 4.0)))
+    mask = np.zeros((2, 12, 4), dtype=bool)
+    mask[0, 0:4, 0] = mask[0, 6:12, 1] = True
+    mask[1, 4:8, 2] = mask[1, 11, 3] = True
+    trips = np.zeros((2, 12))
+    trips[0, 4], trips[1, 8] = 18.0, 9.0
+    s = Scenario(Horizon(12), vehicles, cps, ConnectivityMatrix(mask), TripPlan(trips))
+    sets = []
+    for label, negative in (("ok", 8), ("itinerary", 0), ("floor", 4)):
+        values = np.full(12, 0.1)
+        values[:negative] = -0.1
+        sets.append(PriceSeries(label, values))
+    return s, sets
+
+
+def same_outcome(got, want) -> bool:
+    """Bit for bit the same solve outcome: the same exception type and
+    message, or the same schedule: status, message, total ``repr``, the five
+    arrays' bytes, per-vehicle costs, sessions and warnings."""
+    if isinstance(want, Exception) or isinstance(got, Exception):
+        return type(got) is type(want) and str(got) == str(want)
+    arrays = ("e_sch", "e_dch", "e_fch", "soe", "c_deg")
+    return ((got.status, got.message, repr(got.total_cost_eur), repr(got.per_vehicle), repr(got.sessions), got.warnings)
+            == (want.status, want.message, repr(want.total_cost_eur), repr(want.per_vehicle), repr(want.sessions),
+                want.warnings)
+            and all(getattr(got, a).tobytes() == getattr(want, a).tobytes() for a in arrays))

@@ -12,7 +12,7 @@ import threading
 import numpy as np
 import pytest
 
-from evdispatch import analysis, charts, cli
+from evdispatch import analysis, charts, cli, evba, evca, lp
 from evdispatch.analysis import (
     AblationStudy,
     OrderingError,
@@ -503,18 +503,19 @@ class TwoArgError(Exception):
 def test_first_exception_in_cell_order_reaches_the_caller(
     example_scenario, monkeypatch, forks, tmp_path, make, solved_here
 ):
-    # with two CPUs the child solves cells 1::2, so evca_high (cell 1) raises
-    # there, before evca_low (cell 2) raises here; an exception that will not
-    # unpickle has the child's share solved again here
+    # the cells are the models; with two CPUs the child solves cells 1::2,
+    # so evca_high (cell 1) raises there, before evca_low (cell 2) raises
+    # here; an exception that will not unpickle has the child's share
+    # solved again here
     calls = tmp_path / "calls"
 
-    def fail(s, policy):
+    def fail(s, price_sets, policy):
         cell = "evca_high" if policy is HIGH_SOE else "evca_low"
         with calls.open("a") as f:
             f.write(f"{os.getpid()} {cell}\n")
         raise make(cell)
 
-    monkeypatch.setattr(analysis, "solve_evca", fail)
+    monkeypatch.setattr(analysis, "solve_evca_series", fail)
     prices = [generate_price_set("low", seed=1)]
     with pytest.raises(Exception) as forked:
         compare_aggregators(example_scenario, prices)
@@ -537,19 +538,43 @@ def test_first_exception_in_cell_order_reaches_the_caller(
 @linux_only
 def test_a_share_whose_child_dies_is_solved_here(example_scenario, monkeypatch, forks):
     prices = [generate_price_set(v, seed=1) for v in ("high", "medium", "low")]
-    parent, real_solve_evca = os.getpid(), analysis.solve_evca
+    parent, real_solve_evca_series = os.getpid(), analysis.solve_evca_series
 
     def die_in_child(*args, **kwargs):
         if os.getpid() != parent:
             os._exit(3)
-        return real_solve_evca(*args, **kwargs)
+        return real_solve_evca_series(*args, **kwargs)
 
-    monkeypatch.setattr(analysis, "solve_evca", die_in_child)
+    monkeypatch.setattr(analysis, "solve_evca_series", die_in_child)
     forked = compare_aggregators(example_scenario, prices)
     assert len(forks) == 1
     assert_no_child_left()
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert forked == compare_aggregators(example_scenario, prices)
+
+
+def test_compare_builds_each_crash_and_vehicle_lp_once_per_model(example_scenario, monkeypatch):
+    # one CPU, so every build is counted here: 3 vehicles' day LPs and 9
+    # session LPs per series; each model builds its vehicles and cuts its
+    # windows once, and every series still solves every window through lp.solve
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    counts = {"crash": 0, "frame": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lp, "_crash_picks", counted("crash", lp._crash_picks))
+    monkeypatch.setattr(lp, "solve", counted("solve", lp.solve))
+    build = counted("frame", evba._build_vehicle_lp)
+    monkeypatch.setattr(evba, "_build_vehicle_lp", build)
+    monkeypatch.setattr(evca, "_build_vehicle_lp", build)
+    prices = [generate_price_set(v, seed=1) for v in ("high", "medium", "low")]
+    report = compare_aggregators(example_scenario, prices)
+    assert [c.status for c in report.cells] == ["optimal"] * 9
+    assert counts == {"crash": 3 + 9 + 9, "frame": 3 * 3, "solve": 3 * (3 + 9 + 9)}
 
 
 @linux_only

@@ -276,7 +276,7 @@ def test_compare_lets_any_other_exception_reach_the_cli(example_path, tmp_path, 
     def fail(*args, **kwargs):
         raise ValueError("boom")
 
-    monkeypatch.setattr(analysis, "solve_evca", fail)
+    monkeypatch.setattr(analysis, "solve_evca_series", fail)
     with pytest.raises(ValueError, match="boom"):
         analysis.compare_aggregators(load_scenario(example_path), [generate_price_set("low", seed=1)])
     out = tmp_path / "report"
@@ -298,6 +298,43 @@ def test_negative_seed_is_usage_error(example_path, tmp_path, capsys, command):
     assert "error: --seed must be a non-negative integer, got -3" in err and "Traceback" not in err
     assert sum("error" in line for line in err.splitlines()) == 1
     assert not (tmp_path / "r").exists()
+
+
+def _assert_one_usage_error(exc, capsys, fault: str) -> None:
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"error: {fault}" in err and "Traceback" not in err
+    assert sum("error" in line for line in err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("flags, fault", [
+    (["--policy", "low"], "--policy applies to --model evca only"),
+    (["--best-effort"], "--best-effort applies to --model evca only"),
+    (["--policy", "high", "--best-effort"], "--policy applies to --model evca only"),
+])
+def test_station_model_flags_on_the_fleet_model_are_usage_errors(example_path, tmp_path, capsys, flags, fault):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--model", "evba", "--scenario", example_path, "--gen-prices", "high", *flags,
+              "--out", str(tmp_path / "r")])
+    _assert_one_usage_error(exc, capsys, fault)
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("command, files", [
+    (["solve", "--model", "evba"], 1),
+    (["solve", "--model", "evca", "--policy", "low"], 1),
+    (["compare"], 3),
+    (["ablate-power"], 1),
+    (["ablate-costs"], 1),
+])
+def test_a_seed_with_price_files_is_a_usage_error(example_path, tmp_path, capsys, command, files):
+    prices = tmp_path / "prices.csv"
+    prices.write_text("".join(f"{t},0.1\n" for t in range(24)))
+    argv = [*command, "--scenario", example_path, "--prices", *[str(prices)] * files, "--out", str(tmp_path / "r")]
+    assert main(argv) == 0
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--seed", "1"])
+    _assert_one_usage_error(exc, capsys, "--seed applies to generated prices only, not to --prices")
 
 
 def test_one_step_horizon_solves_with_generated_prices(example_path, tmp_path, capsys):

@@ -17,6 +17,7 @@ from evdispatch.domain import (
     Horizon,
     PriceSeries,
     Scenario,
+    ScenarioError,
     TripPlan,
     Vehicle,
     example_scenario_path,
@@ -35,9 +36,10 @@ from evdispatch.evba import (
     _slice_window,
     extract_schedule,
     solve_evba,
+    solve_evba_series,
 )
 from oracles import block_diagonal_scipy_optimum, cost_breakdown_by_steps, micro_case_grid_optimum, window_lp_by_rows
-from scen import micro_scenario, random_scenario, refine
+from scen import micro_scenario, random_scenario, refine, same_outcome, series_outcome_scenario
 
 OF1 = cost_toggles_for("of1")
 OF5 = cost_toggles_for("of5")
@@ -562,3 +564,46 @@ def test_cost_breakdown_from_arrays_equals_the_step_loop_bit_for_bit(seed):
             got, ref = _cost_breakdown(*args), cost_breakdown_by_steps(*args)
             assert repr(got) == repr(ref) and repr(fs.per_vehicle) == repr(ref)
             assert any(c.grid_fee_eur > 0.0 for c in ref) == ct.include_grid_tariff
+
+
+# ---------------------------------------------------------------------------
+# Several price series in one call
+
+def _price_sets(seed, step_count: int = 24) -> list[PriceSeries]:
+    return [generate_price_set(level, seed=seed, step_count=step_count) for level in ("low", "medium", "high")]
+
+
+@pytest.mark.parametrize("seed", [*range(12), "example"])
+def test_several_series_equal_one_call_per_series_bit_for_bit(seed, example_scenario):
+    s = example_scenario if seed == "example" else random_scenario(seed)
+    sets = _price_sets(1 if seed == "example" else seed)
+    for ct, power in ((OF5, PowerMode.BOTH), (OF1, PowerMode.CP_ONLY)):
+        got = solve_evba_series(s, sets, ct, power)
+        assert len(got) == len(sets)
+        for fs, ps in zip(got, sets):
+            assert fs.status == "optimal" and same_outcome(fs, solve_evba(s.with_prices(ps), ct, power)), ps.label
+
+
+def test_several_series_of_an_infeasible_or_price_dependent_fleet_equal_one_call_per_series():
+    s, sets = series_outcome_scenario()
+    trips = s.trips.energy_kwh.copy()
+    trips[1, 9] = 40.0  # more than ev1 holds: no series has a feasible day
+    for scenario in (s, dataclasses.replace(s, trips=TripPlan(trips))):
+        got = solve_evba_series(scenario, sets, OF5)
+        want = [solve_evba(scenario.with_prices(ps), OF5) for ps in sets]
+        assert all(map(same_outcome, got, want))
+    assert [fs.status for fs in got] == ["infeasible"] * 3 and "'ev1'" in got[0].message
+    assert solve_evba_series(s, []) == []
+
+
+def test_several_series_check_the_scenario_and_each_series_as_one_call_per_series(example_scenario):
+    sets = _price_sets(1)
+    with pytest.raises(ScenarioError, match="price series 'short' has 23 steps, horizon needs 24"):
+        solve_evba_series(example_scenario, [sets[0], PriceSeries("short", np.zeros(23))])
+    v = dataclasses.replace(example_scenario.vehicles[0], capacity_kwh=-1.0)
+    broken = dataclasses.replace(example_scenario, vehicles=(v, *example_scenario.vehicles[1:]))
+    with pytest.raises(ScenarioError) as one:
+        solve_evba(broken.with_prices(sets[0]))
+    with pytest.raises(ScenarioError) as several:
+        solve_evba_series(broken, sets)
+    assert str(several.value) == str(one.value)

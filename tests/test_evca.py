@@ -18,7 +18,7 @@ from evdispatch.domain import (
     TripPlan,
     Vehicle,
 )
-from evdispatch.evba import AssemblyError, cost_toggles_for, solve_evba
+from evdispatch.evba import AssemblyError, FleetSchedule, cost_toggles_for, solve_evba
 from evdispatch.evca import (
     HIGH_SOE,
     LOW_SOE,
@@ -28,8 +28,9 @@ from evdispatch.evca import (
     chain_arrival_soe,
     derive_sessions,
     solve_evca,
+    solve_evca_series,
 )
-from scen import flat_scenario, micro_scenario
+from scen import flat_scenario, micro_scenario, random_scenario, same_outcome, series_outcome_scenario
 
 OF1 = cost_toggles_for("of1")
 OF5 = cost_toggles_for("of5")
@@ -304,3 +305,72 @@ def test_unbounded_session_lp_raises_naming_the_session(example_with_high, monke
     monkeypatch.setattr(lp, "solve", lambda p, **kw: lp.LpSolution(lp.UNBOUNDED, None, None, 0))
     with pytest.raises(ArithmeticError, match=r"^vehicle 'ev1' at .*: LP ended unbounded"):
         solve_evca(example_with_high, LOW_SOE)
+
+
+# ---------------------------------------------------------------------------
+# Several price series in one call
+
+def _one_call_per_series(s, sets, *args, **kwargs) -> list:
+    """solve_evca under each series, or the exception it raised."""
+    out = []
+    for ps in sets:
+        try:
+            out.append(solve_evca(s.with_prices(ps), *args, **kwargs))
+        except (ItineraryError, SessionInfeasibleError) as exc:
+            out.append(exc)
+    return out
+
+
+@pytest.mark.parametrize("seed", [*range(12), "example"])
+def test_several_series_equal_one_call_per_series_bit_for_bit(seed, example_scenario):
+    s = example_scenario if seed == "example" else random_scenario(seed)
+    sets = [generate_price_set(level, seed=1 if seed == "example" else seed) for level in ("low", "medium", "high")]
+    for policy, ct in ((HIGH_SOE, OF5), (LOW_SOE, OF5), (LOW_SOE, OF1)):
+        got = solve_evca_series(s, sets, policy, ct)
+        want = _one_call_per_series(s, sets, policy, ct)
+        assert all(isinstance(fs, FleetSchedule) for fs in got)
+        assert len(got) == 3 and all(map(same_outcome, got, want)), (policy, ct)
+
+
+@pytest.mark.parametrize("best_effort", [False, True])
+def test_a_failed_series_gets_its_exception_and_the_others_go_on(best_effort):
+    s, sets = series_outcome_scenario()
+    got = solve_evca_series(s, sets, LOW_SOE, best_effort=best_effort)
+    want = _one_call_per_series(s, sets, LOW_SOE, best_effort=best_effort)
+    assert all(map(same_outcome, got, want))
+    assert isinstance(got[0], FleetSchedule) and isinstance(got[1], ItineraryError)
+    if best_effort:
+        assert isinstance(got[2], FleetSchedule) and "best-effort floor" in got[2].sessions[-1].note
+    else:
+        assert isinstance(got[2], SessionInfeasibleError) and "'ev1' at 'cp3'" in str(got[2])
+    # each series alone, and in another order, takes the same path
+    for order in ([2], [2, 1, 0], [1, 2]):
+        alone = solve_evca_series(s, [sets[j] for j in order], LOW_SOE, best_effort=best_effort)
+        assert all(same_outcome(a, got[j]) for a, j in zip(alone, order))
+    with pytest.raises(ItineraryError):
+        solve_evca(s.with_prices(sets[1]), LOW_SOE, best_effort=best_effort)
+
+
+@pytest.mark.parametrize("best_effort", [False, True])
+def test_a_floor_above_the_ceiling_fails_or_lowers_every_series_alike(example_scenario, best_effort):
+    # no session LP is cut for a non-final session of ev1, whose 95% floor
+    # is above its 90% ceiling
+    v = dataclasses.replace(example_scenario.vehicles[0], soe_max_frac=0.9)
+    s = dataclasses.replace(example_scenario, vehicles=(v, *example_scenario.vehicles[1:]))
+    sets = [generate_price_set(level, seed=2) for level in ("low", "medium", "high")]
+    got = solve_evca_series(s, sets, HIGH_SOE, best_effort=best_effort)
+    assert all(map(same_outcome, got, _one_call_per_series(s, sets, HIGH_SOE, best_effort=best_effort)))
+    assert all(isinstance(fs, FleetSchedule if best_effort else SessionInfeasibleError) for fs in got)
+
+
+def test_a_vehicle_with_trips_and_no_session_fails_every_series():
+    v = Vehicle("ev1", 20.0, 10.0, 3000.0)
+    cp = ChargingPoint("cp1", "slow", 4.0, 0.0, 0.0, 0.0)
+    trips = np.zeros((1, 6))
+    trips[0, 2] = 1.0
+    s = Scenario(Horizon(6), (v,), (cp,), ConnectivityMatrix(np.zeros((1, 6, 1), dtype=bool)), TripPlan(trips))
+    sets = [PriceSeries("flat", np.full(6, 0.1)), PriceSeries("free", np.zeros(6))]
+    got = solve_evca_series(s, sets, LOW_SOE, OF1)
+    assert all(map(same_outcome, got, _one_call_per_series(s, sets, LOW_SOE, OF1)))
+    assert all(isinstance(exc, ItineraryError) for exc in got)
+    assert solve_evca_series(s, [], LOW_SOE) == []

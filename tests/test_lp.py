@@ -1079,3 +1079,112 @@ def test_solve_stats_time_each_stage_outside_comparisons(example_scenario):
     assert all(t >= 0.0 for t in stages) and st.setup_s > 0.0 and sum(stages) <= wall
     timed_otherwise = dataclasses.replace(st, setup_s=1.0, start_s=2.0, phase1_s=3.0, phase2_s=4.0)
     assert timed_otherwise == st and repr(timed_otherwise) == repr(st)
+
+
+# -- derived problems: another objective and right-hand side on one crash
+
+
+def _built_anew(p: lp.LpProblem, cost, rhs) -> lp.LpProblem:
+    """``p`` given to the constructor again, with the objective ``cost`` and
+    right-hand side ``rhs``."""
+    return lp.LpProblem(p.name, p._lb.copy(), p._ub.copy(), cost, list(p._var_names), p._indptr.copy(),
+                        p._indices.copy(), p._data.copy(), p._senses.tolist(), rhs, list(p._row_names))
+
+
+def _same_solve(got: lp.LpSolution, want: lp.LpSolution) -> bool:
+    """Bit for bit the same status, objective, point, iterations and stats."""
+    return ((got.status, repr(got.objective), got.iterations, got.stats)
+            == (want.status, repr(want.objective), want.iterations, want.stats)
+            and (None if got.x is None else got.x.tobytes()) == (None if want.x is None else want.x.tobytes()))
+
+
+def _factor_path(p: lp.LpProblem) -> str:
+    sim = lp._Simplex(p)
+    sim._setup()
+    return "chain" if sim.chain is not None else "dense"
+
+
+@pytest.mark.parametrize("dense_rows", [lp._DENSE_ROWS, 0])
+def test_a_derived_random_lp_solves_bit_for_bit_like_one_built_anew(monkeypatch, dense_rows):
+    # with the crossover at 0 every LP whose crash is a unit chain takes the
+    # chain path; the parent is solved first, so each derived problem
+    # solves on the crash and factor that the parent's solve built
+    monkeypatch.setattr(lp, "_DENSE_ROWS", dense_rows)
+    statuses, paths = set(), set()
+    for make in (random_bounded_lp, random_banded_lp, random_free_bound_lp):
+        for seed in range(60):
+            rng = np.random.default_rng(seed)
+            p = build_problem(*make(rng))
+            lp.solve(p)
+            for _ in range(2):
+                cost = rng.uniform(-2.0, 2.0, p.num_variables)
+                rhs = p._rhs + rng.uniform(-1.0, 1.0, p.num_constraints)
+                got, want = lp.solve(p.derive(cost, rhs)), lp.solve(_built_anew(p, cost, rhs))
+                assert _same_solve(got, want), (make.__name__, seed)
+                statuses.add(got.status)
+            paths.add(_factor_path(p))
+    assert statuses == {lp.OPTIMAL, lp.INFEASIBLE, lp.UNBOUNDED}
+    assert paths == ({"chain", "dense"} if dense_rows == 0 else {"dense"})
+
+
+def test_derived_window_lps_solve_bit_for_bit_like_ones_built_anew_on_both_factor_paths(example_scenario):
+    # a window's rows and bounds do not depend on the prices or the arrival
+    # stock: the 15-minute window (chain path) under other prices, and a
+    # session (dense path) under other prices and arrival stocks
+    s = example_scenario.with_prices(generate_price_set("high", seed=1))
+    v = s.vehicles[0]
+    pairs = [(_fifteen_minute_lp(example_scenario, 1), _fifteen_minute_lp(example_scenario, seed)) for seed in (7, 11)]
+    for level, arrival in (("low", 6.0), ("medium", v.soe_initial_kwh), ("high", 18.0)):
+        sp = example_scenario.with_prices(generate_price_set(level, seed=3))
+        session = evba._slice_window(evba._build_vehicle_lp(s, 0, evba.cost_toggles_for("of5"), evba.PowerMode.BOTH),
+                                     8, 14, v.soe_initial_kwh, v.soe_min_kwh)
+        other = evba._slice_window(evba._build_vehicle_lp(sp, 0, evba.cost_toggles_for("of5"), evba.PowerMode.BOTH),
+                                   8, 14, arrival, v.soe_min_kwh)
+        pairs.append((session, other))
+    assert {_factor_path(p) for p, _ in pairs} == {"chain", "dense"}
+    for parent, other in pairs:
+        assert parent._rhs.tobytes() != other._rhs.tobytes() or parent._cost.tobytes() != other._cost.tobytes()
+        lp.solve(parent)
+        got, want = lp.solve(parent.derive(other._cost, other._rhs)), lp.solve(other)
+        assert got.status == lp.OPTIMAL and _same_solve(got, want), parent.name
+
+
+def test_a_derived_problem_builds_no_second_crash(example_scenario, example_with_high, monkeypatch):
+    picks = []
+    crash_picks = lp._crash_picks
+
+    def counted(*args):
+        picks.append(1)
+        return crash_picks(*args)
+
+    monkeypatch.setattr(lp, "_crash_picks", counted)
+    for p in (_session(example_with_high), _fifteen_minute_lp(example_scenario, 7)):
+        picks.clear()
+        derived = p.derive(2.0 * p._cost)
+        assert derived._rhs is p._rhs and derived._start is p._start
+        # the first solve of any of them builds the crash, whichever it is
+        sols = [lp.solve(q) for q in (derived, p, derived.derive(p._cost), derived)]
+        assert len(picks) == 1, p.name
+        assert _same_solve(sols[1], sols[2]) and _same_solve(sols[0], sols[3])
+
+
+@pytest.mark.parametrize("change, fault", [
+    (lambda c, b: (c[:2], b), "variables: lb, ub, cost and var_names differ in length (3, 3, 2, 3)"),
+    (lambda c, b: (c, [*b, 0.0]), "rows: rhs, senses and row_names differ in length (3, 2, 2)"),
+    (lambda c, b: (c[:2], [np.nan, 0.0]), "variables: lb, ub, cost and var_names differ in length (3, 3, 2, 3)"),
+    (lambda c, b: ([c[0], np.nan, np.inf], b), "variable x1: unusable bounds or cost"),
+    (lambda c, b: (c, [b[0], -np.inf]), "constraint 'r1': non-finite right-hand side -inf"),
+    (lambda c, b: ([c[0], c[1], np.inf], [np.nan, b[1]]), "variable x2: unusable bounds or cost"),
+])
+def test_a_derived_problem_checks_its_new_arrays_as_the_constructor_does(change, fault):
+    def build(cost, rhs):
+        return lp.LpProblem("p", [0.0, -1.0, 0.0], [1.0, 2.0, 3.0], cost, ["x0", "x1", "x2"], [0, 2, 3], [0, 1, 2],
+                            [1.0, -2.0, 3.0], ["<=", "="], rhs, ["r0", "r1"])
+
+    p = build([0.5, 0.0, -1.0], [4.0, 1.0])
+    cost, rhs = change([0.5, 0.0, -1.0], [4.0, 1.0])
+    with pytest.raises(lp.LpError) as anew:
+        build(cost, rhs)
+    with pytest.raises(lp.LpError) as derived:
+        p.derive(cost, rhs)
+    assert str(derived.value) == str(anew.value) == fault
