@@ -34,8 +34,8 @@ pass: the scenario is validated and each vehicle's whole-day LP built once,
 and every further series solves that LP derived with its own costs (see
 lp.LpProblem.derive), on the crash and factor of its first solve.
 
-build/solve are pure given an immutable scenario, so distinct solves may run
-concurrently; analysis solves the cells of its studies in forked children.
+build/solve are pure given an immutable scenario; analysis runs every study's
+solves one after another in the calling process.
 """
 
 from __future__ import annotations

@@ -6,8 +6,6 @@ import dataclasses
 import itertools
 import json
 import os
-import sys
-import threading
 
 import numpy as np
 import pytest
@@ -445,119 +443,48 @@ def test_ablation_ordering_failure_names_both_variants(
 
 
 # ---------------------------------------------------------------------------
-# Cells solved in forked children
+# Studies run in this process
 
-linux_only = pytest.mark.skipif(not sys.platform.startswith("linux"), reason="cells fork only on Linux")
-
-
-@pytest.fixture
-def forks(monkeypatch) -> list[int]:
-    """Counts the forks made in this process; the affinity set starts at two CPUs."""
-    made: list[int] = []
-    real_fork = os.fork
-
-    def counted_fork():
-        made.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    return made
-
-
-def assert_no_child_left():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-@linux_only
 @pytest.mark.parametrize("command", [
     ["compare", "--seed", "1"],
     ["ablate-power", "--gen-prices", "high", "--seed", "1"],
     ["ablate-costs", "--gen-prices", "low", "--seed", "1"],
 ])
-def test_reports_are_identical_on_one_cpu_and_on_two(tmp_path, monkeypatch, forks, command):
-    reports = {}
-    for cpus in ({0}, {0, 1}):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
-        out = tmp_path / f"cpus{len(cpus)}"
-        assert cli.main([*command, "--scenario", str(example_scenario_path()), "--out", str(out)]) == 0
-        reports[len(cpus)] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
-        assert len(forks) == len(cpus) - 1
-        assert_no_child_left()
-    assert reports[1] == reports[2]
+def test_studies_never_fork_with_two_cpus(tmp_path, monkeypatch, command):
+    forks: list[int] = []
+
+    def fork():
+        forks.append(1)
+        raise OSError("no fork in this test")
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    out = tmp_path / "report"
+    assert cli.main([*command, "--scenario", str(example_scenario_path()), "--out", str(out)]) == 0
+    assert forks == []
+    assert any(out.iterdir())
 
 
-class TwoArgError(Exception):
-    """Pickles, but does not unpickle: its args hold one message, its __init__ wants two."""
-
-    def __init__(self, cell: str, why: str):
-        super().__init__(f"{cell}: {why}")
-
-
-@linux_only
-@pytest.mark.parametrize("make,solved_here", [
-    (lambda cell: ZeroDivisionError(f"{cell} divided by zero"), ["evca_low"]),
-    (lambda cell: TwoArgError(cell, "no schedule"), ["evca_low", "evca_high"]),
-], ids=["pickles", "will-not-unpickle"])
-def test_first_exception_in_cell_order_reaches_the_caller(
-    example_scenario, monkeypatch, forks, tmp_path, make, solved_here
-):
-    # the cells are the models; with two CPUs the child solves cells 1::2,
-    # so evca_high (cell 1) raises there, before evca_low (cell 2) raises
-    # here; an exception that will not unpickle has the child's share
-    # solved again here
-    calls = tmp_path / "calls"
+def test_first_exception_in_cell_order_reaches_the_caller(example_scenario, monkeypatch):
+    # the models are solved in the order evba, evca_high, evca_low, so
+    # evca_high's exception reaches the caller and evca_low is never solved
+    calls: list[str] = []
 
     def fail(s, price_sets, policy):
         cell = "evca_high" if policy is HIGH_SOE else "evca_low"
-        with calls.open("a") as f:
-            f.write(f"{os.getpid()} {cell}\n")
-        raise make(cell)
+        calls.append(cell)
+        raise ZeroDivisionError(f"{cell} divided by zero")
 
     monkeypatch.setattr(analysis, "solve_evca_series", fail)
-    prices = [generate_price_set("low", seed=1)]
-    with pytest.raises(Exception) as forked:
-        compare_aggregators(example_scenario, prices)
-    assert len(forks) == 1
-    assert_no_child_left()
-    assert type(forked.value) is type(make("")) and str(forked.value).startswith("evca_high")
-    pids = {}
-    for line in calls.read_text().splitlines():
-        pid, cell = line.split()
-        pids.setdefault(int(pid), []).append(cell)
-    assert sorted(pids.pop(os.getpid())) == sorted(solved_here)
-    assert list(pids.values()) == [["evca_high"]]
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    with pytest.raises(Exception) as serial:
-        compare_aggregators(example_scenario, prices)
-    assert (type(serial.value), str(serial.value)) == (type(forked.value), str(forked.value))
-
-
-@linux_only
-def test_a_share_whose_child_dies_is_solved_here(example_scenario, monkeypatch, forks):
-    prices = [generate_price_set(v, seed=1) for v in ("high", "medium", "low")]
-    parent, real_solve_evca_series = os.getpid(), analysis.solve_evca_series
-
-    def die_in_child(*args, **kwargs):
-        if os.getpid() != parent:
-            os._exit(3)
-        return real_solve_evca_series(*args, **kwargs)
-
-    monkeypatch.setattr(analysis, "solve_evca_series", die_in_child)
-    forked = compare_aggregators(example_scenario, prices)
-    assert len(forks) == 1
-    assert_no_child_left()
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert forked == compare_aggregators(example_scenario, prices)
+    with pytest.raises(ZeroDivisionError, match="^evca_high divided by zero$"):
+        compare_aggregators(example_scenario, [generate_price_set("low", seed=1)])
+    assert calls == ["evca_high"]
 
 
 def test_compare_builds_each_crash_and_vehicle_lp_once_per_model(example_scenario, monkeypatch):
-    # one CPU, so every build is counted here: 3 vehicles' day LPs and 9
-    # session LPs per series; each model builds its vehicles and cuts its
-    # windows once, and every series still solves every window through lp.solve
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    # 3 vehicles' day LPs and 9 session LPs per series; each model builds
+    # its vehicles and cuts its windows once, and every series still solves
+    # every window through lp.solve
     counts = {"crash": 0, "frame": 0, "solve": 0}
 
     def counted(name, fn):
@@ -575,24 +502,6 @@ def test_compare_builds_each_crash_and_vehicle_lp_once_per_model(example_scenari
     report = compare_aggregators(example_scenario, prices)
     assert [c.status for c in report.cells] == ["optimal"] * 9
     assert counts == {"crash": 3 + 9 + 9, "frame": 3 * 3, "solve": 3 * (3 + 9 + 9)}
-
-
-@linux_only
-def test_cells_are_not_forked_beside_another_thread_or_for_one_cell(forks):
-    assert analysis._solve_cells(abs, [-1]) == [1]
-    stop = threading.Event()
-    other = threading.Thread(target=stop.wait)
-    other.start()
-    try:
-        assert analysis._solve_cells(abs, [-1, -2, 3]) == [1, 2, 3]
-    finally:
-        stop.set()
-        other.join(timeout=10)
-    assert not other.is_alive()
-    assert forks == []
-    assert analysis._solve_cells(abs, [-1, -2, 3]) == [1, 2, 3]
-    assert len(forks) == 1
-    assert_no_child_left()
 
 
 # ---------------------------------------------------------------------------

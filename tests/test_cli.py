@@ -285,6 +285,27 @@ def test_compare_lets_any_other_exception_reach_the_cli(example_path, tmp_path, 
     assert not out.exists()
 
 
+def test_compare_with_repeated_price_labels_exit_1_without_report(example_path, tmp_path, capsys, monkeypatch):
+    # a price file's label is its stem, so three day.csv files share one label
+    files = []
+    for level in ("high", "medium", "low"):
+        (tmp_path / level).mkdir()
+        files.append(tmp_path / level / "day.csv")
+        values = generate_price_set(level, seed=1).values.tolist()
+        files[-1].write_text("".join(f"{t},{x!r}\n" for t, x in enumerate(values)))
+
+    def solve(*args):
+        raise AssertionError("solved before the labels were checked")
+
+    monkeypatch.setattr(analysis, "solve_evba_series", solve)
+    out = tmp_path / "report"
+    assert main(["compare", "--scenario", example_path, "--prices", *map(str, files), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: price series label 'day' is repeated; each series needs its own label\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", [
     ["solve", "--model", "evba", "--gen-prices", "high"],
     ["ablate-power", "--gen-prices", "low"],
@@ -328,9 +349,10 @@ def test_station_model_flags_on_the_fleet_model_are_usage_errors(example_path, t
     (["ablate-costs"], 1),
 ])
 def test_a_seed_with_price_files_is_a_usage_error(example_path, tmp_path, capsys, command, files):
-    prices = tmp_path / "prices.csv"
-    prices.write_text("".join(f"{t},0.1\n" for t in range(24)))
-    argv = [*command, "--scenario", example_path, "--prices", *[str(prices)] * files, "--out", str(tmp_path / "r")]
+    paths = [tmp_path / f"prices{i}.csv" for i in range(files)]  # one label each
+    for path in paths:
+        path.write_text("".join(f"{t},0.1\n" for t in range(24)))
+    argv = [*command, "--scenario", example_path, "--prices", *map(str, paths), "--out", str(tmp_path / "r")]
     assert main(argv) == 0
     with pytest.raises(SystemExit) as exc:
         main([*argv, "--seed", "1"])

@@ -1,7 +1,8 @@
 """Import-graph tests: the package's modules form a fixed stack of layers.
 
 Each module imports only modules of lower layers, so the graph has no cycle,
-and every import is at module level, where a reader sees it first.
+and every import is at module level, where a reader sees it first. No
+module starts a process or a thread.
 """
 
 from __future__ import annotations
@@ -82,3 +83,24 @@ def test_no_import_inside_a_function_or_class():
                     if isinstance(node, (ast.Import, ast.ImportFrom))
                 ]
     assert nested == []
+
+
+# the package runs in one process and one thread; a study solves its cells in turn
+NO_CONCURRENCY = ("multiprocessing", "concurrent", "threading", "signal", "pickle", "subprocess")
+
+
+def test_src_starts_no_process_or_thread():
+    found = []
+    for path in sorted(Path(evdispatch.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module or ""] + [f"{node.module}.{a.name}" for a in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                names = [f"{node.value.id}.{node.attr}"]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno} {name}" for name in names
+                      if name.split(".")[0] in NO_CONCURRENCY or name.startswith("os.fork")]
+    assert found == []
