@@ -89,21 +89,21 @@ def check_schedule(s: Scenario, fs: FleetSchedule) -> ViolationReport:
     terminal-SOE violation follows its steps. Steps where charge and
     discharge run simultaneously are flagged (not violations; they can be
     optimal under negative prices) so such pathologies stay visible. Each
-    check is one pass over a vehicle's steps. A schedule with the wrong
-    shape or a non-finite entry raises ValueError.
+    check is one pass over a vehicle's steps. A schedule array with the
+    wrong shape or a non-finite entry raises ValueError naming the array.
     """
     V, T = len(s.vehicles), s.horizon.step_count
-    if fs.e_sch.shape != (V, T):
-        raise ValueError(
-            f"schedule shape {fs.e_sch.shape} does not match scenario ({V}, {T})"
-        )
     for name in ("e_sch", "e_dch", "e_fch", "soe", "c_deg"):
-        bad = ~np.isfinite(getattr(fs, name))
+        a = getattr(fs, name)
+        if a.shape != (V, T):
+            raise ValueError(
+                f"schedule {name}: shape {a.shape} does not match scenario ({V}, {T})"
+            )
+        bad = ~np.isfinite(a)
         if bad.any():
             v_idx, t = np.argwhere(bad)[0].tolist()
             raise ValueError(
-                f"schedule {name}: vehicle {s.vehicles[v_idx].id!r} step {t} holds "
-                f"{getattr(fs, name)[v_idx, t]}"
+                f"schedule {name}: vehicle {s.vehicles[v_idx].id!r} step {t} holds {a[v_idx, t]}"
             )
     rep = ViolationReport()
     kind, limit = s.plugs.kind, s.plugs.limit

@@ -106,9 +106,13 @@ def derive_sessions(s: Scenario) -> list[list[Session]]:
 
 
 def chain_arrival_soe(prev_depart_soe: float, trip_energy_kwh: float, v: Vehicle) -> float:
-    """Stock at the next arrival: previous departure minus the trip drain."""
-    if prev_depart_soe < 0 or trip_energy_kwh < 0:
-        raise ValueError("stock and trip energy must be >= 0")
+    """Stock at the next arrival: previous departure minus the trip drain.
+
+    Both numbers must be finite and >= 0, else ValueError names the first
+    that is not; the sign check is ``not (x >= 0)`` so that NaN fails it."""
+    for name, x in (("stock", prev_depart_soe), ("trip energy", trip_energy_kwh)):
+        if not (x >= 0 and np.isfinite(x)):
+            raise ValueError(f"{name} must be finite and >= 0, got {x}")
     arrival = prev_depart_soe - trip_energy_kwh / v.eta_run
     if arrival < v.soe_min_kwh - 1e-9:
         raise ItineraryError(

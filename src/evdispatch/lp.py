@@ -31,9 +31,16 @@ Algorithm notes:
   the crash picks soe[t] for balance row t, with pivot 1 and -1 in row
   t + 1, so the picks form a unit chain: a first-order recurrence that one
   prefix sum evaluates (Blelloch, CMU-CS-90-190, 1990);
+- the solver reads the basis only through its factor, one of two classes
+  with the same methods: a candidate column, FTRAN, BTRAN, pricing, the
+  start's candidate transforms, the pivot update and a copy. ``_crash``
+  chooses the class once per problem, and the pivot loop never asks which
+  it holds: a pivot returns the updated row of ``B^-1`` on the dense
+  factor, from which phase 2 updates its reduced costs, and None on the
+  chain, where they are derived afresh;
 - an LP of more than ``_DENSE_ROWS`` rows whose crash is a unit chain
-  keeps it as a product-form factor (Dantzig & Orchard-Hays, MTAC 8(46),
-  1954). The chain's sinks are its entries in rows no pick takes. FTRAN
+  keeps it as a ``_ChainFactor``, a product-form factor (Dantzig &
+  Orchard-Hays, MTAC 8(46), 1954). The chain's sinks are its entries in rows no pick takes. FTRAN
   applies the chain as one ``cumsum`` and the sinks as one unbuffered
   subtraction; BTRAN subtracts each pick's sink terms slot by slot and
   applies the chain as a reversed ``cumsum``. Each pivot adds an eta
@@ -42,8 +49,8 @@ Algorithm notes:
   Columns are sparse scatters, and reduced costs are ``c - [A | I]^T y``
   summed from the sparse rows, ``y`` one BTRAN of the basic costs, derived
   afresh after every pivot;
-- every other LP holds ``B^-1`` densely, with ``[A | I]`` on the columns
-  that can enter. The slacks' unit columns make any basis block triangular,
+- every other LP holds a ``_DenseFactor``: ``B^-1`` densely, with
+  ``[A | I]`` on the columns that can enter. The slacks' unit columns make any basis block triangular,
   so ``B^-1`` follows from the inverse of the structural block over the
   rows no basic slack covers, for the crash basis at set-up and for any
   basis on the drift path; FTRAN and BTRAN are one product each (the
@@ -91,9 +98,9 @@ Algorithm notes:
 - optimality and primal feasibility are re-verified from the original data
   before a solution is declared optimal: structurals and the implied slacks
   ``b - A x`` must be within ``FEAS_TOL`` of their bounds, and a NaN
-  anywhere fails the check; on drift the factor is rebuilt as the dense
-  inverse of the current basis, the way set-up builds one, from the columns
-  that can enter alone, and both phases run again on it. Set-up and the
+  anywhere fails the check; on drift the factor is rebuilt as a
+  ``_DenseFactor`` of the current basis, the way set-up builds one, from
+  the columns that can enter alone, and both phases run again on it. Set-up and the
   rebuild both take the basic values as one FTRAN of ``b - A x_N`` summed
   from the sparse rows, since every finite slack bound is 0.
 
@@ -347,20 +354,26 @@ def _crash_picks(row: np.ndarray, col: np.ndarray, cand: np.ndarray, m: int, n: 
         live[np.argmax(missing)] = False
 
 
-def _chain(rows: np.ndarray, picks: np.ndarray, col_ptr: np.ndarray, col_row: np.ndarray, col_val: np.ndarray,
-           m: int):
+def _chain(p: LpProblem, cols: np.ndarray, rows: np.ndarray, picks: np.ndarray) -> _ChainFactor | None:
     """The crash's factor on the chain path, or None when its picks do not
-    form a unit chain. ``rows`` and ``picks`` are the crash's, in pick
-    order, and the columns are in compressed sparse column form over ``m``
-    rows.
+    form a unit chain. ``cols`` are the candidate columns, and ``rows`` and
+    ``picks`` the crash's, in pick order.
 
     Each picked column splits into its pivot, its core entries (in rows of
     later picks) and its sink entries (in rows no pick takes, which no eta
     reads). The core is a unit chain when each pick but the last has pivot
     1 and one core entry, -1 in the next pick's row, as soe[t] has in
-    bal[t + 1]. The factor is then the pick rows, the last pivot, the sink
-    entries as (pick, row, value) arrays in pick order and, for BTRAN, the
-    same entries grouped in slots: a pick's n-th sink entry is in slot n."""
+    bal[t + 1]. The factor then holds the columns of ``[A | I]`` in
+    compressed sparse column form and the chain: the pick rows, the last
+    pivot, the sink entries as (pick, row, value) arrays in pick order and,
+    for BTRAN, the same entries grouped in slots: a pick's n-th sink entry
+    is in slot n."""
+    n, m = p.num_variables, p.num_constraints
+    # the columns of [A | I], each in row order
+    var = np.concatenate([p._indices, n + np.arange(m)])
+    order = np.argsort(var, kind="stable")
+    col_ptr = np.concatenate([[0], np.cumsum(np.bincount(var, minlength=n + m))])
+    col_row, col_val = np.concatenate([p._row_of, np.arange(m)])[order], np.concatenate([p._data, np.ones(m)])[order]
     count = col_ptr[picks + 1] - col_ptr[picks]
     k = np.repeat(np.arange(len(picks)), count)  # the pick of each entry
     at = np.arange(len(k)) + np.repeat(col_ptr[picks] - np.cumsum(count) + count, count)
@@ -380,7 +393,148 @@ def _chain(rows: np.ndarray, picks: np.ndarray, col_ptr: np.ndarray, col_row: np
     by_slot = np.argsort(slot, kind="stable")
     ends = np.cumsum(np.bincount(slot)).tolist()
     slots = [(k[by_slot[a:b]], e_row[by_slot[a:b]], e_val[by_slot[a:b]]) for a, b in zip([0, *ends], ends)]
-    return rows, float(pivot[-1]), k, e_row, e_val, slots
+    return _ChainFactor(p, cols, (col_ptr, col_row, col_val), (rows, float(pivot[-1]), k, e_row, e_val, slots))
+
+
+class _DenseFactor:
+    """A basis factor held densely: ``B^-1``, and the columns of ``[A | I]``
+    that can enter as the rows of ``columns``, candidate column ``k``'s in
+    row ``k`` (see ``_Simplex._invert``). FTRAN, BTRAN, pricing and the
+    start's transforms of all its candidates are one product each, and a
+    pivot is one rank-1 update in place.
+
+    Both factor classes have the same methods; ``_Simplex`` reads its
+    factor through them alone."""
+
+    def __init__(self, columns: np.ndarray, inverse: np.ndarray):
+        self.columns, self.inverse = columns, inverse
+
+    def copy(self) -> _DenseFactor:
+        """A factor whose pivots leave this one as it is; the columns never
+        change, so they are shared."""
+        return _DenseFactor(self.columns, self.inverse.copy())
+
+    def column(self, k: int) -> np.ndarray:
+        """Candidate column ``k`` of ``[A | I]``, dense; do not write to it."""
+        return self.columns[k]
+
+    def ftran(self, v: np.ndarray) -> np.ndarray:
+        """``B^-1 v``."""
+        return self.inverse @ v
+
+    def ftrans(self, cand: np.ndarray) -> np.ndarray:
+        """The FTRANs of the candidate columns ``cand``, as rows."""
+        return self.columns[cand] @ self.inverse.T
+
+    def btran(self, y: np.ndarray) -> np.ndarray:
+        """``B^-T y``, that is ``y^T B^-1``."""
+        return y @ self.inverse
+
+    def prices(self, y: np.ndarray) -> np.ndarray:
+        """``y^T [A | I]`` on the candidate columns."""
+        return self.columns @ y
+
+    def pivot(self, r: int, w: np.ndarray) -> np.ndarray:
+        """Exchange basic row ``r`` for the column whose FTRAN is ``w``:
+        ``B^-1`` becomes ``(I - (w - e_r) e_r^T / w_r) B^-1``. Returns its
+        row ``r``, which prices the pivot row of the tableau."""
+        row = self.inverse[r] / w[r]
+        self.inverse -= w[:, None] * row
+        self.inverse[r] = row
+        return self.inverse[r]
+
+
+class _ChainFactor:
+    """A basis factor in product form: the crash's unit chain (see
+    ``_chain``), then one eta per pivot, with the columns of ``[A | I]`` in
+    compressed sparse column form. No array of rows by columns is built.
+
+    FTRAN applies the chain as one prefix sum and its sinks as one
+    unbuffered subtraction, then the pivots' etas in two products; BTRAN
+    applies them the other way round. Each pivot's eta ``I - u e_r^T`` is
+    kept multiplied out as ``I - U^T Z``: ``U`` and ``Z`` hold their rows
+    in the first ``updates`` rows and grow when full. Columns are sparse
+    scatters, and prices are summed from the problem's sparse rows."""
+
+    def __init__(self, p: LpProblem, cols: np.ndarray, csc: tuple, chain: tuple):
+        self.n, self.m, self.cols = p.num_variables, p.num_constraints, cols
+        self.indices, self.data, self.row_of = p._indices, p._data, p._row_of
+        self.col_ptr, self.col_row, self.col_val = csc
+        self.chain = chain
+        self.U, self.Z, self.updates = np.empty((0, self.m)), np.empty((0, self.m)), 0
+
+    def copy(self) -> _ChainFactor:
+        """A factor whose pivots leave this one as it is; only the etas
+        change, so everything else is shared."""
+        out = copy.copy(self)
+        out.U, out.Z = self.U.copy(), self.Z.copy()
+        return out
+
+    def column(self, k: int) -> np.ndarray:
+        """Candidate column ``k`` of ``[A | I]``, dense and new."""
+        v = np.zeros(self.m)
+        a, b = self.col_ptr[self.cols[k]], self.col_ptr[self.cols[k] + 1]
+        v[self.col_row[a:b]] = self.col_val[a:b]
+        return v
+
+    def ftran(self, v: np.ndarray) -> np.ndarray:
+        """``B^-1 v``, overwriting ``v``: the chain is one prefix sum and the
+        sinks one unbuffered subtraction, and the pivots' etas two
+        products."""
+        rows, pivot, k, sink_row, sink_val, _ = self.chain
+        t = v[rows].cumsum()
+        t[-1] /= pivot
+        v[rows] = t
+        np.subtract.at(v, sink_row, sink_val * t[k])
+        if self.updates:
+            k = self.updates
+            v -= (self.Z[:k] @ v) @ self.U[:k]
+        return v
+
+    def ftrans(self, cand: np.ndarray):
+        """The FTRANs of the candidate columns ``cand``, one at a time."""
+        return (self.ftran(self.column(k)) for k in cand.tolist())
+
+    def btran(self, y: np.ndarray) -> np.ndarray:
+        """``B^-T y``, that is ``y^T B^-1``: the pivots' etas in two products,
+        then the chain, skipped when ``y`` is zero: each pick's sink terms
+        are subtracted in its entries' order, one slot at a time, and the
+        chain is one reversed prefix sum."""
+        if self.updates:
+            k = self.updates
+            y = y - (self.U[:k] @ y) @ self.Z[:k]
+        if not y.any():
+            return y
+        rows, pivot, _, _, _, slots = self.chain
+        t = y[rows]
+        for k, sink_row, sink_val in slots:
+            t[k] -= sink_val * y[sink_row]
+        t[-1] /= pivot
+        y = y.copy()
+        y[rows] = t[::-1].cumsum()[::-1]
+        return y
+
+    def prices(self, y: np.ndarray) -> np.ndarray:
+        """``y^T [A | I]`` on the candidate columns, summed from the sparse
+        rows."""
+        yA = np.bincount(self.indices, weights=self.data * y[self.row_of], minlength=self.n)
+        return np.concatenate([yA, y])[self.cols]
+
+    def pivot(self, r: int, w: np.ndarray) -> None:
+        """Exchange basic row ``r`` for the column whose FTRAN is ``w``: the
+        eta ``E^-1 = I - u e_r^T``, with ``u = (w - e_r) / w_r``, joins the
+        product ``P = I - U^T Z`` of the pivots' etas as a row ``u`` of ``U``
+        and the row ``e_r^T P`` of ``Z``. Returns None: the chain keeps no
+        row of ``B^-1`` to price the pivot row from."""
+        j = self.updates
+        if j == len(self.U):  # full: room for as many again and four more
+            self.U, self.Z = (np.vstack([a, np.empty((j + 4, self.m))]) for a in (self.U, self.Z))
+        u, z = self.U[j], self.Z[j]
+        np.divide(w, w[r], out=u)
+        u[r] = 1.0 - 1.0 / w[r]
+        np.dot(-self.U[:j, r], self.Z[:j], out=z)
+        z[r] += 1.0
+        self.updates = j + 1
 
 
 class _Start:
@@ -391,15 +545,13 @@ class _Start:
     - ``bounds``: the bounds of the structurals and slacks, the candidate
       columns and each variable's candidate column (see ``_Simplex``);
     - ``crash``: the crash basis, its nonbasic statuses and values, its
-      number of picks, the columns of ``[A | I]`` that can enter and the
-      dense ``B^-1``, or the chain's factor with the structural columns in
-      compressed sparse column form (see ``_Simplex._crash``).
+      number of picks, and its factor: a ``_DenseFactor`` or a
+      ``_ChainFactor`` (see ``_Simplex._crash``).
 
-    A solve copies the arrays its pivots change: the basis, the statuses,
-    the nonbasic values and the dense inverse."""
+    A solve copies what its pivots change: the basis, the statuses, the
+    nonbasic values and the factor (see the factor's ``copy``)."""
 
-    def __init__(self):
-        self.bounds = self.crash = None
+    bounds = crash = None
 
 
 @dataclass(frozen=True)
@@ -488,44 +640,46 @@ class _Simplex:
         start = self.p._start
         if start.crash is None:
             start.crash = self._crash()
-        basis, status, nb_value, self.crash_columns, self.columns, inverse, self.chain, csc = start.crash
+        basis, status, nb_value, self.crash_columns, factor = start.crash
         self.basis, self.status, self.nb_value = basis.copy(), status.copy(), nb_value.copy()
-        self.inverse = None if inverse is None else inverse.copy()
-        if csc is not None:
-            self.col_ptr, self.col_row, self.col_val = csc
-        self._clear_updates()
-        self.xB = self._basic_values()
-        self.d = None  # reduced costs of the current basis, once derived
-        self._sync()
+        self._install(factor.copy())
 
     def _crash(self) -> tuple:
         """Slack basis, then a triangular crash (see ``_crash_picks``), kept
-        as the factor of an LP of more than ``_DENSE_ROWS`` rows when its
-        picks form a unit chain (see ``_chain``); every other LP holds the
-        dense inverse of its crash basis (see ``_invert``). Returns what
-        ``_Start.crash`` holds."""
+        as a ``_ChainFactor`` for an LP of more than ``_DENSE_ROWS`` rows
+        when its picks form a unit chain (see ``_chain``); every other LP
+        holds a ``_DenseFactor`` of its crash basis (see ``_invert``).
+        Returns what ``_Start.crash`` holds."""
         n, m, p = self.n_struct, self.m, self.p
         row, col, cand = _crash_entries(self.row_of, p._indices, p._data, self.pos[n:] < 0,
                                         self.ub[:n] - self.lb[:n])
         rows, picks = _crash_picks(row, col, cand, m, n)
         basis = n + np.arange(m)
         basis[rows] = picks
-        chain = csc = columns = inverse = None  # the chain's factor, or the dense B^-1
-        if m > _DENSE_ROWS:
-            # the structural columns, each in row order
-            order = np.argsort(p._indices, kind="stable")
-            csc = (np.concatenate([[0], np.cumsum(np.bincount(p._indices, minlength=n))]),
-                   self.row_of[order], p._data[order])
-            chain = _chain(rows, picks, *csc, m)
-        if chain is None:
-            csc, columns = None, self._dense_columns()
-            inverse = self._invert(columns, basis, rows, picks)
+        factor = _chain(p, self.cols, rows, picks) if m > _DENSE_ROWS else None
+        if factor is None:
+            factor = self._invert(basis, rows, picks)
         # a nonbasic variable rests at its lower bound, or at its upper one
         # when the lower is -inf (``LpProblem`` requires a finite bound)
         status = np.where(np.isfinite(self.lb), _AT_LB, _AT_UB).astype(np.int8)
         status[basis] = _BASIC
         nb_value = np.where(status == _AT_LB, self.lb, np.where(status == _AT_UB, self.ub, 0.0))
-        return basis, status, nb_value, len(picks), columns, inverse, chain, csc
+        return basis, status, nb_value, len(picks), factor
+
+    def _install(self, factor: _DenseFactor | _ChainFactor) -> None:
+        """Go on from the current basis on ``factor``: the basic values are
+        one FTRAN of ``b - A x_N`` (every finite slack bound is 0, so only
+        the nonbasic structurals count), and the reduced costs, the pricing
+        signs and the basic bounds are derived anew."""
+        self.factor = factor
+        x = np.where(self.status[:self.n_struct] == _BASIC, 0.0, self.nb_value[:self.n_struct])
+        self.xB = factor.ftran(self.b - self._row_products(x))
+        self.d = None  # reduced costs of the current basis, once derived
+        # pivots keep the pricing sign of every candidate column and the
+        # bounds of the basic variables up to date
+        self.sign = _SCORE_SIGN[self.status[self.cols]]
+        self.lbB = self.lb[self.basis]
+        self.ubB = self.ub[self.basis]
 
     def _place_bounds(self) -> None:
         """Move nonbasic columns with two finite bounds to the bound their
@@ -542,10 +696,7 @@ class _Simplex:
         tol = self.pivot_tol
         # where each basic variable may go: its bounds, widened to where it is
         lo, hi = np.minimum(self.lbB, self.xB) - tol, np.maximum(self.ubB, self.xB) + tol
-        # the FTRANs of the candidates' columns, on the dense inverse in one product
-        moves = (self.columns[cand] @ self.inverse.T if self.inverse is not None
-                 else (self._ftran(self._column(q)) for q in self.cols[cand].tolist()))
-        for k, w in zip(cand.tolist(), moves):
+        for k, w in zip(cand.tolist(), self.factor.ftrans(cand)):
             q = self.cols[k]
             sigma = -self.sign[k]  # +1 up from the lower bound, -1 down from the upper
             xB = self.xB - w * (sigma * width[k])
@@ -558,30 +709,11 @@ class _Simplex:
             self.sign[k] = sigma
             self.start_flips += 1
 
-    def _sync(self) -> None:
-        """Derive the pricing sign of every candidate column and the bounds
-        of the basic variables from the status and the basis; pivots then
-        keep both up to date."""
-        self.sign = _SCORE_SIGN[self.status[self.cols]]
-        self.lbB = self.lb[self.basis]
-        self.ubB = self.ub[self.basis]
-
-    # -- the factor --------------------------------------------------------
-
-    def _dense_columns(self) -> np.ndarray:
-        """The columns of ``[A | I]`` that can enter as the rows of a dense
-        array, candidate column ``k``'s in row ``k``."""
-        out = np.zeros((len(self.cols), self.m))
-        j, s = self.pos[self.p._indices], self.pos[self.n_struct:]
-        out[j[j >= 0], self.row_of[j >= 0]] = self.p._data[j >= 0]
-        out[s[s >= 0], np.flatnonzero(s >= 0)] = 1.0
-        return out
-
-    def _invert(self, columns: np.ndarray, basis: np.ndarray, rows: np.ndarray, picks: np.ndarray) -> np.ndarray:
-        """The dense ``B^-1`` of ``basis``, which holds the structural
-        columns ``picks`` (in basis order, each able to enter) and the
-        slacks of every row but ``rows``; ``columns`` are the candidate
-        columns of ``[A | I]`` (see ``_dense_columns``).
+    def _invert(self, basis: np.ndarray, rows: np.ndarray, picks: np.ndarray) -> _DenseFactor:
+        """The dense factor of ``basis``, which holds the structural columns
+        ``picks`` (in basis order, each able to enter) and the slacks of
+        every row but ``rows``: the candidate columns of ``[A | I]``,
+        scattered from the sparse rows, and ``B^-1``.
 
         A slack's column is a unit vector, so only the structural block
         ``L = P[rows]`` is inverted, with ``P`` the picks' columns: were
@@ -592,6 +724,10 @@ class _Simplex:
         Its rows are then taken in the basis's order. A basis that holds a
         column twice is singular: a structural twice makes ``L`` singular and
         a slack twice makes it not square."""
+        columns = np.zeros((len(self.cols), self.m))
+        j, s = self.pos[self.p._indices], self.pos[self.n_struct:]
+        columns[j[j >= 0], self.row_of[j >= 0]] = self.p._data[j >= 0]
+        columns[s[s >= 0], np.flatnonzero(s >= 0)] = 1.0
         P = columns[self.pos[picks]]
         try:
             L_inv = np.linalg.inv(P[:, rows])
@@ -605,103 +741,26 @@ class _Simplex:
         inverse = np.zeros((self.m, self.m))
         inverse[np.arange(self.m), at] = 1.0
         inverse[:, rows] = X.T[at]
-        return inverse
-
-    def _column(self, q: int) -> np.ndarray:
-        """Column ``q`` of ``[A | I]``, dense; on the dense inverse ``q``
-        must be able to enter."""
-        if self.inverse is not None:
-            return self.columns[self.pos[q]]
-        v = np.zeros(self.m)
-        if q < self.n_struct:
-            a, b = self.col_ptr[q], self.col_ptr[q + 1]
-            v[self.col_row[a:b]] = self.col_val[a:b]
-        else:
-            v[q - self.n_struct] = 1.0
-        return v
-
-    def _clear_updates(self) -> None:
-        """Empty the pivots' etas: ``U`` and ``Z`` hold their rows in the
-        first ``updates`` rows, and grow when full."""
-        self.U, self.Z, self.updates = np.empty((0, self.m)), np.empty((0, self.m)), 0
-
-    def _ftran(self, v: np.ndarray) -> np.ndarray:
-        """``B^-1 v``: one product with the dense inverse, or, overwriting
-        ``v`` (a ``_column``), the chain's factor and then the pivots' etas
-        in two products: the chain is one prefix sum and the sinks one
-        unbuffered subtraction."""
-        if self.inverse is not None:
-            return self.inverse @ v
-        rows, pivot, k, sink_row, sink_val, _ = self.chain
-        t = v[rows].cumsum()
-        t[-1] /= pivot
-        v[rows] = t
-        np.subtract.at(v, sink_row, sink_val * t[k])
-        if self.updates:
-            k = self.updates
-            v -= (self.Z[:k] @ v) @ self.U[:k]
-        return v
-
-    def _btran(self, y: np.ndarray) -> np.ndarray:
-        """``B^-T y``, that is ``y^T B^-1``: one product with the dense
-        inverse, or the pivots' etas in two products and then the chain's
-        factor the other way round, skipped when ``y`` is zero: each pick's
-        sink terms are subtracted in its entries' order, one slot at a time,
-        and the chain is one reversed prefix sum."""
-        if self.inverse is not None:
-            return y @ self.inverse
-        if self.updates:
-            k = self.updates
-            y = y - (self.U[:k] @ y) @ self.Z[:k]
-        if not y.any():
-            return y
-        rows, pivot, _, _, _, slots = self.chain
-        t = y[rows]
-        for k, sink_row, sink_val in slots:
-            t[k] -= sink_val * y[sink_row]
-        t[-1] /= pivot
-        y = y.copy()
-        y[rows] = t[::-1].cumsum()[::-1]
-        return y
-
-    def _prices(self, y: np.ndarray) -> np.ndarray:
-        """``y^T [A | I]`` on the candidate columns, summed from the sparse
-        rows."""
-        if self.inverse is not None:
-            return self.columns @ y
-        p = self.p
-        yA = np.bincount(p._indices, weights=p._data * y[self.row_of], minlength=self.n_struct)
-        return np.concatenate([yA, y])[self.cols]
+        return _DenseFactor(columns, inverse)
 
     # -- helpers -----------------------------------------------------------
 
     def _reduced_costs(self) -> np.ndarray:
-        return self.cost[self.cols] - self._prices(self._btran(self.cost[self.basis]))
+        return self.cost[self.cols] - self.factor.prices(self.factor.btran(self.cost[self.basis]))
 
     def _row_products(self, x: np.ndarray) -> np.ndarray:
         """``A x`` from the sparse rows, each row summed in column order."""
         p = self.p
         return np.bincount(self.row_of, weights=p._data * x[p._indices], minlength=self.m)
 
-    def _basic_values(self) -> np.ndarray:
-        """One FTRAN of ``b - A x_N``: every finite slack bound is 0, so only
-        the nonbasic structurals count."""
-        x = np.where(self.status[:self.n_struct] == _BASIC, 0.0, self.nb_value[:self.n_struct])
-        return self._ftran(self.b - self._row_products(x))
-
     def _refactorize(self) -> None:
         """Rebuild the factor and basic values from the original columns: a
-        dense inverse of the basis (see ``_invert``), on which the solve goes
+        dense factor of the basis (see ``_invert``), on which the solve goes
         on."""
         self.refactorizations += 1
         slack = self.basis >= self.n_struct
         uncovered = np.bincount(self.basis[slack] - self.n_struct, minlength=self.m) == 0
-        self.columns, self.chain = self._dense_columns(), None
-        self._clear_updates()
-        self.inverse = self._invert(self.columns, self.basis, np.flatnonzero(uncovered), self.basis[~slack])
-        self.xB = self._basic_values()
-        self.d = None
-        self._sync()
+        self._install(self._invert(self.basis, np.flatnonzero(uncovered), self.basis[~slack]))
 
     def _assemble_x(self) -> np.ndarray:
         x = self.nb_value.copy()
@@ -729,38 +788,22 @@ class _Simplex:
         q = int((score > self.opt_tol if bland else score).argmax())
         return q if score[q] > self.opt_tol else -1
 
-    def _pivot(self, r: int, k: int, w: np.ndarray, entering_val: float, leaving_status: int) -> None:
+    def _pivot(self, r: int, k: int, w: np.ndarray, entering_val: float, leaving_status: int) -> np.ndarray | None:
         """Exchange basic row ``r`` for candidate column ``k``, whose FTRAN is
-        ``w``, by a rank-1 update of the dense inverse or by appending its
-        eta; the leaver rests at a bound."""
+        ``w``, in the basis and in the factor; the leaver rests at a bound.
+        Returns what the factor's ``pivot`` returns."""
         leaving, q = self.basis[r], self.cols[k]
         self.status[leaving] = leaving_status
         self.nb_value[leaving] = self.lb[leaving] if leaving_status == _AT_LB else self.ub[leaving]
         if self.pos[leaving] >= 0:
             self.sign[self.pos[leaving]] = _SCORE_SIGN[leaving_status]
-        if self.inverse is not None:  # (I - (w - e_r) e_r^T / w_r) B^-1
-            row = self.inverse[r] / w[r]
-            self.inverse -= w[:, None] * row
-            self.inverse[r] = row
-        else:
-            # the eta E^-1 = I - u e_r^T, with u = (w - e_r) / w_r, joins the
-            # product P = I - U^T Z of the pivots' etas as a row u of U and
-            # the row e_r^T P of Z
-            j = self.updates
-            if j == len(self.U):  # full: room for as many again and four more
-                self.U, self.Z = (np.vstack([a, np.empty((j + 4, self.m))]) for a in (self.U, self.Z))
-            u, z = self.U[j], self.Z[j]
-            np.divide(w, w[r], out=u)
-            u[r] = 1.0 - 1.0 / w[r]
-            np.dot(-self.U[:j, r], self.Z[:j], out=z)
-            z[r] += 1.0
-            self.updates = j + 1
         self.basis[r] = q
         self.status[q] = _BASIC
         self.sign[k] = 0.0
         self.lbB[r] = self.lb[q]
         self.ubB[r] = self.ub[q]
         self.xB[r] = entering_val
+        return self.factor.pivot(r, w)
 
     def _iterate(self, phase1: bool) -> str:
         """Pivot until no column improves the phase's objective: the sum of
@@ -781,7 +824,7 @@ class _Simplex:
                 # a basic variable costs -1 below its lower bound, +1 above its
                 # upper, and blocks only at the bound it violates
                 above = out & (self.xB > ubB)
-                d = self._prices(self._btran(np.where(above, -1.0, np.where(out, 1.0, 0.0))))
+                d = self.factor.prices(self.factor.btran(np.where(above, -1.0, np.where(out, 1.0, 0.0))))
                 lbB, ubB = (np.where(above, ubB, np.where(out, -INF, lbB)),
                             np.where(above, INF, np.where(out, lbB, ubB)))
             else:
@@ -804,7 +847,7 @@ class _Simplex:
             sigma = -1.0 if self.status[q] == _AT_UB else 1.0
             # ratio test: a row whose |w| exceeds pivot_tol blocks where its
             # basic variable, moving by -sigma * w per unit, meets a bound
-            w = self._ftran(self._column(q))
+            w = self.factor.ftran(self.factor.column(k))
             falls = w > 0.0 if sigma > 0.0 else w < 0.0  # sigma * w > 0
             aw = np.abs(w)
             room = np.where(falls, self.xB - lbB, ubB - self.xB)
@@ -848,11 +891,11 @@ class _Simplex:
             # a feasible leaver rests at the bound it moves toward, an
             # infeasible one at the bound it violated, on the other side
             infeasible = phase1 and bool(out[r])
-            self._pivot(r, k, w, entering_val, _AT_LB if falls[r] != infeasible else _AT_UB)
-            if phase1 or self.inverse is None:
+            row = self._pivot(r, k, w, entering_val, _AT_LB if falls[r] != infeasible else _AT_UB)
+            if phase1 or row is None:
                 self.d = None
             else:  # row r of the updated inverse prices alpha_r / alpha_rq
-                d -= d[k] * self._prices(self.inverse[r])
+                d -= d[k] * self.factor.prices(row)
                 d[k], updated = 0.0, True
 
     def run(self) -> LpSolution:

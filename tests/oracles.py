@@ -20,6 +20,7 @@ the table the LP build, the cost breakdown and the auditor share.
 
 from __future__ import annotations
 
+import copy
 import itertools
 from functools import lru_cache
 
@@ -701,68 +702,70 @@ class DenseSimplex(lp._Simplex):
                 d = d - d[q] * self.T[r, :]
 
 
-class EtaLoopSimplex(lp._Simplex):
-    """The solver on the crash's factor as a Python loop of etas, the
-    bit-for-bit reference for the chain path's prefix sums, on LPs of any
-    size: the crash runs as a loop over the equality rows, making each pick
-    its own eta in pick order; FTRAN runs the crash etas in pick order,
-    skipping each whose row of the column is zero, and BTRAN runs them the
-    other way round. The start, the pivots' etas, the pricing, the ratio
-    test and the drift path are the solver's."""
+class EtaLoopSimplex(lp._ChainFactor):
+    """The crash's factor as a Python loop of etas, the bit-for-bit
+    reference for the chain path's prefix sums, on LPs of any size: the
+    crash runs as a loop over the equality rows, making each pick its own
+    eta in pick order; FTRAN runs the crash etas in pick order, skipping
+    each whose row of the column is zero, and BTRAN runs them the other way
+    round. The pivots' etas and the pricing are the chain factor's, and
+    ``solver`` runs the solver's start, pivot loop and drift path on it."""
 
-    def _setup(self) -> None:
-        n, m, p = self.n_struct, self.m, self.p
+    def __init__(self, sim: lp._Simplex):
+        n, p = sim.n_struct, sim.p
         order = np.argsort(p._indices, kind="stable")
-        self.col_ptr = np.concatenate([[0], np.cumsum(np.bincount(p._indices, minlength=n))]).tolist()
-        self.col_row, self.col_val = self.row_of[order].tolist(), p._data[order].tolist()
-        row, col, cand = lp._crash_entries(self.row_of, p._indices, p._data, self.pos[n:] < 0,
-                                           self.ub[:n] - self.lb[:n])
-        self.inverse = self.chain = None
-        self._clear_updates()
+        col_ptr = np.concatenate([[0], np.cumsum(np.bincount(p._indices, minlength=n))]).tolist()
+        super().__init__(p, sim.cols, (col_ptr, sim.row_of[order].tolist(), p._data[order].tolist()), None)
+        row, col, cand = lp._crash_entries(sim.row_of, p._indices, p._data, sim.pos[n:] < 0,
+                                           sim.ub[:n] - sim.lb[:n])
         start = np.flatnonzero(np.diff(row, prepend=-1))
         n_cand = np.add.reduceat(cand, start) if start.size else start
         # each equality row takes its first candidate that no row taken
         # before it blocks, and then blocks every column nonzero in it
-        self.etas = []
-        cols, blocked, picks = col.tolist(), set(), []
+        self.etas, self.picks = [], []
+        cols, blocked = col.tolist(), set()
         for i, a, b, c in zip(row[start].tolist(), start.tolist(), [*start[1:].tolist(), len(cols)],
                               (start + n_cand).tolist()):
             for j in cols[a:c]:
                 if j not in blocked:
                     blocked.update(cols[a:b])
-                    picks.append(j)
+                    self.picks.append(j)
                     lo, hi = self.col_ptr[j], self.col_ptr[j + 1]
                     pairs = list(zip(self.col_row[lo:hi], self.col_val[lo:hi]))
                     self.etas.append((i, pairs.pop(self.col_row.index(i, lo, hi) - lo)[1], pairs))
                     break
-        rows = np.array([r for r, _, _ in self.etas], dtype=np.intp)
-        status = np.where(np.isfinite(self.lb), lp._AT_LB, lp._AT_UB).astype(np.int8)
-        self.basis = n + np.arange(m)
-        self.basis[rows] = picks
-        status[self.basis] = lp._BASIC
-        self.status = status
-        self.nb_value = np.where(status == lp._AT_LB, self.lb, np.where(status == lp._AT_UB, self.ub, 0.0))
-        self.xB = self._ftran((self.b - self._row_products(self.nb_value[:n])).tolist())
-        self.d = None
-        self._sync()
-        self.crash_columns = len(picks)
 
-    def _column(self, q: int):
-        """Column ``q`` of ``[A | I]`` as a list, the eta loop's operand."""
-        if self.inverse is not None:
-            return super()._column(q)
+    @classmethod
+    def solver(cls, p: lp.LpProblem) -> lp._Simplex:
+        """A solver of ``p`` that starts from this loop's crash and factor.
+        It solves a copy of ``p`` with a ``_Start`` of its own, so the
+        crash that ``lp`` builds for ``p`` and those derived from it is
+        never this one."""
+        q = copy.copy(p)
+        q._start = lp._Start()
+        sim = lp._Simplex(q)
+        factor = cls(sim)
+        basis = sim.n_struct + np.arange(sim.m)
+        basis[[r for r, _, _ in factor.etas]] = factor.picks
+        status = np.where(np.isfinite(sim.lb), lp._AT_LB, lp._AT_UB).astype(np.int8)
+        status[basis] = lp._BASIC
+        nb_value = np.where(status == lp._AT_LB, sim.lb, np.where(status == lp._AT_UB, sim.ub, 0.0))
+        q._start.crash = basis, status, nb_value, len(factor.picks), factor
+        return sim
+
+    def column(self, k: int) -> list:
+        """Candidate column ``k`` of ``[A | I]`` as a list, the eta loop's operand."""
         v = [0.0] * self.m
-        if q < self.n_struct:
+        q = self.cols[k]
+        if q < self.n:
             a, b = self.col_ptr[q], self.col_ptr[q + 1]
             for i, x in zip(self.col_row[a:b], self.col_val[a:b]):
                 v[i] = x
         else:
-            v[q - self.n_struct] = 1.0
+            v[q - self.n] = 1.0
         return v
 
-    def _ftran(self, v) -> np.ndarray:
-        if self.inverse is not None:
-            return super()._ftran(v)
+    def ftran(self, v) -> np.ndarray:
         for r, piv, pairs in self.etas:
             t = v[r]
             if t:
@@ -776,9 +779,7 @@ class EtaLoopSimplex(lp._Simplex):
             v -= (self.Z[:k] @ v) @ self.U[:k]
         return v
 
-    def _btran(self, y: np.ndarray) -> np.ndarray:
-        if self.inverse is not None:
-            return super()._btran(y)
+    def btran(self, y: np.ndarray) -> np.ndarray:
         if self.updates:
             k = self.updates
             y = y - (self.U[:k] @ y) @ self.Z[:k]

@@ -148,6 +148,21 @@ def test_chain_arrival_below_floor_raises():
         chain_arrival_soe(5.0, 4.5, v)  # 5 - 5 = 0 < 4
 
 
+@pytest.mark.parametrize("stock, trip, fault", [
+    (np.nan, 1.0, "stock must be finite and >= 0, got nan"),
+    (np.inf, 1.0, "stock must be finite and >= 0, got inf"),
+    (-1.0, 1.0, "stock must be finite and >= 0, got -1.0"),
+    (19.0, np.nan, "trip energy must be finite and >= 0, got nan"),
+    (19.0, np.inf, "trip energy must be finite and >= 0, got inf"),
+    (19.0, -np.inf, "trip energy must be finite and >= 0, got -inf"),
+], ids=["nan-stock", "inf-stock", "negative-stock", "nan-trip", "inf-trip", "minus-inf-trip"])
+def test_chain_arrival_non_finite_or_negative_raises(stock, trip, fault):
+    v = Vehicle("ev", 40.0, 10.0, 6000.0)
+    with pytest.raises(ValueError) as exc:
+        chain_arrival_soe(stock, trip, v)
+    assert str(exc.value) == fault
+
+
 def test_high_policy_departures_reach_95_percent(example_with_high):
     fs = solve_evca(example_with_high, HIGH_SOE, OF5)
     caps = {v.id: v.capacity_kwh for v in example_with_high.vehicles}

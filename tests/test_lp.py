@@ -344,7 +344,7 @@ def test_start_moves_columns_to_the_bound_their_cost_favours_and_worsens_no_basi
 
 def _ftran_columns(sim) -> np.ndarray:
     """``B^-1 [A | I]`` on the columns that can enter, one FTRAN each."""
-    return np.reshape([sim._ftran(sim._column(q)) for q in sim.cols], (len(sim.cols), sim.m)).T
+    return np.reshape([sim.factor.ftran(sim.factor.column(k)) for k in range(len(sim.cols))], (len(sim.cols), sim.m)).T
 
 
 def _assert_factor_matches_linear_algebra(sim) -> None:
@@ -355,7 +355,7 @@ def _assert_factor_matches_linear_algebra(sim) -> None:
     B = A[:, sim.basis]
     np.testing.assert_allclose(_ftran_columns(sim), np.linalg.solve(B, A[:, sim.cols]), rtol=1e-12, atol=1e-12)
     for y in (sim.cost[sim.basis], np.random.default_rng(0).uniform(-1.0, 1.0, sim.m)):
-        np.testing.assert_allclose(sim._btran(y), np.linalg.solve(B.T, y), rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sim.factor.btran(y), np.linalg.solve(B.T, y), rtol=1e-12, atol=1e-12)
 
 
 def _assert_basic_values_match_linear_algebra(sim) -> None:
@@ -606,8 +606,9 @@ def test_restricted_update_matches_dense_reference_on_banded_lps(monkeypatch):
 
 
 def _arrays_2d(sim) -> dict[str, tuple[int, ...]]:
-    """The shape of each 2-D array a solver holds that is not empty."""
-    return {name: v.shape for name, v in vars(sim).items() if isinstance(v, np.ndarray) and v.ndim >= 2 and v.size}
+    """The shape of each 2-D array a solver and its factor hold that is not empty."""
+    return {name: v.shape for name, v in {**vars(sim), **vars(sim.factor)}.items()
+            if isinstance(v, np.ndarray) and v.ndim >= 2 and v.size}
 
 
 def test_setup_holds_no_dense_copy_of_the_rows(example_scenario):
@@ -625,7 +626,8 @@ def test_setup_holds_no_dense_copy_of_the_rows(example_scenario):
         assert sol.stats.refactorizations == 0
         assert set(_arrays_2d(sim)) in (set(), {"U", "Z"})
         pivots = sol.stats.phase1_pivots + sol.stats.phase2_pivots
-        assert sim.updates == pivots and sim.U.shape == sim.Z.shape and len(sim.U) <= 2 * pivots + 4
+        f = sim.factor
+        assert f.updates == pivots and f.U.shape == f.Z.shape and len(f.U) <= 2 * pivots + 4
 
 
 def test_the_dense_path_holds_at_most_the_crossovers_rows_by_all_columns(example_with_high):
@@ -642,7 +644,7 @@ def test_the_dense_path_holds_at_most_the_crossovers_rows_by_all_columns(example
             shapes = _arrays_2d(sim)
             assert shapes == {"inverse": (m, m), "columns": (len(sim.cols), m)}, p.name
             assert m <= lp._DENSE_ROWS and all(a * b <= lp._DENSE_ROWS * (n + m) for a, b in shapes.values())
-            assert sim.updates == 0
+            assert type(sim.factor) is lp._DenseFactor
 
 
 def test_set_up_residuals_from_the_rows_equal_the_dense_product_on_window_lps(example_with_high):
@@ -714,13 +716,13 @@ def test_updated_reduced_costs_are_derived_afresh_before_phase_two_ends(example_
     # with the pivot-row updates priced as zero, phase 2 prices from stale
     # reduced costs until they price no column; deriving them afresh then
     # still takes every solve to the reference's optimum
-    prices = lp._Simplex._prices
+    prices = lp._DenseFactor.prices
 
     def stale(self, y):
         out = prices(self, y)
-        return np.zeros_like(out) if self.inverse is not None and np.shares_memory(y, self.inverse) else out
+        return np.zeros_like(out) if np.shares_memory(y, self.inverse) else out
 
-    monkeypatch.setattr(lp._Simplex, "_prices", stale)
+    monkeypatch.setattr(lp._DenseFactor, "prices", stale)
     problems = _example_lps(example_with_high)
     problems += [build_problem(*random_bounded_lp(np.random.default_rng(seed))) for seed in range(30)]
     for p in problems:
@@ -906,18 +908,18 @@ def test_a_refactorization_on_the_chain_path_builds_no_dense_copy_of_all_columns
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        transient.append(peak - self.inverse.nbytes - self.columns.nbytes)
+        transient.append(peak - self.factor.inverse.nbytes - self.factor.columns.nbytes)
 
     monkeypatch.setattr(lp._Simplex, "_violation", fail_once)
     monkeypatch.setattr(lp._Simplex, "_refactorize", measured)
     sim = lp._Simplex(p)
     sim._setup()
-    assert sim.chain is not None
+    assert type(sim.factor) is lp._ChainFactor
     sol = _assert_agrees_with_dense_reference(p)
     assert sol.status == lp.OPTIMAL and sol.stats.refactorizations == 1
     sim = lp._Simplex(p)
     sim.run()
-    assert sim.chain is None and _arrays_2d(sim) == {"inverse": (m, m), "columns": (len(sim.cols), m)}
+    assert type(sim.factor) is lp._DenseFactor and _arrays_2d(sim) == {"inverse": (m, m), "columns": (len(sim.cols), m)}
     # set aside what it keeps, a refactorization allocates well under one
     # array of all n + m columns (1.7 MB here)
     assert len(transient) == 2 and max(transient) < 8 * (n + m) * m / 2, transient
@@ -940,18 +942,19 @@ def test_prefix_sums_equal_the_eta_loop_bit_for_bit_on_the_ladder(example_scenar
     problems = [_fifteen_minute_lp(example_scenario, 7)] + [_ladder_rung(example_scenario, f) for f in (4, 8, 16, 32)]
     for p in problems:
         for stage, run in _STAGES.items():
-            chain, loop = lp._Simplex(p), EtaLoopSimplex(p)
+            chain, loop = lp._Simplex(p), EtaLoopSimplex.solver(p)
             run(chain)
             run(loop)
-            assert chain.chain is not None and chain.inverse is None, (p.name, stage)
+            assert type(chain.factor) is lp._ChainFactor, (p.name, stage)
             assert np.array_equal(chain.basis, loop.basis) and chain.xB.tobytes() == loop.xB.tobytes()
             assert chain.start_flips == loop.start_flips
-            for q in chain.cols[::max(1, len(chain.cols) // 300)].tolist():
-                assert chain._ftran(chain._column(q)).tobytes() == loop._ftran(loop._column(q)).tobytes()
+            for k in range(0, len(chain.cols), max(1, len(chain.cols) // 300)):
+                assert (chain.factor.ftran(chain.factor.column(k)).tobytes()
+                        == loop.factor.ftran(loop.factor.column(k)).tobytes())
             # each pick's sink terms precede its link in the column, so
             # BTRAN's slot-wise sums keep the loop's order too
             for y in (chain.cost[chain.basis], np.random.default_rng(0).uniform(-1.0, 1.0, chain.m)):
-                assert chain._btran(y).tobytes() == loop._btran(y).tobytes()
+                assert chain.factor.btran(y).tobytes() == loop.factor.btran(y).tobytes()
 
 
 def test_the_chain_path_matches_linear_algebra_through_a_solve(example_scenario):
@@ -960,7 +963,7 @@ def test_the_chain_path_matches_linear_algebra_through_a_solve(example_scenario)
               _ladder_rung(example_scenario, 16)]:
         sim = lp._Simplex(p)
         sim._setup()
-        assert sim.chain is not None
+        assert type(sim.factor) is lp._ChainFactor
         assert _assert_factor_holds_through_a_solve(p).status == lp.OPTIMAL
 
 
@@ -970,7 +973,7 @@ def test_the_dense_path_matches_linear_algebra_through_a_solve(example_with_high
     for p in problems + [_session(example_with_high)]:
         sim = lp._Simplex(p)
         sim._setup()
-        assert sim.inverse is not None and sim.chain is None
+        assert type(sim.factor) is lp._DenseFactor
         assert _assert_factor_holds_through_a_solve(p).status == lp.OPTIMAL
 
 
@@ -985,8 +988,8 @@ def test_solves_on_the_chain_path_equal_the_eta_loops_bit_for_bit(example_with_h
     problems += [_fifteen_minute_lp(example_scenario, seed) for seed in (1, 7)]
     for p in problems:
         chain = lp._Simplex(p)
-        got, ref = chain.run(), EtaLoopSimplex(p).run()
-        assert chain.chain is not None, p.name
+        got, ref = chain.run(), EtaLoopSimplex.solver(p).run()
+        assert type(chain.factor) is lp._ChainFactor, p.name
         assert (got.status, got.iterations, got.stats) == (ref.status, ref.iterations, ref.stats)
         assert repr(got.objective) == repr(ref.objective) and got.x.tobytes() == ref.x.tobytes()
 
@@ -1017,11 +1020,11 @@ def test_small_lps_take_the_dense_inverse_and_long_windows_the_chain(example_wit
     for p, chain in [(p, False) for p in small + at_crossover[:1]] + [(p, True) for p in long + at_crossover[1:]]:
         sim = lp._Simplex(p)
         sim._setup()
-        assert (sim.chain is not None, sim.inverse is None) == (chain, chain), p.name
+        assert type(sim.factor) is (lp._ChainFactor if chain else lp._DenseFactor), p.name
         # one pick per balance row: a link per pick but the last
         assert sim.crash_columns == (p._senses == "=").sum()
         if chain:
-            assert sim.chain[0].size == sim.crash_columns
+            assert sim.factor.chain[0].size == sim.crash_columns
 
 
 def _all_equality_lp(rng: np.random.Generator):
@@ -1065,7 +1068,7 @@ def test_the_array_set_up_agrees_with_the_dense_reference_on_random_lps(monkeypa
                 _assert_factor_holds_through_a_solve(p)
             sim = lp._Simplex(p)
             sim._setup()
-            kinds.add("chain" if sim.chain is not None else "dense")
+            kinds.add("chain" if type(sim.factor) is lp._ChainFactor else "dense")
     assert kinds == {"chain", "dense"}
 
 
@@ -1101,7 +1104,7 @@ def _same_solve(got: lp.LpSolution, want: lp.LpSolution) -> bool:
 def _factor_path(p: lp.LpProblem) -> str:
     sim = lp._Simplex(p)
     sim._setup()
-    return "chain" if sim.chain is not None else "dense"
+    return "chain" if type(sim.factor) is lp._ChainFactor else "dense"
 
 
 @pytest.mark.parametrize("dense_rows", [lp._DENSE_ROWS, 0])
