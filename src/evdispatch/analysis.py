@@ -15,8 +15,10 @@ runners cover the three studies this package ships:
 
 Every study runs in the calling process. compare_aggregators solves each
 of its three models over every price series in one call, so the series
-share that model's LP builds; the ablations solve and audit their variants
-in turn. Reports are byte-for-byte deterministic for identical inputs.
+share that model's LP builds. Each ablation solves all its variants in one
+call, so variants that differ in their objective only share their LP builds
+(see evba._solve_evba), then audits them in turn. Reports are byte-for-byte
+deterministic for identical inputs.
 """
 
 from __future__ import annotations
@@ -37,10 +39,11 @@ from .evba import (
     CostToggles,
     FleetSchedule,
     PowerMode,
+    _solve_evba,
     cost_toggles_for,
-    solve_evba,
     solve_evba_series,
 )
+from .evba import solve_evba  # noqa: F401 - bench/tracing.py's TARGETS wraps this binding
 from .evca import HIGH_SOE, LOW_SOE, solve_evca_series
 from .evca import solve_evca  # noqa: F401 - bench/tracing.py's TARGETS wraps this binding
 from .lp import FEAS_TOL
@@ -333,8 +336,10 @@ def _ablation(
     variants: list[tuple[str, CostToggles, PowerMode]],
     orderings: list[tuple[str, str]],
 ) -> AblationStudy:
-    """Solve the fleet model for each ``(label, toggles, power)`` variant and
-    audit each optimal schedule against the full constraint set.
+    """Solve the fleet model for every ``(label, toggles, power)`` variant in
+    one call, so variants that differ in their objective only share their LP
+    builds (see evba._solve_evba), and audit each optimal schedule against
+    the full constraint set.
 
     Raises OrderingError when, for an ``(lo, hi)`` pair of labels that both
     solved, cost(lo) exceeds cost(hi).
@@ -342,8 +347,8 @@ def _ablation(
     sp = s.with_prices(prices)
     reports: list[AblationReport] = []
     costs: dict[str, float] = {}
-    for label, ct, power in variants:
-        fs = solve_evba(sp, ct, power)
+    schedules = _solve_evba([(sp, ct, power) for _, ct, power in variants])
+    for (label, _, _), fs in zip(variants, schedules):
         if fs.status != "optimal":
             reports.append(
                 AblationReport(label, None, {}, None, None, ViolationReport(), fs.status)

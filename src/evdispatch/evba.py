@@ -29,10 +29,14 @@ the modes only change which magnitude caps apply while plugged in. Each
 step's plug kind, power limit and fees are read from ``Scenario.plugs``, the
 table the cost breakdown reads too.
 
-solve_evba_series solves one scenario under several price series in one
-pass: the scenario is validated and each vehicle's whole-day LP built once,
-and every further series solves that LP derived with its own costs (see
+Every fleet solve goes through _solve_evba, which takes a sequence of runs:
+a priced scenario, cost toggles and a power mode each. Runs with the same
+wear toggle and power mode share every variable, row and bound, so each such
+group is validated and each vehicle's whole-day LP built once, and every
+further run of the group solves that LP derived with its own costs (see
 lp.LpProblem.derive), on the crash and factor of its first solve.
+solve_evba is one run, solve_evba_series one run per price series, and each
+of analysis's ablations one run per variant.
 
 build/solve are pure given an immutable scenario; analysis runs every study's
 solves one after another in the calling process.
@@ -612,7 +616,7 @@ def solve_evba(
     The first vehicle whose LP is not optimal makes the fleet status, and the
     message names that vehicle and why.
     """
-    return _solve_evba(s, [s.prices], ct, power)[0]
+    return _solve_evba([(s, ct, power)])[0]
 
 
 def solve_evba_series(
@@ -624,33 +628,36 @@ def solve_evba_series(
     """``[solve_evba(s.with_prices(ps), ct, power) for ps in price_sets]``,
     bit for bit, with the scenario validated and each vehicle's LP built
     once: only the objective differs between the series (see _solve_evba)."""
-    if not price_sets:
-        return []
-    return _solve_evba(s.with_prices(price_sets[0]), price_sets, ct, power)
+    try:
+        runs = [(s.with_prices(ps), ct, power) for ps in price_sets]
+    except ScenarioError:  # one call per series would report series 0 or an invalid scenario first
+        _require_solvable(s.with_prices(price_sets[0]))
+        raise
+    return _solve_evba(runs)
 
 
-def _priced(s: Scenario, price_sets: Sequence[PriceSeries]) -> list[Scenario]:
-    """``s`` under each price series, ``s`` itself under the first, which
-    must be its own; once a vehicle's LP is built, all share ``s``'s plug
-    table (see Scenario.with_prices)."""
-    return [s, *(s.with_prices(ps) for ps in price_sets[1:])]
+def _solve_evba(runs: Sequence[tuple[Scenario, CostToggles, PowerMode]]) -> list[FleetSchedule]:
+    """``solve_evba(sp, ct, power)`` for each run ``(sp, ct, power)``, in order
+    and bit for bit. The runs' scenarios may differ in their prices only (see
+    Scenario.with_prices).
 
-
-def _solve_evba(s: Scenario, price_sets: Sequence[PriceSeries], ct: CostToggles,
-                power: PowerMode) -> list[FleetSchedule]:
-    """solve_evba of ``s`` under each price series, ``s``'s own first.
-
-    build_evba validates ``s`` and builds each vehicle's whole-day LP once,
-    under the first series; under every other series the LP is derived from
-    it with that series' costs (see lp.LpProblem.derive), so it reuses the
-    crash basis and factor of the LP's first solve."""
-    days = build_evba(s, ct, power)
+    Runs of one wear toggle and power mode differ in their objectives only.
+    The first of them has build_evba validate its scenario and build each
+    vehicle's whole-day LP; every later one solves that LP derived with its
+    own costs (see lp.LpProblem.derive), so it reuses the crash basis and
+    factor of the LP's first solve. The LPs are dropped after their last
+    run."""
+    last = {(ct.include_degradation, power): i for i, (_, ct, power) in enumerate(runs)}
+    days: dict[tuple[bool, PowerMode], list[lp.LpProblem]] = {}
     out = []
-    for sp in _priced(s, price_sets):
+    for i, (sp, ct, power) in enumerate(runs):
+        key = (ct.include_degradation, power)
+        built = key in days
+        if not built:
+            days[key] = build_evba(sp, ct, power)
         sols = []
-        for v_idx, day in enumerate(days):
-            problem = day if sp is s else day.derive(_cost_table(sp, v_idx, ct).ravel())
-            sol = lp.solve(problem)
+        for v_idx, day in enumerate(days[key] if i < last[key] else days.pop(key)):
+            sol = lp.solve(day.derive(_cost_table(sp, v_idx, ct).ravel()) if built else day)
             if sol.status == lp.INFEASIBLE:
                 out.append(FleetSchedule.empty(sp, sol.status, _infeasibility_hint(sp, v_idx, power)))
                 break

@@ -39,7 +39,6 @@ from .evba import (
     _FloorUnreachable,
     _cost_table,
     _numerics_hint,
-    _priced,
     _require_solvable,
     _slice_window,
     _VehicleLp,
@@ -228,7 +227,8 @@ def _solve_evca(
 
     sessions = derive_sessions(s)
     frames = [_build_vehicle_lp(s, v_idx, ct, power) if ses else None for v_idx, ses in enumerate(sessions)]
-    scenarios = _priced(s, price_sets)
+    # the LPs above read s.plugs, so every copy shares that table (see Scenario.with_prices)
+    scenarios = [s, *(s.with_prices(ps) for ps in price_sets[1:])]
     failed: list[ItineraryError | SessionInfeasibleError | None] = [None] * len(scenarios)
     windows: list[list] = [[] for _ in scenarios]
     traces: list[list[SessionResult]] = [[] for _ in scenarios]

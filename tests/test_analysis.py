@@ -34,7 +34,7 @@ from evdispatch.domain import (
 from evdispatch.evba import PowerMode, cost_toggles_for, solve_evba
 from evdispatch.evca import HIGH_SOE, solve_evca
 from oracles import check_schedule_by_steps
-from scen import flat_scenario, random_scenario
+from scen import flat_scenario, random_scenario, same_outcome
 
 OF1 = cost_toggles_for("of1")
 OF5 = cost_toggles_for("of5")
@@ -443,13 +443,14 @@ def test_cost_ablation_zero_prices():
 def test_ablation_ordering_failure_names_both_variants(
     example_scenario, high_prices, monkeypatch, run, raised, message
 ):
-    def solve_raising_one_variant(s, ct, power):
-        fs = solve_evba(s, ct, power)
-        if raised in (ct, power):
-            fs.total_cost_eur += 100.0
-        return fs
+    def solve_raising_one_variant(runs):
+        schedules = evba._solve_evba(runs)
+        for (_, ct, power), fs in zip(runs, schedules):
+            if raised in (ct, power):
+                fs.total_cost_eur += 100.0
+        return schedules
 
-    monkeypatch.setattr(analysis, "solve_evba", solve_raising_one_variant)
+    monkeypatch.setattr(analysis, "_solve_evba", solve_raising_one_variant)
     with pytest.raises(OrderingError, match=message):
         run(example_scenario, high_prices)
 
@@ -514,6 +515,83 @@ def test_compare_builds_each_crash_and_vehicle_lp_once_per_model(example_scenari
     report = compare_aggregators(example_scenario, prices)
     assert [c.status for c in report.cells] == ["optimal"] * 9
     assert counts == {"crash": 3 + 9 + 9, "frame": 3 * 3, "solve": 3 * (3 + 9 + 9)}
+
+
+def test_ablations_build_and_crash_each_vehicle_lp_once_per_wear_toggle_and_power_mode(
+    example_scenario, high_prices, monkeypatch
+):
+    # of1, of3 and of4 share their rows and bounds, as do of2 and of5, so the
+    # cost ablation builds and crashes 2 groups of 3 vehicles; each power
+    # variant changes bounds and keeps its own build
+    counts = {"crash": 0, "frame": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lp, "_crash_picks", counted("crash", lp._crash_picks))
+    monkeypatch.setattr(lp, "solve", counted("solve", lp.solve))
+    monkeypatch.setattr(evba, "_build_vehicle_lp", counted("frame", evba._build_vehicle_lp))
+    for power in PowerMode:
+        counts.update(crash=0, frame=0, solve=0)
+        study = run_cost_ablation(example_scenario, high_prices, power)
+        assert [r.status for r in study.reports] == ["optimal"] * 5
+        assert counts == {"crash": 2 * 3, "frame": 2 * 3, "solve": 5 * 3}, power
+    counts.update(crash=0, frame=0, solve=0)
+    study = run_power_ablation(example_scenario, high_prices)
+    assert [r.status for r in study.reports] == ["optimal"] * 4
+    assert counts == {"crash": 4 * 3, "frame": 4 * 3, "solve": 4 * 3}
+
+
+def _example_with_a_long_ev1_trip(example_scenario) -> Scenario:
+    """The example with ev1's second trip 10.8 kWh and its leisure plug from
+    step 23 only: infeasible under a flat 4 kW cap, feasible under any other."""
+    trips = example_scenario.trips.energy_kwh.copy()
+    trips[0, 15] = 10.8
+    mask = example_scenario.connectivity.mask.copy()
+    mask[0, 16:23] = False
+    return dataclasses.replace(example_scenario, trips=TripPlan(trips), connectivity=ConnectivityMatrix(mask))
+
+
+@pytest.mark.parametrize("seed", ["example", "long-trip", 3, 5, 8])
+def test_every_ablation_variant_equals_a_fresh_solve_bit_for_bit(seed, example_scenario, monkeypatch):
+    # each variant's schedule and each window LP's SolveStats, in solve order,
+    # equal those of one solve_evba call per variant
+    named = {"example": example_scenario, "long-trip": _example_with_a_long_ev1_trip(example_scenario)}
+    s = named[seed] if seed in named else random_scenario(seed)
+    prices = generate_price_set("high", seed=seed if isinstance(seed, int) else 1)
+    sp = s.with_prices(prices)
+    solved, schedules = [], []
+    solve = lp.solve
+
+    def recorded_solve(p):
+        sol = solve(p)
+        solved.append((sol.status, repr(sol.objective), repr(sol.stats)))
+        return sol
+
+    def recorded_runs(runs):
+        schedules.extend(evba._solve_evba(runs))
+        return schedules[-len(runs):]
+
+    monkeypatch.setattr(lp, "solve", recorded_solve)
+    monkeypatch.setattr(analysis, "_solve_evba", recorded_runs)
+    studies = [(run_cost_ablation(s, prices, power), [(ct, power) for ct in evba.OBJECTIVE_VARIANTS.values()])
+               for power in PowerMode]
+    studies += [(run_power_ablation(s, prices, ct), [(ct, power) for power in PowerMode])
+                for ct in evba.OBJECTIVE_VARIANTS.values()]
+    ablated, solved = solved, []
+    fresh = [solve_evba(sp, ct, power) for _, variants in studies for ct, power in variants]
+    assert solved and ablated == solved
+    assert len(schedules) == len(fresh) == 40
+    assert all(map(same_outcome, schedules, fresh))
+    if seed == "long-trip":
+        assert [fs.status for fs in fresh].count("infeasible") == 5 + 5
+    reports = [r for study, _ in studies for r in study.reports]
+    assert [(r.status, repr(r.total_cost_eur)) for r in reports] == [
+        (fs.status, repr(fs.total_cost_eur) if fs.status == "optimal" else "None") for fs in fresh
+    ]
 
 
 # ---------------------------------------------------------------------------

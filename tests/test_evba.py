@@ -607,3 +607,10 @@ def test_several_series_check_the_scenario_and_each_series_as_one_call_per_serie
     with pytest.raises(ScenarioError) as several:
         solve_evba_series(broken, sets)
     assert str(several.value) == str(one.value)
+    # the first series' call fails on the scenario before a later series is priced
+    with pytest.raises(ScenarioError) as several:
+        solve_evba_series(broken, [sets[0], PriceSeries("short", np.zeros(23))])
+    assert str(several.value) == str(one.value)
+    # ... and on a first series of the wrong length before the scenario
+    with pytest.raises(ScenarioError, match="price series 'short' has 23 steps, horizon needs 24"):
+        solve_evba_series(broken, [PriceSeries("short", np.zeros(23)), sets[0]])
