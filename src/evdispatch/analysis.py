@@ -17,7 +17,10 @@ Every study runs in the calling process. compare_aggregators solves each
 of its three models over every price series in one call, so the series
 share that model's LP builds. Each ablation solves all its variants in one
 call, so variants that differ in their objective only share their LP builds
-(see evba._solve_evba), then audits them in turn. Reports are byte-for-byte
+(see evba._solve_evba): the cost ablation solves of1, of3 and of4 over one
+group of builds and then of2 and of5 over the other, never holding both.
+It then audits the variants in turn, in their own order; a variant that did
+not solve keeps its status and message. Reports are byte-for-byte
 deterministic for identical inputs.
 """
 
@@ -220,6 +223,7 @@ class AblationReport:
     discharged_kwh: float | None
     violations: ViolationReport
     status: str = "optimal"
+    message: str = ""  # why the variant did not solve; not written to the report files
 
 
 @dataclass
@@ -351,7 +355,7 @@ def _ablation(
     for (label, _, _), fs in zip(variants, schedules):
         if fs.status != "optimal":
             reports.append(
-                AblationReport(label, None, {}, None, None, ViolationReport(), fs.status)
+                AblationReport(label, None, {}, None, None, ViolationReport(), fs.status, fs.message)
             )
             continue
         costs[label] = fs.total_cost_eur

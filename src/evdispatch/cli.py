@@ -146,17 +146,23 @@ def _cmd_compare(args) -> int:
 def _cmd_ablate_power(args) -> int:
     s = load_scenario(args.scenario)
     prices = _resolve_prices(args, s.horizon)
-    study = run_power_ablation(s, prices, cost_toggles_for(args.costs))
-    for p in write_report(study, args.out):
-        print(f"wrote {p}")
-    return 0
+    return _emit_ablation(run_power_ablation(s, prices, cost_toggles_for(args.costs)), args.out)
 
 
 def _cmd_ablate_costs(args) -> int:
     s = load_scenario(args.scenario)
     prices = _resolve_prices(args, s.horizon)
-    study = run_cost_ablation(s, prices, _POWER_FLAGS[args.power])
-    for p in write_report(study, args.out):
+    return _emit_ablation(run_cost_ablation(s, prices, _POWER_FLAGS[args.power]), args.out)
+
+
+def _emit_ablation(study, out: str) -> int:
+    """Write an ablation's report files and name each variant that did not
+    solve, and why, on stderr; an unsolved variant is a finding, so exit 0."""
+    paths = write_report(study, out)
+    for r in study.reports:
+        if r.status != "optimal":
+            print(f"variant {r.label}: {r.status} {r.message}", file=sys.stderr)
+    for p in paths:
         print(f"wrote {p}")
     return 0
 

@@ -14,7 +14,12 @@ Every window LP, the whole day here and each session in the station model
 vehicle's whole-horizon LP once, with no arrival stock and no floor, and
 _slice_window cuts a window's variables and rows out of it and sets its
 arrival stock and floor. A station session is the same per-vehicle LP over
-a shorter window.
+a shorter window. Both models take their window LPs from a _Windows, which
+lives for one study call and is the one place that decides what is built,
+cut or derived: it builds each vehicle once per wear toggle and power mode
+and cuts each window once per step range and floor, and every request but
+the building run's solves the cut derived with its own costs and arrival
+stock (see lp.LpProblem.derive), on the crash and factor of its first solve.
 
 Decision variables per vehicle and step: slow charge, grid discharge, fast
 charge (all kWh, grid side) and state of energy (kWh). When the wear term is
@@ -30,11 +35,10 @@ step's plug kind, power limit and fees are read from ``Scenario.plugs``, the
 table the cost breakdown reads too.
 
 Every fleet solve goes through _solve_evba, which takes a sequence of runs:
-a priced scenario, cost toggles and a power mode each. Runs with the same
-wear toggle and power mode share every variable, row and bound, so each such
-group is validated and each vehicle's whole-day LP built once, and every
-further run of the group solves that LP derived with its own costs (see
-lp.LpProblem.derive), on the crash and factor of its first solve.
+a priced scenario, cost toggles and a power mode each, and validates the
+first run's scenario once. Runs with the same wear toggle and power mode
+share every variable, row and bound, so each such group is solved together
+over one _Windows, which is dropped before the next group is built.
 solve_evba is one run, solve_evba_series one run per price series, and each
 of analysis's ablations one run per variant.
 
@@ -44,7 +48,7 @@ solves one after another in the calling process.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -341,16 +345,12 @@ def _build_vehicle_lp(s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode
     )
 
 
-def _slice_window(
-    vl: _VehicleLp, first: int, last: int, init_soe: float, floor: float, *, maximize_departure: bool = False
-) -> lp.LpProblem:
-    """The LP of ``vl``'s vehicle over steps ``first..last``.
+def _slice_window(vl: _VehicleLp, first: int, last: int, init_soe: float, floor: float) -> lp.LpProblem:
+    """The LP of ``vl``'s vehicle over steps ``first..last``, at ``vl``'s costs.
 
     ``init_soe`` is the stock entering step ``first``: the previous step's
     soe term leaves the window's first balance row, and the stock joins
     its right-hand side. ``floor`` is the minimum stock at step ``last``.
-    With ``maximize_departure`` the feasible set is the same and the
-    objective is the negated stock at the last step.
     """
     v = vl.v
     floor_lb = max(v.soe_min_kwh, floor)
@@ -362,23 +362,20 @@ def _slice_window(
     steps = slice(first, last + 1)
     lb = vl.lb[steps].copy()
     lb[-1, 3] = min(floor_lb, v.soe_max_kwh)
-    if maximize_departure:
-        cost = np.zeros(lb.shape)
-        cost[-1, 3] = -1.0
-    else:
-        cost = vl.cost[steps]
     width = lb.shape[1]
     r0, r1, b0 = vl.start[first], vl.start[last + 1], vl.bal[first]
     lo, hi = vl.indptr[r0], vl.indptr[r1]
-    indptr = vl.indptr[r0:r1 + 1] - lo
-    terms = np.arange(lo, hi)
+    # a window from step 0 views the build's rows, so _Windows holds them once
+    indptr, indices, data = vl.indptr[r0:r1 + 1], vl.indices[lo:hi], vl.data[lo:hi]
     if first:  # soe[first - 1] leaves: the first term of the first balance row
-        terms = terms[terms != vl.indptr[b0]]
+        keep = np.arange(lo, hi) != vl.indptr[b0]
+        indptr = indptr - lo
         indptr[b0 - r0 + 1:] -= 1
+        indices, data = indices[keep] - first * width, data[keep]
     return lp.LpProblem(
-        f"window[{v.id},{first}..{last}]", lb.ravel(), vl.ub[steps].ravel(), cost.ravel(),
-        vl.var_names[first * width:(last + 1) * width], indptr, vl.indices[terms] - first * width,
-        vl.data[terms], vl.senses[r0:r1], _window_rhs(vl, first, last, init_soe), vl.row_names[r0:r1],
+        f"window[{v.id},{first}..{last}]", lb.ravel(), vl.ub[steps].ravel(), vl.cost[steps].ravel(),
+        vl.var_names[first * width:(last + 1) * width], indptr, indices, data, vl.senses[r0:r1],
+        _window_rhs(vl, first, last, init_soe), vl.row_names[r0:r1],
     )
 
 
@@ -389,6 +386,55 @@ def _window_rhs(vl: _VehicleLp, first: int, last: int, init_soe: float) -> np.nd
     rhs = vl.rhs[r0:vl.start[last + 1]].copy()
     rhs[b0 - r0] += init_soe
     return rhs
+
+
+class _Windows:
+    """The window LPs of one study call, built once and derived after.
+
+    Each vehicle's whole-horizon LP is built once per wear toggle and power
+    mode, for the first run that asks for it, at that run's costs. Each
+    window is cut from it once per step range and floor, which fix the
+    window's rows and bounds and so its crash (see lp._Start). The run that
+    built the vehicle gets each window it cuts as is; every other request
+    gets the cut derived with its own costs and arrival stock (see
+    lp.LpProblem.derive), so it solves on the crash and factor of the cut's
+    first solve, bit for bit as a fresh cut would.
+    """
+
+    def __init__(self) -> None:
+        self._builds: dict[tuple[int, bool, PowerMode], _VehicleLp] = {}
+        self._cuts: dict[tuple, lp.LpProblem] = {}
+
+    def vehicle(self, s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode) -> Callable[..., lp.LpProblem]:
+        """Vehicle ``v_idx``'s windows under the run ``(s, ct, power)``: a
+        function of ``(first, last, arrival, floor, maximize_departure=False)``
+        that returns the window LP over steps ``first..last`` with that
+        arrival stock and departure floor (see _slice_window), and raises
+        _FloorUnreachable for a floor above the SOE ceiling. With
+        ``maximize_departure`` the objective is the negated stock at step
+        ``last`` instead of the run's costs."""
+        key = (v_idx, ct.include_degradation, power)
+        builds = key not in self._builds
+        if builds:
+            self._builds[key] = _build_vehicle_lp(s, v_idx, ct, power)
+        vl = self._builds[key]
+        costs = vl.cost if builds else _cost_table(s, v_idx, ct)
+
+        def window(first: int, last: int, arrival: float, floor: float,
+                   maximize_departure: bool = False) -> lp.LpProblem:
+            cut = self._cuts.get((*key, first, last, floor))
+            if cut is None:
+                cut = self._cuts[(*key, first, last, floor)] = _slice_window(vl, first, last, arrival, floor)
+                if builds and not maximize_departure:
+                    return cut
+            if maximize_departure:  # the negated stock at step ``last``
+                cost = np.zeros((last + 1 - first, costs.shape[1]))
+                cost[-1, 3] = -1.0
+            else:
+                cost = costs[first:last + 1]
+            return cut.derive(cost.ravel(), _window_rhs(vl, first, last, arrival))
+
+        return window
 
 
 def _require_solvable(s: Scenario) -> None:
@@ -409,12 +455,15 @@ def build_evba(
     the sum of their optima.
     """
     _require_solvable(s)
+    return _days(_Windows(), s, ct, power)
+
+
+def _days(windows: _Windows, s: Scenario, ct: CostToggles, power: PowerMode) -> list[lp.LpProblem]:
+    """Each vehicle's whole-day window LP under the run ``(s, ct, power)``,
+    from ``windows``; the end-of-day stock floor is the initial stock."""
     last = s.horizon.step_count - 1
-    # the end-of-day stock floor is the initial stock
-    return [
-        _slice_window(_build_vehicle_lp(s, v_idx, ct, power), 0, last, v.soe_initial_kwh, v.soe_initial_kwh)
-        for v_idx, v in enumerate(s.vehicles)
-    ]
+    return [windows.vehicle(s, v_idx, ct, power)(0, last, v.soe_initial_kwh, v.soe_initial_kwh)
+            for v_idx, v in enumerate(s.vehicles)]
 
 
 # ---------------------------------------------------------------------------
@@ -639,33 +688,36 @@ def solve_evba_series(
 def _solve_evba(runs: Sequence[tuple[Scenario, CostToggles, PowerMode]]) -> list[FleetSchedule]:
     """``solve_evba(sp, ct, power)`` for each run ``(sp, ct, power)``, in order
     and bit for bit. The runs' scenarios may differ in their prices only (see
-    Scenario.with_prices).
+    Scenario.with_prices), so the first run's is the one validated.
 
-    Runs of one wear toggle and power mode differ in their objectives only.
-    The first of them has build_evba validate its scenario and build each
-    vehicle's whole-day LP; every later one solves that LP derived with its
-    own costs (see lp.LpProblem.derive), so it reuses the crash basis and
-    factor of the LP's first solve. The LPs are dropped after their last
-    run."""
-    last = {(ct.include_degradation, power): i for i, (_, ct, power) in enumerate(runs)}
-    days: dict[tuple[bool, PowerMode], list[lp.LpProblem]] = {}
-    out = []
-    for i, (sp, ct, power) in enumerate(runs):
-        key = (ct.include_degradation, power)
-        built = key in days
-        if not built:
-            days[key] = build_evba(sp, ct, power)
-        sols = []
-        for v_idx, day in enumerate(days[key] if i < last[key] else days.pop(key)):
-            sol = lp.solve(day.derive(_cost_table(sp, v_idx, ct).ravel()) if built else day)
-            if sol.status == lp.INFEASIBLE:
-                out.append(FleetSchedule.empty(sp, sol.status, _infeasibility_hint(sp, v_idx, power)))
-                break
-            if sol.status != lp.OPTIMAL:
-                message = f"vehicle {sp.vehicles[v_idx].id!r}: {_numerics_hint(sp, sol.status)}"
-                out.append(FleetSchedule.empty(sp, sol.status, message))
-                break
-            sols.append(sol)
-        else:
-            out.append(extract_schedule(sols, sp, ct))
+    Runs of one wear toggle and power mode differ in their objectives only,
+    so each such group is solved over one _Windows: its first run builds
+    each vehicle's whole-day LP, and every later one solves it derived with
+    its own costs, on the crash basis and factor of its first solve. A
+    group's LPs are dropped before the next group is built."""
+    if not runs:
+        return []
+    _require_solvable(runs[0][0])
+    groups: dict[tuple[bool, PowerMode], list[int]] = {}
+    for i, (_, ct, power) in enumerate(runs):
+        groups.setdefault((ct.include_degradation, power), []).append(i)
+    out: list[FleetSchedule | None] = [None] * len(runs)
+    for group in groups.values():
+        windows = _Windows()
+        for i in group:
+            out[i] = _solve_days(windows, *runs[i])
     return out
+
+
+def _solve_days(windows: _Windows, s: Scenario, ct: CostToggles, power: PowerMode) -> FleetSchedule:
+    """solve_evba of the run ``(s, ct, power)``, its LPs from ``windows``."""
+    sols = []
+    for v_idx, day in enumerate(_days(windows, s, ct, power)):
+        sol = lp.solve(day)
+        if sol.status == lp.INFEASIBLE:
+            return FleetSchedule.empty(s, sol.status, _infeasibility_hint(s, v_idx, power))
+        if sol.status != lp.OPTIMAL:
+            message = f"vehicle {s.vehicles[v_idx].id!r}: {_numerics_hint(s, sol.status)}"
+            return FleetSchedule.empty(s, sol.status, message)
+        sols.append(sol)
+    return extract_schedule(sols, s, ct)

@@ -7,12 +7,13 @@ departure stock must reach a policy floor (or the end-of-day floor for the
 last session). A session LP sees only the prices of its own window, so the
 optimizer at one plug is blind to prices elsewhere in the day.
 
-Each session LP is a slice of its vehicle's whole-horizon LP, which
-solve_evca builds once per vehicle per call (see evba._slice_window); the
-best-effort re-solves are slices of the same build. solve_evca_series solves
-one scenario under several price series in one pass: it builds each vehicle
-once and cuts each session's window once, and every further series solves
-that window derived with its own costs and arrival stock.
+Each session LP is a slice of its vehicle's whole-horizon LP, taken from an
+evba._Windows that lives for one call, so each vehicle is built once and
+each session window cut once per floor; the best-effort re-solves are
+windows of the same build. solve_evca is one chronological pass over a
+fresh _Windows. solve_evca_series makes that pass once per price series
+over one shared _Windows, so every series after the first solves each
+window derived with its own costs and arrival stock.
 
 Sessions of one vehicle are strictly sequential because state chains through
 them; different vehicles are independent.
@@ -21,7 +22,7 @@ them; different vehicles are independent.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,14 +36,10 @@ from .evba import (
     PowerMode,
     SessionResult,
     _assemble,
-    _build_vehicle_lp,
     _FloorUnreachable,
-    _cost_table,
     _numerics_hint,
     _require_solvable,
-    _slice_window,
-    _VehicleLp,
-    _window_rhs,
+    _Windows,
     _window_schedule,
 )
 
@@ -121,37 +118,23 @@ def chain_arrival_soe(prev_depart_soe: float, trip_energy_kwh: float, v: Vehicle
     return arrival
 
 
-def _solve_session(s: Scenario, problem: lp.LpProblem, session: Session) -> lp.LpSolution | None:
-    """A session LP's optimal solution, or None when it is infeasible.
-
-    Any other non-optimal status raises ArithmeticError naming the session.
-    """
+def _solve_session(
+    s: Scenario, window, session: Session, arrival: float, floor: float, maximize_departure: bool = False
+) -> lp.LpSolution | None:
+    """The optimal solution of ``session``'s LP, cut by ``window`` (see
+    evba._Windows.vehicle), or None when it is infeasible, its floor out of
+    reach included. Any other non-optimal status raises ArithmeticError
+    naming the session."""
+    try:
+        problem = window(session.arrive_step, session.depart_step, arrival, floor, maximize_departure)
+    except _FloorUnreachable:
+        return None
     sol = lp.solve(problem)
     if sol.status == lp.INFEASIBLE:
         return None
     if sol.status != lp.OPTIMAL:
         raise ArithmeticError(f"{session.describe()}: {_numerics_hint(s, sol.status)}")
     return sol
-
-
-def _solve_session_lp(
-    s: Scenario,
-    vl: _VehicleLp,
-    session: Session,
-    arrival: float,
-    floor: float,
-    maximize_departure: bool = False,
-) -> lp.LpSolution | None:
-    """One session LP, sliced from its vehicle's LP ``vl``; None when
-    infeasible, its floor out of reach included (see _solve_session)."""
-    try:
-        problem = _slice_window(
-            vl, session.arrive_step, session.depart_step, arrival, floor,
-            maximize_departure=maximize_departure,
-        )
-    except _FloorUnreachable:
-        return None
-    return _solve_session(s, problem, session)
 
 
 def solve_evca(
@@ -170,10 +153,8 @@ def solve_evca(
     to the maximum reachable stock and recorded as a warning instead of
     raising SessionInfeasibleError.
     """
-    fs = _solve_evca(s, [s.prices], policy, ct, power, best_effort)[0]
-    if isinstance(fs, Exception):
-        raise fs
-    return fs
+    _check_policy(s, policy)
+    return _solve_evca(s, derive_sessions(s), policy, ct, power, best_effort, _Windows())
 
 
 def solve_evca_series(
@@ -186,35 +167,30 @@ def solve_evca_series(
     best_effort: bool = False,
 ) -> list[FleetSchedule | ItineraryError | SessionInfeasibleError]:
     """``solve_evca(s.with_prices(ps), ...)`` for each price series, bit for
-    bit, with the scenario validated, each vehicle's LP built and each
-    session window cut once (see _solve_evca). A series whose itinerary
-    fails or whose session is infeasible gets the exception that
-    solve_evca raises returned in its place, and the other series go on;
-    any other exception propagates."""
-    if not price_sets:
-        return []
-    return _solve_evca(s.with_prices(price_sets[0]), price_sets, policy, ct, power, best_effort)
+    bit, with the scenario validated once and the series' passes over one
+    _Windows, so each vehicle's LP is built and each session window cut once.
+    A series whose itinerary fails or whose session is infeasible gets the
+    exception that solve_evca raises returned in its place, and the other
+    series go on; any other exception propagates."""
+    out: list[FleetSchedule | ItineraryError | SessionInfeasibleError] = []
+    windows = _Windows()
+    for ps in price_sets:
+        sp = s.with_prices(ps)
+        if not out:  # the first series' checks hold for every series: only the prices differ
+            _check_policy(sp, policy)
+            sessions = derive_sessions(sp)
+            s = sp  # so the later series share its plugs table (see Scenario.with_prices)
+        try:
+            out.append(_solve_evca(sp, sessions, policy, ct, power, best_effort, windows))
+        except (ItineraryError, SessionInfeasibleError) as exc:
+            out.append(exc)
+    return out
 
 
-def _solve_evca(
-    s: Scenario,
-    price_sets: Sequence[PriceSeries],
-    policy: SoePolicy,
-    ct: CostToggles,
-    power: PowerMode,
-    best_effort: bool,
-) -> list[FleetSchedule | ItineraryError | SessionInfeasibleError]:
-    """solve_evca of ``s`` under each price series, ``s``'s own first, with a
-    failed series' exception in its place.
-
-    The series differ only in their costs and, through the sessions before,
-    in each session's arrival stock, which is its window's right-hand side.
-    So each session's window is cut once, for the first series that reaches
-    it, and every further series solves it derived with its own costs and
-    arrival stock (see lp.LpProblem.derive), reusing the crash basis and
-    factor of its first solve. A best-effort floor depends on the series'
-    arrival stock, so its window is cut for that series alone.
-    """
+def _check_policy(s: Scenario, policy: SoePolicy) -> None:
+    """Raise ScenarioError unless ``s`` is solvable (see
+    evba._require_solvable) and ``policy``'s floor is at least every
+    vehicle's minimum SOE fraction."""
     _require_solvable(s)
     if not (policy.depart_min_frac >= 0.0):
         raise ScenarioError("policy floor must be a fraction >= 0")
@@ -225,97 +201,82 @@ def _solve_evca(
                 f"minimum SOE fraction {v.soe_min_frac}"
             )
 
-    sessions = derive_sessions(s)
-    frames = [_build_vehicle_lp(s, v_idx, ct, power) if ses else None for v_idx, ses in enumerate(sessions)]
-    # the LPs above read s.plugs, so every copy shares that table (see Scenario.with_prices)
-    scenarios = [s, *(s.with_prices(ps) for ps in price_sets[1:])]
-    failed: list[ItineraryError | SessionInfeasibleError | None] = [None] * len(scenarios)
-    windows: list[list] = [[] for _ in scenarios]
-    traces: list[list[SessionResult]] = [[] for _ in scenarios]
-    warnings: list[list[str]] = [[] for _ in scenarios]
-    for v_idx, (v, vl) in enumerate(zip(s.vehicles, frames)):
+
+def _solve_evca(
+    s: Scenario,
+    sessions: list[list[Session]],
+    policy: SoePolicy,
+    ct: CostToggles,
+    power: PowerMode,
+    best_effort: bool,
+    windows: _Windows,
+) -> FleetSchedule:
+    """solve_evca of a checked scenario ``s`` with its ``sessions``, each
+    session LP cut by ``windows``."""
+    solved = []
+    traces: list[SessionResult] = []
+    warnings: list[str] = []
+    for v_idx, (v, sessions_v) in enumerate(zip(s.vehicles, sessions)):
         trips_v = s.trips.energy_kwh[v_idx]
-        live = [j for j, exc in enumerate(failed) if exc is None]
-        if vl is None:
+        if not sessions_v:
             if trips_v.sum() > 0:
-                for j in live:
-                    failed[j] = ItineraryError(
-                        f"vehicle {v.id!r}: has trips but no charging opportunity, "
-                        f"end-of-day stock floor cannot be met"
-                    )
-            continue
-        costs = {j: vl.cost if j == 0 else _cost_table(scenarios[j], v_idx, ct) for j in live}
-        running = dict.fromkeys(live, v.soe_initial_kwh)
-        prev_end = -1
-        for k, session in enumerate(sessions[v_idx]):
-            first, last = session.arrive_step, session.depart_step
-            gap_trips = float(trips_v[prev_end + 1 : first].sum())
-            if k == len(sessions[v_idx]) - 1:
-                post_trips = float(trips_v[last + 1 :].sum())
-                session_floor = v.soe_initial_kwh + post_trips / v.eta_run
-                session_note = "end-of-day floor"
-            else:
-                session_floor = policy.floor_kwh(v)
-                session_note = ""
-            shared: lp.LpProblem | None = None  # the window at the session floor
-            unreachable = False
-            for j in live:
-                sp = scenarios[j]
-                try:
-                    arrival = chain_arrival_soe(running[j], gap_trips, v)
-                except ItineraryError as exc:
-                    failed[j] = ItineraryError(f"{exc} (before {session.describe()})")
-                    continue
-                arrival = min(arrival, v.soe_max_kwh)
-                floor, note = session_floor, session_note
-                if shared is None and not unreachable:
-                    try:
-                        shared = _slice_window(vl, first, last, arrival, floor)
-                    except _FloorUnreachable:
-                        unreachable = True
-                sol = None
-                if not unreachable:
-                    problem = shared if j == 0 else shared.derive(costs[j][first:last + 1].ravel(),
-                                                                  _window_rhs(vl, first, last, arrival))
-                    sol = _solve_session(sp, problem, session)
-                if sol is None and best_effort:
-                    relaxed = _solve_session_lp(sp, vl, session, arrival, v.soe_min_kwh, maximize_departure=True)
-                    if relaxed is not None:
-                        # the relaxed objective is minus the departure stock
-                        reachable = min(-relaxed.objective, v.soe_max_kwh)
-                        warnings[j].append(
-                            f"{session.describe()}: floor {floor:.3f} kWh unreachable, "
-                            f"lowered to {reachable:.3f} kWh"
-                        )
-                        note = (note + "; " if note else "") + "best-effort floor"
-                        floor = reachable - 1e-9
-                        sol = _solve_session_lp(sp, replace(vl, cost=costs[j]), session, arrival, floor)
-                if sol is None:
-                    failed[j] = SessionInfeasibleError(
-                        f"{session.describe()}: no feasible schedule reaches the departure "
-                        f"floor {floor:.3f} kWh from arrival stock {arrival:.3f} kWh"
-                    )
-                    continue
-                arrays = _window_schedule(v, sol, ct)
-                windows[j].append((v_idx, session.steps, arrays, sol.objective))
-                depart_soe = float(arrays[3][-1])
-                traces[j].append(
-                    SessionResult(
-                        vehicle=v.id,
-                        cp=session.cp,
-                        arrive_step=first,
-                        depart_step=last,
-                        arrival_soe_kwh=arrival,
-                        depart_soe_kwh=depart_soe,
-                        floor_kwh=float(floor),
-                        cost_eur=float(sol.objective),
-                        note=note,
-                    )
+                raise ItineraryError(
+                    f"vehicle {v.id!r}: has trips but no charging opportunity, "
+                    f"end-of-day stock floor cannot be met"
                 )
-                running[j] = depart_soe
-            live = [j for j in live if failed[j] is None]
-            prev_end = last
-    return [
-        _assemble(sp, ct, windows[j], warnings=warnings[j], sessions=traces[j]) if exc is None else exc
-        for j, (sp, exc) in enumerate(zip(scenarios, failed))
-    ]
+            continue
+        window = windows.vehicle(s, v_idx, ct, power)
+        running = v.soe_initial_kwh
+        prev_end = -1
+        for k, session in enumerate(sessions_v):
+            gap_trips = float(trips_v[prev_end + 1 : session.arrive_step].sum())
+            try:
+                arrival = chain_arrival_soe(running, gap_trips, v)
+            except ItineraryError as exc:
+                raise ItineraryError(f"{exc} (before {session.describe()})") from None
+            arrival = min(arrival, v.soe_max_kwh)
+            if k == len(sessions_v) - 1:
+                post_trips = float(trips_v[session.depart_step + 1 :].sum())
+                floor = v.soe_initial_kwh + post_trips / v.eta_run
+                note = "end-of-day floor"
+            else:
+                floor = policy.floor_kwh(v)
+                note = ""
+
+            sol = _solve_session(s, window, session, arrival, floor)
+            if sol is None and best_effort:
+                relaxed = _solve_session(s, window, session, arrival, v.soe_min_kwh, maximize_departure=True)
+                if relaxed is not None:
+                    # the relaxed objective is minus the departure stock
+                    reachable = min(-relaxed.objective, v.soe_max_kwh)
+                    warnings.append(
+                        f"{session.describe()}: floor {floor:.3f} kWh unreachable, "
+                        f"lowered to {reachable:.3f} kWh"
+                    )
+                    note = (note + "; " if note else "") + "best-effort floor"
+                    floor = reachable - 1e-9
+                    sol = _solve_session(s, window, session, arrival, floor)
+            if sol is None:
+                raise SessionInfeasibleError(
+                    f"{session.describe()}: no feasible schedule reaches the departure "
+                    f"floor {floor:.3f} kWh from arrival stock {arrival:.3f} kWh"
+                )
+            arrays = _window_schedule(v, sol, ct)
+            solved.append((v_idx, session.steps, arrays, sol.objective))
+            depart_soe = float(arrays[3][-1])
+            traces.append(
+                SessionResult(
+                    vehicle=v.id,
+                    cp=session.cp,
+                    arrive_step=session.arrive_step,
+                    depart_step=session.depart_step,
+                    arrival_soe_kwh=arrival,
+                    depart_soe_kwh=depart_soe,
+                    floor_kwh=float(floor),
+                    cost_eur=float(sol.objective),
+                    note=note,
+                )
+            )
+            running = depart_soe
+            prev_end = session.depart_step
+    return _assemble(s, ct, solved, warnings=warnings, sessions=traces)

@@ -365,7 +365,8 @@ def window_lp_by_rows(
     the wear cost itself, bounded below by both planes in two rows per step,
     and dch pays no slope: the wear model before the one-row form. With
     ``maximize_departure`` the feasible set is the same and the objective is
-    the negated stock at the last step.
+    the negated stock at the last step, the best-effort objective that
+    ``evba._Windows`` derives a window with.
     """
     v = s.vehicles[v_idx]
     cap = v.capacity_kwh

@@ -6,11 +6,12 @@ import dataclasses
 import itertools
 import json
 import os
+import weakref
 
 import numpy as np
 import pytest
 
-from evdispatch import analysis, charts, cli, evba, evca, lp
+from evdispatch import analysis, charts, cli, evba, lp
 from evdispatch.analysis import (
     AblationStudy,
     OrderingError,
@@ -508,9 +509,7 @@ def test_compare_builds_each_crash_and_vehicle_lp_once_per_model(example_scenari
 
     monkeypatch.setattr(lp, "_crash_picks", counted("crash", lp._crash_picks))
     monkeypatch.setattr(lp, "solve", counted("solve", lp.solve))
-    build = counted("frame", evba._build_vehicle_lp)
-    monkeypatch.setattr(evba, "_build_vehicle_lp", build)
-    monkeypatch.setattr(evca, "_build_vehicle_lp", build)
+    monkeypatch.setattr(evba, "_build_vehicle_lp", counted("frame", evba._build_vehicle_lp))
     prices = [generate_price_set(v, seed=1) for v in ("high", "medium", "low")]
     report = compare_aggregators(example_scenario, prices)
     assert [c.status for c in report.cells] == ["optimal"] * 9
@@ -545,6 +544,29 @@ def test_ablations_build_and_crash_each_vehicle_lp_once_per_wear_toggle_and_powe
     assert counts == {"crash": 4 * 3, "frame": 4 * 3, "solve": 4 * 3}
 
 
+def test_cost_ablation_holds_one_wear_group_of_vehicle_builds_at_a_time(example_scenario, high_prices, monkeypatch):
+    # of1, of3 and of4 solve over one group of vehicle builds, of2 and of5
+    # over the other; no build of one group, nor an array of it that a window
+    # LP still views, is alive while a build of the other group is made
+    built: list[tuple[bool, list[weakref.ref]]] = []
+    build = evba._build_vehicle_lp
+
+    def watched(s, v_idx, ct, power):
+        alive = [wear for wear, refs in built if any(ref() is not None for ref in refs)]
+        assert set(alive) <= {ct.include_degradation}, (v_idx, ct, power)
+        vl = build(s, v_idx, ct, power)
+        arrays = [x for x in vars(vl).values() if isinstance(x, np.ndarray)]
+        built.append((ct.include_degradation, [weakref.ref(x) for x in (vl, *arrays)]))
+        return vl
+
+    monkeypatch.setattr(evba, "_build_vehicle_lp", watched)
+    for power in PowerMode:
+        built.clear()
+        study = run_cost_ablation(example_scenario, high_prices, power)
+        assert [r.status for r in study.reports] == ["optimal"] * 5
+        assert [wear for wear, _ in built] == [False] * 3 + [True] * 3, power
+
+
 def _example_with_a_long_ev1_trip(example_scenario) -> Scenario:
     """The example with ev1's second trip 10.8 kWh and its leisure plug from
     step 23 only: infeasible under a flat 4 kW cap, feasible under any other."""
@@ -558,7 +580,9 @@ def _example_with_a_long_ev1_trip(example_scenario) -> Scenario:
 @pytest.mark.parametrize("seed", ["example", "long-trip", 3, 5, 8])
 def test_every_ablation_variant_equals_a_fresh_solve_bit_for_bit(seed, example_scenario, monkeypatch):
     # each variant's schedule and each window LP's SolveStats, in solve order,
-    # equal those of one solve_evba call per variant
+    # equal those of one solve_evba call per variant; a study solves the runs
+    # of each wear toggle and power mode together, groups in order of their
+    # first run (of1, of3, of4, then of2, of5), and reports them in run order
     named = {"example": example_scenario, "long-trip": _example_with_a_long_ev1_trip(example_scenario)}
     s = named[seed] if seed in named else random_scenario(seed)
     prices = generate_price_set("high", seed=seed if isinstance(seed, int) else 1)
@@ -582,7 +606,12 @@ def test_every_ablation_variant_equals_a_fresh_solve_bit_for_bit(seed, example_s
     studies += [(run_power_ablation(s, prices, ct), [(ct, power) for power in PowerMode])
                 for ct in evba.OBJECTIVE_VARIANTS.values()]
     ablated, solved = solved, []
-    fresh = [solve_evba(sp, ct, power) for _, variants in studies for ct, power in variants]
+    fresh = []
+    for _, variants in studies:
+        keys = [(ct.include_degradation, power) for ct, power in variants]
+        order = [i for key in dict.fromkeys(keys) for i, k in enumerate(keys) if k == key]
+        by_run = {i: solve_evba(sp, *variants[i]) for i in order}
+        fresh += [by_run[i] for i in range(len(variants))]
     assert solved and ablated == solved
     assert len(schedules) == len(fresh) == 40
     assert all(map(same_outcome, schedules, fresh))

@@ -242,6 +242,9 @@ def test_nearly_feasible_window_is_reported_infeasible(example_path, tmp_path, c
                  "--out", str(out)]) == 0
     variants = json.loads((out / "cost_ablation.json").read_text())["variants"]
     assert [v["status"] for v in variants] == ["infeasible"] * 5
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 5
+    assert all(line.startswith(f"variant of{i}: infeasible vehicle 'ev1': ") for i, line in enumerate(lines, 1))
 
     out = tmp_path / "compare"
     assert main(["compare", "--scenario", path, "--seed", "1", "--out", str(out)]) == 1
@@ -437,7 +440,7 @@ def test_policy_floor_below_a_vehicle_minimum_exit_1_naming_it(example_path, tmp
     assert not out.exists()
 
 
-def test_infeasible_ablation_variant_has_a_null_cost(example_path, tmp_path):
+def _long_trip_path(example_path, tmp_path) -> Path:
     # ev1 cannot cover a 10.8 kWh trip at 4 kW, but can with its 8 kW plug
     data = json.loads(Path(example_path).read_text())
     for trip in data["trips"]:
@@ -448,6 +451,11 @@ def test_infeasible_ablation_variant_has_a_null_cost(example_path, tmp_path):
             plug["from_step"] = 23
     path = tmp_path / "scen.json"
     path.write_text(json.dumps(data))
+    return path
+
+
+def test_infeasible_ablation_variant_has_a_null_cost(example_path, tmp_path):
+    path = _long_trip_path(example_path, tmp_path)
     out = tmp_path / "report"
     rc = main(["ablate-power", "--scenario", str(path), "--gen-prices", "high", "--seed", "1",
                "--out", str(out)])
@@ -473,18 +481,25 @@ def test_infeasible_ablation_variant_has_a_null_cost(example_path, tmp_path):
     assert ">fixed_4kw</text>" in svg
 
 
+def test_infeasible_ablation_variant_names_why_on_stderr(example_path, tmp_path, capsys):
+    # the same infeasible 4 kW variant: the report files hold no message, so
+    # stderr says why, one line per variant that did not solve, as compare
+    # does for its cells; an unsolved variant is a finding, so the exit is 0
+    path = _long_trip_path(example_path, tmp_path)
+    out = tmp_path / "report"
+    assert main(["ablate-power", "--scenario", str(path), "--gen-prices", "high", "--seed", "1",
+                 "--out", str(out)]) == 0
+    why = "vehicle 'ev1': end-of-day stock floor 12.000 kWh unreachable (best 11.800 kWh)"
+    assert capsys.readouterr().err == f"variant fixed_4kw: infeasible {why}\n"
+    study = analysis.run_power_ablation(load_scenario(str(path)), generate_price_set("high", seed=1))
+    assert [r.message for r in study.reports] == [why, "", "", ""]
+    assert not any(why in p.read_text() for p in out.iterdir())
+
+
 def test_infeasible_ablation_variant_reports_no_flows_or_audit(example_path, tmp_path):
     # the same infeasible 4 kW variant: it has no schedule, so nothing of one
     # is reported, where zeros would read as a schedule that moves no energy
-    data = json.loads(Path(example_path).read_text())
-    for trip in data["trips"]:
-        if trip["vehicle"] == "ev1" and trip["step"] == 15:
-            trip["energy_kwh"] = 10.8
-    for plug in data["connectivity"]:
-        if plug["vehicle"] == "ev1" and plug["cp"] == "leisure":
-            plug["from_step"] = 23
-    path = tmp_path / "scen.json"
-    path.write_text(json.dumps(data))
+    path = _long_trip_path(example_path, tmp_path)
     out = tmp_path / "report"
     assert main(["ablate-power", "--scenario", str(path), "--gen-prices", "high", "--seed", "1",
                  "--out", str(out)]) == 0

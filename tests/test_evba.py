@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from evdispatch import evca, lp
+from evdispatch import evba, evca, lp
 from evdispatch.analysis import check_schedule, generate_price_set
 from evdispatch.domain import (
     ChargingPoint,
@@ -34,6 +34,7 @@ from evdispatch.evba import (
     build_evba,
     cost_toggles_for,
     _slice_window,
+    _Windows,
     extract_schedule,
     solve_evba,
     solve_evba_series,
@@ -419,13 +420,16 @@ def _same_problem(got: lp.LpProblem, ref: lp.LpProblem) -> bool:
     )
 
 
-def _build_both(s, v_idx, steps, init_soe, floor, ct, power, **kwargs):
-    """The window LP sliced from the vehicle's array build and from the
-    row-by-row reference, or the exception type each raised."""
+def _build_both(s, v_idx, steps, init_soe, floor, ct, power, maximize_departure=False):
+    """The window LP sliced from the vehicle's array build, through a
+    _Windows memo for the best-effort objective, and from the row-by-row
+    reference, or the exception type each raised."""
+    first, last = int(steps[0]), int(steps[-1])
     builds = (
-        lambda: _slice_window(_build_vehicle_lp(s, v_idx, ct, power), int(steps[0]), int(steps[-1]),
-                              init_soe, floor, **kwargs),
-        lambda: window_lp_by_rows(s, v_idx, steps, init_soe, floor, ct, power, **kwargs),
+        lambda: (_Windows().vehicle(s, v_idx, ct, power)(first, last, init_soe, floor, True) if maximize_departure
+                 else _slice_window(_build_vehicle_lp(s, v_idx, ct, power), first, last, init_soe, floor)),
+        lambda: window_lp_by_rows(s, v_idx, steps, init_soe, floor, ct, power,
+                                  maximize_departure=maximize_departure),
     )
     out = []
     for build in builds:
@@ -476,6 +480,7 @@ def test_session_slices_match_the_row_by_row_reference(seed, example_scenario):
     for (label, ct), power in itertools.product(OBJECTIVE_VARIANTS.items(), PowerMode):
         for v_idx, v in enumerate(s.vehicles):
             vl = _build_vehicle_lp(s, v_idx, ct, power)  # one build for all of its sessions
+            window = _Windows().vehicle(s, v_idx, ct, power)  # ... and one for the best-effort objective
             for k, session in enumerate(sessions[v_idx]):
                 arrival = v.soe_min_kwh + (k + 1) / (len(sessions[v_idx]) + 1) * (v.soe_max_kwh - v.soe_min_kwh)
                 post_trips = float(s.trips.energy_kwh[v_idx, session.depart_step + 1:].sum())
@@ -489,8 +494,8 @@ def test_session_slices_match_the_row_by_row_reference(seed, example_scenario):
                 for floor, maximize in cases:
                     args = (arrival, floor)
                     try:
-                        got = _slice_window(vl, session.arrive_step, session.depart_step, *args,
-                                            maximize_departure=maximize)
+                        got = (window(session.arrive_step, session.depart_step, *args, True) if maximize
+                               else _slice_window(vl, session.arrive_step, session.depart_step, *args))
                     except _FloorUnreachable:
                         got = _FloorUnreachable
                     try:
@@ -571,6 +576,25 @@ def test_cost_breakdown_from_arrays_equals_the_step_loop_bit_for_bit(seed):
 
 def _price_sets(seed, step_count: int = 24) -> list[PriceSeries]:
     return [generate_price_set(level, seed=seed, step_count=step_count) for level in ("low", "medium", "high")]
+
+
+def test_one_call_solves_each_window_as_cut_at_its_own_costs(example_with_high, monkeypatch):
+    # a single solve builds each vehicle at its own costs, so it derives no
+    # window and tables no costs beyond its 3 builds'
+    calls = {"derive": 0, "costs": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(lp.LpProblem, "derive", counted("derive", lp.LpProblem.derive))
+    monkeypatch.setattr(evba, "_cost_table", counted("costs", evba._cost_table))
+    for solve in (lambda: solve_evba(example_with_high), lambda: evca.solve_evca(example_with_high, evca.LOW_SOE)):
+        calls.update(derive=0, costs=0)
+        assert solve().status == "optimal"
+        assert calls == {"derive": 0, "costs": 3}
 
 
 @pytest.mark.parametrize("seed", [*range(12), "example"])

@@ -15,6 +15,7 @@ from evdispatch.domain import (
     Horizon,
     PriceSeries,
     Scenario,
+    ScenarioError,
     TripPlan,
     Vehicle,
 )
@@ -389,3 +390,26 @@ def test_a_vehicle_with_trips_and_no_session_fails_every_series():
     assert all(map(same_outcome, got, _one_call_per_series(s, sets, LOW_SOE, OF1)))
     assert all(isinstance(exc, ItineraryError) for exc in got)
     assert solve_evca_series(s, [], LOW_SOE) == []
+
+
+def test_several_series_check_the_scenario_the_policy_and_each_series_as_one_call_per_series(example_scenario):
+    sets = [generate_price_set(level, seed=1) for level in ("low", "medium", "high")]
+    short = PriceSeries("short", np.zeros(23))
+    v = dataclasses.replace(example_scenario.vehicles[0], capacity_kwh=-1.0)
+    broken = dataclasses.replace(example_scenario, vehicles=(v, *example_scenario.vehicles[1:]))
+    below_min = SoePolicy(0.1)  # every vehicle of the example keeps 20%
+    cases = [
+        (example_scenario, [sets[0], short], LOW_SOE, "price series 'short' has 23 steps"),
+        (broken, sets, LOW_SOE, "invalid scenario"),
+        (broken, [sets[0], short], LOW_SOE, "invalid scenario"),
+        (broken, [short, sets[0]], LOW_SOE, "price series 'short' has 23 steps"),
+        (example_scenario, sets, below_min, "policy floor 0.1 below vehicle 'ev1'"),
+        (example_scenario, [sets[0], short], below_min, "policy floor 0.1 below vehicle 'ev1'"),
+        (broken, sets, below_min, "invalid scenario"),
+    ]
+    for s, price_sets, policy, first in cases:
+        with pytest.raises(ScenarioError) as one:
+            _one_call_per_series(s, price_sets, policy)
+        with pytest.raises(ScenarioError) as several:
+            solve_evca_series(s, price_sets, policy)
+        assert str(several.value) == str(one.value) and str(one.value).startswith(first), (first, policy)
