@@ -42,6 +42,7 @@ from .evba import (
     CostToggles,
     FleetSchedule,
     PowerMode,
+    _require_solvable,
     _solve_evba,
     cost_toggles_for,
     solve_evba_series,
@@ -189,11 +190,11 @@ def generate_price_set(
         scale = _VOLATILITY_SCALE[volatility]
     except KeyError:
         raise ValueError(f"volatility must be one of {sorted(_VOLATILITY_SCALE)}, got {volatility!r}") from None
-    if not (isinstance(step_count, (int, np.integer)) and step_count >= 1):
+    if not (isinstance(step_count, (int, np.integer)) and not isinstance(step_count, bool) and step_count >= 1):
         raise ValueError(f"step_count must be an integer >= 1, got {step_count}")
     if not (np.isfinite(step_hours) and step_hours > 0):
         raise ValueError(f"step_hours must be finite and > 0, got {step_hours}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):
+    if not (isinstance(seed, (int, np.integer)) and not isinstance(seed, bool) and seed >= 0):
         raise ValueError(f"seed must be a non-negative integer, got {seed}")
     hour = np.arange(step_count, dtype=float) * step_hours
     shape = (
@@ -349,6 +350,7 @@ def _ablation(
     solved, cost(lo) exceeds cost(hi).
     """
     sp = s.with_prices(prices)
+    _require_solvable(sp)
     reports: list[AblationReport] = []
     costs: dict[str, float] = {}
     schedules = _solve_evba([(sp, ct, power) for _, ct, power in variants])

@@ -11,15 +11,17 @@ Dantzig-Wolfe or Lagrangian coordination of these LPs; that is out of scope.
 
 Every window LP, the whole day here and each session in the station model
 (evca), is a slice of one vehicle build: _build_vehicle_lp assembles the
-vehicle's whole-horizon LP once, with no arrival stock and no floor, and
-_slice_window cuts a window's variables and rows out of it and sets its
-arrival stock and floor. A station session is the same per-vehicle LP over
-a shorter window. Both models take their window LPs from a _Windows, which
-lives for one study call and is the one place that decides what is built,
-cut or derived: it builds each vehicle once per wear toggle and power mode
-and cuts each window once per step range and floor, and every request but
-the building run's solves the cut derived with its own costs and arrival
-stock (see lp.LpProblem.derive), on the crash and factor of its first solve.
+vehicle's whole-horizon LP once, with no prices, no arrival stock and no
+floor, and _slice_window cuts a window's variables and rows out of it, at
+zero costs, and sets its floor. A build depends only on the scenario,
+vehicle, wear toggle and power mode. A station session is the same
+per-vehicle LP over a shorter window. Both models take their window LPs from
+a _Windows, which lives for one study call and is the one place that decides
+what is built, cut or derived: it builds each vehicle once per wear toggle
+and power mode and cuts each window once per step range and floor, and every
+window a run solves is the cut derived with the run's costs (_cost_table)
+and arrival stock (see lp.LpProblem.derive), on the crash and factor of the
+cut's first solve.
 
 Decision variables per vehicle and step: slow charge, grid discharge, fast
 charge (all kWh, grid side) and state of energy (kWh). When the wear term is
@@ -35,10 +37,10 @@ step's plug kind, power limit and fees are read from ``Scenario.plugs``, the
 table the cost breakdown reads too.
 
 Every fleet solve goes through _solve_evba, which takes a sequence of runs:
-a priced scenario, cost toggles and a power mode each, and validates the
-first run's scenario once. Runs with the same wear toggle and power mode
-share every variable, row and bound, so each such group is solved together
-over one _Windows, which is dropped before the next group is built.
+a priced scenario, cost toggles and a power mode each, the first run's
+scenario validated once by the caller. Runs with the same wear toggle and
+power mode share every variable, row and bound, so each such group is solved
+together over one _Windows, which is dropped before the next group is built.
 solve_evba is one run, solve_evba_series one run per price series, and each
 of analysis's ablations one run per variant.
 
@@ -244,11 +246,11 @@ class _StepNames(Sequence):
 
 @dataclass(frozen=True)
 class _VehicleLp:
-    """One vehicle's LP over the whole horizon, with no arrival stock and no
-    floor: the arrays that every window LP of the vehicle is sliced from.
-    Only ``cost`` depends on the prices (see _cost_table).
+    """One vehicle's LP over the whole horizon, with no prices, no arrival
+    stock and no floor: the arrays that every window LP of the vehicle is
+    sliced from.
 
-    ``lb``, ``ub`` and ``cost`` hold one row per step, and the rows are in
+    ``lb`` and ``ub`` hold one row per step, and the rows are in
     compressed sparse row form over the whole horizon's variables. Step
     ``t`` has rows ``start[t]:start[t + 1]`` and its balance row is
     ``bal[t]``.
@@ -257,7 +259,6 @@ class _VehicleLp:
     v: Vehicle
     lb: np.ndarray
     ub: np.ndarray
-    cost: np.ndarray
     var_names: _StepNames
     indptr: np.ndarray
     indices: np.ndarray
@@ -269,19 +270,18 @@ class _VehicleLp:
     bal: np.ndarray
 
 
-def _build_vehicle_lp(s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode) -> _VehicleLp:
-    """Vehicle ``v_idx``'s LP over the whole horizon, with no arrival stock and
-    no floor; _slice_window cuts each window LP out of it.
+def _build_vehicle_lp(s: Scenario, v_idx: int, wear: bool, power: PowerMode) -> _VehicleLp:
+    """Vehicle ``v_idx``'s LP over the whole horizon, with no prices, no
+    arrival stock and no floor; _slice_window cuts each window LP out of it.
 
     Variables run per step in the order sch, dch, fch, soe and, when wear is
-    priced, udeg (the wear above the discharge slope's share), so a solution
-    vector reshapes to one row per step (see _window_schedule). Rows run per
-    step in the order cv (where the taper applies), bal and, when wear is
-    priced, deg: a step has ``has_cv + 2`` rows with wear priced and
-    ``has_cv + 1`` without. With wear priced dch's cost includes the slope
-    ``discharge_wear_slope``. The balance row of a step after the first has
-    the previous step's soe as its first term. Nothing is validated here:
-    each window LP checks what it takes.
+    priced (``wear``), udeg (the wear above the discharge slope's share), so
+    a solution vector reshapes to one row per step (see _window_schedule).
+    Rows run per step in the order cv (where the taper applies), bal and,
+    when wear is priced, deg: a step has ``has_cv + 2`` rows with wear
+    priced and ``has_cv + 1`` without. The balance row of a step after the
+    first has the previous step's soe as its first term. Nothing is
+    validated here: each window LP checks what it takes.
     """
     v = s.vehicles[v_idx]
     cap = v.capacity_kwh
@@ -290,19 +290,19 @@ def _build_vehicle_lp(s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode
     slow_cap, fast_cap = _caps(s, v_idx, power)
 
     # variables: one row of these tables per step
-    kinds = ["sch", "dch", "fch", "soe", "udeg"][: 5 if ct.include_degradation else 4]
+    kinds = ["sch", "dch", "fch", "soe", "udeg"][: 5 if wear else 4]
     lb, ub = np.zeros((k, len(kinds))), np.empty((k, len(kinds)))
     ub[:, 0] = ub[:, 1] = slow_cap
     ub[:, 2] = fast_cap
     lb[:, 3], ub[:, 3] = v.soe_min_kwh, v.soe_max_kwh
-    if ct.include_degradation:
+    if wear:
         ub[:, 4] = lp.INF
     sch, dch, fch, soe, *udeg = np.arange(k * len(kinds)).reshape(k, len(kinds)).T
 
     # rows: each step's rows follow those of earlier steps
     taper = v.soe_cv_frac < 1.0 - 1e-12 and power is not PowerMode.CP_ONLY
     has_cv = (slow_cap > 0.0) & taper  # charge taper above the CC/CV breakpoint; slow charging only
-    start = np.concatenate([[0], (has_cv + (2 if ct.include_degradation else 1)).cumsum()])
+    start = np.concatenate([[0], (has_cv + (2 if wear else 1)).cumsum()])
     bal = start[:-1] + has_cv
     cv = np.flatnonzero(has_cv)
     taper_k = v.obc_max_kwh_per_step / (cap * (1.0 - v.soe_cv_frac)) if taper else 0.0
@@ -316,7 +316,7 @@ def _build_vehicle_lp(s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode
     rhs = [np.full(n_cv, taper_k * cap), -s.trips.energy_kwh[v_idx] / v.eta_run]
     # each row block's kind (0 cv, 1 bal, 2 deg) and step, which name its rows
     row_kind, row_step = [np.zeros(n_cv, dtype=np.intp), np.ones(k, dtype=np.intp)], [cv, steps]
-    if ct.include_degradation:
+    if wear:
         d_row, d_var, d_coef, d_senses, d_rhs = degradation_rows(v, udeg[0], dch, soe, steps)
         deg_at = bal + 1
         rows.append(deg_at[d_row])
@@ -338,19 +338,18 @@ def _build_vehicle_lp(s: Scenario, v_idx: int, ct: CostToggles, power: PowerMode
     row_names = _StepNames([f"{kind}[{v.id}," for kind in ("cv", "bal", "deg")], np.concatenate(row_kind)[order],
                            np.concatenate(row_step)[order])
     return _VehicleLp(
-        v, lb, ub, _cost_table(s, v_idx, ct), var_names,
+        v, lb, ub, var_names,
         np.concatenate([[0], np.bincount(row, minlength=start[-1]).cumsum()]),
         var[by_row], np.concatenate(coefs)[by_row] + 0.0,
         np.concatenate(senses)[order], np.concatenate(rhs)[order], row_names, start, bal,
     )
 
 
-def _slice_window(vl: _VehicleLp, first: int, last: int, init_soe: float, floor: float) -> lp.LpProblem:
-    """The LP of ``vl``'s vehicle over steps ``first..last``, at ``vl``'s costs.
-
-    ``init_soe`` is the stock entering step ``first``: the previous step's
-    soe term leaves the window's first balance row, and the stock joins
-    its right-hand side. ``floor`` is the minimum stock at step ``last``.
+def _slice_window(vl: _VehicleLp, first: int, last: int, floor: float) -> lp.LpProblem:
+    """The LP of ``vl``'s vehicle over steps ``first..last``, at zero costs and
+    with no arrival stock: the previous step's soe term leaves the window's
+    first balance row (_window_rhs adds the stock to its right-hand side).
+    ``floor`` is the minimum stock at step ``last``.
     """
     v = vl.v
     floor_lb = max(v.soe_min_kwh, floor)
@@ -373,15 +372,15 @@ def _slice_window(vl: _VehicleLp, first: int, last: int, init_soe: float, floor:
         indptr[b0 - r0 + 1:] -= 1
         indices, data = indices[keep] - first * width, data[keep]
     return lp.LpProblem(
-        f"window[{v.id},{first}..{last}]", lb.ravel(), vl.ub[steps].ravel(), vl.cost[steps].ravel(),
+        f"window[{v.id},{first}..{last}]", lb.ravel(), vl.ub[steps].ravel(), np.zeros(lb.size),
         vl.var_names[first * width:(last + 1) * width], indptr, indices, data, vl.senses[r0:r1],
-        _window_rhs(vl, first, last, init_soe), vl.row_names[r0:r1],
+        vl.rhs[r0:r1], vl.row_names[r0:r1],
     )
 
 
 def _window_rhs(vl: _VehicleLp, first: int, last: int, init_soe: float) -> np.ndarray:
     """The right-hand side of ``vl``'s window LP over steps ``first..last``
-    whose arrival stock is ``init_soe`` (see _slice_window)."""
+    whose arrival stock, entering step ``first``, is ``init_soe``."""
     r0, b0 = vl.start[first], vl.bal[first]
     rhs = vl.rhs[r0:vl.start[last + 1]].copy()
     rhs[b0 - r0] += init_soe
@@ -392,13 +391,12 @@ class _Windows:
     """The window LPs of one study call, built once and derived after.
 
     Each vehicle's whole-horizon LP is built once per wear toggle and power
-    mode, for the first run that asks for it, at that run's costs. Each
-    window is cut from it once per step range and floor, which fix the
-    window's rows and bounds and so its crash (see lp._Start). The run that
-    built the vehicle gets each window it cuts as is; every other request
-    gets the cut derived with its own costs and arrival stock (see
+    mode, which with the scenario and vehicle are all a build depends on.
+    Each window is cut from it once per step range and floor, which fix the
+    window's rows and bounds and so its crash (see lp._Start). Every request
+    gets the cut derived with its run's costs and arrival stock (see
     lp.LpProblem.derive), so it solves on the crash and factor of the cut's
-    first solve, bit for bit as a fresh cut would.
+    first solve, bit for bit as a cut built at those costs would.
     """
 
     def __init__(self) -> None:
@@ -414,19 +412,15 @@ class _Windows:
         ``maximize_departure`` the objective is the negated stock at step
         ``last`` instead of the run's costs."""
         key = (v_idx, ct.include_degradation, power)
-        builds = key not in self._builds
-        if builds:
-            self._builds[key] = _build_vehicle_lp(s, v_idx, ct, power)
-        vl = self._builds[key]
-        costs = vl.cost if builds else _cost_table(s, v_idx, ct)
+        if key not in self._builds:
+            self._builds[key] = _build_vehicle_lp(s, *key)
+        vl, costs = self._builds[key], _cost_table(s, v_idx, ct)
 
         def window(first: int, last: int, arrival: float, floor: float,
                    maximize_departure: bool = False) -> lp.LpProblem:
             cut = self._cuts.get((*key, first, last, floor))
             if cut is None:
-                cut = self._cuts[(*key, first, last, floor)] = _slice_window(vl, first, last, arrival, floor)
-                if builds and not maximize_departure:
-                    return cut
+                cut = self._cuts[(*key, first, last, floor)] = _slice_window(vl, first, last, floor)
             if maximize_departure:  # the negated stock at step ``last``
                 cost = np.zeros((last + 1 - first, costs.shape[1]))
                 cost[-1, 3] = -1.0
@@ -665,6 +659,7 @@ def solve_evba(
     The first vehicle whose LP is not optimal makes the fleet status, and the
     message names that vehicle and why.
     """
+    _require_solvable(s)
     return _solve_evba([(s, ct, power)])[0]
 
 
@@ -675,29 +670,28 @@ def solve_evba_series(
     power: PowerMode = PowerMode.BOTH,
 ) -> list[FleetSchedule]:
     """``[solve_evba(s.with_prices(ps), ct, power) for ps in price_sets]``,
-    bit for bit, with the scenario validated and each vehicle's LP built
-    once: only the objective differs between the series (see _solve_evba)."""
-    try:
-        runs = [(s.with_prices(ps), ct, power) for ps in price_sets]
-    except ScenarioError:  # one call per series would report series 0 or an invalid scenario first
-        _require_solvable(s.with_prices(price_sets[0]))
-        raise
-    return _solve_evba(runs)
+    bit for bit, with the scenario validated, one ``Scenario.plugs`` table
+    for every series and each vehicle's LP built once: only the objective
+    differs between the series (see _solve_evba)."""
+    if not price_sets:
+        return []
+    s = s.with_prices(price_sets[0])  # series 0's length, then an invalid scenario, is reported first
+    _require_solvable(s)
+    s.plugs  # computed here, so every series priced from s shares it (see Scenario.with_prices)
+    return _solve_evba([(s.with_prices(ps), ct, power) for ps in price_sets])
 
 
 def _solve_evba(runs: Sequence[tuple[Scenario, CostToggles, PowerMode]]) -> list[FleetSchedule]:
     """``solve_evba(sp, ct, power)`` for each run ``(sp, ct, power)``, in order
     and bit for bit. The runs' scenarios may differ in their prices only (see
-    Scenario.with_prices), so the first run's is the one validated.
+    Scenario.with_prices), and the caller has validated the first run's
+    (see _require_solvable).
 
     Runs of one wear toggle and power mode differ in their objectives only,
-    so each such group is solved over one _Windows: its first run builds
-    each vehicle's whole-day LP, and every later one solves it derived with
-    its own costs, on the crash basis and factor of its first solve. A
-    group's LPs are dropped before the next group is built."""
-    if not runs:
-        return []
-    _require_solvable(runs[0][0])
+    so each such group is solved over one _Windows: it builds each vehicle's
+    whole-day LP once, and every run solves it derived with its own costs, on
+    the crash basis and factor of its first solve. A group's LPs are dropped
+    before the next group is built."""
     groups: dict[tuple[bool, PowerMode], list[int]] = {}
     for i, (_, ct, power) in enumerate(runs):
         groups.setdefault((ct.include_degradation, power), []).append(i)

@@ -8,12 +8,13 @@ last session). A session LP sees only the prices of its own window, so the
 optimizer at one plug is blind to prices elsewhere in the day.
 
 Each session LP is a slice of its vehicle's whole-horizon LP, taken from an
-evba._Windows that lives for one call, so each vehicle is built once and
-each session window cut once per floor; the best-effort re-solves are
-windows of the same build. solve_evca is one chronological pass over a
-fresh _Windows. solve_evca_series makes that pass once per price series
-over one shared _Windows, so every series after the first solves each
-window derived with its own costs and arrival stock.
+evba._Windows that lives for one call, so each vehicle is built once, from
+the scenario, vehicle, wear toggle and power mode alone, and each session
+window cut once per floor; the best-effort re-solves are windows of the same
+build. Every session LP solved is its cut derived with the series' costs and
+the session's arrival stock. solve_evca is one chronological pass over a
+fresh _Windows. solve_evca_series makes that pass once per price series over
+one shared _Windows, so the series share each build and cut.
 
 Sessions of one vehicle are strictly sequential because state chains through
 them; different vehicles are independent.

@@ -353,8 +353,10 @@ def window_lp_by_rows(
     maximize_departure: bool = False,
     two_plane: bool = False,
 ) -> lp.LpProblem:
-    """Row-by-row reference for a window LP that ``evba._slice_window`` cuts out
-    of ``evba._build_vehicle_lp``, built one variable and one row at a time.
+    """Row-by-row reference for a window LP that ``evba._Windows`` hands a run
+    (the cut that ``evba._slice_window`` takes out of
+    ``evba._build_vehicle_lp``, derived with the run's costs and arrival
+    stock), built one variable and one row at a time.
 
     ``init_soe`` is the stock entering the first window step; ``floor`` the
     minimum stock at the last one. Variables run per step in the order

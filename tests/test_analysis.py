@@ -254,10 +254,12 @@ def test_negative_price_seed_is_named_in_the_error():
     ("step_count", 0, "an integer >= 1"),
     ("step_count", -3, "an integer >= 1"),
     ("step_count", 2.0, "an integer >= 1"),
+    ("step_count", True, "an integer >= 1"),
     ("step_hours", float("nan"), "finite and > 0"),
     ("step_hours", float("inf"), "finite and > 0"),
     ("step_hours", 0.0, "finite and > 0"),
     ("seed", 1.5, "a non-negative integer"),
+    ("seed", True, "a non-negative integer"),
 ])
 def test_price_arguments_are_checked_before_use(arg, value, rule):
     with pytest.raises(ValueError, match=f"^{arg} must be {rule}, got {value}$"):
@@ -516,6 +518,29 @@ def test_compare_builds_each_crash_and_vehicle_lp_once_per_model(example_scenari
     assert counts == {"crash": 3 + 9 + 9, "frame": 3 * 3, "solve": 3 * (3 + 9 + 9)}
 
 
+def test_compare_holds_one_models_vehicle_builds_at_a_time(example_scenario, monkeypatch):
+    # evba, evca_high and evca_low each build the 3 vehicles over a memo of
+    # their own; no build of one model, nor an array of it that a window LP
+    # still views, is alive when the next model builds its first vehicle
+    built: list[list[weakref.ref]] = []
+    build = evba._build_vehicle_lp
+
+    def watched(s, v_idx, wear, power):
+        model = len(built) // 3
+        alive = [i // 3 for i, refs in enumerate(built) if any(ref() is not None for ref in refs)]
+        assert set(alive) <= {model}, (model, v_idx)
+        vl = build(s, v_idx, wear, power)
+        arrays = [x for x in vars(vl).values() if isinstance(x, np.ndarray)]
+        built.append([weakref.ref(x) for x in (vl, *arrays)])
+        return vl
+
+    monkeypatch.setattr(evba, "_build_vehicle_lp", watched)
+    prices = [generate_price_set(v, seed=1) for v in ("high", "medium", "low")]
+    report = compare_aggregators(example_scenario, prices)
+    assert [c.status for c in report.cells] == ["optimal"] * 9
+    assert len(built) == 3 * 3
+
+
 def test_ablations_build_and_crash_each_vehicle_lp_once_per_wear_toggle_and_power_mode(
     example_scenario, high_prices, monkeypatch
 ):
@@ -551,12 +576,12 @@ def test_cost_ablation_holds_one_wear_group_of_vehicle_builds_at_a_time(example_
     built: list[tuple[bool, list[weakref.ref]]] = []
     build = evba._build_vehicle_lp
 
-    def watched(s, v_idx, ct, power):
-        alive = [wear for wear, refs in built if any(ref() is not None for ref in refs)]
-        assert set(alive) <= {ct.include_degradation}, (v_idx, ct, power)
-        vl = build(s, v_idx, ct, power)
+    def watched(s, v_idx, wear, power):
+        alive = [w for w, refs in built if any(ref() is not None for ref in refs)]
+        assert set(alive) <= {wear}, (v_idx, wear, power)
+        vl = build(s, v_idx, wear, power)
         arrays = [x for x in vars(vl).values() if isinstance(x, np.ndarray)]
-        built.append((ct.include_degradation, [weakref.ref(x) for x in (vl, *arrays)]))
+        built.append((wear, [weakref.ref(x) for x in (vl, *arrays)]))
         return vl
 
     monkeypatch.setattr(evba, "_build_vehicle_lp", watched)

@@ -9,7 +9,7 @@ import json
 import numpy as np
 import pytest
 
-from evdispatch import evba, evca, lp
+from evdispatch import domain, evba, evca, lp
 from evdispatch.analysis import check_schedule, generate_price_set
 from evdispatch.domain import (
     ChargingPoint,
@@ -421,13 +421,12 @@ def _same_problem(got: lp.LpProblem, ref: lp.LpProblem) -> bool:
 
 
 def _build_both(s, v_idx, steps, init_soe, floor, ct, power, maximize_departure=False):
-    """The window LP sliced from the vehicle's array build, through a
-    _Windows memo for the best-effort objective, and from the row-by-row
-    reference, or the exception type each raised."""
+    """The window LP a run gets from a _Windows memo (the vehicle's array
+    build, cut and derived with the run's costs and arrival stock), and from
+    the row-by-row reference, or the exception type each raised."""
     first, last = int(steps[0]), int(steps[-1])
     builds = (
-        lambda: (_Windows().vehicle(s, v_idx, ct, power)(first, last, init_soe, floor, True) if maximize_departure
-                 else _slice_window(_build_vehicle_lp(s, v_idx, ct, power), first, last, init_soe, floor)),
+        lambda: _Windows().vehicle(s, v_idx, ct, power)(first, last, init_soe, floor, maximize_departure),
         lambda: window_lp_by_rows(s, v_idx, steps, init_soe, floor, ct, power,
                                   maximize_departure=maximize_departure),
     )
@@ -479,8 +478,7 @@ def test_session_slices_match_the_row_by_row_reference(seed, example_scenario):
     built = 0
     for (label, ct), power in itertools.product(OBJECTIVE_VARIANTS.items(), PowerMode):
         for v_idx, v in enumerate(s.vehicles):
-            vl = _build_vehicle_lp(s, v_idx, ct, power)  # one build for all of its sessions
-            window = _Windows().vehicle(s, v_idx, ct, power)  # ... and one for the best-effort objective
+            window = _Windows().vehicle(s, v_idx, ct, power)  # one build for all of its sessions
             for k, session in enumerate(sessions[v_idx]):
                 arrival = v.soe_min_kwh + (k + 1) / (len(sessions[v_idx]) + 1) * (v.soe_max_kwh - v.soe_min_kwh)
                 post_trips = float(s.trips.energy_kwh[v_idx, session.depart_step + 1:].sum())
@@ -494,8 +492,7 @@ def test_session_slices_match_the_row_by_row_reference(seed, example_scenario):
                 for floor, maximize in cases:
                     args = (arrival, floor)
                     try:
-                        got = (window(session.arrive_step, session.depart_step, *args, True) if maximize
-                               else _slice_window(vl, session.arrive_step, session.depart_step, *args))
+                        got = window(session.arrive_step, session.depart_step, *args, maximize)
                     except _FloorUnreachable:
                         got = _FloorUnreachable
                     try:
@@ -514,11 +511,11 @@ def test_a_non_finite_arrival_stock_is_rejected_as_the_row_by_row_build_rejects_
     s = example_scenario.with_prices(generate_price_set("high", seed=1))
     session = evca.derive_sessions(s)[0][1]
     v = s.vehicles[0]
-    vl = _build_vehicle_lp(s, 0, OF5, PowerMode.BOTH)
+    window = _Windows().vehicle(s, 0, OF5, PowerMode.BOTH)
     with pytest.raises(lp.LpError) as ref:
         window_lp_by_rows(s, 0, session.steps, arrival, v.soe_min_kwh, OF5, PowerMode.BOTH)
     with pytest.raises(lp.LpError) as got:
-        _slice_window(vl, session.arrive_step, session.depart_step, arrival, v.soe_min_kwh)
+        window(session.arrive_step, session.depart_step, arrival, v.soe_min_kwh)
     assert str(got.value) == str(ref.value) == (
         f"constraint 'bal[ev1,{session.arrive_step}]': non-finite right-hand side {arrival}"
     )
@@ -530,11 +527,11 @@ def test_a_non_finite_coefficient_is_rejected_as_the_row_by_row_build_rejects_it
     s = example_scenario.with_prices(generate_price_set("high", seed=1))
     s = dataclasses.replace(s, vehicles=(dataclasses.replace(s.vehicles[0], eta_dch=5e-324), *s.vehicles[1:]))
     session = evca.derive_sessions(s)[0][1]
-    vl = _build_vehicle_lp(s, 0, OF5, PowerMode.BOTH)
+    vl = _build_vehicle_lp(s, 0, OF5.include_degradation, PowerMode.BOTH)
     with pytest.raises(lp.LpError) as ref:
         window_lp_by_rows(s, 0, session.steps, 10.0, 12.0, OF5, PowerMode.BOTH)
     with pytest.raises(lp.LpError) as got:
-        _slice_window(vl, session.arrive_step, session.depart_step, 10.0, 12.0)
+        _slice_window(vl, session.arrive_step, session.depart_step, 12.0)
     assert str(got.value) == str(ref.value) == (
         f"constraint 'bal[ev1,{session.arrive_step}]': non-finite coefficient inf on variable 1"
     )
@@ -578,9 +575,10 @@ def _price_sets(seed, step_count: int = 24) -> list[PriceSeries]:
     return [generate_price_set(level, seed=seed, step_count=step_count) for level in ("low", "medium", "high")]
 
 
-def test_one_call_solves_each_window_as_cut_at_its_own_costs(example_with_high, monkeypatch):
-    # a single solve builds each vehicle at its own costs, so it derives no
-    # window and tables no costs beyond its 3 builds'
+def test_one_call_derives_each_window_once_and_tables_costs_once_per_vehicle(example_with_high, monkeypatch):
+    # a build holds no prices, so a single solve derives each window it
+    # solves (3 days, or 9 sessions) with its costs, which it tables once per
+    # vehicle
     calls = {"derive": 0, "costs": 0}
 
     def counted(name, fn):
@@ -591,10 +589,11 @@ def test_one_call_solves_each_window_as_cut_at_its_own_costs(example_with_high, 
 
     monkeypatch.setattr(lp.LpProblem, "derive", counted("derive", lp.LpProblem.derive))
     monkeypatch.setattr(evba, "_cost_table", counted("costs", evba._cost_table))
-    for solve in (lambda: solve_evba(example_with_high), lambda: evca.solve_evca(example_with_high, evca.LOW_SOE)):
+    for solve, windows in ((lambda: solve_evba(example_with_high), 3),
+                           (lambda: evca.solve_evca(example_with_high, evca.LOW_SOE), 9)):
         calls.update(derive=0, costs=0)
         assert solve().status == "optimal"
-        assert calls == {"derive": 0, "costs": 3}
+        assert calls == {"derive": windows, "costs": 3}
 
 
 @pytest.mark.parametrize("seed", [*range(12), "example"])
@@ -638,3 +637,20 @@ def test_several_series_check_the_scenario_and_each_series_as_one_call_per_serie
     # ... and on a first series of the wrong length before the scenario
     with pytest.raises(ScenarioError, match="price series 'short' has 23 steps, horizon needs 24"):
         solve_evba_series(broken, [PriceSeries("short", np.zeros(23)), sets[0]])
+
+
+def test_several_series_share_one_plugs_table(example_scenario, monkeypatch):
+    # every series is priced from series 0's scenario once its table is
+    # computed, so an unpriced caller computes one table, not one per series
+    tables = []
+    plugs = domain.Plugs
+
+    def counted(*args):
+        tables.append(args)
+        return plugs(*args)
+
+    monkeypatch.setattr(domain, "Plugs", counted)
+    unpriced = dataclasses.replace(example_scenario)  # no table computed yet
+    got = solve_evba_series(unpriced, _price_sets(1))
+    assert [fs.status for fs in got] == ["optimal"] * 3
+    assert len(tables) == 1

@@ -999,15 +999,15 @@ def _window(example_scenario, steps: int) -> lp.LpProblem:
     s = refine(example_scenario, "ev1", 4)
     s = s.with_prices(generate_price_set("high", seed=7, step_count=96, step_hours=0.25))
     v = s.vehicles[0]
-    vl = evba._build_vehicle_lp(s, 0, evba.cost_toggles_for("of5"), evba.PowerMode.BOTH)
-    return evba._slice_window(vl, 0, steps - 1, v.soe_initial_kwh, v.soe_min_kwh)
+    window = evba._Windows().vehicle(s, 0, evba.cost_toggles_for("of5"), evba.PowerMode.BOTH)
+    return window(0, steps - 1, v.soe_initial_kwh, v.soe_min_kwh)
 
 
 def _session(example_with_high) -> lp.LpProblem:
     """ev1's station session over steps 8..14 of the example (7 steps, 6 links)."""
     v = example_with_high.vehicles[0]
-    vl = evba._build_vehicle_lp(example_with_high, 0, evba.cost_toggles_for("of5"), evba.PowerMode.BOTH)
-    return evba._slice_window(vl, 8, 14, v.soe_initial_kwh, v.soe_min_kwh)
+    window = evba._Windows().vehicle(example_with_high, 0, evba.cost_toggles_for("of5"), evba.PowerMode.BOTH)
+    return window(8, 14, v.soe_initial_kwh, v.soe_min_kwh)
 
 
 def test_small_lps_take_the_dense_inverse_and_long_windows_the_chain(example_with_high, example_scenario):
@@ -1139,10 +1139,10 @@ def test_derived_window_lps_solve_bit_for_bit_like_ones_built_anew_on_both_facto
     pairs = [(_fifteen_minute_lp(example_scenario, 1), _fifteen_minute_lp(example_scenario, seed)) for seed in (7, 11)]
     for level, arrival in (("low", 6.0), ("medium", v.soe_initial_kwh), ("high", 18.0)):
         sp = example_scenario.with_prices(generate_price_set(level, seed=3))
-        session = evba._slice_window(evba._build_vehicle_lp(s, 0, evba.cost_toggles_for("of5"), evba.PowerMode.BOTH),
-                                     8, 14, v.soe_initial_kwh, v.soe_min_kwh)
-        other = evba._slice_window(evba._build_vehicle_lp(sp, 0, evba.cost_toggles_for("of5"), evba.PowerMode.BOTH),
-                                   8, 14, arrival, v.soe_min_kwh)
+        session = evba._Windows().vehicle(s, 0, evba.cost_toggles_for("of5"), evba.PowerMode.BOTH)(
+            8, 14, v.soe_initial_kwh, v.soe_min_kwh)
+        other = evba._Windows().vehicle(sp, 0, evba.cost_toggles_for("of5"), evba.PowerMode.BOTH)(
+            8, 14, arrival, v.soe_min_kwh)
         pairs.append((session, other))
     assert {_factor_path(p) for p, _ in pairs} == {"chain", "dense"}
     for parent, other in pairs:
